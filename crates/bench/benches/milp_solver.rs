@@ -100,52 +100,38 @@ fn placement_like(deps: usize, pairs: usize) -> Model {
     m
 }
 
-/// Threads × warm-start matrix on the ~200-binary placement-shaped
-/// instance, plus a one-shot nodes/sec report per configuration. The
-/// node budget (not the wall clock) bounds each solve so configurations
-/// do comparable work and throughput is the comparable number.
+/// Thread-count matrix on the ~200-binary placement-shaped instance,
+/// plus a one-shot solver-counter report per thread count. The node
+/// budget (not the wall clock) bounds each solve so configurations do
+/// comparable work and throughput is the comparable number.
 fn bench_thread_matrix(c: &mut Criterion) {
     let m = placement_like(40, 5);
-    let make_cfg = |threads: usize, warm_lp: bool| SolveConfig {
+    let make_cfg = |threads: usize| SolveConfig {
         threads,
-        warm_lp,
         max_nodes: 2_000,
         time_limit: Duration::from_secs(30),
         ..SolveConfig::default()
     };
 
-    let mut group = c.benchmark_group("milp/threads-warm-200bin");
+    let mut group = c.benchmark_group("milp/threads-200bin");
     group.sample_size(10);
     for &threads in &[1usize, 2, 4] {
-        for &warm_lp in &[false, true] {
-            let cfg = make_cfg(threads, warm_lp);
-            let label = if warm_lp { "warm" } else { "cold" };
-            group.bench_with_input(BenchmarkId::new(label, threads), &cfg, |b, cfg| {
-                b.iter(|| m.solve(cfg).unwrap())
-            });
-        }
+        let cfg = make_cfg(threads);
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &cfg, |b, cfg| {
+            b.iter(|| m.solve(cfg).unwrap())
+        });
     }
     group.finish();
 
-    println!("\nmilp/threads-warm-200bin node throughput:");
+    println!("\nmilp/threads-200bin node throughput:");
     for &threads in &[1usize, 2, 4] {
-        for &warm_lp in &[false, true] {
-            let cfg = make_cfg(threads, warm_lp);
-            let start = Instant::now();
-            let sol = m.solve(&cfg).unwrap();
-            let secs = start.elapsed().as_secs_f64();
-            println!(
-                "  threads={threads} warm={warm_lp}: {:.0} nodes/s \
-                 (nodes={} lp_iters={} warm={} cold={} objective={:.1} in {:.3}s)",
-                sol.nodes_explored as f64 / secs.max(1e-9),
-                sol.nodes_explored,
-                sol.lp_iterations,
-                sol.warm_starts,
-                sol.cold_starts,
-                sol.objective,
-                secs,
-            );
-        }
+        let start = Instant::now();
+        let sol = m.solve(&make_cfg(threads)).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        println!(
+            "  threads={threads}: {:.0} nodes/s ({sol} in {secs:.3}s)",
+            sol.nodes_explored as f64 / secs.max(1e-9),
+        );
     }
 }
 

@@ -13,12 +13,12 @@
 //! - branch-and-bound ([`Model::solve`]) — parallel best-first search on
 //!   the LP bound with most-fractional branching, warm-started node
 //!   relaxations (dual simplex from the parent basis, see
-//!   [`simplex::WarmContext`]), a rounding incumbent heuristic, a
-//!   relative-gap stop, and a wall-clock time limit (mirroring the
-//!   paper's 5-minute Gurobi cap). [`SolveConfig::threads`] selects the
-//!   worker count; `threads: 1` is deterministic, and `threads: 1` with
-//!   `warm_lp: false` reproduces the original sequential solver exactly.
-//!   See `crates/milp/README.md` for the engine architecture.
+//!   [`simplex::WarmContext`]), rounding and diving incumbent
+//!   heuristics, a relative-gap stop, and a wall-clock time limit
+//!   (mirroring the paper's 5-minute Gurobi cap).
+//!   [`SolveConfig::threads`] selects the worker count; `threads: 1` is
+//!   deterministic. See `crates/milp/README.md` for the engine
+//!   architecture.
 //!
 //! # Example: a tiny knapsack
 //!

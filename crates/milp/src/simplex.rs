@@ -841,28 +841,16 @@ fn solve_warm(
 
 /// Convenience: solve the LP relaxation of a model under bound overrides,
 /// returning structural-variable values and the objective in the model's
-/// own sense.
+/// own sense. Always a cold two-phase solve over the eliminating
+/// [`LpProblem::from_model`] layout: the reference the warm path
+/// ([`WarmContext::solve_relaxation`]) is tested against.
 ///
 /// # Errors
 ///
 /// Maps non-optimal statuses onto [`MilpError`].
 pub fn solve_relaxation(model: &Model, bounds: &[(f64, f64)]) -> Result<(f64, Vec<f64>), MilpError> {
-    solve_relaxation_counted(model, bounds).map(|(obj, vals, _)| (obj, vals))
-}
-
-/// [`solve_relaxation`] plus the simplex pivot count of the solve —
-/// same algorithm, same pivot sequence, observational counter only.
-///
-/// # Errors
-///
-/// Maps non-optimal statuses onto [`MilpError`].
-pub fn solve_relaxation_counted(
-    model: &Model,
-    bounds: &[(f64, f64)],
-) -> Result<(f64, Vec<f64>, u64), MilpError> {
     let problem = LpProblem::from_model(model, bounds);
-    let mut iters = 0;
-    let (sol, _) = solve_two_phase(&problem, &problem.lower, &problem.upper, &mut iters, false);
+    let (sol, _) = solve_two_phase(&problem, &problem.lower, &problem.upper, &mut 0, false);
     match sol.status {
         LpStatus::Optimal => {
             let sign = match model.sense() {
@@ -888,7 +876,7 @@ pub fn solve_relaxation_counted(
                     }
                 }
             }
-            Ok((sign * sol.objective, values, iters))
+            Ok((sign * sol.objective, values))
         }
         LpStatus::Infeasible => Err(MilpError::Infeasible),
         LpStatus::Unbounded => Err(MilpError::Unbounded),

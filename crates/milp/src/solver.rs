@@ -1,18 +1,12 @@
 //! Branch-and-bound over the LP relaxation.
 //!
-//! Two engines share the search logic contract:
-//!
-//! - **Sequential legacy engine** (`threads == 1` with `warm_lp` off):
-//!   the original single-threaded best-first loop over cold two-phase
-//!   LP solves. Kept byte-for-byte in behaviour as the determinism
-//!   baseline — same node order, same pivots, same answers.
-//! - **Parallel warm engine** (everything else): a worker pool over a
-//!   shared best-first queue. Each node carries its parent's optimal
-//!   basis ([`BasisSnapshot`]); child relaxations re-solve via the dual
-//!   simplex from that basis instead of restarting phase 1, falling
-//!   back to a cold solve on numerical trouble. Workers prune against
-//!   a shared incumbent and stop on a global gap/budget/exhaustion
-//!   condition. With `threads == 1` the engine is fully deterministic.
+//! One engine: a worker pool over a shared best-first queue. Each node
+//! carries its parent's optimal basis ([`BasisSnapshot`]); child
+//! relaxations re-solve via the dual simplex from that basis instead of
+//! restarting phase 1, falling back to a cold solve on numerical
+//! trouble. Workers prune against a shared incumbent and stop on a
+//! global gap/budget/exhaustion condition. With `threads == 1` the
+//! engine is fully deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -25,7 +19,7 @@ use flex_obs::{Counter, Histogram, Obs};
 use parking_lot::{Condvar, Mutex};
 
 use crate::model::{Model, Sense, VarKind};
-use crate::simplex::{solve_relaxation_counted, BasisSnapshot, WarmContext};
+use crate::simplex::{BasisSnapshot, RelaxSolve, WarmContext};
 use crate::MilpError;
 
 /// Integrality tolerance: LP values this close to an integer count as
@@ -46,12 +40,10 @@ pub struct SolveConfig {
     pub max_nodes: u64,
     /// Worker threads for the branch-and-bound search. `0` means use
     /// [`std::thread::available_parallelism`]. `1` is deterministic:
-    /// nodes are processed in exactly the best-first heap order.
+    /// nodes are processed in exactly the best-first heap order. Every
+    /// count runs the same warm-started engine; more workers change the
+    /// node order, never the optimal objective.
     pub threads: usize,
-    /// Warm-start node relaxations from the parent's simplex basis.
-    /// Setting `threads: 1` *and* `warm_lp: false` reproduces the
-    /// original sequential solver exactly, pivot for pivot.
-    pub warm_lp: bool,
 }
 
 impl Default for SolveConfig {
@@ -61,7 +53,6 @@ impl Default for SolveConfig {
             relative_gap: 1e-6,
             max_nodes: 200_000,
             threads: 0,
-            warm_lp: true,
         }
     }
 }
@@ -180,8 +171,8 @@ struct Node {
     bound: f64,
     depth: u32,
     /// Parent's optimal basis for warm-starting this node's relaxation
-    /// (shared between siblings). `None` in the legacy engine.
-    basis: Option<Arc<BasisSnapshot>>,
+    /// (shared between siblings).
+    basis: Arc<BasisSnapshot>,
 }
 
 /// Heap ordering: best bound first, deeper first on ties (dives toward
@@ -206,13 +197,6 @@ impl Ord for HeapNode {
             .total_cmp(&other.0.bound)
             .then(self.0.depth.cmp(&other.0.depth))
     }
-}
-
-/// Observational LP-work counters threaded through the sequential path.
-#[derive(Default)]
-struct LpCounters {
-    lp_iterations: u64,
-    cold_starts: u64,
 }
 
 /// `flex-obs` hooks for the solver: per-relaxation pivot accounting and
@@ -310,6 +294,9 @@ impl Model {
         self.solve_inner(config, None, &MilpHooks::new(obs))
     }
 
+    /// The branch-and-bound engine: a pool of worker threads over a
+    /// shared best-first queue with warm-started relaxations. With
+    /// `threads == 1`, processing order is deterministic.
     fn solve_inner(
         &self,
         config: &SolveConfig,
@@ -317,24 +304,7 @@ impl Model {
         hooks: &MilpHooks,
     ) -> Result<MilpSolution, MilpError> {
         let threads = config.resolved_threads().max(1);
-        if threads == 1 && !config.warm_lp {
-            self.solve_sequential(config, warm_start, hooks)
-        } else {
-            self.solve_parallel(config, warm_start, threads, hooks)
-        }
-    }
-
-    /// The original sequential engine: best-first over cold LP solves.
-    /// This is the determinism baseline — node order and pivot sequence
-    /// match the pre-parallel solver exactly.
-    fn solve_sequential(
-        &self,
-        config: &SolveConfig,
-        warm_start: Option<&[f64]>,
-        hooks: &MilpHooks,
-    ) -> Result<MilpSolution, MilpError> {
         let start = Instant::now();
-        // Internal sense: maximize (flip objective for minimize models).
         let internal = |obj: f64| match self.sense {
             Sense::Maximize => obj,
             Sense::Minimize => -obj,
@@ -350,272 +320,138 @@ impl Model {
             .map(|(i, _)| i)
             .collect();
 
-        let mut counters = LpCounters::default();
-        let (root_obj, root_vals, root_iters) = solve_relaxation_counted(self, &root_bounds)?;
-        counters.lp_iterations += root_iters;
-        counters.cold_starts += 1;
+        let ctx = WarmContext::new(self);
+        // Root relaxation failures abort the solve: there is no tree to
+        // fall back on yet.
+        let root = ctx.solve_relaxation(&root_bounds, None)?;
         hooks.nodes.inc();
-        hooks.lp(root_iters, false);
-        let mut nodes_explored: u64 = 1;
-        let finish = |status: SolveStatus,
-                      obj: f64,
-                      values: Vec<f64>,
-                      best_bound: f64,
-                      nodes_explored: u64,
-                      counters: &LpCounters| MilpSolution {
-            status,
-            objective: obj,
-            values,
-            best_bound,
-            nodes_explored,
-            lp_iterations: counters.lp_iterations,
-            warm_starts: 0,
-            cold_starts: counters.cold_starts,
-            relaxation_failures: 0,
+        hooks.lp(root.iterations, root.warmed);
+
+        let shared = Shared {
+            model: self,
+            ctx,
+            int_vars,
+            deadline: start + config.time_limit,
+            relative_gap: config.relative_gap,
+            max_nodes: config.max_nodes,
+            queue: Mutex::new(SearchQueue {
+                heap: BinaryHeap::new(),
+                in_flight: vec![None; threads],
+                stop: None,
+                stop_bound: f64::NEG_INFINITY,
+            }),
+            work_cv: Condvar::new(),
+            incumbent: Mutex::new(None),
+            failed_bound: Mutex::new(f64::NEG_INFINITY),
+            nodes_explored: AtomicU64::new(1),
+            lp_iterations: AtomicU64::new(root.iterations),
+            warm_starts: AtomicU64::new(0),
+            cold_starts: AtomicU64::new(1),
+            relaxation_failures: AtomicU64::new(0),
+            hooks,
         };
 
-        let mut incumbent: Option<(f64, Vec<f64>)> = None; // internal objective
         if let Some(ws) = warm_start {
             if ws.len() == self.vars.len() && self.is_feasible(ws, 1e-6) {
-                let snapped = rounded(ws, &int_vars);
-                if self.is_feasible(&snapped, 1e-6) {
-                    incumbent = Some((internal(self.objective_value(&snapped)), snapped));
-                }
+                let snapped = rounded(ws, &shared.int_vars);
+                shared.consider(&snapped);
             }
         }
-        let consider = |vals: &[f64],
-                            incumbent: &mut Option<(f64, Vec<f64>)>| {
-            if !self.is_feasible(vals, 1e-6) {
-                return;
-            }
-            let obj = internal(self.objective_value(vals));
-            match incumbent {
-                Some((best, _)) if *best >= obj => {}
-                _ => *incumbent = Some((obj, vals.to_vec())),
+
+        let collect = |status: SolveStatus, objective: f64, values: Vec<f64>, best_bound: f64| {
+            MilpSolution {
+                status,
+                objective,
+                values,
+                best_bound,
+                nodes_explored: shared.nodes_explored.load(AtomicOrdering::Relaxed),
+                lp_iterations: shared.lp_iterations.load(AtomicOrdering::Relaxed),
+                warm_starts: shared.warm_starts.load(AtomicOrdering::Relaxed),
+                cold_starts: shared.cold_starts.load(AtomicOrdering::Relaxed),
+                relaxation_failures: shared.relaxation_failures.load(AtomicOrdering::Relaxed),
             }
         };
 
-        // Integral root?
-        if is_integral(&root_vals, &int_vars) {
-            let vals = rounded(&root_vals, &int_vars);
-            consider(&vals, &mut incumbent);
-            if let Some((obj, values)) = incumbent {
+        // Integral root: optimal outright (if it validates).
+        if is_integral(&root.values, &shared.int_vars) {
+            let snapped = rounded(&root.values, &shared.int_vars);
+            shared.consider(&snapped);
+            let inc = shared.incumbent.lock().take();
+            if let Some((obj, values)) = inc {
                 let e = external(obj);
-                return Ok(finish(
-                    SolveStatus::Optimal,
-                    e,
-                    values,
-                    e,
-                    nodes_explored,
-                    &counters,
-                ));
+                return Ok(collect(SolveStatus::Optimal, e, values, e));
             }
         }
-        // Heuristics at the root for an early incumbent: cheap rounding,
-        // then an LP-guided dive.
-        let vals = rounded(&root_vals, &int_vars);
-        consider(&vals, &mut incumbent);
-        let deadline = start + config.time_limit;
-        if let Some(dived) = self.dive(&root_bounds, &int_vars, deadline, &mut counters, hooks) {
-            consider(&dived, &mut incumbent);
+        // Root heuristics: rounding, then a warm LP-guided dive.
+        let snapped = rounded(&root.values, &shared.int_vars);
+        shared.consider(&snapped);
+        if let Some(dived) = shared.dive_warm(&root_bounds, &root.basis) {
+            shared.consider(&dived);
         }
 
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapNode(Node {
+        let root_bound = internal(root.objective);
+        shared.queue.lock().heap.push(HeapNode(Node {
             bounds: root_bounds,
-            bound: internal(root_obj),
+            bound: root_bound,
             depth: 0,
-            basis: None,
+            basis: Arc::new(root.basis),
         }));
-        let mut best_bound;
 
-        while let Some(HeapNode(node)) = heap.pop() {
-            best_bound = node.bound;
-            if let Some((inc_obj, _)) = &incumbent {
-                let gap = (best_bound - inc_obj) / inc_obj.abs().max(1.0);
-                if gap <= config.relative_gap {
-                    let (obj, values) = incumbent.expect("checked above");
-                    // The proven bound cannot be worse than the incumbent.
-                    return Ok(finish(
-                        SolveStatus::Optimal,
-                        external(obj),
-                        values,
-                        external(best_bound.max(obj)),
-                        nodes_explored,
-                        &counters,
-                    ));
-                }
+        crossbeam::thread::scope(|s| {
+            for w in 0..threads {
+                let shared = &shared;
+                s.spawn(move |_| shared.worker(w));
             }
-            if start.elapsed() >= config.time_limit || nodes_explored >= config.max_nodes {
-                return match incumbent {
-                    Some((obj, values)) => Ok(finish(
-                        SolveStatus::Feasible,
-                        external(obj),
-                        values,
-                        external(best_bound),
-                        nodes_explored,
-                        &counters,
-                    )),
-                    None => Err(MilpError::TimeLimitNoSolution),
-                };
-            }
+        })
+        .expect("branch-and-bound worker panicked");
 
-            // Solve this node's relaxation.
-            let (obj, vals) = match solve_relaxation_counted(self, &node.bounds) {
-                Ok((obj, vals, iters)) => {
-                    counters.lp_iterations += iters;
-                    counters.cold_starts += 1;
-                    hooks.lp(iters, false);
-                    (obj, vals)
-                }
-                Err(MilpError::Infeasible) => continue,
-                Err(e) => return Err(e),
-            };
-            nodes_explored += 1;
-            hooks.nodes.inc();
-            let node_bound = internal(obj);
-            if let Some((inc_obj, _)) = &incumbent {
-                if node_bound <= *inc_obj + config.relative_gap * inc_obj.abs().max(1.0) {
-                    continue; // pruned by bound
-                }
-            }
-            // Find the most fractional integer variable.
-            let mut branch_var: Option<(usize, f64)> = None;
-            for &j in &int_vars {
-                let frac = (vals[j] - vals[j].round()).abs();
-                if frac > INT_EPS {
-                    let score = (vals[j] - vals[j].floor() - 0.5).abs();
-                    match branch_var {
-                        Some((_, best)) if best <= score => {}
-                        _ => branch_var = Some((j, score)),
-                    }
-                }
-            }
-            match branch_var {
-                None => {
-                    // Integer feasible.
-                    let snapped = rounded(&vals, &int_vars);
-                    consider(&snapped, &mut incumbent);
-                }
-                Some((j, _)) => {
-                    // Periodically dive from promising nodes for new
-                    // incumbents (diving is ~|int_vars| LP solves, so
-                    // keep it occasional).
-                    if nodes_explored % 128 == 0 {
-                        if let Some(dived) =
-                            self.dive(&node.bounds, &int_vars, deadline, &mut counters, hooks)
-                        {
-                            consider(&dived, &mut incumbent);
-                        }
-                    }
-                    let snapped = rounded(&vals, &int_vars);
-                    consider(&snapped, &mut incumbent);
-                    let x = vals[j];
-                    let (lo, hi) = node.bounds[j];
-                    // Down branch: x <= floor.
-                    let down_hi = x.floor();
-                    if down_hi >= lo - INT_EPS {
-                        let mut b = node.bounds.clone();
-                        b[j] = (lo, down_hi.max(lo));
-                        heap.push(HeapNode(Node {
-                            bounds: b,
-                            bound: node_bound,
-                            depth: node.depth + 1,
-                            basis: None,
-                        }));
-                    }
-                    // Up branch: x >= ceil.
-                    let up_lo = x.ceil();
-                    if up_lo <= hi + INT_EPS {
-                        let mut b = node.bounds.clone();
-                        b[j] = (up_lo.min(hi), hi);
-                        heap.push(HeapNode(Node {
-                            bounds: b,
-                            bound: node_bound,
-                            depth: node.depth + 1,
-                            basis: None,
-                        }));
-                    }
-                }
-            }
-        }
+        let (stop, stop_bound) = {
+            let q = shared.queue.lock();
+            (q.stop.unwrap_or(Stop::Exhausted), q.stop_bound)
+        };
+        let incumbent = shared.incumbent.lock().take();
+        let failures = shared.relaxation_failures.load(AtomicOrdering::Relaxed);
+        let failed_bound = *shared.failed_bound.lock();
 
-        // Tree exhausted: incumbent (if any) is optimal.
-        match incumbent {
-            Some((obj, values)) => {
-                let e = external(obj);
-                Ok(finish(
+        match stop {
+            Stop::GapReached => {
+                let (obj, values) = incumbent.expect("gap stop implies an incumbent");
+                Ok(collect(
                     SolveStatus::Optimal,
-                    e,
+                    external(obj),
                     values,
-                    e,
-                    nodes_explored,
-                    &counters,
+                    external(stop_bound.max(obj)),
                 ))
             }
-            None => Err(MilpError::Infeasible),
-        }
-    }
-}
-
-impl Model {
-    /// LP-guided diving heuristic: starting from `bounds`, repeatedly fix
-    /// the *least* fractional integer variable to its nearest integer and
-    /// re-solve the relaxation, backtracking once per variable to the
-    /// other side on infeasibility. Returns an integer-feasible
-    /// assignment if the dive lands on one. This is the workhorse that
-    /// turns fractional packing relaxations into good incumbents.
-    fn dive(
-        &self,
-        bounds: &[(f64, f64)],
-        int_vars: &[usize],
-        deadline: Instant,
-        counters: &mut LpCounters,
-        hooks: &MilpHooks,
-    ) -> Option<Vec<f64>> {
-        let mut b = bounds.to_vec();
-        // Each round fixes a *batch* of near-integral variables (plus at
-        // least the least-fractional one), so a dive costs a handful of
-        // LP solves rather than one per integer variable.
-        for _ in 0..(int_vars.len() + 1) {
-            if Instant::now() >= deadline {
-                return None;
-            }
-            let (_, vals) = match solve_relaxation_counted(self, &b) {
-                Ok((obj, vals, iters)) => {
-                    counters.lp_iterations += iters;
-                    counters.cold_starts += 1;
-                    hooks.lp(iters, false);
-                    (obj, vals)
+            Stop::Budget => match incumbent {
+                Some((obj, values)) => Ok(collect(
+                    SolveStatus::Feasible,
+                    external(obj),
+                    values,
+                    external(stop_bound.max(obj)),
+                )),
+                None => Err(MilpError::TimeLimitNoSolution),
+            },
+            Stop::Exhausted => match incumbent {
+                Some((obj, values)) => {
+                    // With dropped nodes the tree has holes: optimality
+                    // cannot be claimed, and the bound must cover them.
+                    if failures > 0 {
+                        Ok(collect(
+                            SolveStatus::Feasible,
+                            external(obj),
+                            values,
+                            external(failed_bound.max(obj)),
+                        ))
+                    } else {
+                        let e = external(obj);
+                        Ok(collect(SolveStatus::Optimal, e, values, e))
+                    }
                 }
-                Err(_) => return None, // infeasible dive: give up
-            };
-            let mut fractional: Vec<(usize, f64, f64)> = int_vars
-                .iter()
-                .filter_map(|&j| {
-                    let dist = (vals[j] - vals[j].round()).abs();
-                    (dist > INT_EPS).then_some((j, vals[j], dist))
-                })
-                .collect();
-            if fractional.is_empty() {
-                let snapped = rounded(&vals, int_vars);
-                return self.is_feasible(&snapped, 1e-6).then_some(snapped);
-            }
-            fractional.sort_by(|a, b| a.2.total_cmp(&b.2));
-            let mut fixed_any = false;
-            for &(j, x, dist) in &fractional {
-                if b[j].0 != b[j].1 && (dist <= 0.1 || !fixed_any) {
-                    let (lo, hi) = b[j];
-                    let v = x.round().clamp(lo, hi);
-                    b[j] = (v, v);
-                    fixed_any = true;
-                }
-            }
-            if !fixed_any {
-                return None; // everything fractional is already fixed
-            }
+                None if failures > 0 => Err(MilpError::IterationLimit),
+                None => Err(MilpError::Infeasible),
+            },
         }
-        None
     }
 }
 
@@ -650,7 +486,6 @@ struct Shared<'a> {
     deadline: Instant,
     relative_gap: f64,
     max_nodes: u64,
-    warm_lp: bool,
     queue: Mutex<SearchQueue>,
     work_cv: Condvar,
     /// Best integer-feasible point, internal (maximize) objective.
@@ -715,13 +550,8 @@ impl Shared<'_> {
     }
 
     /// One counted LP solve for the dive.
-    fn dive_lp(
-        &self,
-        bounds: &[(f64, f64)],
-        basis: Option<&BasisSnapshot>,
-    ) -> Option<crate::simplex::RelaxSolve> {
-        let basis = if self.warm_lp { basis } else { None };
-        let relax = self.ctx.solve_relaxation(bounds, basis).ok()?;
+    fn dive_lp(&self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<RelaxSolve> {
+        let relax = self.ctx.solve_relaxation(bounds, Some(basis)).ok()?;
         self.lp_iterations
             .fetch_add(relax.iterations, AtomicOrdering::Relaxed);
         if relax.warmed {
@@ -733,12 +563,14 @@ impl Shared<'_> {
         Some(relax)
     }
 
-    /// Warm diving heuristic: like the sequential dive, but each step
-    /// re-solves from the previous step's basis, and an infeasible batch
-    /// fix backtracks to a single-variable fix (either side) before the
-    /// dive gives up — incumbents in the parallel engine come almost
-    /// entirely from dives, so a fragile dive starves the whole search.
-    fn dive_warm(&self, bounds: &[(f64, f64)], basis: Option<&BasisSnapshot>) -> Option<Vec<f64>> {
+    /// LP-guided diving heuristic: starting from `bounds`, repeatedly fix
+    /// a batch of near-integral variables (at least the least fractional
+    /// one) to their nearest integers and re-solve from the previous
+    /// step's basis. An infeasible batch fix backtracks to a
+    /// single-variable fix (either side) before the dive gives up —
+    /// incumbents come almost entirely from dives, so a fragile dive
+    /// starves the whole search.
+    fn dive_warm(&self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<Vec<f64>> {
         let mut b = bounds.to_vec();
         let mut relax = self.dive_lp(&b, basis)?;
         for _ in 0..(self.int_vars.len() + 1) {
@@ -799,7 +631,7 @@ impl Shared<'_> {
                 if !fixed_any || nb == b {
                     continue;
                 }
-                if let Some(r) = self.dive_lp(&nb, Some(&relax.basis)) {
+                if let Some(r) = self.dive_lp(&nb, &relax.basis) {
                     b = nb;
                     relax = r;
                     advanced = true;
@@ -867,14 +699,9 @@ impl Shared<'_> {
                 }
             }
 
-            // Solve this node's relaxation (warm from the parent basis
-            // when allowed; `solve_relaxation` falls back cold itself).
-            let basis_ref = if self.warm_lp {
-                node.basis.as_deref()
-            } else {
-                None
-            };
-            let relax = match self.ctx.solve_relaxation(&node.bounds, basis_ref) {
+            // Solve this node's relaxation warm from the parent basis
+            // (`solve_relaxation` falls back cold itself).
+            let relax = match self.ctx.solve_relaxation(&node.bounds, Some(&node.basis)) {
                 Ok(r) => r,
                 Err(MilpError::Infeasible) => {
                     self.finish_node(w);
@@ -941,7 +768,7 @@ impl Shared<'_> {
                         128
                     };
                     if explored % cadence == 0 {
-                        if let Some(dived) = self.dive_warm(&node.bounds, Some(&relax.basis)) {
+                        if let Some(dived) = self.dive_warm(&node.bounds, &relax.basis) {
                             self.consider(&dived);
                         }
                     }
@@ -961,7 +788,7 @@ impl Shared<'_> {
                             bounds: b,
                             bound: node_bound,
                             depth: node.depth + 1,
-                            basis: Some(Arc::clone(&child_basis)),
+                            basis: Arc::clone(&child_basis),
                         }));
                     }
                     // Up branch: x >= ceil.
@@ -973,7 +800,7 @@ impl Shared<'_> {
                             bounds: b,
                             bound: node_bound,
                             depth: node.depth + 1,
-                            basis: Some(child_basis),
+                            basis: child_basis,
                         }));
                     }
                     if !children.is_empty() {
@@ -985,169 +812,6 @@ impl Shared<'_> {
                 }
             }
             self.finish_node(w);
-        }
-    }
-}
-
-impl Model {
-    /// The parallel warm engine: a pool of `threads` workers over a
-    /// shared best-first queue with warm-started relaxations. With
-    /// `threads == 1`, processing order is deterministic.
-    fn solve_parallel(
-        &self,
-        config: &SolveConfig,
-        warm_start: Option<&[f64]>,
-        threads: usize,
-        hooks: &MilpHooks,
-    ) -> Result<MilpSolution, MilpError> {
-        let start = Instant::now();
-        let internal = |obj: f64| match self.sense {
-            Sense::Maximize => obj,
-            Sense::Minimize => -obj,
-        };
-        let external = internal; // involution
-
-        let root_bounds: Vec<(f64, f64)> = self.vars.iter().map(|v| (v.lower, v.upper)).collect();
-        let int_vars: Vec<usize> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Integer)
-            .map(|(i, _)| i)
-            .collect();
-
-        let ctx = WarmContext::new(self);
-        // Root relaxation failures abort the solve, exactly like the
-        // sequential engine — there is no tree to fall back on yet.
-        let root = ctx.solve_relaxation(&root_bounds, None)?;
-        hooks.nodes.inc();
-        hooks.lp(root.iterations, root.warmed);
-
-        let shared = Shared {
-            model: self,
-            ctx,
-            int_vars,
-            deadline: start + config.time_limit,
-            relative_gap: config.relative_gap,
-            max_nodes: config.max_nodes,
-            warm_lp: config.warm_lp,
-            queue: Mutex::new(SearchQueue {
-                heap: BinaryHeap::new(),
-                in_flight: vec![None; threads],
-                stop: None,
-                stop_bound: f64::NEG_INFINITY,
-            }),
-            work_cv: Condvar::new(),
-            incumbent: Mutex::new(None),
-            failed_bound: Mutex::new(f64::NEG_INFINITY),
-            nodes_explored: AtomicU64::new(1),
-            lp_iterations: AtomicU64::new(root.iterations),
-            warm_starts: AtomicU64::new(0),
-            cold_starts: AtomicU64::new(1),
-            relaxation_failures: AtomicU64::new(0),
-            hooks,
-        };
-
-        if let Some(ws) = warm_start {
-            if ws.len() == self.vars.len() && self.is_feasible(ws, 1e-6) {
-                let snapped = rounded(ws, &shared.int_vars);
-                shared.consider(&snapped);
-            }
-        }
-
-        let collect = |status: SolveStatus, objective: f64, values: Vec<f64>, best_bound: f64| {
-            MilpSolution {
-                status,
-                objective,
-                values,
-                best_bound,
-                nodes_explored: shared.nodes_explored.load(AtomicOrdering::Relaxed),
-                lp_iterations: shared.lp_iterations.load(AtomicOrdering::Relaxed),
-                warm_starts: shared.warm_starts.load(AtomicOrdering::Relaxed),
-                cold_starts: shared.cold_starts.load(AtomicOrdering::Relaxed),
-                relaxation_failures: shared.relaxation_failures.load(AtomicOrdering::Relaxed),
-            }
-        };
-
-        // Integral root: optimal outright (if it validates).
-        if is_integral(&root.values, &shared.int_vars) {
-            let snapped = rounded(&root.values, &shared.int_vars);
-            shared.consider(&snapped);
-            let inc = shared.incumbent.lock().take();
-            if let Some((obj, values)) = inc {
-                let e = external(obj);
-                return Ok(collect(SolveStatus::Optimal, e, values, e));
-            }
-        }
-        // Root heuristics: rounding, then a warm LP-guided dive.
-        let snapped = rounded(&root.values, &shared.int_vars);
-        shared.consider(&snapped);
-        if let Some(dived) = shared.dive_warm(&root_bounds, Some(&root.basis)) {
-            shared.consider(&dived);
-        }
-
-        let root_bound = internal(root.objective);
-        shared.queue.lock().heap.push(HeapNode(Node {
-            bounds: root_bounds,
-            bound: root_bound,
-            depth: 0,
-            basis: Some(Arc::new(root.basis)),
-        }));
-
-        crossbeam::thread::scope(|s| {
-            for w in 0..threads {
-                let shared = &shared;
-                s.spawn(move |_| shared.worker(w));
-            }
-        })
-        .expect("branch-and-bound worker panicked");
-
-        let (stop, stop_bound) = {
-            let q = shared.queue.lock();
-            (q.stop.unwrap_or(Stop::Exhausted), q.stop_bound)
-        };
-        let incumbent = shared.incumbent.lock().take();
-        let failures = shared.relaxation_failures.load(AtomicOrdering::Relaxed);
-        let failed_bound = *shared.failed_bound.lock();
-
-        match stop {
-            Stop::GapReached => {
-                let (obj, values) = incumbent.expect("gap stop implies an incumbent");
-                Ok(collect(
-                    SolveStatus::Optimal,
-                    external(obj),
-                    values,
-                    external(stop_bound.max(obj)),
-                ))
-            }
-            Stop::Budget => match incumbent {
-                Some((obj, values)) => Ok(collect(
-                    SolveStatus::Feasible,
-                    external(obj),
-                    values,
-                    external(stop_bound.max(obj)),
-                )),
-                None => Err(MilpError::TimeLimitNoSolution),
-            },
-            Stop::Exhausted => match incumbent {
-                Some((obj, values)) => {
-                    // With dropped nodes the tree has holes: optimality
-                    // cannot be claimed, and the bound must cover them.
-                    if failures > 0 {
-                        Ok(collect(
-                            SolveStatus::Feasible,
-                            external(obj),
-                            values,
-                            external(failed_bound.max(obj)),
-                        ))
-                    } else {
-                        let e = external(obj);
-                        Ok(collect(SolveStatus::Optimal, e, values, e))
-                    }
-                }
-                None if failures > 0 => Err(MilpError::IterationLimit),
-                None => Err(MilpError::Infeasible),
-            },
         }
     }
 }
@@ -1427,20 +1091,30 @@ mod tests {
         assert!((sol.objective - 4.0).abs() < 1e-6);
     }
 
-    /// A mid-sized mixed model with a unique optimum for engine-parity
-    /// tests.
+    /// Binaries in [`parity_model`].
+    const PARITY_N: usize = 16;
+
+    fn parity_value(i: usize) -> f64 {
+        ((i * 29 + 13) % 31 + 1) as f64
+    }
+
+    fn parity_weight(i: usize) -> f64 {
+        ((i * 19 + 5) % 11 + 1) as f64
+    }
+
+    /// A mid-sized mixed model for optimality tests: `PARITY_N`
+    /// binaries plus one continuous `y` sharing the capacity row.
     fn parity_model() -> Model {
-        let n = 16usize;
         let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.add_binary(format!("x{i}"), ((i * 29 + 13) % 31 + 1) as f64))
+        let vars: Vec<_> = (0..PARITY_N)
+            .map(|i| m.add_binary(format!("x{i}"), parity_value(i)))
             .collect();
         let y = m.add_continuous("y", 0.0, 3.0, 0.5).unwrap();
         m.add_constraint(
             "cap",
             vars.iter()
                 .enumerate()
-                .map(|(i, &v)| (v, ((i * 19 + 5) % 11 + 1) as f64))
+                .map(|(i, &v)| (v, parity_weight(i)))
                 .chain(std::iter::once((y, 2.0))),
             Relation::Le,
             31.0,
@@ -1461,32 +1135,46 @@ mod tests {
         m
     }
 
+    /// The optimum of [`parity_model`] by brute force over every binary
+    /// assignment. Given the binaries, `y` has a closed form: it takes
+    /// all remaining capacity (`2y ≤ 31 − Σ wᵢxᵢ`) up to its bound 3.
+    fn parity_brute_force() -> f64 {
+        let mut best = f64::NEG_INFINITY;
+        for mask in 0u32..(1 << PARITY_N) {
+            let on = |i: usize| mask & (1 << i) != 0;
+            if (0..3).any(|k| (0..PARITY_N).filter(|&i| i % 3 == k && on(i)).count() > 4) {
+                continue;
+            }
+            let weight: f64 = (0..PARITY_N).filter(|&i| on(i)).map(parity_weight).sum();
+            if weight > 31.0 {
+                continue;
+            }
+            let y = ((31.0 - weight) / 2.0).min(3.0);
+            let value: f64 = (0..PARITY_N).filter(|&i| on(i)).map(parity_value).sum();
+            best = best.max(value + 0.5 * y);
+        }
+        best
+    }
+
     #[test]
     fn engines_agree_on_objective() {
         let m = parity_model();
-        let legacy = SolveConfig {
-            threads: 1,
-            warm_lp: false,
-            ..SolveConfig::default()
-        };
-        let warm1 = SolveConfig {
-            threads: 1,
-            warm_lp: true,
-            ..SolveConfig::default()
-        };
-        let warm4 = SolveConfig {
-            threads: 4,
-            warm_lp: true,
-            ..SolveConfig::default()
-        };
-        let a = m.solve(&legacy).unwrap();
-        let b = m.solve(&warm1).unwrap();
-        let c = m.solve(&warm4).unwrap();
-        assert_eq!(a.status, SolveStatus::Optimal);
-        assert_eq!(b.status, SolveStatus::Optimal);
-        assert_eq!(c.status, SolveStatus::Optimal);
-        assert!((a.objective - b.objective).abs() < 1e-6, "{} vs {}", a.objective, b.objective);
-        assert!((a.objective - c.objective).abs() < 1e-6, "{} vs {}", a.objective, c.objective);
+        let best = parity_brute_force();
+        for threads in [1usize, 4] {
+            let sol = m
+                .solve(&SolveConfig {
+                    threads,
+                    ..SolveConfig::default()
+                })
+                .unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert!(
+                (sol.objective - best).abs() < 1e-6,
+                "threads={threads}: {} vs brute force {best}",
+                sol.objective
+            );
+            assert!(m.is_feasible(&sol.values, 1e-6));
+        }
     }
 
     #[test]
@@ -1494,7 +1182,6 @@ mod tests {
         let m = parity_model();
         let cfg = SolveConfig {
             threads: 1,
-            warm_lp: true,
             ..SolveConfig::default()
         };
         let sol = m.solve(&cfg).unwrap();
@@ -1502,21 +1189,6 @@ mod tests {
             sol.warm_starts > 0,
             "expected warm starts, got {sol}",
         );
-        assert_eq!(sol.relaxation_failures, 0);
-    }
-
-    #[test]
-    fn legacy_engine_reports_cold_only() {
-        let m = parity_model();
-        let cfg = SolveConfig {
-            threads: 1,
-            warm_lp: false,
-            ..SolveConfig::default()
-        };
-        let sol = m.solve(&cfg).unwrap();
-        assert_eq!(sol.warm_starts, 0);
-        assert!(sol.cold_starts >= sol.nodes_explored);
-        assert!(sol.lp_iterations > 0);
         assert_eq!(sol.relaxation_failures, 0);
     }
 

@@ -1,7 +1,7 @@
 //! Property tests: the MILP solver against brute force and its own LP bound.
 
 use flex_milp::simplex::solve_relaxation;
-use flex_milp::{Model, Relation, Sense, SolveConfig, VarKind};
+use flex_milp::{MilpError, Model, Relation, Sense, SolveConfig, VarKind, WarmContext};
 use proptest::prelude::*;
 
 /// Builds a random feasible maximize-LP: non-negative variables with upper
@@ -71,8 +71,10 @@ fn brute_force_knapsack(values: &[f64], weights: &[f64], cap: f64) -> f64 {
 
 /// A random mixed-integer maximize model: a blend of integer and
 /// continuous variables, `Σ aᵢxᵢ ≤ b` rows with non-negative
-/// coefficients (x = 0 always feasible, so every model solves).
-fn arb_mip() -> impl Strategy<Value = Model> {
+/// coefficients (x = 0 always feasible, so every model solves). Comes
+/// with each variable's integer upper bound (`None` for continuous
+/// variables; all lower bounds are 0), which enumeration needs.
+fn arb_mip() -> impl Strategy<Value = (Model, Vec<Option<u32>>)> {
     // (is_integer, objective, upper bound)
     let var = (proptest::bool::ANY, 0.1f64..10.0, 1.0f64..4.0);
     let vars = proptest::collection::vec(var, 2..8);
@@ -82,16 +84,19 @@ fn arb_mip() -> impl Strategy<Value = Model> {
     );
     (vars, rows).prop_map(|(vars, rows)| {
         let mut m = Model::new(Sense::Maximize);
+        let int_upper: Vec<Option<u32>> = vars
+            .iter()
+            .map(|(is_int, _, ub)| is_int.then(|| ub.round().max(1.0) as u32))
+            .collect();
         let ids: Vec<_> = vars
             .iter()
+            .zip(&int_upper)
             .enumerate()
-            .map(|(i, (is_int, obj, ub))| {
-                if *is_int {
-                    m.add_var(format!("z{i}"), VarKind::Integer, 0.0, ub.round().max(1.0), *obj)
-                        .unwrap()
-                } else {
-                    m.add_continuous(format!("x{i}"), 0.0, *ub, *obj).unwrap()
-                }
+            .map(|(i, ((_, obj, ub), int_ub))| match int_ub {
+                Some(u) => m
+                    .add_var(format!("z{i}"), VarKind::Integer, 0.0, f64::from(*u), *obj)
+                    .unwrap(),
+                None => m.add_continuous(format!("x{i}"), 0.0, *ub, *obj).unwrap(),
             })
             .collect();
         for (k, (coeffs, rhs)) in rows.iter().enumerate() {
@@ -99,14 +104,52 @@ fn arb_mip() -> impl Strategy<Value = Model> {
             m.add_constraint(format!("r{k}"), terms, Relation::Le, *rhs)
                 .unwrap();
         }
-        m
+        (m, int_upper)
     })
 }
 
-fn config_for(threads: usize, warm_lp: bool) -> SolveConfig {
+/// Enumeration cap: keeps the debug-mode suite fast.
+const MAX_ASSIGNMENTS: u64 = 1_024;
+
+/// How many integer assignments [`enumerate_optimum`] visits.
+fn assignment_count(int_upper: &[Option<u32>]) -> u64 {
+    int_upper.iter().flatten().map(|&u| u64::from(u) + 1).product()
+}
+
+/// Bound overrides pinning every integer variable to assignment `k`
+/// (a mixed-radix number over the integer ranges); continuous
+/// variables keep their model bounds.
+fn assignment_bounds(int_upper: &[Option<u32>], mut k: u64) -> Vec<(f64, f64)> {
+    int_upper
+        .iter()
+        .map(|u| match u {
+            Some(u) => {
+                let radix = u64::from(*u) + 1;
+                let v = (k % radix) as f64;
+                k /= radix;
+                (v, v)
+            }
+            None => (0.0, f64::MAX),
+        })
+        .collect()
+}
+
+/// The optimum of a maximize model by exhaustive enumeration: every
+/// integer assignment, with the continuous rest solved by the cold LP
+/// under those pinned bounds. Shares no code with branch-and-bound.
+fn enumerate_optimum(m: &Model, int_upper: &[Option<u32>]) -> f64 {
+    (0..assignment_count(int_upper))
+        .filter_map(|k| match solve_relaxation(m, &assignment_bounds(int_upper, k)) {
+            Ok((obj, _)) => Some(obj),
+            Err(MilpError::Infeasible) => None,
+            Err(e) => panic!("enumeration LP failed: {e}"),
+        })
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+fn config_for(threads: usize) -> SolveConfig {
     SolveConfig {
         threads,
-        warm_lp,
         ..SolveConfig::default()
     }
 }
@@ -202,10 +245,10 @@ proptest! {
     /// The parallel engine finds the same optimal objective as a
     /// single-threaded solve, at 2 and 4 workers.
     #[test]
-    fn parallel_solver_matches_single_thread(m in arb_mip()) {
-        let reference = m.solve(&config_for(1, true)).unwrap();
+    fn parallel_solver_matches_single_thread((m, _) in arb_mip()) {
+        let reference = m.solve(&config_for(1)).unwrap();
         for threads in [2usize, 4] {
-            let sol = m.solve(&config_for(threads, true)).unwrap();
+            let sol = m.solve(&config_for(threads)).unwrap();
             prop_assert!(
                 (sol.objective - reference.objective).abs() < 1e-6,
                 "threads={threads}: {} vs {}", sol.objective, reference.objective
@@ -215,19 +258,53 @@ proptest! {
         }
     }
 
-    /// Warm-started node relaxations change the work done, never the
-    /// answer: objectives match cold-started solves, and warm never
-    /// spends more simplex pivots than cold.
+    /// Branch-and-bound is optimal: at 1 and 4 workers the solve
+    /// reaches the enumeration optimum with a feasible point and no
+    /// dropped nodes.
     #[test]
-    fn warm_starts_match_cold_starts(m in arb_mip()) {
-        let cold = m.solve(&config_for(1, false)).unwrap();
-        let warm = m.solve(&config_for(1, true)).unwrap();
-        prop_assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}", warm.objective, cold.objective
-        );
-        prop_assert!(m.is_feasible(&warm.values, 1e-6));
-        prop_assert_eq!(warm.relaxation_failures, 0);
-        prop_assert_eq!(cold.warm_starts, 0);
+    fn solver_matches_enumeration((m, int_upper) in arb_mip()) {
+        prop_assume!(assignment_count(&int_upper) <= MAX_ASSIGNMENTS);
+        let best = enumerate_optimum(&m, &int_upper);
+        for threads in [1usize, 4] {
+            let sol = m.solve(&config_for(threads)).unwrap();
+            prop_assert!(
+                (sol.objective - best).abs() < 1e-6,
+                "threads={threads}: {} vs enumeration {best}", sol.objective
+            );
+            prop_assert!(m.is_feasible(&sol.values, 1e-6));
+            prop_assert_eq!(sol.relaxation_failures, 0);
+        }
+    }
+
+    /// Warm-started relaxations change the work done, never the answer:
+    /// at every integer assignment, a dual-simplex re-solve from the
+    /// root basis agrees with the cold two-phase solve — the same
+    /// objective, or both infeasible.
+    #[test]
+    fn warm_starts_match_cold_starts((m, int_upper) in arb_mip()) {
+        prop_assume!(assignment_count(&int_upper) <= MAX_ASSIGNMENTS);
+        let ctx = WarmContext::new(&m);
+        let root_bounds: Vec<(f64, f64)> = int_upper
+            .iter()
+            .map(|u| (0.0, u.map_or(f64::MAX, f64::from)))
+            .collect();
+        let root = ctx.solve_relaxation(&root_bounds, None).unwrap();
+        for k in 0..assignment_count(&int_upper) {
+            let bounds = assignment_bounds(&int_upper, k);
+            let warm = ctx.solve_relaxation(&bounds, Some(&root.basis));
+            match (solve_relaxation(&m, &bounds), warm) {
+                (Ok((cold, _)), Ok(warm)) => prop_assert!(
+                    (warm.objective - cold).abs() < 1e-6,
+                    "assignment {k}: warm {} vs cold {cold}", warm.objective
+                ),
+                (Err(MilpError::Infeasible), Err(MilpError::Infeasible)) => {}
+                (cold, warm) => prop_assert!(
+                    false,
+                    "assignment {k}: cold {:?} vs warm {:?}",
+                    cold.map(|(obj, _)| obj),
+                    warm.map(|r| r.objective)
+                ),
+            }
+        }
     }
 }

@@ -336,6 +336,13 @@ pub struct RoomWorld {
     recovery_enabled: bool,
     /// Isolation-supervisor silence threshold (from the config).
     isolation_deadline: SimDuration,
+    /// Recurring-tick periods (from the config).
+    ups_poll_interval: SimDuration,
+    rack_poll_interval: SimDuration,
+    demand_update_interval: SimDuration,
+    overload_step: SimDuration,
+    stats_interval: SimDuration,
+    watchdog_poll_interval: SimDuration,
     /// Observability instruments.
     sim_obs: SimObs,
     /// Statistics.
@@ -841,6 +848,121 @@ fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, d: &Delivery) 
     }
 }
 
+/// Recurring UPS poll: meters the true UPS loads into the pipeline.
+fn ups_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    let now = ctx.now();
+    let loads = w.ups_loads();
+    let truth = GroundTruth::from_loads(loads);
+    let deliveries = w.pipeline.poll_upses(now, &truth);
+    for d in &deliveries {
+        dispatch_delivery(w, ctx, d);
+    }
+    ctx.schedule_in(w.ups_poll_interval, ups_tick);
+}
+
+/// Recurring rack poll: meters every rack's effective power.
+fn rack_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    let now = ctx.now();
+    let powers = w.effective_rack_power();
+    let deliveries = w.pipeline.poll_racks(now, &powers);
+    for d in &deliveries {
+        dispatch_delivery(w, ctx, d);
+    }
+    ctx.schedule_in(w.rack_poll_interval, rack_tick);
+}
+
+/// Recurring demand resample.
+fn demand_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    w.resample_demand(ctx.now());
+    ctx.schedule_in(w.demand_update_interval, demand_tick);
+}
+
+/// Recurring overload integration: advances every online UPS's trip
+/// accumulator and trips the ones past their tolerance.
+fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    let now = ctx.now();
+    let loads = w.ups_loads();
+    let dt = w.overload_step.as_secs_f64();
+    let mut tripped = Vec::new();
+    for u in w.topo.upses() {
+        let id = u.id();
+        if !w.feed.is_online(id) {
+            continue;
+        }
+        let fraction = loads.load(id) / u.capacity();
+        // Accumulators are sized from this topology; degrade to "no
+        // trip" rather than panic mid-event-loop.
+        let Some(acc) = w.accumulators.get_mut(id.0) else {
+            continue;
+        };
+        let tripped_now = acc.advance(dt, fraction);
+        let damage = acc.damage();
+        if let Some(g) = w.sim_obs.trip_margin.get(id.0) {
+            g.set(acc.margin());
+        }
+        // Record only damage-carrying steps: a healthy room stays silent
+        // instead of flooding the ring.
+        if damage > 0.0 {
+            w.sim_obs.obs.record_with(now, || FlightEvent::TripMargin {
+                ups: id.0 as u32,
+                damage,
+            });
+        }
+        if tripped_now {
+            tripped.push(id);
+        }
+    }
+    for id in tripped {
+        // `tripped` ids come from iterating this feed's own topology, so
+        // the failure cannot be rejected.
+        if w.feed.fail(id).is_ok() {
+            w.sim_obs.obs.record(now, FlightEvent::UpsTripped {
+                ups: id.0 as u32,
+            });
+            w.stats.events.push((now, SimEvent::UpsTripped(id)));
+            schedule_failover_alarm(w, ctx, now, id);
+        }
+    }
+    ctx.schedule_in(w.overload_step, overload_tick);
+}
+
+/// Recurring statistics sample of the UPS load fractions and total power.
+fn stats_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    let now = ctx.now();
+    let loads = w.ups_loads();
+    for u in w.topo.upses() {
+        let f = loads.load(u.id()) / u.capacity();
+        if let Some(series) = w.stats.ups_fraction.get_mut(u.id().0) {
+            series.record(now, f);
+        }
+    }
+    w.stats.total_power.record(now, loads.total().as_w());
+    ctx.schedule_in(w.stats_interval, stats_tick);
+}
+
+/// Recurring watchdog tick for every live controller instance.
+fn watchdog_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+    let now = ctx.now();
+    w.refresh_all(now);
+    for i in 0..w.controllers.len() {
+        if !w.controller_up(i, now) {
+            continue;
+        }
+        // A just-declared instance is fed nothing until its rebuild at
+        // the next refresh: its superseded state must produce no further
+        // output.
+        if w.maybe_declare_isolated(i, now) {
+            continue;
+        }
+        let commands = match w.controllers.get_mut(i) {
+            Some(c) => c.on_tick(now).unwrap_or_default(),
+            None => Vec::new(),
+        };
+        w.handle_commands(now, i, commands, ctx);
+    }
+    ctx.schedule_in(w.watchdog_poll_interval, watchdog_tick);
+}
+
 /// The room simulation driver.
 pub struct RoomSim {
     sim: Sim<RoomWorld>,
@@ -901,6 +1023,12 @@ impl RoomSim {
             partition: None,
             recovery_enabled: config.recovery,
             isolation_deadline: config.isolation_deadline,
+            ups_poll_interval: config.pipeline.ups_poll_interval,
+            rack_poll_interval: config.pipeline.rack_poll_interval,
+            demand_update_interval: config.demand_update_interval,
+            overload_step: config.overload_step,
+            stats_interval: config.stats_interval,
+            watchdog_poll_interval: config.watchdog_poll_interval,
             topo,
             racks,
             demand_fn,
@@ -924,164 +1052,16 @@ impl RoomSim {
         };
         let mut sim = Sim::new(world);
 
-        // Recurring ticks.
-        let ups_interval = config.pipeline.ups_poll_interval;
-        fn ups_tick(interval: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                let now = ctx.now();
-                let loads = w.ups_loads();
-                let truth = GroundTruth::from_loads(loads);
-                let deliveries = w.pipeline.poll_upses(now, &truth);
-                for d in &deliveries {
-                    dispatch_delivery(w, ctx, d);
-                }
-                let interval2 = interval;
-                ctx.schedule_in(interval, move |w, ctx| ups_tick(interval2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::ZERO, {
-            let mut tick = ups_tick(ups_interval);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
-
-        let rack_interval = config.pipeline.rack_poll_interval;
-        fn rack_tick(interval: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                let now = ctx.now();
-                let powers = w.effective_rack_power();
-                let deliveries = w.pipeline.poll_racks(now, &powers);
-                for d in &deliveries {
-                    dispatch_delivery(w, ctx, d);
-                }
-                let interval2 = interval;
-                ctx.schedule_in(interval, move |w, ctx| rack_tick(interval2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::from_nanos(1), {
-            let mut tick = rack_tick(rack_interval);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
-
-        let demand_interval = config.demand_update_interval;
-        fn demand_tick(interval: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                w.resample_demand(ctx.now());
-                let interval2 = interval;
-                ctx.schedule_in(interval, move |w, ctx| demand_tick(interval2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::from_nanos(2), {
-            let mut tick = demand_tick(demand_interval);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
-
-        let overload_step = config.overload_step;
-        fn overload_tick(step: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                let now = ctx.now();
-                let loads = w.ups_loads();
-                let dt = step.as_secs_f64();
-                let mut tripped = Vec::new();
-                for u in w.topo.upses() {
-                    let id = u.id();
-                    if !w.feed.is_online(id) {
-                        continue;
-                    }
-                    let fraction = loads.load(id) / u.capacity();
-                    // Accumulators are sized from this topology; degrade
-                    // to "no trip" rather than panic mid-event-loop.
-                    let Some(acc) = w.accumulators.get_mut(id.0) else {
-                        continue;
-                    };
-                    let tripped_now = acc.advance(dt, fraction);
-                    let damage = acc.damage();
-                    if let Some(g) = w.sim_obs.trip_margin.get(id.0) {
-                        g.set(acc.margin());
-                    }
-                    // Record only damage-carrying steps: a healthy room
-                    // stays silent instead of flooding the ring.
-                    if damage > 0.0 {
-                        w.sim_obs.obs.record_with(now, || FlightEvent::TripMargin {
-                            ups: id.0 as u32,
-                            damage,
-                        });
-                    }
-                    if tripped_now {
-                        tripped.push(id);
-                    }
-                }
-                for id in tripped {
-                    // `tripped` ids come from iterating this feed's own
-                    // topology, so the failure cannot be rejected.
-                    if w.feed.fail(id).is_ok() {
-                        w.sim_obs.obs.record(now, FlightEvent::UpsTripped {
-                            ups: id.0 as u32,
-                        });
-                        w.stats.events.push((now, SimEvent::UpsTripped(id)));
-                        schedule_failover_alarm(w, ctx, now, id);
-                    }
-                }
-                let step2 = step;
-                ctx.schedule_in(step, move |w, ctx| overload_tick(step2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::from_nanos(3), {
-            let mut tick = overload_tick(overload_step);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
-
-        let stats_interval = config.stats_interval;
-        fn stats_tick(interval: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                let now = ctx.now();
-                let loads = w.ups_loads();
-                for u in w.topo.upses() {
-                    let f = loads.load(u.id()) / u.capacity();
-                    if let Some(series) = w.stats.ups_fraction.get_mut(u.id().0) {
-                        series.record(now, f);
-                    }
-                }
-                w.stats.total_power.record(now, loads.total().as_w());
-                let interval2 = interval;
-                ctx.schedule_in(interval, move |w, ctx| stats_tick(interval2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::from_nanos(4), {
-            let mut tick = stats_tick(stats_interval);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
-
+        // Recurring ticks, staggered by a nanosecond each so their
+        // relative order is fixed.
+        sim.schedule_at(SimTime::ZERO, ups_tick);
+        sim.schedule_at(SimTime::from_nanos(1), rack_tick);
+        sim.schedule_at(SimTime::from_nanos(2), demand_tick);
+        sim.schedule_at(SimTime::from_nanos(3), overload_tick);
+        sim.schedule_at(SimTime::from_nanos(4), stats_tick);
         // Blackout-watchdog liveness tick: lets controllers act on the
         // *absence* of telemetry, which no delivery-driven path can.
-        let watchdog_interval = config.watchdog_poll_interval;
-        fn watchdog_tick(interval: SimDuration) -> impl FnMut(&mut RoomWorld, &mut Ctx<RoomWorld>) {
-            move |w, ctx| {
-                let now = ctx.now();
-                w.refresh_all(now);
-                for i in 0..w.controllers.len() {
-                    if !w.controller_up(i, now) {
-                        continue;
-                    }
-                    // A just-declared instance is fed nothing until its
-                    // rebuild at the next refresh: its superseded state
-                    // must produce no further output.
-                    if w.maybe_declare_isolated(i, now) {
-                        continue;
-                    }
-                    let commands = match w.controllers.get_mut(i) {
-                        Some(c) => c.on_tick(now).unwrap_or_default(),
-                        None => Vec::new(),
-                    };
-                    w.handle_commands(now, i, commands, ctx);
-                }
-                let interval2 = interval;
-                ctx.schedule_in(interval, move |w, ctx| watchdog_tick(interval2)(w, ctx));
-            }
-        }
-        sim.schedule_at(SimTime::from_nanos(5), {
-            let mut tick = watchdog_tick(watchdog_interval);
-            move |w: &mut RoomWorld, ctx| tick(w, ctx)
-        });
+        sim.schedule_at(SimTime::from_nanos(5), watchdog_tick);
 
         RoomSim { sim }
     }

@@ -3,7 +3,8 @@
 # criterion benches with short windows. The gate fails if any bench
 # panics (solver bugs under the bench workloads surface here before they
 # reach the figure harnesses); timings are printed for eyeballing, not
-# asserted.
+# asserted. It ends with the flexbench self-test, which fails on any
+# output-digest drift.
 #
 # Usage: scripts/perf_smoke.sh [extra cargo bench args...]
 
@@ -69,5 +70,11 @@ if [ "$(( storm_on_ms * 100 ))" -gt "$(( storm_off_ms * 115 ))" ]; then
     echo "perf smoke: FAIL — instrumented restart-storm campaign exceeded 115% budget" >&2
     exit 1
 fi
+
+# The benchmark's self-test re-checks its output digests against
+# flexbench/reference.txt: a drift in a simulated statistic or a
+# placement node count fails here, not only in the benchmark runs.
+echo "== perf smoke: flexbench self-test =="
+cargo test --release --offline --manifest-path flexbench/Cargo.toml
 
 echo "perf smoke: OK"
