@@ -130,6 +130,10 @@ pub struct Controller {
     config: ControllerConfig,
     ups_power: Vec<Option<(SimTime, Watts)>>,
     rack_power: Vec<Option<(SimTime, Watts)>>,
+    /// A lower bound on the measured-at time of every held UPS and rack
+    /// slot (`None` when none is held): [`prune_stale`](Self::prune_stale)
+    /// scans the slots only once this bound is past the staleness limit.
+    oldest: Option<SimTime>,
     /// This instance's view of the actions it has requested. A BTreeMap
     /// so iteration order — and therefore command order — is the same on
     /// every run (lint rule D2).
@@ -180,6 +184,7 @@ impl Controller {
             config,
             ups_power: vec![None; ups_count],
             rack_power: vec![None; rack_count],
+            oldest: None,
             action_log: BTreeMap::new(),
             healthy_since: None,
             engaged: false,
@@ -238,6 +243,7 @@ impl Controller {
             config: self.config,
             ups_power: vec![None; self.ups_power.len()],
             rack_power: vec![None; self.rack_power.len()],
+            oldest: None,
             action_log: BTreeMap::new(),
             healthy_since: None,
             engaged: false,
@@ -339,6 +345,7 @@ impl Controller {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
                             accepted = true;
+                            self.lower_oldest(measured_at);
                         }
                     }
                 }
@@ -371,6 +378,7 @@ impl Controller {
                     if let Some(slot) = self.rack_power.get_mut(rack) {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
+                            self.lower_oldest(measured_at);
                         }
                     }
                 }
@@ -388,13 +396,26 @@ impl Controller {
         evaluate
     }
 
+    /// Keeps [`oldest`](Self::oldest) a lower bound after a slot write.
+    fn lower_oldest(&mut self, measured_at: SimTime) {
+        self.oldest = Some(self.oldest.map_or(measured_at, |t| t.min(measured_at)));
+    }
+
     /// Drops telemetry older than the staleness limit relative to `now`.
+    /// The slots are scanned only when the oldest held reading may have
+    /// expired; a scan also tightens the bound to the exact minimum.
     pub(crate) fn prune_stale(&mut self, now: SimTime) {
         let limit = self.config.staleness_limit;
-        for slot in self.ups_power.iter_mut().chain(self.rack_power.iter_mut()) {
-            if slot.is_some_and(|(t, _)| now.saturating_since(t) > limit) {
-                *slot = None;
+        if self.oldest.is_some_and(|t| now.saturating_since(t) > limit) {
+            let mut oldest: Option<SimTime> = None;
+            for slot in self.ups_power.iter_mut().chain(self.rack_power.iter_mut()) {
+                match *slot {
+                    Some((t, _)) if now.saturating_since(t) > limit => *slot = None,
+                    Some((t, _)) => oldest = Some(oldest.map_or(t, |o| o.min(t))),
+                    None => {}
+                }
             }
+            self.oldest = oldest;
         }
         if self
             .last_ups_data
@@ -853,6 +874,7 @@ mod tests {
     use flex_workload::impact::scenarios;
     use flex_workload::power_model::RackPowerModel;
     use flex_workload::trace::{TraceConfig, TraceGenerator};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1074,5 +1096,111 @@ mod tests {
             .controller
             .on_delivery(SimTime::from_secs_f64(2.5), SimTime::from_secs_f64(2.5), &ups_bad).unwrap();
         assert!(retry.iter().any(|c| matches!(c, Command::Act { rack: r, .. } if *r == rack)));
+    }
+
+    /// The reference `prune_stale`: scans every slot on every call.
+    fn prune_stale_full_scan(c: &mut Controller, now: SimTime) {
+        let limit = c.config.staleness_limit;
+        for slot in c.ups_power.iter_mut().chain(c.rack_power.iter_mut()) {
+            if slot.is_some_and(|(t, _)| now.saturating_since(t) > limit) {
+                *slot = None;
+            }
+        }
+        if c.last_ups_data
+            .is_some_and(|t| now.saturating_since(t) > limit)
+        {
+            c.last_ups_data = None;
+        }
+    }
+
+    /// A 4-UPS controller over 8 racks; `ingest` never consults the
+    /// placement beyond the slot counts.
+    fn small_controller() -> Controller {
+        let topology = Topology::distributed_redundant(4, Watts::from_kw(150.0)).unwrap();
+        let pairs = topology.pdu_pairs().len();
+        let racks = (0..8)
+            .map(|i| PlacedRack {
+                id: RackId(i),
+                deployment: flex_workload::DeploymentId(i),
+                category: flex_workload::WorkloadCategory::CapAble,
+                pdu_pair: topology.pdu_pairs()[i % pairs].id(),
+                provisioned: Watts::from_kw(15.0),
+                flex_power: Watts::from_kw(10.0),
+            })
+            .collect();
+        Controller::new(
+            0,
+            topology,
+            racks,
+            ImpactRegistry::new(),
+            ControllerConfig::default(),
+        )
+    }
+
+    /// One generated delivery: (kind, arrival step ms, age at arrival
+    /// ms, first slot, slot count). Kinds 0-3 are UPS snapshots, 4-7
+    /// rack snapshots, 8 a redelivery of the previous message, 9 a
+    /// `fresh_like` rebuild; a step ≥ 8 s is stretched past the
+    /// staleness limit.
+    type Op = (u8, u64, u64, usize, usize);
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0u8..10, 0u64..10_000, 0u64..18_000, 0usize..8, 1usize..9),
+            1..60,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prune_bound_matches_full_scan(ops in arb_ops()) {
+            let mut c = small_controller();
+            let limit = c.config.staleness_limit;
+            let mut now = SimTime::ZERO;
+            let mut last: Option<(SimTime, TelemetryPayload)> = None;
+            for (kind, step, age, first, count) in ops {
+                let step = SimDuration::from_millis(step);
+                now = now + if step >= SimDuration::from_secs(8) { step + limit } else { step };
+                let measured_at =
+                    SimTime::from_nanos(now.as_nanos().saturating_sub(age * 1_000_000));
+                let w = Watts::from_kw(age as f64 / 1_000.0);
+                let (measured_at, payload) = match kind {
+                    0..=3 => (
+                        measured_at,
+                        TelemetryPayload::UpsSnapshot(
+                            (first..first + count).map(|i| (UpsId(i % 4), w)).collect(),
+                        ),
+                    ),
+                    4..=7 => (
+                        measured_at,
+                        TelemetryPayload::RackSnapshot(
+                            (first..first + count).map(|i| (i % 8, w)).collect(),
+                        ),
+                    ),
+                    8 => match &last {
+                        Some(m) => m.clone(),
+                        None => continue,
+                    },
+                    _ => {
+                        c = c.fresh_like();
+                        continue;
+                    }
+                };
+                c.ingest(now, measured_at, &payload);
+                last = Some((measured_at, payload));
+
+                let mut reference = c.clone();
+                prune_stale_full_scan(&mut reference, now);
+                prop_assert_eq!(c.state(), reference.state(), "at {}", now);
+                for (t, _) in c.ups_power.iter().chain(&c.rack_power).flatten() {
+                    prop_assert!(
+                        c.oldest.is_some_and(|o| o <= *t),
+                        "bound {:?} above held reading at {}", c.oldest, t
+                    );
+                }
+            }
+        }
     }
 }

@@ -111,9 +111,11 @@ impl CatchUpBuffer {
         }
     }
 
-    /// The retained window, oldest first.
-    pub fn items(&self) -> Vec<BufferedDelivery> {
-        self.items.iter().cloned().collect()
+    /// The retained window, oldest first, borrowed in place: the ring
+    /// may be rearranged to make it contiguous, but no delivery is
+    /// cloned.
+    pub fn items(&mut self) -> &[BufferedDelivery] {
+        self.items.make_contiguous()
     }
 
     /// Number of retained deliveries.

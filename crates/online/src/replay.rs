@@ -203,7 +203,7 @@ pub fn replay_decisions(
                     last_seq: last_seq.clone(),
                 };
                 let items = buffer.items();
-                *c = match Controller::recover(c, &snapshot, &items, now) {
+                *c = match Controller::recover(c, &snapshot, items, now) {
                     Ok(rebuilt) => rebuilt,
                     // Mirror the room's degrade-to-blank on a
                     // malformed snapshot.

@@ -15,7 +15,7 @@ use flex_obs::{Counter, FlightEvent, Gauge, Obs, Span};
 use flex_placement::{PlacedRack, PlacedRoom, RackId};
 use flex_power::meter::GroundTruth;
 use flex_power::trip_curve::{OverloadAccumulator, TripCurve};
-use flex_power::{FeedState, LoadModel, Topology, UpsId, Watts};
+use flex_power::{FeedState, LoadModel, Topology, UpsId, UpsLoads, Watts};
 use flex_sim::fault::{names as fault_names, FaultPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::stats::{Percentiles, TimeSeries};
@@ -286,6 +286,13 @@ pub struct RoomWorld {
     controllers: Vec<Controller>,
     actuator: Actuator,
     feed: FeedState,
+    /// Cached effective power of each rack (index = rack id) and the
+    /// per-UPS loads it produces under `feed`. Both are recomputed from
+    /// scratch by [`refresh_power`](Self::refresh_power) at every
+    /// mutation of their inputs — demand resample, actuator apply, feed
+    /// change — and read directly by the ticks.
+    rack_power: Vec<Watts>,
+    loads: UpsLoads,
     accumulators: Vec<OverloadAccumulator>,
     rng: SmallRng,
     /// Time of the most recent scripted failure with no command yet.
@@ -350,9 +357,34 @@ pub struct RoomWorld {
 }
 
 impl RoomWorld {
-    /// The effective power drawn by each rack right now.
+    /// The effective power drawn by each rack right now (index = rack
+    /// id): a copy of the world's cache, which is current between
+    /// events.
     pub fn effective_rack_power(&self) -> Vec<Watts> {
-        self.racks
+        self.rack_power.clone()
+    }
+
+    /// The current per-UPS loads: a copy of the world's cache, which is
+    /// current between events.
+    pub fn ups_loads(&self) -> UpsLoads {
+        self.loads.clone()
+    }
+
+    /// Recomputes the cached rack powers and UPS loads from scratch.
+    /// Call after every change to demand, actuator rack states or the
+    /// feed state, and nowhere else. A full recompute (rather than an
+    /// incremental update) keeps the float summation order, and so
+    /// every figure, identical to computing on demand.
+    fn refresh_power(&mut self) {
+        let (rack_power, loads) = self.compute_power();
+        self.rack_power = rack_power;
+        self.loads = loads;
+    }
+
+    /// Rack powers and UPS loads computed from the current inputs.
+    fn compute_power(&self) -> (Vec<Watts>, UpsLoads) {
+        let rack_power: Vec<Watts> = self
+            .racks
             .iter()
             .map(|r| {
                 // A rack referencing a pair outside the topology cannot
@@ -370,19 +402,15 @@ impl RoomWorld {
                 let demand = self.demand.get(r.id.0).copied().unwrap_or(Watts::ZERO);
                 self.actuator.effective_power(r.id, demand, r.flex_power)
             })
-            .collect()
-    }
-
-    /// The current per-UPS loads.
-    pub fn ups_loads(&self) -> flex_power::UpsLoads {
-        let powers = self.effective_rack_power();
+            .collect();
         let mut model = LoadModel::new(&self.topo);
-        for (r, &p) in self.racks.iter().zip(&powers) {
-            // effective_rack_power already zeroed racks on foreign
-            // pairs, so a rejected load carries no power anyway.
+        for (r, &p) in self.racks.iter().zip(&rack_power) {
+            // Racks on foreign pairs were zeroed above, so a rejected
+            // load carries no power anyway.
             let _ = model.add_pair_load(r.pdu_pair, p);
         }
-        model.ups_loads(&self.feed)
+        let loads = model.ups_loads(&self.feed);
+        (rack_power, loads)
     }
 
     /// Current rack states (index = rack id).
@@ -411,6 +439,7 @@ impl RoomWorld {
         for (slot, rack) in demand.iter_mut().zip(racks.iter()) {
             *slot = demand_fn(rack, now, rng);
         }
+        self.refresh_power();
     }
 
     /// True if controller instance `i` is up (not crash-injected).
@@ -471,7 +500,7 @@ impl RoomWorld {
                 last_seq: self.acks.get(i).cloned().unwrap_or_default(),
             };
             let items = self.catch_up.items();
-            let rebuilt = match Controller::recover(base, &snapshot, &items, now) {
+            let rebuilt = match Controller::recover(base, &snapshot, items, now) {
                 Ok(c) => c,
                 // Shape mismatches cannot happen for a snapshot taken
                 // from this very room; degrade to a blank restart
@@ -653,6 +682,7 @@ impl RoomWorld {
                 self.bump_inflight(rack, 1);
                 ctx.schedule_at(p.apply_at, move |w: &mut RoomWorld, _| {
                     w.actuator.apply(&p);
+                    w.refresh_power();
                     w.bump_inflight(p.rack, -1);
                     w.sim_obs.applies.inc();
                     w.sim_obs.obs.record_with(p.apply_at, || {
@@ -776,16 +806,10 @@ fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, d: &Delivery) 
         let pubsub = d.pubsub;
         ctx.schedule_at(arrive, move |w: &mut RoomWorld, ctx| {
             // Any restarted/declared instance rebuilds *before* this
-            // delivery exists anywhere: the catch-up buffer gains it
-            // below, and the live feed follows — so the recovered state
+            // delivery exists anywhere: the live feed follows, and the
+            // catch-up buffer gains it last — so the recovered state
             // plus the subsequent feed matches a never-crashed twin.
             w.refresh_all(arrive);
-            w.catch_up.push(BufferedDelivery {
-                seq: pipeline_seq,
-                arrive_at: arrive,
-                measured_at,
-                payload: payload.clone(),
-            });
             // A crashed instance processes nothing; an erroring one
             // contributes no commands. The other primaries cover. A
             // partition hides the delivery from the far side's mask.
@@ -844,6 +868,14 @@ fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, d: &Delivery) 
                 };
                 w.handle_commands(arrive, i, commands, ctx);
             }
+            // Nothing above reads the buffer, so the payload moves in
+            // only now, after the controllers have read it.
+            w.catch_up.push(BufferedDelivery {
+                seq: pipeline_seq,
+                arrive_at: arrive,
+                measured_at,
+                payload,
+            });
         });
     }
 }
@@ -851,8 +883,7 @@ fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, d: &Delivery) 
 /// Recurring UPS poll: meters the true UPS loads into the pipeline.
 fn ups_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
     let now = ctx.now();
-    let loads = w.ups_loads();
-    let truth = GroundTruth::from_loads(loads);
+    let truth = GroundTruth::from_loads(w.loads.clone());
     let deliveries = w.pipeline.poll_upses(now, &truth);
     for d in &deliveries {
         dispatch_delivery(w, ctx, d);
@@ -863,8 +894,7 @@ fn ups_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
 /// Recurring rack poll: meters every rack's effective power.
 fn rack_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
     let now = ctx.now();
-    let powers = w.effective_rack_power();
-    let deliveries = w.pipeline.poll_racks(now, &powers);
+    let deliveries = w.pipeline.poll_racks(now, &w.rack_power);
     for d in &deliveries {
         dispatch_delivery(w, ctx, d);
     }
@@ -881,7 +911,6 @@ fn demand_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
 /// accumulator and trips the ones past their tolerance.
 fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
     let now = ctx.now();
-    let loads = w.ups_loads();
     let dt = w.overload_step.as_secs_f64();
     let mut tripped = Vec::new();
     for u in w.topo.upses() {
@@ -889,7 +918,7 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
         if !w.feed.is_online(id) {
             continue;
         }
-        let fraction = loads.load(id) / u.capacity();
+        let fraction = w.loads.load(id) / u.capacity();
         // Accumulators are sized from this topology; degrade to "no
         // trip" rather than panic mid-event-loop.
         let Some(acc) = w.accumulators.get_mut(id.0) else {
@@ -916,6 +945,7 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
         // `tripped` ids come from iterating this feed's own topology, so
         // the failure cannot be rejected.
         if w.feed.fail(id).is_ok() {
+            w.refresh_power();
             w.sim_obs.obs.record(now, FlightEvent::UpsTripped {
                 ups: id.0 as u32,
             });
@@ -929,14 +959,13 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
 /// Recurring statistics sample of the UPS load fractions and total power.
 fn stats_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
     let now = ctx.now();
-    let loads = w.ups_loads();
     for u in w.topo.upses() {
-        let f = loads.load(u.id()) / u.capacity();
+        let f = w.loads.load(u.id()) / u.capacity();
         if let Some(series) = w.stats.ups_fraction.get_mut(u.id().0) {
             series.record(now, f);
         }
     }
-    w.stats.total_power.record(now, loads.total().as_w());
+    w.stats.total_power.record(now, w.loads.total().as_w());
     ctx.schedule_in(w.stats_interval, stats_tick);
 }
 
@@ -1012,7 +1041,7 @@ impl RoomSim {
             .map(fault_names::controller)
             .collect();
         let ups_count = topo.ups_count();
-        let world = RoomWorld {
+        let mut world = RoomWorld {
             epochs: vec![0; config.controllers],
             was_up: vec![true; config.controllers],
             needs_recovery: vec![false; config.controllers],
@@ -1037,6 +1066,8 @@ impl RoomSim {
             controllers,
             actuator,
             feed,
+            rack_power: Vec::new(),
+            loads: UpsLoads::default(),
             accumulators,
             rng,
             pending_detection: None,
@@ -1050,6 +1081,7 @@ impl RoomSim {
             sim_obs,
             stats,
         };
+        world.refresh_power();
         let mut sim = Sim::new(world);
 
         // Recurring ticks, staggered by a nanosecond each so their
@@ -1073,6 +1105,7 @@ impl RoomSim {
     pub fn fail_ups_at(&mut self, t: SimTime, ups: UpsId) {
         self.sim.schedule_at(t, move |w: &mut RoomWorld, ctx| {
             if w.feed.fail(ups).is_ok() {
+                w.refresh_power();
                 w.pending_detection = Some(t);
                 w.sim_obs.obs.record(t, FlightEvent::UpsFailed { ups: ups.0 as u32 });
                 w.stats.events.push((t, SimEvent::UpsFailed(ups)));
@@ -1087,6 +1120,7 @@ impl RoomSim {
     pub fn restore_ups_at(&mut self, t: SimTime, ups: UpsId) {
         self.sim.schedule_at(t, move |w: &mut RoomWorld, ctx| {
             if w.feed.restore(ups).is_ok() {
+                w.refresh_power();
                 if let Some(acc) = w.accumulators.get_mut(ups.0) {
                     acc.reset();
                 }
@@ -1215,7 +1249,7 @@ impl RoomWorld {
 mod tests {
     use super::*;
     use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
-    use flex_placement::RoomConfig;
+    use flex_placement::{Room, RoomConfig};
     use flex_workload::impact::scenarios;
     use flex_workload::trace::{TraceConfig, TraceGenerator};
     use flex_workload::WorkloadCategory;
@@ -1224,11 +1258,21 @@ mod tests {
 
     fn build_sim(util: f64, seed: u64) -> RoomSim {
         let room = RoomConfig::paper_emulation_room().build().unwrap();
-        let config = TraceConfig::microsoft(Watts::from_mw(4.8));
+        let trace = TraceConfig::microsoft(Watts::from_mw(4.8));
+        build_room_sim(&room, trace, util, seed, RoomSimConfig::default())
+    }
+
+    fn build_room_sim(
+        room: &Room,
+        config: TraceConfig,
+        util: f64,
+        seed: u64,
+        sim_config: RoomSimConfig,
+    ) -> RoomSim {
         let mut rng = SmallRng::seed_from_u64(seed);
         let trace = TraceGenerator::new(config).generate(&mut rng);
-        let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
-        let placed = PlacedRoom::materialize(&room, &trace, &placement);
+        let placement = BalancedRoundRobin.place(room, &trace, &mut rng);
+        let placed = PlacedRoom::materialize(room, &trace, &placement);
         let registry = ImpactRegistry::from_scenario(
             placed.racks().iter().map(|r| (r.deployment, r.category)),
             &scenarios::realistic_1(),
@@ -1236,7 +1280,7 @@ mod tests {
         let demand: DemandFn = Box::new(move |rack, _, rng| {
             rack.provisioned * rng.gen_range((util - 0.03)..(util + 0.03))
         });
-        RoomSim::new(&placed, registry, demand, RoomSimConfig::default())
+        RoomSim::new(&placed, registry, demand, sim_config)
     }
 
     #[test]
@@ -1355,6 +1399,111 @@ mod tests {
             sim.world().stats.cascaded(),
             "unmitigated 100% failover must cascade"
         );
+    }
+
+    /// Bit patterns of a world's cached power state and of a from-scratch
+    /// recompute, in that order.
+    fn power_bits(w: &RoomWorld) -> ((Vec<u64>, Vec<u64>), (Vec<u64>, Vec<u64>)) {
+        let bits = |ws: &[Watts]| ws.iter().map(|p| p.as_w().to_bits()).collect::<Vec<_>>();
+        let (rack_power, loads) = w.compute_power();
+        (
+            (bits(&w.rack_power), bits(w.loads.as_slice())),
+            (bits(&rack_power), bits(loads.as_slice())),
+        )
+    }
+
+    /// Runs `sim` to `end` in 250 ms steps, asserting after each that
+    /// the power cache equals a recompute bit for bit.
+    fn step_checking_power_cache(sim: &mut RoomSim, end: SimTime, label: &str) {
+        let mut t = sim.now();
+        while t < end {
+            t = t + SimDuration::from_millis(250);
+            sim.run_until(t);
+            let (cached, recomputed) = power_bits(sim.world());
+            assert_eq!(cached, recomputed, "{label}: stale power cache at {t}");
+        }
+    }
+
+    #[test]
+    fn power_cache_matches_full_recompute() {
+        // A 40-slot room at 85% through a failover, a restore, rack
+        // managers that reject the first shedding commands (so retries
+        // apply late), and duplicated/reordered deliveries. After every
+        // 250 ms step the cache must equal a recompute bit for bit.
+        let room = RoomConfig {
+            ups_count: 4,
+            ups_capacity: Watts::from_kw(150.0),
+            rows: 8,
+            racks_per_row: 5,
+            cooling_cfm_per_slot: 2_500.0,
+            pdu_pair_capacity: None,
+        }
+        .build()
+        .unwrap();
+        // Deployments that fit 5-slot rows, over-generated so placement
+        // fills the room.
+        let mut trace = TraceConfig::microsoft(room.provisioned_power());
+        trace.deployment_sizes = vec![(5, 0.4), (3, 0.35), (2, 0.25)];
+        trace.target_power = room.provisioned_power() * 2.0;
+        let (mut retries, mut restores) = (0, 0);
+        for seed in 0..6u64 {
+            let config = RoomSimConfig {
+                delivery_chaos: DeliveryChaos {
+                    duplicate_period: 3,
+                    duplicate_delay: SimDuration::from_millis(300),
+                    delay_period: 5,
+                    delay_by: SimDuration::from_secs(2),
+                },
+                seed,
+                ..RoomSimConfig::default()
+            };
+            let mut sim = build_room_sim(&room, trace.clone(), 0.85, seed, config);
+            let fail_at = SimTime::from_secs_f64(20.0);
+            let mut plan = FaultPlan::new();
+            for r in 0..sim.world().racks().len() {
+                plan.add_outage(
+                    &fault_names::rack_manager(r),
+                    fail_at,
+                    fail_at + SimDuration::from_secs(3),
+                );
+            }
+            sim.world_mut().set_actuator_fault_plan(plan);
+            let ups = UpsId(seed as usize % 4);
+            sim.fail_ups_at(fail_at, ups);
+            sim.restore_ups_at(SimTime::from_secs_f64(60.0), ups);
+            let end = SimTime::from_secs_f64(150.0);
+            step_checking_power_cache(&mut sim, end, &format!("seed {seed}"));
+            let w = sim.world();
+            let count = |f: fn(&SimEvent) -> bool| w.stats.count_events(f);
+            assert!(
+                count(|e| matches!(e, SimEvent::Applied { .. })) > 0,
+                "seed {seed}: no applies"
+            );
+            retries += count(|e| matches!(e, SimEvent::RetryScheduled { .. }));
+            restores += count(|e| {
+                matches!(
+                    e,
+                    SimEvent::Applied {
+                        state: RackPowerState::Normal,
+                        ..
+                    }
+                )
+            });
+        }
+        assert!(retries > 0, "no submission was retried");
+        assert!(restores > 0, "no rack was restored");
+
+        // Overload trips are the remaining feed mutation: with no
+        // controllers and full demand, the survivors trip in turn.
+        let config = RoomSimConfig {
+            controllers: 0,
+            ..RoomSimConfig::default()
+        };
+        let mut sim = build_room_sim(&room, trace, 1.0, 7, config);
+        sim.fail_ups_at(SimTime::from_secs_f64(20.0), UpsId(0));
+        let end = SimTime::from_secs_f64(150.0);
+        step_checking_power_cache(&mut sim, end, "no controllers");
+        assert!(sim.world().stats.cascaded(), "no UPS tripped");
     }
 
     #[test]

@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Before/after benchmark of the working tree against a base revision.
+#
+# Extracts <base-rev> with `git archive` into a temporary directory (no
+# worktree, nothing written inside the repository), builds flexbench
+# there and in the current tree, then runs interleaved rounds of one
+# workload, each `--seconds 10 --trace 0` with the round number as
+# seed; odd rounds run the base first, even rounds the current tree.
+# Prints run_s, ops_per_s and peak_rss_mb per run, then the median of
+# each per side and the relative change. Exits non-zero if any run
+# fails or reports "correct": false.
+#
+# Usage: scripts/bench_ab.sh <base-rev> <workload> [rounds]   (rounds: 5)
+
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 2 ]; then
+    echo "usage: $0 <base-rev> <workload> [rounds]" >&2
+    exit 2
+fi
+base_rev=$1
+workload=$2
+rounds=${3:-5}
+seconds=10
+metrics=(run_s ops_per_s peak_rss_mb)
+
+base_dir=$(mktemp -d)
+trap 'rm -rf "$base_dir"' EXIT
+git archive "$base_rev" | tar -x -C "$base_dir"
+
+build() {
+    echo "== building flexbench in $1 =="
+    (cd "$1" && env -u CARGO_TARGET_DIR cargo build --release --offline --quiet \
+        --manifest-path flexbench/Cargo.toml)
+}
+build "$base_dir"
+build "$PWD"
+
+# metric <json-line> <name>: the value of one metric from the summary line.
+metric() {
+    sed -E "s/.*\"$2\": \{\"value\": ([^,}]+).*/\1/" <<<"$1"
+}
+
+median() {
+    sort -g | awk '{ v[NR] = $1 } END {
+        if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+declare -A values
+failed=0
+for round in $(seq 1 "$rounds"); do
+    order="base new"
+    [ $((round % 2)) -eq 0 ] && order="new base"
+    for side in $order; do
+        dir=$PWD
+        [ "$side" = base ] && dir=$base_dir
+        if ! line=$(cd "$dir" && ./flexbench/target/release/flexbench --workload "$workload" \
+            --seed "$round" --seconds "$seconds" --trace 0 | tail -n 1); then
+            echo "round $round $side: flexbench failed" >&2
+            failed=1
+            continue
+        fi
+        if ! grep -q '"correct": true' <<<"$line"; then
+            echo "round $round $side: \"correct\" is not true" >&2
+            failed=1
+        fi
+        row="round $round $side"
+        for m in "${metrics[@]}"; do
+            v=$(metric "$line" "$m")
+            values[$side.$m]+="$v"$'\n'
+            row+="  $m=$v"
+        done
+        echo "$row"
+    done
+done
+
+echo "== medians over $rounds rounds ($workload, ${seconds}s runs) =="
+for m in "${metrics[@]}"; do
+    b=$(printf '%s' "${values[base.$m]:-}" | median)
+    n=$(printf '%s' "${values[new.$m]:-}" | median)
+    awk -v m="$m" -v b="$b" -v n="$n" 'BEGIN {
+        change = (b == 0 ? 0 : (n - b) / b * 100)
+        printf "%-12s base %-12g new %-12g change %+.1f%%\n", m, b, n, change }'
+done
+
+exit "$failed"
