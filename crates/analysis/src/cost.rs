@@ -2,10 +2,9 @@
 //! (Section I: "$211M ($5/W) to $422M ($10/W) for each 128 MW site").
 
 use flex_power::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Cost model for a multi-datacenter site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// IT capacity of the site under the conventional (reserved-power)
     /// policy — the paper's 128 MW.

@@ -8,12 +8,11 @@
 
 use flex_workload::power_model::DiurnalProfile;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 const HOURS_PER_YEAR: f64 = 8_760.0;
 
 /// Closed-form feasibility model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeasibilityModel {
     /// Unplanned supply-loss downtime, hours per year (paper: 1).
     pub unplanned_hours_per_year: f64,
@@ -102,7 +101,7 @@ impl FeasibilityModel {
 }
 
 /// Result of a Monte-Carlo year simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct YearSimResult {
     /// Simulated hours.
     pub hours: f64,

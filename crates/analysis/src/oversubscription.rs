@@ -8,10 +8,8 @@
 //! statistical-multiplexing sizing: deploy the largest rack count whose
 //! aggregate draw exceeds the budget with probability at most ε.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-rack draw statistics (fractions of provisioned rack power).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OversubscriptionModel {
     /// Mean per-rack utilization.
     pub mean_utilization: f64,

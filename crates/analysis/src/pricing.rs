@@ -9,12 +9,11 @@
 //! construction savings Flex realizes per deployed watt.
 
 use flex_workload::WorkloadCategory;
-use serde::{Deserialize, Serialize};
 
 use crate::feasibility::FeasibilityModel;
 
 /// A charge model over workload categories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChargeModel {
     /// Baseline price per provisioned watt-month for full-availability
     /// (non-cap-able) capacity.

@@ -5,9 +5,9 @@
 //! and the minimizer are all seeded and wall-clock-free, so two runs of
 //! the same campaign produce byte-identical JSON reports.
 
+use flex_obs::json::{obj, Value};
 use flex_obs::Obs;
 
-use crate::json::{obj, Value};
 use crate::oracle::{self, Violation};
 use crate::scenario::{self, Scenario};
 

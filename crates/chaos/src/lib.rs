@@ -17,10 +17,10 @@
 //! - [`campaign`] — the driver: run N seeded scenarios, judge each,
 //!   greedily delta-minimize failures into 1-minimal reproducers, and
 //!   emit a byte-deterministic JSON report with each failure's
-//!   `flex-obs` flight-recorder dump embedded for forensics;
-//! - [`json`] — the JSON tree the reports and replay files use
-//!   (re-exported from `flex_obs::json`; the vendored `serde` stand-in
-//!   is API-only).
+//!   `flex-obs` flight-recorder dump embedded for forensics.
+//!
+//! Reports and replay files are `flex_obs::json` trees, so a failure
+//! report embeds its flight-recorder dump as a plain subtree.
 //!
 //! The `flex-chaos` binary fronts all of it: `flex-chaos run` for
 //! campaigns, `flex-chaos replay` to re-run a failure from its JSON.
@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod json;
 pub mod oracle;
 pub mod scenario;
 

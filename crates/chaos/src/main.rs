@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use flex_chaos::{ab_probe, campaign, json, CampaignConfig, Scenario};
+use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
+use flex_obs::json;
 
 fn usage() -> ExitCode {
     eprintln!(

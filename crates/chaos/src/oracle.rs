@@ -29,11 +29,11 @@
 //!    the tagged applies the ablated (no-fencing) configuration lets
 //!    through.
 
+use flex_obs::json::{obj, Value};
 use flex_online::sim::SimEvent;
 use flex_online::RackPowerState;
 use flex_sim::{SimDuration, SimTime};
 
-use crate::json::{obj, Value};
 use crate::scenario::{fault_plan_of, RunOutcome, CONTROLLERS};
 
 /// Minimum seconds any implementation needs between *knowing* about an

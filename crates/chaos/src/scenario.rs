@@ -8,6 +8,7 @@
 //! replayed from its JSON alone reproduces the original run
 //! bit-for-bit.
 
+use flex_obs::json::{obj, Value};
 use flex_online::sim::{
     DeliveryChaos, DemandFn, PubSubPartition, RoomSim, RoomSimConfig, RoomStats,
 };
@@ -24,8 +25,6 @@ use flex_workload::trace::{DemandTrace, TraceConfig, TraceGenerator};
 use flex_workload::WorkloadCategory;
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-use crate::json::{obj, Value};
 
 /// Number of multi-primary controller instances in every chaos run.
 pub const CONTROLLERS: usize = 3;
@@ -908,7 +907,7 @@ fn split_brain(s: &mut Scenario, rng: &mut SmallRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use flex_obs::json;
 
     #[test]
     fn chaos_room_builds() {

@@ -8,7 +8,8 @@
 //!   violations that the enabled configuration survives.
 
 use flex_chaos::scenario::{generate, run_scenario};
-use flex_chaos::{ab_probe, campaign, json, CampaignConfig, Scenario};
+use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
+use flex_obs::json;
 
 #[test]
 fn campaign_of_200_is_bit_identical_across_runs() {

@@ -1,8 +1,6 @@
 //! Tail-latency model for the latency-sensitive (TPC-E-like) workload
 //! under power capping.
 
-use serde::{Deserialize, Serialize};
-
 /// DVFS-style slowdown model.
 ///
 /// Rack power is `idle + (1 − idle) × work` of provisioned; capping the
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(inflated > m.base_p95_ms);
 /// assert!(inflated < m.base_p95_ms * 1.3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Baseline p95 latency in milliseconds.
     pub base_p95_ms: f64,

@@ -18,10 +18,9 @@ use flex_placement::PlacedRack;
 use flex_sim::SimTime;
 use flex_workload::WorkloadCategory;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// TeraSort-like batch job power profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchJobModel {
     /// Full job duration (map+shuffle+reduce), seconds.
     pub job_secs: f64,
@@ -65,7 +64,7 @@ impl BatchJobModel {
 }
 
 /// TPC-E-like open-loop load model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OltpModel {
     /// Mean power fraction of provisioned.
     pub mean_fraction: f64,

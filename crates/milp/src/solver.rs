@@ -58,14 +58,6 @@ impl Default for SolveConfig {
 }
 
 impl SolveConfig {
-    /// A configuration with the given time limit and defaults elsewhere.
-    pub fn with_time_limit(time_limit: Duration) -> Self {
-        SolveConfig {
-            time_limit,
-            ..SolveConfig::default()
-        }
-    }
-
     /// The worker count this configuration resolves to on this machine.
     pub fn resolved_threads(&self) -> usize {
         if self.threads == 0 {

@@ -1,13 +1,13 @@
 //! Minimal self-contained JSON tree: serializer + recursive-descent
 //! parser.
 //!
-//! The vendored `serde` stand-in is API-only (derives are no-ops), so
-//! every crate that needs durable structured output — the chaos
-//! harness's replay files, the observability dumps in this crate —
-//! writes and reads through this module instead. Only the subset of
-//! JSON those artifacts need is supported: objects, arrays, strings,
-//! finite numbers, booleans and null — which is all of JSON, minus
-//! exotic escapes (`\uXXXX` parses, only BMP scalars are emitted).
+//! The workspace has no serialization dependency, so every crate that
+//! needs durable structured output — the chaos harness's reports and
+//! replay files, the observability dumps in this crate — writes and
+//! reads through this module. Only the subset of JSON those artifacts
+//! need is supported: objects, arrays, strings, finite numbers,
+//! booleans and null — which is all of JSON, minus exotic escapes
+//! (`\uXXXX` parses, only BMP scalars are emitted).
 //!
 //! Objects are `BTreeMap`s, so serialization order — and therefore
 //! byte-identity of reports and dumps across runs — is deterministic.

@@ -19,13 +19,12 @@ use std::collections::BTreeMap;
 use flex_placement::{PlacedRack, RackId};
 use flex_power::{PduPairId, Topology, UpsId, Watts};
 use flex_workload::{DeploymentId, WorkloadCategory};
-use serde::{Deserialize, Serialize};
 
 use crate::{ImpactRegistry, OnlineError};
 
 /// The two corrective actions (plus restoration, used by the controller
 /// after the failover clears).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionKind {
     /// Power off a software-redundant rack (recovers its whole draw).
     Shutdown,
@@ -34,7 +33,7 @@ pub enum ActionKind {
 }
 
 /// One selected corrective action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Action {
     /// The rack acted on.
     pub rack: RackId,
@@ -45,7 +44,7 @@ pub struct Action {
 }
 
 /// Policy tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyConfig {
     /// Safety buffer below the UPS limit, as a fraction of capacity
     /// (absorbs estimation error — line 4 of Algorithm 1).
@@ -91,7 +90,7 @@ pub struct DecisionOutcome {
 }
 
 /// Aggregate statistics over a decision, in the units of Figure 12.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActionSummary {
     /// Acted-on racks as a fraction of all racks.
     pub impacted_fraction: f64,

@@ -9,10 +9,9 @@
 use flex_placement::RackId;
 use flex_sim::fault::FaultPlan;
 use flex_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Result of one probe sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeReport {
     /// When the sweep ran.
     pub at: SimTime,

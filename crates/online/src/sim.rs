@@ -18,7 +18,7 @@ use flex_power::trip_curve::{OverloadAccumulator, TripCurve};
 use flex_power::{FeedState, LoadModel, Topology, UpsId, UpsLoads, Watts};
 use flex_sim::fault::{names as fault_names, FaultPlan};
 use flex_sim::rng::RngPool;
-use flex_sim::stats::{Percentiles, TimeSeries};
+use flex_sim::stats::TimeSeries;
 use flex_sim::{Ctx, Sim, SimDuration, SimTime};
 use flex_telemetry::{Delivery, Pipeline, PipelineConfig, TelemetryPayload};
 use rand::rngs::SmallRng;
@@ -218,8 +218,6 @@ pub struct RoomStats {
     pub total_power: TimeSeries,
     /// Event log.
     pub events: Vec<(SimTime, SimEvent)>,
-    /// Latency from command submission to enforcement.
-    pub action_latency: Percentiles,
     /// Detection latency: scripted failure → first command issued.
     pub detection_latency: Vec<SimDuration>,
 }
@@ -230,7 +228,6 @@ impl RoomStats {
             ups_fraction: (0..ups_count).map(|_| TimeSeries::new()).collect(),
             total_power: TimeSeries::new(),
             events: Vec::new(),
-            action_latency: Percentiles::new(),
             detection_latency: Vec::new(),
         }
     }
@@ -676,9 +673,6 @@ impl RoomWorld {
         };
         match submission {
             Submission::Accepted(p) => {
-                self.stats
-                    .action_latency
-                    .record((p.apply_at - now).as_secs_f64());
                 self.bump_inflight(rack, 1);
                 ctx.schedule_at(p.apply_at, move |w: &mut RoomWorld, _| {
                     w.actuator.apply(&p);

@@ -125,6 +125,17 @@ fn instrumented_runs_are_byte_deterministic() {
         .get("span/detect/failure_to_first_command")
         .expect("detect span registered");
     assert!(detect.count >= 1, "no detect-to-shed sample recorded");
+    // The latency spans are the only in-process latency record: each
+    // holds one sample per event its paired counter counts.
+    for (span, counter) in [
+        ("span/telemetry/measure_to_arrive", "telemetry/deliveries"),
+        ("span/actuate/submit_to_apply", "actuation/submissions"),
+    ] {
+        let samples = snap.histograms.get(span).map_or(0, |h| h.count);
+        let events = snap.counters.get(counter).copied().unwrap_or(0);
+        assert!(samples > 0, "{span} recorded nothing");
+        assert_eq!(samples, events, "{span} samples vs {counter}");
+    }
 }
 
 #[test]

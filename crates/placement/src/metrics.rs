@@ -1,7 +1,5 @@
 //! The Figure 9/10 evaluation metrics.
 
-use flex_power::Watts;
-
 use crate::RoomState;
 
 /// Stranded power as a fraction of the room's provisioned power
@@ -161,11 +159,6 @@ impl BoxStats {
             max: v[v.len() - 1],
         }
     }
-}
-
-/// Converts a stranded-power measure to absolute watts for reports.
-pub fn stranded_watts(state: &RoomState) -> Watts {
-    state.stranded_power()
 }
 
 #[cfg(test)]

@@ -3,14 +3,11 @@
 use flex_power::{FeedState, LoadModel, PduPairId, Watts};
 use flex_workload::trace::DemandTrace;
 use flex_workload::{DeploymentId, WorkloadCategory};
-use serde::{Deserialize, Serialize};
 
 use crate::{Placement, Room};
 
 /// Identifier of a physical rack within one placed room.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RackId(pub usize);
 
 impl std::fmt::Display for RackId {
@@ -21,7 +18,7 @@ impl std::fmt::Display for RackId {
 
 /// One placed rack: its deployment, category, electrical attachment, and
 /// power envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedRack {
     /// Room-wide rack id.
     pub id: RackId,
@@ -40,7 +37,7 @@ pub struct PlacedRack {
 
 /// A fully materialized room: every accepted deployment expanded into
 /// racks, each wired to its PDU-pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedRoom {
     room: Room,
     racks: Vec<PlacedRack>,

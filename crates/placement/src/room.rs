@@ -1,16 +1,13 @@
 //! A server room: power topology plus physical rows of rack slots.
 
 use flex_power::{PowerError, Topology, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a row within one room.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RowId(pub usize);
 
 /// A physical row of rack slots wired to one PDU-pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Row {
     /// The row's identifier.
     pub id: RowId,
@@ -21,7 +18,7 @@ pub struct Row {
 }
 
 /// Parameters of a room build-out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoomConfig {
     /// Number of UPS devices (the `x` in xN/y).
     pub ups_count: usize,
@@ -97,7 +94,7 @@ impl RoomConfig {
 }
 
 /// An immutable room: the power topology plus its rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     topology: Topology,
     rows: Vec<Row>,

@@ -8,12 +8,11 @@
 
 use flex_power::{PduPairId, UpsId, Watts};
 use flex_workload::{DeploymentId, DeploymentRequest, WorkloadCategory};
-use serde::{Deserialize, Serialize};
 
 use crate::Room;
 
 /// The outcome of running a placement policy over a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Accepted deployments and their chosen PDU-pair.
     pub assignments: Vec<(DeploymentId, PduPairId)>,

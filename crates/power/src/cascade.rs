@@ -111,11 +111,6 @@ impl CascadeSim {
         &self.feed
     }
 
-    /// Mutable access to the attached load (for shedding actions).
-    pub fn load_mut(&mut self) -> &mut LoadModel {
-        &mut self.load
-    }
-
     /// The attached load model.
     pub fn load(&self) -> &LoadModel {
         &self.load

@@ -1,7 +1,5 @@
 //! Which UPSes are currently in service, and how PDU-pairs are fed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PduPair, PowerError, Topology, UpsId};
 
 /// How a PDU-pair is being fed given the current [`FeedState`].
@@ -32,7 +30,7 @@ pub enum PairFeed {
 /// assert!(feed.is_online(UpsId(2)));
 /// # Ok::<(), flex_power::PowerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedState {
     online: Vec<bool>,
 }

@@ -6,13 +6,11 @@
 
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::feed::PairFeed;
 use crate::{FeedState, PduPairId, PowerError, Topology, UpsId, Watts};
 
 /// Per-UPS load vector produced by [`LoadModel::ups_loads`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UpsLoads(Vec<Watts>);
 
 impl UpsLoads {
@@ -69,7 +67,7 @@ impl Index<usize> for UpsLoads {
 /// Transfer rules (Section II-A): with both upstream UPSes online a pair's
 /// load splits 50/50 (active-active); with one failed, the survivor carries
 /// the full load *instantaneously*; with both failed the load is dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadModel {
     topo: Topology,
     pair_loads: Vec<Watts>,

@@ -7,13 +7,11 @@
 //! telemetry crate layers noise, stuck readings, and drops on top of these
 //! ground-truth values; this module defines the noiseless physics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FeedState, LoadModel, UpsId, UpsLoads, Watts};
 
 /// The three logical meters that each independently measure (the
 /// equivalent of) one UPS's power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeterKind {
     /// Meter on the UPS output itself: sees IT power plus UPS conversion
     /// loss.
@@ -75,7 +73,7 @@ impl MeterKind {
 /// assert!(MeterKind::UpsOutput.normalize(raw).approx_eq(truth.it_power(ups0), 1e-6));
 /// # Ok::<(), flex_power::PowerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     loads: UpsLoads,
 }

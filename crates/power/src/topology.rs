@@ -10,14 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PowerError, Watts};
 
 /// Identifier of a UPS device within one topology.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UpsId(pub usize);
 
 impl fmt::Display for UpsId {
@@ -27,9 +23,7 @@ impl fmt::Display for UpsId {
 }
 
 /// Identifier of a PDU-pair within one topology.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PduPairId(pub usize);
 
 impl fmt::Display for PduPairId {
@@ -39,7 +33,7 @@ impl fmt::Display for PduPairId {
 }
 
 /// An uninterruptible power supply with a rated continuous capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ups {
     id: UpsId,
     capacity: Watts,
@@ -60,7 +54,7 @@ impl Ups {
 /// A pair of PDUs dual-corded to two distinct upstream UPSes.
 ///
 /// This corresponds to `Map(p) -> (u1, u2)` in the paper's ILP formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PduPair {
     id: PduPairId,
     upstream: (UpsId, UpsId),
@@ -182,7 +176,7 @@ impl TopologyBuilder {
 }
 
 /// An immutable room power topology: UPSes plus the PDU-pairs bridging them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     upses: Vec<Ups>,
     pairs: Vec<PduPair>,

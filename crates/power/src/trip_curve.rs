@@ -11,13 +11,11 @@
 //! [`OverloadAccumulator`] integrates time-varying load into a thermal
 //! damage fraction and reports when the device trips.
 
-use serde::{Deserialize, Serialize};
-
 use crate::PowerError;
 
 /// One point of a trip curve: sustaining `load_fraction` (relative to rated
 /// capacity, > 1.0) is tolerated for `tolerance_secs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TripPoint {
     /// Load as a fraction of rated capacity; must exceed 1.0.
     pub load_fraction: f64,
@@ -40,7 +38,7 @@ pub struct TripPoint {
 /// assert!((t - 10.0).abs() < 0.5, "got {t}");
 /// assert!(curve.tolerance(0.99).is_none()); // within rating: no trip
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TripCurve {
     points: Vec<TripPoint>,
     ride_through_secs: f64,
@@ -220,7 +218,7 @@ impl Default for TripCurve {
 /// acc.advance(5.0, 4.0 / 3.0);
 /// assert!(acc.is_tripped());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadAccumulator {
     curve: TripCurve,
     recovery_secs: f64,

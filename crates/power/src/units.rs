@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical power in watts.
 ///
 /// A thin newtype over `f64` so power quantities cannot be confused with
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(row.as_kw(), 172.0);
 /// assert!((row / Watts::from_kw(344.0) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -189,7 +187,7 @@ impl<'a> Sum<&'a Watts> for Watts {
 /// assert!(Fraction::new(1.2).is_err());
 /// # Ok::<(), flex_power::PowerError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fraction(f64);
 
 impl Fraction {

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::{Exponential, Sample};
 use crate::{SimDuration, SimTime};
 
@@ -57,7 +55,7 @@ pub mod names {
 }
 
 /// A half-open outage window `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outage {
     /// Start of the outage (inclusive).
     pub from: SimTime,
@@ -103,7 +101,7 @@ impl Outage {
 /// assert!(!plan.is_up("poller/0", SimTime::from_secs_f64(15.0)));
 /// assert!(plan.is_up("poller/1", SimTime::from_secs_f64(15.0))); // unlisted = always up
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Per-component outage windows, sorted by `from` and
     /// non-overlapping (merged at insertion).

@@ -1,7 +1,5 @@
 //! Statistics collectors used by every experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SimDuration, SimTime};
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
@@ -15,7 +13,7 @@ use crate::{SimDuration, SimTime};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -134,7 +132,7 @@ impl OnlineStats {
 /// assert_eq!(p.quantile(0.0), Some(1.0));
 /// assert_eq!(p.quantile(1.0), Some(100.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Percentiles {
     samples: Vec<f64>,
     sorted: bool,
@@ -230,7 +228,7 @@ impl FromIterator<f64> for Percentiles {
 /// A time-stamped series of values with step semantics: the value recorded
 /// at `t` holds until the next record. Supports time-weighted aggregation,
 /// which is what power telemetry needs (a reading holds until replaced).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

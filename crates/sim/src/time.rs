@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration of virtual time, in whole nanoseconds.
 ///
 /// ```
@@ -14,9 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.as_secs_f64(), 1.5);
 /// assert_eq!(d * 2, SimDuration::from_secs(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -157,9 +153,7 @@ impl Sum for SimDuration {
 /// let t = SimTime::ZERO + SimDuration::from_secs(5);
 /// assert_eq!(t.elapsed_since(SimTime::ZERO), SimDuration::from_secs(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

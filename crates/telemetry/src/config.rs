@@ -1,10 +1,9 @@
 //! Pipeline configuration.
 
 use flex_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the telemetry pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// UPS meter poll interval (~1.5 s in production, Section IV-D).
     pub ups_poll_interval: SimDuration,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How a workload tolerates Flex's corrective actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadCategory {
     /// Replicated across availability zones; its racks may be **shut
     /// down** during a failover (load heals elsewhere). Example: Web

@@ -3,14 +3,11 @@
 use std::fmt;
 
 use flex_power::{Fraction, PowerError, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::WorkloadCategory;
 
 /// Identifier of a deployment request within one trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeploymentId(pub usize);
 
 impl fmt::Display for DeploymentId {
@@ -46,7 +43,7 @@ impl fmt::Display for DeploymentId {
 /// assert!(d.shaveable_power().approx_eq(Watts::from_kw(68.8), 1e-6));
 /// # Ok::<(), flex_power::PowerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentRequest {
     id: DeploymentId,
     name: String,

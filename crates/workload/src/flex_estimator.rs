@@ -11,11 +11,10 @@
 //! impact spreads across the room rather than hitting one customer.
 
 use flex_power::{Fraction, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A historical rack power profile: samples of one rack's draw as
 /// fractions of its provisioned power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackProfile {
     samples: Vec<f64>,
 }
@@ -57,7 +56,7 @@ impl RackProfile {
 }
 
 /// Estimator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexEstimatorConfig {
     /// Acceptable average power reduction across the rack population at
     /// engagement time, as a fraction of the racks' *drawn* power

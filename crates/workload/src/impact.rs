@@ -8,7 +8,6 @@
 //! the candidate rack whose action keeps total impact lowest.
 
 use flex_power::Fraction;
-use serde::{Deserialize, Serialize};
 
 /// A monotone piecewise-linear map from affected-rack fraction to impact,
 /// both in `[0, 1]`.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((f.eval(Fraction::new(0.8)?) - 0.5).abs() < 1e-12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpactFunction {
     /// (affected fraction, impact) knots; x strictly increasing from 0 to
     /// 1, y non-decreasing within [0, 1].
@@ -149,7 +148,7 @@ impl ImpactFunction {
 /// A named pair of impact functions — one for all software-redundant
 /// workloads, one for all cap-able workloads — matching how Figure 11
 /// presents each scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpactScenario {
     /// Scenario name as used in the paper ("Extreme-1", …).
     pub name: String,

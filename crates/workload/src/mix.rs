@@ -6,12 +6,11 @@
 //! shares reproduce that average and the qualitative spread.
 
 use flex_power::Fraction;
-use serde::{Deserialize, Serialize};
 
 use crate::WorkloadCategory;
 
 /// Category shares of one region's deployed capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionMix {
     /// Region label.
     pub region: String,

@@ -8,11 +8,10 @@
 use flex_power::{Fraction, Watts};
 use flex_sim::dist::{Sample, TruncatedNormal};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-rack power draw model: each rack draws a truncated-normal fraction
 /// of its provisioned power, centered on the room's utilization setpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackPowerModel {
     /// Standard deviation of the per-rack utilization fraction.
     rel_std: f64,
@@ -101,7 +100,7 @@ impl Default for RackPowerModel {
 /// Weekly utilization profile: weekday peaks with a night dip, flat
 /// weekends at the dipped level (Section III: utilizations are 15–19%
 /// lower at night and on weekends, for 6–12 hours at a stretch).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalProfile {
     /// Weekday afternoon peak utilization (fraction of provisioned).
     peak: f64,

@@ -11,12 +11,11 @@
 use flex_power::{Fraction, Watts};
 use flex_sim::dist::{Sample, Uniform, WeightedChoice};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{DeploymentId, DeploymentRequest, WorkloadCategory};
 
 /// Parameters of the demand generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Generate deployments until their total power reaches this.
     pub target_power: Watts,
@@ -63,7 +62,7 @@ impl TraceConfig {
 }
 
 /// A generated demand trace: an ordered list of deployment requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandTrace {
     deployments: Vec<DeploymentRequest>,
 }
