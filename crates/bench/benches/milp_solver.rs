@@ -1,11 +1,11 @@
 //! Criterion: simplex and branch-and-bound scaling on knapsack-shaped
-//! models (the Gurobi stand-in's core loop).
+//! models (the Gurobi stand-in's core loop), and one warm node LP alone.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flex_core::milp::simplex::solve_relaxation;
-use flex_core::milp::{Model, Relation, Sense, SolveConfig};
+use flex_core::milp::{Model, Relation, Sense, SolveConfig, WarmContext};
 
 fn knapsack(n: usize) -> Model {
     let mut m = Model::new(Sense::Maximize);
@@ -135,5 +135,42 @@ fn bench_thread_matrix(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_simplex, bench_branch_and_bound, bench_thread_matrix);
+/// One branch-and-bound node's LP on its own: a warm child re-solve
+/// from the root basis of the ~200-binary placement-shaped instance,
+/// with the root's most fractional binary fixed to 1. This times the
+/// per-node simplex kernel (tableau refactor, dual restore, primal
+/// polish) apart from the search, then prints its pivot count.
+fn bench_warm_node(c: &mut Criterion) {
+    let m = placement_like(40, 5);
+    let ctx = WarmContext::new(&m);
+    let root_bounds = vec![(0.0, 1.0); m.var_count()];
+    let root = ctx.solve_relaxation(&root_bounds, None).unwrap();
+    let frac = |v: f64| (v - v.round()).abs();
+    let branch = (0..root.values.len())
+        .max_by(|&a, &b| frac(root.values[a]).total_cmp(&frac(root.values[b])))
+        .unwrap();
+    let mut child = root_bounds.clone();
+    child[branch] = (1.0, 1.0);
+
+    let mut group = c.benchmark_group("milp/warm-node");
+    group.bench_function("fix-one-200bin", |b| {
+        b.iter(|| ctx.solve_relaxation(&child, Some(&root.basis)).unwrap())
+    });
+    group.finish();
+
+    let node = ctx.solve_relaxation(&child, Some(&root.basis)).unwrap();
+    assert!(node.warmed, "the child re-solve fell back to a cold solve");
+    println!(
+        "\nmilp/warm-node: x{branch} = {:.3} fixed to 1, {} pivots per re-solve",
+        root.values[branch], node.iterations,
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_simplex,
+    bench_branch_and_bound,
+    bench_thread_matrix,
+    bench_warm_node
+);
 criterion_main!(benches);

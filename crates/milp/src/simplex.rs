@@ -8,6 +8,8 @@
 //! Nonbasic variables rest at one of their bounds (the *bounded-variable*
 //! rule), so variable upper bounds cost nothing extra in tableau size —
 //! important because the placement ILP has hundreds of binaries.
+//! Branch-and-bound nodes re-solve warm instead, with the dual simplex
+//! from the parent's basis ([`WarmContext`]).
 
 use crate::model::{Model, Relation, Sense, VarKind};
 use crate::MilpError;
@@ -196,6 +198,11 @@ enum ColStatus {
     AtUpper,
 }
 
+/// Reduced-cost pricing: fills `d` with `d_j = c_j − c_Bᵀ·tab[:,j]` for
+/// every tableau column. [`Tableau::reduced_costs`] is the one the solver
+/// uses; the parameter lets tests run the column-wise reference.
+type Pricing = fn(&Tableau, &[f64], &mut Vec<f64>);
+
 struct Tableau {
     /// m × ncols dense matrix, current B⁻¹A.
     tab: Vec<Vec<f64>>,
@@ -203,10 +210,15 @@ struct Tableau {
     xb: Vec<f64>,
     /// Column in the basis for each row.
     basis: Vec<usize>,
+    /// Per-column status and bounds: one entry for every problem
+    /// column, artificials included, even when the tableau is narrower.
     status: Vec<ColStatus>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     m: usize,
+    /// Tableau width: the columns priced and pivoted. Columns past it
+    /// are artificials a warm tableau leaves out; they stay nonbasic,
+    /// pinned at [0, 0].
     ncols: usize,
 }
 
@@ -232,11 +244,17 @@ impl Tableau {
     /// Runs the primal simplex for the given cost vector. Returns
     /// `Ok(objective)` at optimality. Each pivot or bound flip adds one
     /// to `iters`.
-    fn optimize(&mut self, costs: &[f64], max_iters: u64, iters: &mut u64) -> Result<f64, LpStatus> {
+    fn optimize(
+        &mut self,
+        costs: &[f64],
+        max_iters: u64,
+        iters: &mut u64,
+        price: Pricing,
+    ) -> Result<f64, LpStatus> {
         let mut degenerate_streak: u32 = 0;
+        let mut reduced = Vec::with_capacity(self.ncols);
         for _ in 0..max_iters {
-            // Basic costs, then reduced costs d_j = c_j − c_Bᵀ·tab[:,j].
-            let cb: Vec<f64> = self.basis.iter().map(|&b| costs[b]).collect();
+            price(self, costs, &mut reduced);
             let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
             let use_bland = degenerate_streak >= DEGENERACY_GUARD;
             for j in 0..self.ncols {
@@ -246,12 +264,7 @@ impl Tableau {
                 if self.upper[j] - self.lower[j] < PIVOT_EPS {
                     continue; // fixed column can never improve
                 }
-                let mut d = costs[j];
-                for i in 0..self.m {
-                    if cb[i] != 0.0 {
-                        d -= cb[i] * self.tab[i][j];
-                    }
-                }
+                let d = reduced[j];
                 let sigma = match self.status[j] {
                     ColStatus::AtLower if d < -PRICE_EPS => 1.0,
                     ColStatus::AtUpper if d > PRICE_EPS => -1.0,
@@ -356,7 +369,14 @@ impl Tableau {
     /// `Err(Infeasible)` is a sound infeasibility certificate: the
     /// violated row admits no further movement within the remaining
     /// columns' bounds.
-    fn dual_restore(&mut self, costs: &[f64], max_iters: u64, iters: &mut u64) -> Result<(), LpStatus> {
+    fn dual_restore(
+        &mut self,
+        costs: &[f64],
+        max_iters: u64,
+        iters: &mut u64,
+        price: Pricing,
+    ) -> Result<(), LpStatus> {
+        let mut reduced = Vec::with_capacity(self.ncols);
         for _ in 0..max_iters {
             // Leaving row: the worst bound violation among basic vars.
             let mut leave: Option<(usize, f64, f64)> = None; // (row, signed delta, violation)
@@ -383,7 +403,7 @@ impl Tableau {
             // columns whose admissible movement reduces the violation
             // (keeps the basis dual feasible); ties prefer a larger
             // pivot magnitude for numerical stability.
-            let cb: Vec<f64> = self.basis.iter().map(|&b| costs[b]).collect();
+            price(self, costs, &mut reduced);
             let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
             for j in 0..self.ncols {
                 if self.status[j] == ColStatus::Basic {
@@ -403,13 +423,7 @@ impl Tableau {
                 if !eligible {
                     continue;
                 }
-                let mut d = costs[j];
-                for i in 0..self.m {
-                    if cb[i] != 0.0 {
-                        d -= cb[i] * self.tab[i][j];
-                    }
-                }
-                let ratio = (d / a).abs();
+                let ratio = (reduced[j] / a).abs();
                 let better = match enter {
                     None => true,
                     Some((_, br, ba)) => {
@@ -450,6 +464,24 @@ impl Tableau {
             self.pivot(r, j);
         }
         Err(LpStatus::IterationLimit)
+    }
+
+    /// Row-wise pricing: `d = c`, then for each basis row `i` in
+    /// ascending order with `c_B[i] ≠ 0`, `d -= c_B[i]·tab[i]`. Every
+    /// column sees the same operations in the same order as a per-column
+    /// dot product over the rows, so the values are bit-identical to
+    /// it; the contiguous inner loop vectorizes.
+    fn reduced_costs(&self, costs: &[f64], d: &mut Vec<f64>) {
+        d.clear();
+        d.extend_from_slice(&costs[..self.ncols]);
+        for (row, &b) in self.tab.iter().zip(&self.basis) {
+            let cb = costs[b];
+            if cb != 0.0 {
+                for (dj, &a) in d.iter_mut().zip(row) {
+                    *dj -= cb * a;
+                }
+            }
+        }
     }
 
     /// Gauss–Jordan pivot on (row, col).
@@ -576,7 +608,7 @@ fn solve_two_phase(
     for c in phase1_costs.iter_mut().skip(n) {
         *c = 1.0;
     }
-    match tableau.optimize(&phase1_costs, max_iters, iters) {
+    match tableau.optimize(&phase1_costs, max_iters, iters, Tableau::reduced_costs) {
         Ok(w) => {
             if w > FEAS_EPS * (1.0 + problem.rhs.iter().map(|r| r.abs()).sum::<f64>()) {
                 return (
@@ -614,7 +646,7 @@ fn solve_two_phase(
     // Phase 2: the real objective.
     let mut phase2_costs = vec![0.0; ncols];
     phase2_costs[..n].copy_from_slice(&problem.costs);
-    match tableau.optimize(&phase2_costs, max_iters, iters) {
+    match tableau.optimize(&phase2_costs, max_iters, iters, Tableau::reduced_costs) {
         Ok(obj) => {
             let mut values = tableau.values();
             values.truncate(n);
@@ -642,20 +674,23 @@ fn solve_two_phase(
     }
 }
 
-/// Rebuilds a [`Tableau`] from a basis snapshot under new column bounds:
-/// refactors `B⁻¹A` by Gauss–Jordan, assigning each snapshot basis column
-/// the remaining row with the largest pivot. Returns `None` when the
-/// snapshot does not fit this problem or the basis is numerically
-/// singular — callers fall back to a cold solve.
+/// Rebuilds a [`Tableau`] of `width` columns from a basis snapshot under
+/// new column bounds: refactors `B⁻¹A` by Gauss–Jordan, assigning each
+/// snapshot basis column the remaining row with the largest pivot.
+/// Returns `None` when the snapshot does not fit this problem or the
+/// basis is numerically singular — callers fall back to a cold solve.
 ///
-/// Row scaling from the cold path's sign flips is immaterial: `B⁻¹A`
-/// is invariant under row scaling of `[A | b]`, so artificial columns
-/// are laid down as `+eᵢ` unconditionally here.
+/// `width` is `n` (structural + slack columns) or `n + m` (artificials
+/// too); status and bounds always cover all `n + m` columns. Row
+/// scaling from the cold path's sign flips is immaterial: `B⁻¹A` is
+/// invariant under row scaling of `[A | b]`, so artificial columns are
+/// laid down as `+eᵢ` unconditionally here.
 fn warm_tableau(
     problem: &LpProblem,
     col_lower: &[f64],
     col_upper: &[f64],
     snap: &BasisSnapshot,
+    width: usize,
 ) -> Option<Tableau> {
     let m = problem.row_count();
     let n = problem.col_count();
@@ -664,12 +699,14 @@ fn warm_tableau(
         return None;
     }
 
-    let mut dense = vec![vec![0.0_f64; ncols]; m];
+    let mut dense = vec![vec![0.0_f64; width]; m];
     for (i, row) in problem.rows.iter().enumerate() {
         for &(j, a) in row {
             dense[i][j] = a;
         }
-        dense[i][n + i] = 1.0;
+        if width > n {
+            dense[i][n + i] = 1.0;
+        }
     }
     let mut rhs = problem.rhs.clone();
 
@@ -679,7 +716,7 @@ fn warm_tableau(
     let mut assigned = vec![false; m];
     let mut row_of = vec![usize::MAX; m];
     for (k, &c) in snap.basis.iter().enumerate() {
-        if c >= ncols {
+        if c >= width {
             return None;
         }
         let mut best: Option<(usize, f64)> = None;
@@ -749,9 +786,10 @@ fn warm_tableau(
         status.push(s);
     }
 
-    // Basic values: xb = B⁻¹b − Σ (B⁻¹A)ⱼ·xⱼ over nonbasic columns.
+    // Basic values: xb = B⁻¹b − Σ (B⁻¹A)ⱼ·xⱼ over nonbasic columns
+    // (columns past `width` rest at zero and add nothing).
     let mut xb = rhs;
-    for j in 0..ncols {
+    for j in 0..width {
         let v = match status[j] {
             ColStatus::Basic => continue,
             ColStatus::AtLower => lower[j],
@@ -775,7 +813,7 @@ fn warm_tableau(
         lower,
         upper,
         m,
-        ncols,
+        ncols: width,
     })
 }
 
@@ -784,6 +822,14 @@ fn warm_tableau(
 /// primal simplex. `None` means "fall back to a cold solve" (singular
 /// rebuild or iteration trouble); `Some` carries a definitive answer —
 /// including a sound `Infeasible` from the dual ratio test.
+///
+/// The tableau leaves the artificial columns out unless the snapshot
+/// keeps one basic. Warm solves pin artificials at [0, 0], so pricing
+/// skips them as fixed and the `xb` sum skips their zero rest value:
+/// no entry of a nonbasic artificial column is ever read. Gauss–Jordan
+/// row operations act on each column independently, so dropping those
+/// columns leaves every other entry, and so every answer, pivot and
+/// snapshot, bit-identical.
 fn solve_warm(
     problem: &LpProblem,
     col_lower: &[f64],
@@ -791,18 +837,37 @@ fn solve_warm(
     snap: &BasisSnapshot,
     iters: &mut u64,
 ) -> Option<(LpSolution, Option<BasisSnapshot>)> {
-    let mut tableau = warm_tableau(problem, col_lower, col_upper, snap)?;
+    let n = problem.col_count();
+    let width = if snap.basis.iter().any(|&c| c >= n) {
+        n + problem.row_count()
+    } else {
+        n
+    };
+    let tableau = warm_tableau(problem, col_lower, col_upper, snap, width)?;
+    resume_warm(problem, tableau, iters, Tableau::reduced_costs)
+}
+
+/// The dual-restore and primal-polish half of [`solve_warm`], from a
+/// refactored tableau.
+fn resume_warm(
+    problem: &LpProblem,
+    mut tableau: Tableau,
+    iters: &mut u64,
+    price: Pricing,
+) -> Option<(LpSolution, Option<BasisSnapshot>)> {
     let m = problem.row_count();
     let n = problem.col_count();
     let ncols = n + m;
 
+    // Costs cover all `n + m` columns, whatever the tableau width, so the
+    // objective sums the same terms as a full-width solve.
     let mut phase2_costs = vec![0.0; ncols];
     phase2_costs[..n].copy_from_slice(&problem.costs);
 
     // Dual repair should take a handful of pivots; a long fight means the
     // parent basis was a bad start, and a cold solve is the better spend.
     let dual_cap = 100 * m as u64 + 1_000;
-    match tableau.dual_restore(&phase2_costs, dual_cap, iters) {
+    match tableau.dual_restore(&phase2_costs, dual_cap, iters, price) {
         Ok(()) => {}
         Err(LpStatus::Infeasible) => {
             return Some((
@@ -817,8 +882,10 @@ fn solve_warm(
         Err(_) => return None,
     }
 
+    // The cap counts the problem's `n + m` columns, not the tableau
+    // width, so a narrow tableau keeps the cold path's iteration limit.
     let max_iters = 200 * (m as u64 + ncols as u64) + 20_000;
-    match tableau.optimize(&phase2_costs, max_iters, iters) {
+    match tableau.optimize(&phase2_costs, max_iters, iters, price) {
         Ok(obj) => {
             let mut values = tableau.values();
             values.truncate(n);
@@ -1012,6 +1079,7 @@ impl WarmContext {
 mod tests {
     use super::*;
     use crate::model::{Model, Relation, Sense};
+    use proptest::prelude::*;
 
     fn model_bounds(m: &Model) -> Vec<(f64, f64)> {
         m.vars.iter().map(|v| (v.lower, v.upper)).collect()
@@ -1300,5 +1368,200 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
+    }
+
+    /// Reference pricing for [`Tableau::reduced_costs`]: one strided dot
+    /// product per column, the form the row-wise loop replaced.
+    fn colwise_reduced_costs(t: &Tableau, costs: &[f64], d: &mut Vec<f64>) {
+        let cb: Vec<f64> = t.basis.iter().map(|&b| costs[b]).collect();
+        d.clear();
+        d.extend((0..t.ncols).map(|j| {
+            let mut dj = costs[j];
+            for (row, &c) in t.tab.iter().zip(&cb) {
+                if c != 0.0 {
+                    dj -= c * row[j];
+                }
+            }
+            dj
+        }));
+    }
+
+    type WarmOutcome = Option<(LpSolution, Option<BasisSnapshot>)>;
+
+    /// Reference warm solve: a full-width tableau, artificial columns
+    /// included, priced column by column. [`solve_warm`] must match it
+    /// bit for bit.
+    fn solve_warm_reference(
+        problem: &LpProblem,
+        col_lower: &[f64],
+        col_upper: &[f64],
+        snap: &BasisSnapshot,
+        iters: &mut u64,
+    ) -> WarmOutcome {
+        let width = problem.col_count() + problem.row_count();
+        let tableau = warm_tableau(problem, col_lower, col_upper, snap, width)?;
+        resume_warm(problem, tableau, iters, colwise_reduced_costs)
+    }
+
+    /// An outcome with its floats as bit patterns, for exact comparison.
+    fn outcome_bits(out: &WarmOutcome) -> Option<(LpStatus, u64, Vec<u64>, Option<BasisSnapshot>)> {
+        out.as_ref().map(|(sol, snap)| {
+            (
+                sol.status,
+                sol.objective.to_bits(),
+                sol.values.iter().map(|v| v.to_bits()).collect(),
+                snap.clone(),
+            )
+        })
+    }
+
+    /// Runs a branch-and-bound-style chain of warm re-solves through the
+    /// fast path and the reference side by side. Each step tightens one
+    /// integer column's bound around the previous solve's value (`up`
+    /// raises the lower bound, otherwise the upper bound drops) and
+    /// re-solves from the previous basis. Fails unless every step agrees
+    /// bit for bit: objective, values, snapshot and pivot count. Returns
+    /// the snapshot each compared step started from.
+    fn check_warm_chain(
+        problem: &LpProblem,
+        int_cols: &[usize],
+        chain: &[(usize, bool)],
+    ) -> Result<Vec<BasisSnapshot>, String> {
+        let mut lower = problem.lower.clone();
+        let mut upper = problem.upper.clone();
+        let (root, root_snap) = solve_two_phase(problem, &lower, &upper, &mut 0, true);
+        let Some(mut snap) = root_snap else {
+            return Err(format!("root solve ended {:?}", root.status));
+        };
+        let mut values = root.values;
+        let mut starts = Vec::new();
+        let full = problem.col_count() + problem.row_count();
+        for (step, &(pick, up)) in chain.iter().enumerate() {
+            let j = int_cols[pick % int_cols.len()];
+            if up {
+                lower[j] = values[j].ceil().max(lower[j] + 1.0).min(upper[j]);
+            } else {
+                upper[j] = values[j].floor().min(upper[j] - 1.0).max(lower[j]);
+            }
+            // Pricing alone, on the full-width tableau this step starts from.
+            if let Some(t) = warm_tableau(problem, &lower, &upper, &snap, full) {
+                let mut costs = problem.costs.clone();
+                costs.resize(full, 0.0);
+                let (mut by_row, mut by_col) = (Vec::new(), Vec::new());
+                t.reduced_costs(&costs, &mut by_row);
+                colwise_reduced_costs(&t, &costs, &mut by_col);
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                if bits(&by_row) != bits(&by_col) {
+                    return Err(format!(
+                        "step {step}: row-wise {by_row:?} vs column-wise {by_col:?}"
+                    ));
+                }
+            }
+            let (mut fast_iters, mut ref_iters) = (0, 0);
+            let fast = solve_warm(problem, &lower, &upper, &snap, &mut fast_iters);
+            let reference = solve_warm_reference(problem, &lower, &upper, &snap, &mut ref_iters);
+            if fast_iters != ref_iters || outcome_bits(&fast) != outcome_bits(&reference) {
+                return Err(format!(
+                    "step {step} (column {j}): fast {fast:?} in {fast_iters} pivots, \
+                     reference {reference:?} in {ref_iters} pivots"
+                ));
+            }
+            starts.push(snap);
+            match fast {
+                Some((sol, Some(next))) => {
+                    snap = next;
+                    values = sol.values;
+                }
+                _ => break, // infeasible child or cold fallback: the dive ends
+            }
+        }
+        Ok(starts)
+    }
+
+    /// Random mixed-integer maximize models of the same shape as
+    /// `arb_mip` in `tests/properties.rs`, with their integer columns.
+    fn arb_mip() -> impl Strategy<Value = (Model, Vec<usize>)> {
+        // (is_integer, objective, upper bound)
+        let var = (proptest::bool::ANY, 0.1f64..10.0, 1.0f64..4.0);
+        let vars = proptest::collection::vec(var, 2..8);
+        let rows = proptest::collection::vec(
+            (proptest::collection::vec(0.0f64..5.0, 8), 2.0f64..30.0),
+            1..5,
+        );
+        (vars, rows).prop_map(|(vars, rows)| {
+            let mut m = Model::new(Sense::Maximize);
+            let mut int_cols = Vec::new();
+            let ids: Vec<_> = vars
+                .iter()
+                .enumerate()
+                .map(|(i, &(is_int, obj, ub))| {
+                    if is_int {
+                        int_cols.push(i);
+                        let ub = ub.round().max(1.0);
+                        m.add_var(format!("z{i}"), VarKind::Integer, 0.0, ub, obj)
+                            .unwrap()
+                    } else {
+                        m.add_continuous(format!("x{i}"), 0.0, ub, obj).unwrap()
+                    }
+                })
+                .collect();
+            for (k, (coeffs, rhs)) in rows.iter().enumerate() {
+                let terms: Vec<_> = ids.iter().zip(coeffs).map(|(&id, &c)| (id, c)).collect();
+                m.add_constraint(format!("r{k}"), terms, Relation::Le, *rhs)
+                    .unwrap();
+            }
+            (m, int_cols)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The narrow, row-priced warm solve is bit-identical to the
+        /// full-width, column-priced reference over dives of 3–6 warm
+        /// re-solves.
+        #[test]
+        fn warm_solves_match_full_width_reference_bitwise(
+            (m, int_cols) in arb_mip(),
+            chain in proptest::collection::vec((0usize..8, proptest::bool::ANY), 3..=6),
+        ) {
+            prop_assume!(!int_cols.is_empty());
+            let problem = LpProblem::from_model_dense(&m, &model_bounds(&m));
+            check_warm_chain(&problem, &int_cols, &chain).map_err(TestCaseError::fail)?;
+        }
+    }
+
+    #[test]
+    fn basic_artificial_keeps_full_width_and_matches_reference() {
+        // The second row is twice the first, so the basis can hold only
+        // one of them: an artificial stays basic (at zero) through phase
+        // 2 and every warm re-solve, and the warm tableau keeps all its
+        // columns.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Integer, 0.0, 3.0, 3.0).unwrap();
+        let y = m.add_var("y", VarKind::Integer, 0.0, 3.0, 2.0).unwrap();
+        let z = m.add_continuous("z", 0.0, 2.0, 1.0).unwrap();
+        m.add_constraint("sum", vec![(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 3.5)
+            .unwrap();
+        m.add_constraint(
+            "twice",
+            vec![(x, 2.0), (y, 2.0), (z, 2.0)],
+            Relation::Eq,
+            7.0,
+        )
+        .unwrap();
+        m.add_constraint("mix", vec![(x, 2.0), (y, 1.0)], Relation::Le, 4.5)
+            .unwrap();
+        let problem = LpProblem::from_model_dense(&m, &model_bounds(&m));
+        let n = problem.col_count();
+        let chain = [(0, false), (1, true), (0, true), (1, false)];
+        let starts = check_warm_chain(&problem, &[0, 1], &chain).unwrap();
+        assert!(starts.len() >= 3, "dive ended after {} steps", starts.len());
+        for snap in &starts {
+            assert!(
+                snap.basis.iter().any(|&c| c >= n),
+                "no artificial basic in {snap:?}"
+            );
+        }
     }
 }

@@ -7,22 +7,25 @@
 # workload, each `--seconds 10 --trace 0` with the round number as
 # seed; odd rounds run the base first, even rounds the current tree.
 # Prints run_s, ops_per_s and peak_rss_mb per run, then the median of
-# each per side and the relative change. Exits non-zero if any run
-# fails or reports "correct": false.
+# each per side and the relative change. With an output path, also
+# writes the per-run rows and per-side medians there as JSON. Exits
+# non-zero if any run fails or reports "correct": false.
 #
-# Usage: scripts/bench_ab.sh <base-rev> <workload> [rounds]   (rounds: 5)
+# Usage: scripts/bench_ab.sh <base-rev> <workload> [rounds] [out.json]
+#        (rounds: 5)
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-    echo "usage: $0 <base-rev> <workload> [rounds]" >&2
+    echo "usage: $0 <base-rev> <workload> [rounds] [out.json]" >&2
     exit 2
 fi
 base_rev=$1
 workload=$2
 rounds=${3:-5}
+out=${4:-}
 seconds=10
 metrics=(run_s ops_per_s peak_rss_mb)
 
@@ -49,6 +52,7 @@ median() {
 }
 
 declare -A values
+json_runs=()
 failed=0
 for round in $(seq 1 "$rounds"); do
     order="base new"
@@ -67,22 +71,48 @@ for round in $(seq 1 "$rounds"); do
             failed=1
         fi
         row="round $round $side"
+        json_row="{\"round\": $round, \"side\": \"$side\""
         for m in "${metrics[@]}"; do
             v=$(metric "$line" "$m")
             values[$side.$m]+="$v"$'\n'
             row+="  $m=$v"
+            json_row+=", \"$m\": $v"
         done
         echo "$row"
+        json_runs+=("$json_row}")
     done
 done
 
 echo "== medians over $rounds rounds ($workload, ${seconds}s runs) =="
+json_medians=()
 for m in "${metrics[@]}"; do
     b=$(printf '%s' "${values[base.$m]:-}" | median)
     n=$(printf '%s' "${values[new.$m]:-}" | median)
     awk -v m="$m" -v b="$b" -v n="$n" 'BEGIN {
         change = (b == 0 ? 0 : (n - b) / b * 100)
         printf "%-12s base %-12g new %-12g change %+.1f%%\n", m, b, n, change }'
+    json_medians+=("\"$m\": {\"base\": $b, \"new\": $n}")
 done
+
+if [ -n "$out" ]; then
+    join() { local IFS=$'\n'; sed -e '$!s/$/,/' <<<"$*"; }
+    {
+        echo "{"
+        echo "  \"workload\": \"$workload\","
+        echo "  \"base\": \"$(git rev-parse "$base_rev")\","
+        echo "  \"new\": \"working tree at $(git rev-parse HEAD)\","
+        echo "  \"rounds\": $rounds,"
+        echo "  \"seconds\": $seconds,"
+        echo "  \"nproc\": $(nproc),"
+        echo "  \"runs\": ["
+        join "${json_runs[@]}" | sed 's/^/    /'
+        echo "  ],"
+        echo "  \"medians\": {"
+        join "${json_medians[@]}" | sed 's/^/    /'
+        echo "  }"
+        echo "}"
+    } >"$out"
+    echo "wrote $out"
+fi
 
 exit "$failed"
