@@ -556,7 +556,7 @@ pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome 
         let ups = UpsId(s.ups);
         let from = SimTime::ZERO + SimDuration::from_millis(s.from_ms);
         let until = SimTime::ZERO + SimDuration::from_millis(s.until_ms);
-        sim.schedule_world(from, move |w, _| {
+        sim.schedule_world(from, move |w| {
             w.pipeline_mut().meters_mut().force_stuck(ups, kind, until);
         });
     }

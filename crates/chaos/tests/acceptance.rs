@@ -1,7 +1,8 @@
 //! The chaos harness acceptance gates:
 //!
 //! - a fixed-seed campaign of 200 scenarios is bit-identical across two
-//!   runs (report JSON compared byte for byte);
+//!   runs (report JSON compared byte for byte) and matches the digest
+//!   the repository benchmark keeps for it in `flexbench/reference.txt`;
 //! - a violation replays from its JSON text alone — same events, same
 //!   verdict;
 //! - with the hardening features disabled the campaign finds trip-curve
@@ -25,6 +26,34 @@ fn campaign_of_200_is_bit_identical_across_runs() {
         first.contains("\"clean\":200"),
         "the hardened loop must survive all 200 scenarios: {first}"
     );
+    // The benchmark runs this same campaign and keeps the digest of its
+    // report: a match pins the output to the recorded one, not only to
+    // a second run of the same build.
+    let key = format!(
+        "chaos_campaign/seed={:#x}/scenarios={}/obs={}",
+        config.seed, config.scenarios, config.obs
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../flexbench/reference.txt");
+    let reference = std::fs::read_to_string(path).expect("flexbench/reference.txt is readable");
+    let expected = reference
+        .lines()
+        .find_map(|line| {
+            let (k, v) = line.split_once(' ')?;
+            (k == key).then(|| u64::from_str_radix(v.trim(), 16).ok())?
+        })
+        .unwrap_or_else(|| panic!("no `{key}` digest in {path}"));
+    assert_eq!(
+        fnv1a64(&first),
+        expected,
+        "campaign report drifted from the `{key}` reference digest"
+    );
+}
+
+/// 64-bit FNV-1a, the digest `flexbench/reference.txt` records.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[test]

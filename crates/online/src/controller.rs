@@ -14,7 +14,7 @@ use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
 
 use crate::actuation::RackPowerState;
-use crate::policy::{decide, ActionKind, DecisionInput, PolicyConfig};
+use crate::policy::{decide, ActionKind, DecisionInput, PolicyConfig, RecoveryShares};
 use crate::recovery::{BufferedDelivery, RecoverySnapshot};
 use crate::{ImpactRegistry, OnlineError};
 
@@ -33,6 +33,15 @@ pub enum Command {
         /// Target rack.
         rack: RackId,
     },
+}
+
+impl Command {
+    /// The rack the command targets.
+    pub(crate) fn rack(&self) -> RackId {
+        match *self {
+            Command::Act { rack, .. } | Command::Restore { rack } => rack,
+        }
+    }
 }
 
 /// Controller tuning.
@@ -104,7 +113,7 @@ pub struct ControllerState {
     /// Whether corrective actions are outstanding.
     pub engaged: bool,
     /// Unreflected recent actions: (issued at, rack, per-UPS shares).
-    pub recent: Vec<(SimTime, RackId, Vec<(flex_power::UpsId, Watts)>)>,
+    pub recent: Vec<(SimTime, RackId, RecoveryShares)>,
     /// `measured_at` of the newest accepted fresh UPS snapshot.
     pub last_ups_data: Option<SimTime>,
     /// When this instance first learned of the ongoing failover.
@@ -144,7 +153,7 @@ pub struct Controller {
     engaged: bool,
     /// Recently issued actions whose effect telemetry has not yet
     /// reflected: (issued at, rack, estimated per-UPS recovery).
-    recent: Vec<(SimTime, RackId, Vec<(flex_power::UpsId, Watts)>)>,
+    recent: Vec<(SimTime, RackId, RecoveryShares)>,
     /// `measured_at` of the newest accepted fresh UPS snapshot.
     last_ups_data: Option<SimTime>,
     /// When this instance first learned a failover is in progress
@@ -669,16 +678,15 @@ impl Controller {
     }
 
     fn evaluate(&mut self, now: SimTime) -> Result<Vec<Command>, OnlineError> {
-        let Some(raw_ups_power) = self.fresh_ups_powers(now) else {
+        let Some(mut ups_power) = self.fresh_ups_powers(now) else {
             return Ok(Vec::new());
         };
         // Project the recoveries of recently issued (not yet reflected)
         // actions onto the readings.
         self.recent
             .retain(|(t, _, _)| now.saturating_since(*t) < self.config.reflect_window);
-        let mut ups_power = raw_ups_power.clone();
         for (_, _, shares) in &self.recent {
-            for &(u, w) in shares {
+            for (u, w) in shares.iter() {
                 if let Some(slot) = ups_power.get_mut(u.0) {
                     *slot = (*slot - w).clamp_non_negative();
                 }
@@ -774,7 +782,7 @@ impl Controller {
                     crate::policy::recovery_shares(&self.topology, r.pdu_pair, &online, returned)?;
                 // A UPS missing from the topology can never be proven
                 // safe, so such a share vetoes the lift.
-                let safe = shares.iter().all(|&(u, w)| {
+                let safe = shares.iter().all(|(u, w)| {
                     self.topology.ups(u).is_ok_and(|ups| {
                         let limit =
                             ups.capacity() * (1.0 - 2.0 * self.config.policy.buffer_fraction);
@@ -802,15 +810,13 @@ impl Controller {
                 self.action_log.remove(&rack);
                 // Account for the returning load in the reflect window
                 // (negative recovery = added power).
-                let shares: Vec<(flex_power::UpsId, Watts)> = crate::policy::recovery_shares(
+                let shares = crate::policy::recovery_shares(
                     &self.topology,
                     pair,
                     &crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy),
                     returned,
                 )?
-                .into_iter()
-                .map(|(u, w)| (u, -w))
-                .collect();
+                .negated();
                 self.recent.push((now, rack, shares));
                 if self.action_log.is_empty() {
                     self.engaged = false;

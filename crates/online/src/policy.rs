@@ -155,6 +155,52 @@ pub(crate) fn infer_online(
     online
 }
 
+/// How one rack's recovery lands on the UPSes: one share per live
+/// upstream feed, so at most two, held inline.
+#[derive(Debug, Clone, Copy)]
+pub struct RecoveryShares {
+    slots: [(UpsId, Watts); 2],
+    len: usize,
+}
+
+impl RecoveryShares {
+    const NONE: RecoveryShares = RecoveryShares {
+        slots: [(UpsId(0), Watts::ZERO); 2],
+        len: 0,
+    };
+
+    fn one(u: UpsId, w: Watts) -> Self {
+        RecoveryShares {
+            slots: [(u, w), (UpsId(0), Watts::ZERO)],
+            len: 1,
+        }
+    }
+
+    fn as_slice(&self) -> &[(UpsId, Watts)] {
+        self.slots.get(..self.len).unwrap_or(&[])
+    }
+
+    /// Iterates over the `(UPS, watts)` shares.
+    pub fn iter(&self) -> impl Iterator<Item = (UpsId, Watts)> + '_ {
+        self.as_slice().iter().copied()
+    }
+
+    /// The same shares with every amount negated: load that returns
+    /// rather than load that is recovered.
+    pub(crate) fn negated(mut self) -> Self {
+        for (_, w) in &mut self.slots {
+            *w = -*w;
+        }
+        self
+    }
+}
+
+impl PartialEq for RecoveryShares {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// How a candidate rack's recovery lands on the UPSes, given inferred
 /// feed state.
 ///
@@ -167,7 +213,7 @@ pub(crate) fn recovery_shares(
     pair: PduPairId,
     online: &[bool],
     recovery: Watts,
-) -> Result<Vec<(UpsId, Watts)>, OnlineError> {
+) -> Result<RecoveryShares, OnlineError> {
     let (a, b) = topology
         .pdu_pair(pair)
         .map_err(|_| OnlineError::UnknownPduPair(pair))?
@@ -177,10 +223,13 @@ pub(crate) fn recovery_shares(
     // conservative outcome as a genuinely failed UPS.
     let on = |u: UpsId| online.get(u.0).copied().unwrap_or(false);
     Ok(match (on(a), on(b)) {
-        (true, true) => vec![(a, recovery * 0.5), (b, recovery * 0.5)],
-        (true, false) => vec![(a, recovery)],
-        (false, true) => vec![(b, recovery)],
-        (false, false) => Vec::new(),
+        (true, true) => RecoveryShares {
+            slots: [(a, recovery * 0.5), (b, recovery * 0.5)],
+            len: 2,
+        },
+        (true, false) => RecoveryShares::one(a, recovery),
+        (false, true) => RecoveryShares::one(b, recovery),
+        (false, false) => RecoveryShares::NONE,
     })
 }
 
@@ -263,7 +312,7 @@ pub fn decide(
             deployment: DeploymentId,
             kind: ActionKind,
             recovery: Watts,
-            shares: Vec<(UpsId, Watts)>,
+            shares: RecoveryShares,
             impact: f64,
         }
         let mut candidates: Vec<Candidate> = Vec::new();
@@ -289,7 +338,7 @@ pub fn decide(
             let shares = recovery_shares(topo, rack.pdu_pair, &online, recovery)?;
             if !shares
                 .iter()
-                .any(|(u, w)| overloaded.contains(u) && w.as_w() > 0.0)
+                .any(|(u, w)| overloaded.contains(&u) && w.as_w() > 0.0)
             {
                 continue;
             }
@@ -368,7 +417,7 @@ pub fn decide(
             });
         };
 
-        for &(u, w) in &chosen.shares {
+        for (u, w) in chosen.shares.iter() {
             if let Some(slot) = projected.get_mut(u.0) {
                 *slot = (*slot - w).clamp_non_negative();
             }

@@ -16,13 +16,14 @@ use flex_placement::{PlacedRack, PlacedRoom, RackId};
 use flex_power::meter::GroundTruth;
 use flex_power::trip_curve::{OverloadAccumulator, TripCurve};
 use flex_power::{FeedState, LoadModel, Topology, UpsId, UpsLoads, Watts};
-use flex_sim::fault::{names as fault_names, FaultPlan};
+use flex_sim::fault::{names as fault_names, FaultPlan, ResolvedPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::stats::TimeSeries;
-use flex_sim::{Ctx, Sim, SimDuration, SimTime};
+use flex_sim::{Ctx, Event, Sim, SimDuration, SimTime};
 use flex_telemetry::{Delivery, Pipeline, PipelineConfig, TelemetryPayload};
 use rand::rngs::SmallRng;
 
+use crate::actuation::PendingCommand;
 use crate::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
 use crate::{
     state_code, Actuator, ActuatorConfig, Command, Controller, ControllerConfig, ImpactRegistry,
@@ -67,7 +68,10 @@ pub struct RoomSimConfig {
     pub controller: ControllerConfig,
     /// Actuation parameters.
     pub actuator: ActuatorConfig,
-    /// Number of multi-primary controller instances.
+    /// Number of multi-primary controller instances. A delivery's
+    /// receiver mask (recorded for replay) is a `u32`, so only the first
+    /// 32 instances receive telemetry; any further ones still get
+    /// alarms and watchdog ticks but never a delivery.
     pub controllers: usize,
     /// How often rack demand is re-sampled.
     pub demand_update_interval: SimDuration,
@@ -273,6 +277,123 @@ impl SimObs {
     }
 }
 
+/// The effective power a rack draws from the current inputs.
+fn rack_draw(
+    topo: &Topology,
+    feed: &FeedState,
+    demand: &[Watts],
+    actuator: &Actuator,
+    r: &PlacedRack,
+) -> Watts {
+    // A rack referencing a pair outside the topology cannot draw from
+    // any feed; treat it like a dead pair.
+    let Ok(pair) = topo.pdu_pair(r.pdu_pair) else {
+        return Watts::ZERO;
+    };
+    // A rack whose PDU-pair lost both feeds draws nothing.
+    if feed.pair_feed(pair) == flex_power::PairFeed::Dead {
+        return Watts::ZERO;
+    }
+    // A rack id always indexes `demand` (both are built from the same
+    // placement), but degrade to zero rather than panic mid-event-loop
+    // (lint rule P1).
+    let demand = demand.get(r.id.0).copied().unwrap_or(Watts::ZERO);
+    actuator.effective_power(r.id, demand, r.flex_power)
+}
+
+/// Instance `i`'s bit in a delivery's receiver mask: the mask is a
+/// `u32`, so instances from 32 on have no bit and never receive
+/// telemetry. The mask and the delivery loop both test visibility
+/// through this, so no instance acts on a delivery its recorded mask
+/// says it never saw.
+fn receiver_bit(i: usize) -> u32 {
+    if i < 32 {
+        1 << i
+    } else {
+        0
+    }
+}
+
+/// The scheduling context of a room event.
+type RoomCtx = Ctx<RoomWorld, RoomEvent>;
+
+/// Everything that happens in a room, dispatched by one `match` in
+/// [`Event::fire`]. Events fire in `(time, scheduling order)`, and every
+/// handler schedules its follow-ups in a fixed order, so a run is
+/// reproducible event for event. Only [`RoomEvent::World`] holds a box.
+enum RoomEvent {
+    /// Recurring UPS poll.
+    UpsTick,
+    /// Recurring rack poll.
+    RackTick,
+    /// Recurring demand resample.
+    DemandTick,
+    /// Recurring overload integration.
+    OverloadTick,
+    /// Recurring statistics sample.
+    StatsTick,
+    /// Recurring controller watchdog.
+    WatchdogTick,
+    /// A telemetry delivery reaching the controller instances.
+    Arrival(Arrival),
+    /// A rack manager enforcing an accepted command.
+    Apply(PendingCommand),
+    /// The next attempt of a rejected submission.
+    Retry(Retry),
+    /// The out-of-band alarm of a UPS loss reaching the controllers.
+    FailoverAlarm(UpsId),
+    /// A scripted UPS failure.
+    FailUps(UpsId),
+    /// A scripted UPS restoration.
+    RestoreUps(UpsId),
+    /// The notice of a UPS restoration reaching the controllers.
+    RestoreAlarm(UpsId),
+    /// An arbitrary world mutation (targeted fault injection).
+    World(Box<dyn FnOnce(&mut RoomWorld)>),
+}
+
+/// One copy of a telemetry delivery in flight to the controllers.
+struct Arrival {
+    /// The pipeline's publication sequence number.
+    seq: u64,
+    measured_at: SimTime,
+    pubsub: usize,
+    payload: TelemetryPayload,
+}
+
+/// A rejected submission waiting out its backoff.
+struct Retry {
+    controller: usize,
+    /// The epoch the command was born with.
+    epoch: u64,
+    cmd: Command,
+    /// The attempt that just failed (1-based).
+    attempt: u32,
+    /// The retry-chain generation (see `RoomWorld::retry_gen`).
+    gen: u64,
+}
+
+impl Event<RoomWorld> for RoomEvent {
+    fn fire(self, w: &mut RoomWorld, ctx: &mut RoomCtx) {
+        match self {
+            RoomEvent::UpsTick => ups_tick(w, ctx),
+            RoomEvent::RackTick => rack_tick(w, ctx),
+            RoomEvent::DemandTick => demand_tick(w, ctx),
+            RoomEvent::OverloadTick => overload_tick(w, ctx),
+            RoomEvent::StatsTick => stats_tick(w, ctx),
+            RoomEvent::WatchdogTick => watchdog_tick(w, ctx),
+            RoomEvent::Arrival(a) => deliver(w, ctx, a),
+            RoomEvent::Apply(p) => w.apply(p),
+            RoomEvent::Retry(r) => retry(w, ctx, r),
+            RoomEvent::FailoverAlarm(ups) => failover_alarm(w, ctx.now(), ups),
+            RoomEvent::FailUps(ups) => fail_ups(w, ctx, ups),
+            RoomEvent::RestoreUps(ups) => restore_ups(w, ctx, ups),
+            RoomEvent::RestoreAlarm(ups) => restore_alarm(w, ctx.now(), ups),
+            RoomEvent::World(f) => f(w),
+        }
+    }
+}
+
 /// The simulation world.
 pub struct RoomWorld {
     topo: Topology,
@@ -284,20 +405,23 @@ pub struct RoomWorld {
     actuator: Actuator,
     feed: FeedState,
     /// Cached effective power of each rack (index = rack id) and the
-    /// per-UPS loads it produces under `feed`. Both are recomputed from
-    /// scratch by [`refresh_power`](Self::refresh_power) at every
-    /// mutation of their inputs — demand resample, actuator apply, feed
-    /// change — and read directly by the ticks.
+    /// per-UPS loads it produces under `feed` (the ground truth the UPS
+    /// meters read). Both are recomputed from scratch by
+    /// [`refresh_power`](Self::refresh_power) at every mutation of their
+    /// inputs — demand resample, actuator apply, feed change — and read
+    /// directly by the ticks.
     rack_power: Vec<Watts>,
-    loads: UpsLoads,
+    truth: GroundTruth,
+    /// The pair-load model `refresh_power` refills, built once so a
+    /// refresh does not clone the topology.
+    load_model: LoadModel,
     accumulators: Vec<OverloadAccumulator>,
     rng: SmallRng,
     /// Time of the most recent scripted failure with no command yet.
     pending_detection: Option<SimTime>,
-    /// Controller-instance availability (crash injection), with
-    /// precomputed `"controller/{i}"` names.
-    controller_faults: FaultPlan,
-    controller_names: Vec<String>,
+    /// Controller-instance availability (crash injection): the plan
+    /// resolved over the `"controller/{i}"` names, by instance.
+    controller_faults: ResolvedPlan,
     /// Out-of-band alarm latency (copied from the config).
     alarm_latency: SimDuration,
     /// Delivery duplication/reordering injection.
@@ -364,50 +488,39 @@ impl RoomWorld {
     /// The current per-UPS loads: a copy of the world's cache, which is
     /// current between events.
     pub fn ups_loads(&self) -> UpsLoads {
-        self.loads.clone()
+        self.truth.loads().clone()
     }
 
-    /// Recomputes the cached rack powers and UPS loads from scratch.
+    /// Recomputes the cached rack powers and UPS loads from scratch,
+    /// refilling the rack-power buffer and the load model in place.
     /// Call after every change to demand, actuator rack states or the
     /// feed state, and nowhere else. A full recompute (rather than an
     /// incremental update) keeps the float summation order, and so
     /// every figure, identical to computing on demand.
     fn refresh_power(&mut self) {
-        let (rack_power, loads) = self.compute_power();
-        self.rack_power = rack_power;
-        self.loads = loads;
-    }
-
-    /// Rack powers and UPS loads computed from the current inputs.
-    fn compute_power(&self) -> (Vec<Watts>, UpsLoads) {
-        let rack_power: Vec<Watts> = self
-            .racks
-            .iter()
-            .map(|r| {
-                // A rack referencing a pair outside the topology cannot
-                // draw from any feed; treat it like a dead pair.
-                let Ok(pair) = self.topo.pdu_pair(r.pdu_pair) else {
-                    return Watts::ZERO;
-                };
-                // A rack whose PDU-pair lost both feeds draws nothing.
-                if self.feed.pair_feed(pair) == flex_power::PairFeed::Dead {
-                    return Watts::ZERO;
-                }
-                // A rack id always indexes `demand` (both are built from
-                // the same placement), but degrade to zero rather than
-                // panic mid-event-loop (lint rule P1).
-                let demand = self.demand.get(r.id.0).copied().unwrap_or(Watts::ZERO);
-                self.actuator.effective_power(r.id, demand, r.flex_power)
-            })
-            .collect();
-        let mut model = LoadModel::new(&self.topo);
-        for (r, &p) in self.racks.iter().zip(&rack_power) {
+        let RoomWorld {
+            topo,
+            racks,
+            demand,
+            actuator,
+            feed,
+            rack_power,
+            load_model,
+            ..
+        } = self;
+        rack_power.clear();
+        rack_power.extend(
+            racks
+                .iter()
+                .map(|r| rack_draw(topo, feed, demand, actuator, r)),
+        );
+        load_model.clear();
+        for (r, &p) in racks.iter().zip(rack_power.iter()) {
             // Racks on foreign pairs were zeroed above, so a rejected
             // load carries no power anyway.
-            let _ = model.add_pair_load(r.pdu_pair, p);
+            let _ = load_model.add_pair_load(r.pdu_pair, p);
         }
-        let loads = model.ups_loads(&self.feed);
-        (rack_power, loads)
+        self.truth = GroundTruth::from_loads(load_model.ups_loads(feed));
     }
 
     /// Current rack states (index = rack id).
@@ -441,9 +554,7 @@ impl RoomWorld {
 
     /// True if controller instance `i` is up (not crash-injected).
     fn controller_up(&self, i: usize, now: SimTime) -> bool {
-        self.controller_names
-            .get(i)
-            .map_or(true, |n| self.controller_faults.is_up(n, now))
+        self.controller_faults.is_up(i, now)
     }
 
     /// Brings instance `i` current before it is fed anything: a
@@ -600,7 +711,7 @@ impl RoomWorld {
         now: SimTime,
         controller_idx: usize,
         commands: Vec<Command>,
-        ctx: &mut Ctx<RoomWorld>,
+        ctx: &mut RoomCtx,
     ) {
         if !commands.is_empty() {
             if let Some(failed_at) = self.pending_detection.take() {
@@ -614,9 +725,7 @@ impl RoomWorld {
             }
         }
         for cmd in commands {
-            let rack = match cmd {
-                Command::Act { rack, .. } | Command::Restore { rack } => rack,
-            };
+            let rack = cmd.rack();
             self.sim_obs.commands_issued.inc();
             self.sim_obs.obs.record_with(now, || FlightEvent::CommandIssued {
                 controller: controller_idx as u32,
@@ -657,11 +766,9 @@ impl RoomWorld {
         cmd: Command,
         attempt: u32,
         gen: u64,
-        ctx: &mut Ctx<RoomWorld>,
+        ctx: &mut RoomCtx,
     ) {
-        let rack = match cmd {
-            Command::Act { rack, .. } | Command::Restore { rack } => rack,
-        };
+        let rack = cmd.rack();
         let submission = match cmd {
             Command::Act { rack, kind } => {
                 self.actuator
@@ -674,32 +781,7 @@ impl RoomWorld {
         match submission {
             Submission::Accepted(p) => {
                 self.bump_inflight(rack, 1);
-                ctx.schedule_at(p.apply_at, move |w: &mut RoomWorld, _| {
-                    w.actuator.apply(&p);
-                    w.refresh_power();
-                    w.bump_inflight(p.rack, -1);
-                    w.sim_obs.applies.inc();
-                    w.sim_obs.obs.record_with(p.apply_at, || {
-                        FlightEvent::CommandApplied {
-                            rack: p.rack.0 as u32,
-                            state: crate::actuation::state_code(p.new_state),
-                        }
-                    });
-                    if p.stale {
-                        // Only reachable with fencing disabled: the
-                        // violation the fencing oracle clause hunts.
-                        w.stats
-                            .events
-                            .push((p.apply_at, SimEvent::StaleApplied { rack: p.rack }));
-                    }
-                    w.stats.events.push((
-                        p.apply_at,
-                        SimEvent::Applied {
-                            rack: p.rack,
-                            state: p.new_state,
-                        },
-                    ));
-                });
+                ctx.schedule_event_at(p.apply_at, RoomEvent::Apply(p));
             }
             // A fenced command dies silently from the issuer's point of
             // view: its epoch was superseded, so a newer incarnation
@@ -725,18 +807,14 @@ impl RoomWorld {
                     .events
                     .push((now, SimEvent::RetryScheduled { rack, attempt }));
                 self.bump_inflight(rack, 1);
-                ctx.schedule_at(now + backoff, move |w: &mut RoomWorld, ctx| {
-                    w.bump_inflight(rack, -1);
-                    // Superseded by a newer command for this rack?
-                    if w.retry_gen.get(&(controller_idx, rack)).copied() != Some(gen) {
-                        return;
-                    }
-                    let later = ctx.now();
-                    // The retry resubmits under the epoch the command
-                    // was born with: a chain whose issuer restarted
-                    // mid-backoff gets fenced, not replayed.
-                    w.submit_with_retry(later, controller_idx, epoch, cmd, attempt + 1, gen, ctx);
-                });
+                let retry = Retry {
+                    controller: controller_idx,
+                    epoch,
+                    cmd,
+                    attempt,
+                    gen,
+                };
+                ctx.schedule_event_at(now + backoff, RoomEvent::Retry(retry));
             }
             Submission::Unreachable => {
                 self.sim_obs.enforcement_drops.inc();
@@ -755,155 +833,207 @@ impl RoomWorld {
             }
         }
     }
+
+    /// A rack manager enforces an accepted command (at `p.apply_at`).
+    fn apply(&mut self, p: PendingCommand) {
+        self.actuator.apply(&p);
+        self.refresh_power();
+        self.bump_inflight(p.rack, -1);
+        self.sim_obs.applies.inc();
+        self.sim_obs.obs.record_with(p.apply_at, || FlightEvent::CommandApplied {
+            rack: p.rack.0 as u32,
+            state: crate::actuation::state_code(p.new_state),
+        });
+        if p.stale {
+            // Only reachable with fencing disabled: the violation the
+            // fencing oracle clause hunts.
+            self.stats
+                .events
+                .push((p.apply_at, SimEvent::StaleApplied { rack: p.rack }));
+        }
+        self.stats.events.push((
+            p.apply_at,
+            SimEvent::Applied {
+                rack: p.rack,
+                state: p.new_state,
+            },
+        ));
+    }
+}
+
+/// A backed-off submission retries, unless a newer command for the
+/// same (controller, rack) superseded its chain.
+fn retry(w: &mut RoomWorld, ctx: &mut RoomCtx, r: Retry) {
+    let rack = r.cmd.rack();
+    w.bump_inflight(rack, -1);
+    if w.retry_gen.get(&(r.controller, rack)).copied() != Some(r.gen) {
+        return;
+    }
+    // The retry resubmits under the epoch the command was born with: a
+    // chain whose issuer restarted mid-backoff gets fenced, not
+    // replayed.
+    let now = ctx.now();
+    w.submit_with_retry(now, r.controller, r.epoch, r.cmd, r.attempt + 1, r.gen, ctx);
 }
 
 /// Schedules the out-of-band failover alarm: every live controller
 /// learns of a UPS loss `alarm_latency` after it happens, independent
 /// of the metering pipeline (which may itself be dark).
-fn schedule_failover_alarm(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, now: SimTime, ups: UpsId) {
-    let alarm_at = now + w.alarm_latency;
-    ctx.schedule_at(alarm_at, move |w: &mut RoomWorld, _| {
-        w.refresh_all(alarm_at);
-        w.alarm_since.entry(ups).or_insert(alarm_at);
-        for i in 0..w.controllers.len() {
-            if !w.controller_up(i, alarm_at) {
-                continue;
-            }
-            if let Some(c) = w.controllers.get_mut(i) {
-                c.on_failover_alarm(alarm_at, ups);
-            }
+fn schedule_failover_alarm(w: &RoomWorld, ctx: &mut RoomCtx, now: SimTime, ups: UpsId) {
+    ctx.schedule_event_at(now + w.alarm_latency, RoomEvent::FailoverAlarm(ups));
+}
+
+/// The failover alarm for `ups` reaches every live controller.
+fn failover_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
+    w.refresh_all(now);
+    w.alarm_since.entry(ups).or_insert(now);
+    for i in 0..w.controllers.len() {
+        if !w.controller_up(i, now) {
+            continue;
         }
-    });
+        if let Some(c) = w.controllers.get_mut(i) {
+            c.on_failover_alarm(now, ups);
+        }
+    }
 }
 
 /// Schedules one telemetry delivery toward all live controller
 /// instances, applying the configured duplication/reordering chaos.
-fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>, d: &Delivery) {
+/// Each copy in flight owns its payload; only a duplicate clones it.
+fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut RoomCtx, d: Delivery) {
     w.delivery_seq += 1;
     let seq = w.delivery_seq;
     let chaos = w.chaos;
-    let mut arrivals = Vec::with_capacity(2);
-    let mut first = d.arrive_at;
-    if chaos.delay_period > 0 && seq % chaos.delay_period == 0 {
-        first = first + chaos.delay_by;
+    let Delivery {
+        seq: pipeline_seq,
+        pubsub,
+        measured_at,
+        arrive_at,
+        payload,
+        ..
+    } = d;
+    let mut first = arrive_at;
+    if chaos.delay_period > 0 && seq.is_multiple_of(chaos.delay_period) {
+        first += chaos.delay_by;
     }
-    arrivals.push(first);
-    if chaos.duplicate_period > 0 && seq % chaos.duplicate_period == 0 {
+    let arrival = |payload| {
+        RoomEvent::Arrival(Arrival {
+            seq: pipeline_seq,
+            measured_at,
+            pubsub,
+            payload,
+        })
+    };
+    if chaos.duplicate_period > 0 && seq.is_multiple_of(chaos.duplicate_period) {
+        ctx.schedule_event_at(first, arrival(payload.clone()));
         // The duplicate keeps the nominal arrival as its base, so a
         // delayed original can arrive *after* its own duplicate.
-        arrivals.push(d.arrive_at + chaos.duplicate_delay);
+        ctx.schedule_event_at(arrive_at + chaos.duplicate_delay, arrival(payload));
+    } else {
+        ctx.schedule_event_at(first, arrival(payload));
     }
-    for arrive in arrivals {
-        let payload = d.payload.clone();
-        let measured_at = d.measured_at;
-        let pipeline_seq = d.seq;
-        let pubsub = d.pubsub;
-        ctx.schedule_at(arrive, move |w: &mut RoomWorld, ctx| {
-            // Any restarted/declared instance rebuilds *before* this
-            // delivery exists anywhere: the live feed follows, and the
-            // catch-up buffer gains it last — so the recovered state
-            // plus the subsequent feed matches a never-crashed twin.
-            w.refresh_all(arrive);
-            // A crashed instance processes nothing; an erroring one
-            // contributes no commands. The other primaries cover. A
-            // partition hides the delivery from the far side's mask.
-            // The mask caps the room at 32 instances — far above any
-            // realistic multi-primary count (the paper runs 3).
-            let up_mask = (0..w.controllers.len().min(32))
-                .filter(|&i| w.controller_up(i, arrive))
-                .filter(|&i| {
-                    w.partition
-                        .as_ref()
-                        .map_or(true, |p| p.visible(i, pubsub, arrive))
-                })
-                .fold(0u32, |m, i| m | (1 << i));
-            // The recorded delivery carries the controllers' full input
-            // (receiver mask + readings + measurement time), so a dump
-            // can be replayed through `flex_online::replay` to
-            // reproduce the decision sequence without re-running the
-            // room. One event covers all receivers: they see the same
-            // payload at the same instant. Mask-0 arrivals are recorded
-            // too — replay mirrors the catch-up buffer from these
-            // events, and a delivery nobody saw live can still resurface
-            // through a later recovery.
-            w.sim_obs.obs.record_with(arrive, || match &payload {
-                TelemetryPayload::UpsSnapshot(snap) => FlightEvent::UpsDelivery {
-                    controllers: up_mask,
-                    measured_at_ns: measured_at.as_nanos(),
-                    readings: snap.iter().map(|&(u, p)| (u.0 as u32, p.as_w())).collect(),
-                },
-                TelemetryPayload::RackSnapshot(snap) => FlightEvent::RackDelivery {
-                    controllers: up_mask,
-                    measured_at_ns: measured_at.as_nanos(),
-                    readings: snap.iter().map(|&(r, p)| (r as u32, p.as_w())).collect(),
-                },
-            });
-            for i in 0..w.controllers.len() {
-                if up_mask & (1 << i) == 0 {
-                    continue;
-                }
-                if let Some(t) = w.last_delivery_at.get_mut(i) {
-                    *t = arrive;
-                }
-                if let TelemetryPayload::UpsSnapshot(snap) = &payload {
-                    if let Some(acks) = w.acks.get_mut(i) {
-                        for &(u, _) in snap {
-                            if let Some(slot) = acks.get_mut(u.0) {
-                                *slot = (*slot).max(pipeline_seq);
-                            }
-                        }
+}
+
+/// A telemetry delivery reaches every instance that can see it.
+fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
+    let arrive = ctx.now();
+    // Any restarted/declared instance rebuilds *before* this delivery
+    // exists anywhere: the live feed follows, and the catch-up buffer
+    // gains it last — so the recovered state plus the subsequent feed
+    // matches a never-crashed twin.
+    w.refresh_all(arrive);
+    // A crashed instance processes nothing; an erroring one contributes
+    // no commands. The other primaries cover. A partition hides the
+    // delivery from the far side's mask.
+    let up_mask = (0..w.controllers.len())
+        .filter(|&i| w.controller_up(i, arrive))
+        .filter(|&i| {
+            w.partition
+                .as_ref()
+                .is_none_or(|p| p.visible(i, a.pubsub, arrive))
+        })
+        .fold(0u32, |m, i| m | receiver_bit(i));
+    // The recorded delivery carries the controllers' full input
+    // (receiver mask + readings + measurement time), so a dump can be
+    // replayed through `flex_online::replay` to reproduce the decision
+    // sequence without re-running the room. One event covers all
+    // receivers: they see the same payload at the same instant. Mask-0
+    // arrivals are recorded too — replay mirrors the catch-up buffer
+    // from these events, and a delivery nobody saw live can still
+    // resurface through a later recovery.
+    w.sim_obs.obs.record_with(arrive, || match &a.payload {
+        TelemetryPayload::UpsSnapshot(snap) => FlightEvent::UpsDelivery {
+            controllers: up_mask,
+            measured_at_ns: a.measured_at.as_nanos(),
+            readings: snap.iter().map(|&(u, p)| (u.0 as u32, p.as_w())).collect(),
+        },
+        TelemetryPayload::RackSnapshot(snap) => FlightEvent::RackDelivery {
+            controllers: up_mask,
+            measured_at_ns: a.measured_at.as_nanos(),
+            readings: snap.iter().map(|&(r, p)| (r as u32, p.as_w())).collect(),
+        },
+    });
+    for i in 0..w.controllers.len() {
+        if up_mask & receiver_bit(i) == 0 {
+            continue;
+        }
+        if let Some(t) = w.last_delivery_at.get_mut(i) {
+            *t = arrive;
+        }
+        if let TelemetryPayload::UpsSnapshot(snap) = &a.payload {
+            if let Some(acks) = w.acks.get_mut(i) {
+                for &(u, _) in snap {
+                    if let Some(slot) = acks.get_mut(u.0) {
+                        *slot = (*slot).max(a.seq);
                     }
                 }
-                let commands = match w.controllers.get_mut(i) {
-                    Some(c) => c
-                        .on_delivery(arrive, measured_at, &payload)
-                        .unwrap_or_default(),
-                    None => Vec::new(),
-                };
-                w.handle_commands(arrive, i, commands, ctx);
             }
-            // Nothing above reads the buffer, so the payload moves in
-            // only now, after the controllers have read it.
-            w.catch_up.push(BufferedDelivery {
-                seq: pipeline_seq,
-                arrive_at: arrive,
-                measured_at,
-                payload,
-            });
-        });
+        }
+        let commands = match w.controllers.get_mut(i) {
+            Some(c) => c
+                .on_delivery(arrive, a.measured_at, &a.payload)
+                .unwrap_or_default(),
+            None => Vec::new(),
+        };
+        w.handle_commands(arrive, i, commands, ctx);
     }
+    // Nothing above reads the buffer, so the payload moves in only now,
+    // after the controllers have read it.
+    w.catch_up.push(BufferedDelivery {
+        seq: a.seq,
+        arrive_at: arrive,
+        measured_at: a.measured_at,
+        payload: a.payload,
+    });
 }
 
 /// Recurring UPS poll: meters the true UPS loads into the pipeline.
-fn ups_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn ups_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
-    let truth = GroundTruth::from_loads(w.loads.clone());
-    let deliveries = w.pipeline.poll_upses(now, &truth);
-    for d in &deliveries {
+    for d in w.pipeline.poll_upses(now, &w.truth) {
         dispatch_delivery(w, ctx, d);
     }
-    ctx.schedule_in(w.ups_poll_interval, ups_tick);
+    ctx.schedule_event_in(w.ups_poll_interval, RoomEvent::UpsTick);
 }
 
 /// Recurring rack poll: meters every rack's effective power.
-fn rack_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn rack_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
-    let deliveries = w.pipeline.poll_racks(now, &w.rack_power);
-    for d in &deliveries {
+    for d in w.pipeline.poll_racks(now, &w.rack_power) {
         dispatch_delivery(w, ctx, d);
     }
-    ctx.schedule_in(w.rack_poll_interval, rack_tick);
+    ctx.schedule_event_in(w.rack_poll_interval, RoomEvent::RackTick);
 }
 
 /// Recurring demand resample.
-fn demand_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn demand_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     w.resample_demand(ctx.now());
-    ctx.schedule_in(w.demand_update_interval, demand_tick);
+    ctx.schedule_event_in(w.demand_update_interval, RoomEvent::DemandTick);
 }
 
 /// Recurring overload integration: advances every online UPS's trip
 /// accumulator and trips the ones past their tolerance.
-fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn overload_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
     let dt = w.overload_step.as_secs_f64();
     let mut tripped = Vec::new();
@@ -912,7 +1042,7 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
         if !w.feed.is_online(id) {
             continue;
         }
-        let fraction = w.loads.load(id) / u.capacity();
+        let fraction = w.truth.it_power(id) / u.capacity();
         // Accumulators are sized from this topology; degrade to "no
         // trip" rather than panic mid-event-loop.
         let Some(acc) = w.accumulators.get_mut(id.0) else {
@@ -947,24 +1077,26 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
             schedule_failover_alarm(w, ctx, now, id);
         }
     }
-    ctx.schedule_in(w.overload_step, overload_tick);
+    ctx.schedule_event_in(w.overload_step, RoomEvent::OverloadTick);
 }
 
 /// Recurring statistics sample of the UPS load fractions and total power.
-fn stats_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn stats_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
     for u in w.topo.upses() {
-        let f = w.loads.load(u.id()) / u.capacity();
+        let f = w.truth.it_power(u.id()) / u.capacity();
         if let Some(series) = w.stats.ups_fraction.get_mut(u.id().0) {
             series.record(now, f);
         }
     }
-    w.stats.total_power.record(now, w.loads.total().as_w());
-    ctx.schedule_in(w.stats_interval, stats_tick);
+    w.stats
+        .total_power
+        .record(now, w.truth.loads().total().as_w());
+    ctx.schedule_event_in(w.stats_interval, RoomEvent::StatsTick);
 }
 
 /// Recurring watchdog tick for every live controller instance.
-fn watchdog_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
+fn watchdog_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
     w.refresh_all(now);
     for i in 0..w.controllers.len() {
@@ -983,12 +1115,55 @@ fn watchdog_tick(w: &mut RoomWorld, ctx: &mut Ctx<RoomWorld>) {
         };
         w.handle_commands(now, i, commands, ctx);
     }
-    ctx.schedule_in(w.watchdog_poll_interval, watchdog_tick);
+    ctx.schedule_event_in(w.watchdog_poll_interval, RoomEvent::WatchdogTick);
+}
+
+/// A scripted UPS failure. A script referencing a UPS outside the
+/// topology is ignored (the event loop must not panic mid-run — lint
+/// rule P1).
+fn fail_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
+    let t = ctx.now();
+    if w.feed.fail(ups).is_ok() {
+        w.refresh_power();
+        w.pending_detection = Some(t);
+        w.sim_obs.obs.record(t, FlightEvent::UpsFailed { ups: ups.0 as u32 });
+        w.stats.events.push((t, SimEvent::UpsFailed(ups)));
+        schedule_failover_alarm(w, ctx, t, ups);
+    }
+}
+
+/// A scripted UPS restoration; a UPS outside the topology is ignored.
+fn restore_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
+    let t = ctx.now();
+    if w.feed.restore(ups).is_ok() {
+        w.refresh_power();
+        if let Some(acc) = w.accumulators.get_mut(ups.0) {
+            acc.reset();
+        }
+        w.pending_detection = None;
+        w.sim_obs.obs.record(t, FlightEvent::UpsRestored { ups: ups.0 as u32 });
+        w.stats.events.push((t, SimEvent::UpsRestored(ups)));
+        ctx.schedule_event_at(t + w.alarm_latency, RoomEvent::RestoreAlarm(ups));
+    }
+}
+
+/// The restoration notice for `ups` reaches every live controller.
+fn restore_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
+    w.refresh_all(now);
+    w.alarm_since.remove(&ups);
+    for i in 0..w.controllers.len() {
+        if !w.controller_up(i, now) {
+            continue;
+        }
+        if let Some(c) = w.controllers.get_mut(i) {
+            c.on_ups_restored(now, ups);
+        }
+    }
 }
 
 /// The room simulation driver.
 pub struct RoomSim {
-    sim: Sim<RoomWorld>,
+    sim: Sim<RoomWorld, RoomEvent>,
 }
 
 impl RoomSim {
@@ -1031,10 +1206,8 @@ impl RoomSim {
             .collect();
         let feed = FeedState::all_online(&topo);
         let stats = RoomStats::new(topo.ups_count());
-        let controller_names = (0..config.controllers)
-            .map(fault_names::controller)
-            .collect();
         let ups_count = topo.ups_count();
+        let load_model = LoadModel::new(&topo);
         let mut world = RoomWorld {
             epochs: vec![0; config.controllers],
             was_up: vec![true; config.controllers],
@@ -1061,12 +1234,12 @@ impl RoomSim {
             actuator,
             feed,
             rack_power: Vec::new(),
-            loads: UpsLoads::default(),
+            load_model,
+            truth: GroundTruth::from_loads(UpsLoads::default()),
             accumulators,
             rng,
             pending_detection: None,
-            controller_faults: FaultPlan::new(),
-            controller_names,
+            controller_faults: ResolvedPlan::default(),
             alarm_latency: config.alarm_latency,
             chaos: config.delivery_chaos,
             delivery_seq: 0,
@@ -1076,18 +1249,18 @@ impl RoomSim {
             stats,
         };
         world.refresh_power();
-        let mut sim = Sim::new(world);
+        let mut sim = Sim::with_world(world);
 
         // Recurring ticks, staggered by a nanosecond each so their
         // relative order is fixed.
-        sim.schedule_at(SimTime::ZERO, ups_tick);
-        sim.schedule_at(SimTime::from_nanos(1), rack_tick);
-        sim.schedule_at(SimTime::from_nanos(2), demand_tick);
-        sim.schedule_at(SimTime::from_nanos(3), overload_tick);
-        sim.schedule_at(SimTime::from_nanos(4), stats_tick);
+        sim.schedule_event_at(SimTime::ZERO, RoomEvent::UpsTick);
+        sim.schedule_event_at(SimTime::from_nanos(1), RoomEvent::RackTick);
+        sim.schedule_event_at(SimTime::from_nanos(2), RoomEvent::DemandTick);
+        sim.schedule_event_at(SimTime::from_nanos(3), RoomEvent::OverloadTick);
+        sim.schedule_event_at(SimTime::from_nanos(4), RoomEvent::StatsTick);
         // Blackout-watchdog liveness tick: lets controllers act on the
         // *absence* of telemetry, which no delivery-driven path can.
-        sim.schedule_at(SimTime::from_nanos(5), watchdog_tick);
+        sim.schedule_event_at(SimTime::from_nanos(5), RoomEvent::WatchdogTick);
 
         RoomSim { sim }
     }
@@ -1097,54 +1270,23 @@ impl RoomSim {
     /// A script referencing a UPS outside the topology is ignored (the
     /// event loop must not panic mid-run — lint rule P1).
     pub fn fail_ups_at(&mut self, t: SimTime, ups: UpsId) {
-        self.sim.schedule_at(t, move |w: &mut RoomWorld, ctx| {
-            if w.feed.fail(ups).is_ok() {
-                w.refresh_power();
-                w.pending_detection = Some(t);
-                w.sim_obs.obs.record(t, FlightEvent::UpsFailed { ups: ups.0 as u32 });
-                w.stats.events.push((t, SimEvent::UpsFailed(ups)));
-                schedule_failover_alarm(w, ctx, t, ups);
-            }
-        });
+        self.sim.schedule_event_at(t, RoomEvent::FailUps(ups));
     }
 
     /// Schedules a UPS restoration at `t`.
     ///
     /// A script referencing a UPS outside the topology is ignored.
     pub fn restore_ups_at(&mut self, t: SimTime, ups: UpsId) {
-        self.sim.schedule_at(t, move |w: &mut RoomWorld, ctx| {
-            if w.feed.restore(ups).is_ok() {
-                w.refresh_power();
-                if let Some(acc) = w.accumulators.get_mut(ups.0) {
-                    acc.reset();
-                }
-                w.pending_detection = None;
-                w.sim_obs.obs.record(t, FlightEvent::UpsRestored { ups: ups.0 as u32 });
-                w.stats.events.push((t, SimEvent::UpsRestored(ups)));
-                let alarm_at = t + w.alarm_latency;
-                ctx.schedule_at(alarm_at, move |w: &mut RoomWorld, _| {
-                    w.refresh_all(alarm_at);
-                    w.alarm_since.remove(&ups);
-                    for i in 0..w.controllers.len() {
-                        if !w.controller_up(i, alarm_at) {
-                            continue;
-                        }
-                        if let Some(c) = w.controllers.get_mut(i) {
-                            c.on_ups_restored(alarm_at, ups);
-                        }
-                    }
-                });
-            }
-        });
+        self.sim.schedule_event_at(t, RoomEvent::RestoreUps(ups));
     }
 
     /// Schedules an arbitrary world mutation at `t` (targeted fault
     /// injection mid-run: forcing meters stuck, swapping fault plans…).
     pub fn schedule_world<F>(&mut self, t: SimTime, f: F)
     where
-        F: FnOnce(&mut RoomWorld, &mut Ctx<RoomWorld>) + 'static,
+        F: FnOnce(&mut RoomWorld) + 'static,
     {
-        self.sim.schedule_at(t, f);
+        self.sim.schedule_event_at(t, RoomEvent::World(Box::new(f)));
     }
 
     /// Runs until the given virtual time.
@@ -1170,19 +1312,20 @@ impl RoomSim {
 
 impl RoomWorld {
     /// Attaches a fault plan to the telemetry pipeline.
-    pub fn set_pipeline_fault_plan(&mut self, plan: flex_sim::fault::FaultPlan) {
+    pub fn set_pipeline_fault_plan(&mut self, plan: FaultPlan) {
         self.pipeline.set_fault_plan(plan);
     }
 
     /// Attaches a fault plan to the actuation path.
-    pub fn set_actuator_fault_plan(&mut self, plan: flex_sim::fault::FaultPlan) {
+    pub fn set_actuator_fault_plan(&mut self, plan: FaultPlan) {
         self.actuator.set_fault_plan(plan);
     }
 
     /// Attaches a fault plan to the controller instances (crash
     /// injection via `"controller/{i}"` component names).
-    pub fn set_controller_fault_plan(&mut self, plan: flex_sim::fault::FaultPlan) {
-        self.controller_faults = plan;
+    pub fn set_controller_fault_plan(&mut self, plan: FaultPlan) {
+        self.controller_faults =
+            plan.resolve((0..self.controllers.len()).map(fault_names::controller));
     }
 
     /// The per-UPS overload accumulators (index = UPS id).
@@ -1395,13 +1538,28 @@ mod tests {
         );
     }
 
+    /// Rack powers and UPS loads computed from scratch with a fresh load
+    /// model: the reference `refresh_power` must match.
+    fn compute_power(w: &RoomWorld) -> (Vec<Watts>, UpsLoads) {
+        let rack_power: Vec<Watts> = w
+            .racks
+            .iter()
+            .map(|r| rack_draw(&w.topo, &w.feed, &w.demand, &w.actuator, r))
+            .collect();
+        let mut model = LoadModel::new(&w.topo);
+        for (r, &p) in w.racks.iter().zip(&rack_power) {
+            let _ = model.add_pair_load(r.pdu_pair, p);
+        }
+        (rack_power, model.ups_loads(&w.feed))
+    }
+
     /// Bit patterns of a world's cached power state and of a from-scratch
     /// recompute, in that order.
     fn power_bits(w: &RoomWorld) -> ((Vec<u64>, Vec<u64>), (Vec<u64>, Vec<u64>)) {
         let bits = |ws: &[Watts]| ws.iter().map(|p| p.as_w().to_bits()).collect::<Vec<_>>();
-        let (rack_power, loads) = w.compute_power();
+        let (rack_power, loads) = compute_power(w);
         (
-            (bits(&w.rack_power), bits(w.loads.as_slice())),
+            (bits(&w.rack_power), bits(w.truth.loads().as_slice())),
             (bits(&rack_power), bits(loads.as_slice())),
         )
     }

@@ -55,12 +55,18 @@ fn registry_for(placed: &PlacedRoom) -> ImpactRegistry {
 /// controllers must shed, so commands, retries, and watchdog paths all
 /// light up.
 fn run_failover(obs: &Obs) -> RoomSim {
+    run_failover_with(obs, RoomSimConfig::default().controllers)
+}
+
+/// [`run_failover`] with `controllers` multi-primary instances.
+fn run_failover_with(obs: &Obs, controllers: usize) -> RoomSim {
     let placed = small_room(7);
     let registry = registry_for(&placed);
     let demand: DemandFn = Box::new(move |rack, _, rng: &mut SmallRng| {
         rack.provisioned * rng.gen_range(0.93..0.97)
     });
     let config = RoomSimConfig {
+        controllers,
         seed: 0xB5,
         obs: obs.clone(),
         ..RoomSimConfig::default()
@@ -164,6 +170,26 @@ fn sharded_counters_merge_identically_across_thread_counts() {
     assert_eq!(one, run_with(4), "1-thread vs 4-thread snapshots differ");
 }
 
+/// Fresh controllers for [`run_failover`]'s room, built exactly like
+/// `RoomSim::new` builds them.
+fn fresh_controllers(count: usize) -> Vec<Controller> {
+    let placed = small_room(7);
+    let topo = placed.room().topology().clone();
+    let registry = registry_for(&placed);
+    let config = RoomSimConfig::default();
+    (0..count)
+        .map(|i| {
+            Controller::new(
+                i,
+                topo.clone(),
+                placed.racks().to_vec(),
+                registry.clone(),
+                config.controller,
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn replay_from_dump_reproduces_the_decision_sequence() {
     let obs = Obs::recording();
@@ -177,22 +203,7 @@ fn replay_from_dump_reproduces_the_decision_sequence() {
         "the failover must have provoked commands"
     );
 
-    // Fresh controllers built exactly like RoomSim::new builds them.
-    let placed = small_room(7);
-    let topo = placed.room().topology().clone();
-    let registry = registry_for(&placed);
-    let config = RoomSimConfig::default();
-    let mut controllers: Vec<Controller> = (0..config.controllers)
-        .map(|i| {
-            Controller::new(
-                i,
-                topo.clone(),
-                placed.racks().to_vec(),
-                registry.clone(),
-                config.controller,
-            )
-        })
-        .collect();
+    let mut controllers = fresh_controllers(RoomSimConfig::default().controllers);
     let replayed = replay_decisions(&mut controllers, &dump.events);
     assert_eq!(
         replayed, recorded,
@@ -212,4 +223,27 @@ fn replay_from_dump_reproduces_the_decision_sequence() {
     assert!(has(|e| matches!(e, FlightEvent::UpsDelivery { .. })));
     assert!(has(|e| matches!(e, FlightEvent::FailoverAlarm { .. })));
     assert!(has(|e| matches!(e, FlightEvent::CommandIssued { .. })));
+}
+
+#[test]
+fn rooms_past_the_receiver_mask_run_and_replay() {
+    // A delivery's receiver mask is a `u32`, so instance 32 of a
+    // 33-instance room has no bit and must never receive telemetry: not
+    // panic on the shift, and not act on deliveries the recorded mask
+    // says nobody else received, which replay could not reproduce.
+    let controllers = 33;
+    let obs = Obs::recording();
+    let sim = run_failover_with(&obs, controllers);
+    let dump = sim.world().obs().dump();
+    assert_eq!(dump.dropped, 0, "ring overflowed; grow the capacity");
+    let recorded = recorded_commands(&dump.events);
+    assert!(
+        !recorded.is_empty(),
+        "the failover must have provoked commands"
+    );
+    let replayed = replay_decisions(&mut fresh_controllers(controllers), &dump.events);
+    assert_eq!(
+        replayed, recorded,
+        "replay diverged from the live command stream"
+    );
 }

@@ -82,6 +82,13 @@ impl LoadModel {
         }
     }
 
+    /// Zeroes every pair's load and keeps the topology: a reusable model
+    /// refills after this instead of cloning the topology through
+    /// [`LoadModel::new`].
+    pub fn clear(&mut self) {
+        self.pair_loads.fill(Watts::ZERO);
+    }
+
     /// The topology this model maps onto.
     pub fn topology(&self) -> &Topology {
         &self.topo

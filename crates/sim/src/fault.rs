@@ -7,8 +7,9 @@
 //!
 //! Queries are hot (every poller × component × tick), so outages are
 //! indexed per component with sorted, merged windows and answered by
-//! binary search; callers should precompute component-name strings once
-//! (see [`names`]) instead of formatting them per query.
+//! binary search. Hot loops go one step further and [`FaultPlan::resolve`]
+//! their fixed component list once, then ask a [`ResolvedPlan`] by
+//! position, with no name lookup per query.
 
 use std::collections::BTreeMap;
 
@@ -179,15 +180,18 @@ impl FaultPlan {
     /// True if the component is up at time `t`. Components without any
     /// outage are always up.
     pub fn is_up(&self, component: &str, t: SimTime) -> bool {
-        let Some(windows) = self.outages.get(component) else {
-            return true;
-        };
-        // The only window that can contain `t` is the last one starting
-        // at or before it (windows are sorted and non-overlapping).
-        let idx = windows.partition_point(|o| o.from <= t);
-        match idx.checked_sub(1).and_then(|i| windows.get(i)) {
-            Some(o) => !o.contains(t),
-            None => true,
+        self.outages.get(component).is_none_or(|w| up_at(w, t))
+    }
+
+    /// The windows of `components`, in order, for by-position queries:
+    /// [`ResolvedPlan::is_up`]`(i, t)` answers what
+    /// [`is_up`](Self::is_up) would for the `i`-th component.
+    pub fn resolve<S: AsRef<str>>(&self, components: impl IntoIterator<Item = S>) -> ResolvedPlan {
+        ResolvedPlan {
+            windows: components
+                .into_iter()
+                .map(|c| self.outages_of(c.as_ref()))
+                .collect(),
         }
     }
 
@@ -220,6 +224,34 @@ impl FaultPlan {
         self.outages
             .iter()
             .flat_map(|(c, ws)| ws.iter().map(move |&o| (c.as_str(), o)))
+    }
+}
+
+/// True unless `t` falls in one of `windows` (sorted by start,
+/// non-overlapping).
+fn up_at(windows: &[Outage], t: SimTime) -> bool {
+    // The only window that can contain `t` is the last one starting at
+    // or before it.
+    let idx = windows.partition_point(|o| o.from <= t);
+    match idx.checked_sub(1).and_then(|i| windows.get(i)) {
+        Some(o) => !o.contains(t),
+        None => true,
+    }
+}
+
+/// A [`FaultPlan`] resolved for a fixed list of components (see
+/// [`FaultPlan::resolve`]). The default has no components: everything
+/// is up.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ResolvedPlan {
+    windows: Vec<Vec<Outage>>,
+}
+
+impl ResolvedPlan {
+    /// True if component `i` of the resolved list is up at `t`. An
+    /// index past the list reads as up, like an unlisted name.
+    pub fn is_up(&self, i: usize, t: SimTime) -> bool {
+        self.windows.get(i).is_none_or(|w| up_at(w, t))
     }
 }
 
@@ -361,13 +393,18 @@ mod tests {
             plan.add_outage(&comp, from, until);
             raw.push((comp, Outage { from, until }));
         }
+        // The resolved list also names a component the plan lacks, and
+        // one position past its end is queried too.
+        let listed: Vec<String> = (0..8).rev().map(|c| format!("c/{c}")).collect();
+        let resolved = plan.resolve(&listed);
         for i in 0..1000 {
             let t = SimTime::from_secs_f64(i as f64 * 0.55);
-            for c in 0..7 {
-                let comp = format!("c/{c}");
-                let linear = !raw.iter().any(|(n, o)| *n == comp && o.contains(t));
-                assert_eq!(plan.is_up(&comp, t), linear, "{comp} at {t}");
+            for (k, comp) in listed.iter().enumerate() {
+                let linear = !raw.iter().any(|(n, o)| n == comp && o.contains(t));
+                assert_eq!(plan.is_up(comp, t), linear, "{comp} at {t}");
+                assert_eq!(resolved.is_up(k, t), linear, "resolved {comp} at {t}");
             }
+            assert!(resolved.is_up(listed.len(), t), "past the list at {t}");
         }
     }
 }

@@ -6,8 +6,10 @@
 //! window? This crate provides the substrate to answer that reproducibly:
 //!
 //! - [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
-//! - [`Sim`] — an event loop over a user world type `W`, with events as
-//!   boxed closures, totally ordered by `(time, sequence)` so runs are
+//! - [`Sim`] — an event loop over a user world type `W` and an
+//!   [`Event`] type: boxed closures by default ([`BoxedEvent`]), or the
+//!   caller's own enum, dispatched by one `match` with no allocation per
+//!   event. Events are totally ordered by `(time, sequence)`, so runs are
 //!   bit-for-bit deterministic;
 //! - [`rng::RngPool`] — named, independently seeded random streams, so
 //!   adding a consumer never perturbs another's draws;
@@ -45,5 +47,5 @@ pub mod rng;
 pub mod stats;
 mod time;
 
-pub use engine::{Ctx, Sim};
+pub use engine::{BoxedEvent, Ctx, Event, Sim};
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,7 @@ use flex_obs::{Counter, Obs, Span};
 use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::{UpsId, Watts};
 use flex_sim::dist::{LogNormal, Sample};
-use flex_sim::fault::{names, FaultPlan};
+use flex_sim::fault::{names, FaultPlan, ResolvedPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -66,17 +66,17 @@ impl Delivery {
 pub struct Pipeline {
     config: PipelineConfig,
     meters: MeterBank,
-    faults: FaultPlan,
     latency_rng: SmallRng,
     latency_dist: LogNormal,
     next_seq: u64,
-    // Fault-plan component names, precomputed once: `is_up` runs per
-    // component per poll tick, and formatting names there dominated the
-    // poll cost (see benches/fault_plan.rs).
-    poller_names: Vec<String>,
-    switch_names: Vec<String>,
-    pubsub_names: Vec<String>,
-    ups_meter_names: Vec<Vec<String>>,
+    // The fault plan, resolved per component class when attached:
+    // availability is checked per component per poll tick, so by
+    // position rather than by name (see benches/fault_plan.rs). UPS
+    // meters resolve per UPS, in `MeterKind::ALL` order.
+    poller_faults: ResolvedPlan,
+    switch_faults: ResolvedPlan,
+    pubsub_faults: ResolvedPlan,
+    ups_meter_faults: Vec<ResolvedPlan>,
     // Observability (all noop unless attached via `set_obs`).
     ups_polls: Counter,
     rack_polls: Counter,
@@ -100,19 +100,11 @@ impl Pipeline {
                 config.hop_latency_median_ms.max(1e-3),
                 config.hop_latency_sigma.max(1e-6),
             ),
-            faults: FaultPlan::new(),
             next_seq: 0,
-            poller_names: (0..config.pollers).map(names::poller).collect(),
-            switch_names: (0..config.switch_groups.max(1)).map(names::switch).collect(),
-            pubsub_names: (0..config.pubsub_instances).map(names::pubsub).collect(),
-            ups_meter_names: (0..ups_count)
-                .map(|u| {
-                    MeterKind::ALL
-                        .iter()
-                        .map(|kind| names::ups_meter(u, &format!("{kind:?}")))
-                        .collect()
-                })
-                .collect(),
+            poller_faults: ResolvedPlan::default(),
+            switch_faults: ResolvedPlan::default(),
+            pubsub_faults: ResolvedPlan::default(),
+            ups_meter_faults: Vec::new(),
             ups_polls: Counter::noop(),
             rack_polls: Counter::noop(),
             deliveries: Counter::noop(),
@@ -137,7 +129,15 @@ impl Pipeline {
 
     /// Attaches a fault plan (replacing any previous one).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
+        let c = &self.config;
+        self.poller_faults = plan.resolve((0..c.pollers).map(names::poller));
+        self.switch_faults = plan.resolve((0..c.switch_groups.max(1)).map(names::switch));
+        self.pubsub_faults = plan.resolve((0..c.pubsub_instances).map(names::pubsub));
+        self.ups_meter_faults = (0..self.meters.ups_count())
+            .map(|u| {
+                plan.resolve(MeterKind::ALL.map(|kind| names::ups_meter(u, &format!("{kind:?}"))))
+            })
+            .collect();
     }
 
     /// The configuration.
@@ -150,31 +150,24 @@ impl Pipeline {
         &mut self.meters
     }
 
-    // Availability checks against precomputed names; unknown indices
+    // Availability checks against the resolved plan; unknown indices
     // (never produced by the poll loops) degrade to "up".
     fn poller_up(&self, i: usize, now: SimTime) -> bool {
-        self.poller_names
-            .get(i)
-            .map_or(true, |n| self.faults.is_up(n, now))
+        self.poller_faults.is_up(i, now)
     }
 
     fn switch_up(&self, g: usize, now: SimTime) -> bool {
-        self.switch_names
-            .get(g)
-            .map_or(true, |n| self.faults.is_up(n, now))
+        self.switch_faults.is_up(g, now)
     }
 
     fn pubsub_up(&self, k: usize, now: SimTime) -> bool {
-        self.pubsub_names
-            .get(k)
-            .map_or(true, |n| self.faults.is_up(n, now))
+        self.pubsub_faults.is_up(k, now)
     }
 
     fn ups_meter_up(&self, u: usize, k: usize, now: SimTime) -> bool {
-        self.ups_meter_names
+        self.ups_meter_faults
             .get(u)
-            .and_then(|row| row.get(k))
-            .map_or(true, |n| self.faults.is_up(n, now))
+            .is_none_or(|row| row.is_up(k, now))
     }
 
     fn sample_delivery_time(&mut self, now: SimTime) -> SimTime {
@@ -201,7 +194,8 @@ impl Pipeline {
             let mut snapshot: Vec<(UpsId, Watts)> = Vec::with_capacity(ups_count);
             for u in 0..ups_count {
                 let ups = UpsId(u);
-                let mut normalized: Vec<f64> = Vec::with_capacity(3);
+                let mut normalized = [0.0; MeterKind::ALL.len()];
+                let mut read = 0;
                 for (k, kind) in MeterKind::ALL.into_iter().enumerate() {
                     let switch = k % self.config.switch_groups.max(1);
                     if !self.switch_up(switch, now) {
@@ -211,34 +205,26 @@ impl Pipeline {
                         continue;
                     }
                     if let Some(raw) = self.meters.read_ups(ups, kind, now, truth.it_power(ups)) {
-                        normalized.push(kind.normalize(raw).as_w());
+                        if let Some(slot) = normalized.get_mut(read) {
+                            *slot = kind.normalize(raw).as_w();
+                            read += 1;
+                        }
                     }
                 }
-                if let Some(consensus) = median(&mut normalized) {
+                if let Some(consensus) = normalized.get_mut(..read).and_then(median) {
                     snapshot.push((ups, Watts::new(consensus)));
                 }
             }
             if snapshot.is_empty() {
                 continue;
             }
-            for pubsub in 0..self.config.pubsub_instances {
-                if !self.pubsub_up(pubsub, now) {
-                    continue;
-                }
-                let arrive_at = self.sample_delivery_time(now);
-                self.deliveries.inc();
-                self.measure_to_arrive.record_between(now, arrive_at);
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                deliveries.push(Delivery {
-                    seq,
-                    poller,
-                    pubsub,
-                    measured_at: now,
-                    arrive_at,
-                    payload: TelemetryPayload::UpsSnapshot(snapshot.clone()),
-                });
-            }
+            self.publish(
+                now,
+                poller,
+                snapshot,
+                TelemetryPayload::UpsSnapshot,
+                &mut deliveries,
+            );
         }
         deliveries
     }
@@ -267,30 +253,58 @@ impl Pipeline {
             if snapshot.is_empty() {
                 continue;
             }
-            for pubsub in 0..self.config.pubsub_instances {
-                if !self.pubsub_up(pubsub, now) {
-                    continue;
-                }
-                let arrive_at = self.sample_delivery_time(now);
-                self.deliveries.inc();
-                self.measure_to_arrive.record_between(now, arrive_at);
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                deliveries.push(Delivery {
-                    seq,
-                    poller,
-                    pubsub,
-                    measured_at: now,
-                    arrive_at,
-                    payload: TelemetryPayload::RackSnapshot(snapshot.clone()),
-                });
-            }
+            self.publish(
+                now,
+                poller,
+                snapshot,
+                TelemetryPayload::RackSnapshot,
+                &mut deliveries,
+            );
         }
         deliveries
     }
+
+    /// Publishes one poller's snapshot on every live pub/sub instance,
+    /// in instance order. The last delivery takes the snapshot; only the
+    /// ones before it get a copy.
+    fn publish<T: Clone>(
+        &mut self,
+        now: SimTime,
+        poller: usize,
+        snapshot: Vec<T>,
+        wrap: fn(Vec<T>) -> TelemetryPayload,
+        deliveries: &mut Vec<Delivery>,
+    ) {
+        let start = deliveries.len();
+        for pubsub in 0..self.config.pubsub_instances {
+            if !self.pubsub_up(pubsub, now) {
+                continue;
+            }
+            let arrive_at = self.sample_delivery_time(now);
+            self.deliveries.inc();
+            self.measure_to_arrive.record_between(now, arrive_at);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            deliveries.push(Delivery {
+                seq,
+                poller,
+                pubsub,
+                measured_at: now,
+                arrive_at,
+                // Filled in below, once the last live instance is known.
+                payload: wrap(Vec::new()),
+            });
+        }
+        if let Some((last, rest)) = deliveries.get_mut(start..).and_then(|d| d.split_last_mut()) {
+            for d in rest {
+                d.payload = wrap(snapshot.clone());
+            }
+            last.payload = wrap(snapshot);
+        }
+    }
 }
 
-fn median(values: &mut Vec<f64>) -> Option<f64> {
+fn median(values: &mut [f64]) -> Option<f64> {
     values.sort_by(f64::total_cmp);
     let n = values.len();
     let mid = values.get(n / 2)?;
@@ -461,9 +475,9 @@ mod tests {
 
     #[test]
     fn median_helper() {
-        assert_eq!(median(&mut vec![]), None);
-        assert_eq!(median(&mut vec![3.0]), Some(3.0));
-        assert_eq!(median(&mut vec![5.0, 1.0]), Some(3.0));
-        assert_eq!(median(&mut vec![9.0, 1.0, 5.0]), Some(5.0));
+        assert_eq!(median(&mut []), None);
+        assert_eq!(median(&mut [3.0]), Some(3.0));
+        assert_eq!(median(&mut [5.0, 1.0]), Some(3.0));
+        assert_eq!(median(&mut [9.0, 1.0, 5.0]), Some(5.0));
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-2 performance smoke gate: runs the MILP-solver and placement
-# criterion benches with short windows. The gate fails if any bench
+# Tier-2 performance smoke gate: runs the MILP-solver, placement,
+# obs-overhead and sim-kernel criterion benches with short windows. The gate fails if any bench
 # panics (solver bugs under the bench workloads surface here before they
 # reach the figure harnesses); timings are printed for eyeballing, not
 # asserted. It ends with the flexbench self-test, which fails on any
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 BENCH_ARGS=(--warm-up-time 0.5 --measurement-time 1)
 
-for bench in milp_solver placement_policies obs_overhead; do
+for bench in milp_solver placement_policies obs_overhead sim_kernel; do
     echo "== perf smoke: $bench =="
     cargo bench --offline -p flex-bench --bench "$bench" -- \
         "${BENCH_ARGS[@]}" "$@"
