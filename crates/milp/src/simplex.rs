@@ -513,12 +513,39 @@ impl Tableau {
 /// (layout-stable) [`LpProblem`] it was taken from, this is enough to
 /// refactor `B⁻¹A` from scratch and resume optimization after a bound
 /// change — the warm-start handoff between branch-and-bound nodes.
+///
+/// Open branch-and-bound nodes hold their parent's snapshot, so it is
+/// packed: `u32` basis columns and one byte per column status.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasisSnapshot {
     /// Basis columns (tableau column indices, artificials included).
-    basis: Vec<usize>,
+    basis: Box<[u32]>,
     /// Per-column rest status, `ncols` entries.
-    status: Vec<ColStatus>,
+    status: Box<[ColStatus]>,
+}
+
+impl BasisSnapshot {
+    /// Captures the basis and statuses of a solved tableau.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a column index past `u32::MAX`; a dense tableau that
+    /// wide could not have been allocated.
+    fn of(tableau: &Tableau) -> BasisSnapshot {
+        BasisSnapshot {
+            basis: tableau
+                .basis
+                .iter()
+                .map(|&c| u32::try_from(c).expect("tableau column index fits in u32"))
+                .collect(),
+            status: tableau.status.as_slice().into(),
+        }
+    }
+
+    /// The basis columns as tableau column indices.
+    fn columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.basis.iter().map(|&c| c as usize)
+    }
 }
 
 /// Solves a standard-form LP (minimize). Returns column values for the
@@ -650,10 +677,7 @@ fn solve_two_phase(
         Ok(obj) => {
             let mut values = tableau.values();
             values.truncate(n);
-            let snapshot = want_basis.then(|| BasisSnapshot {
-                basis: tableau.basis.clone(),
-                status: tableau.status.clone(),
-            });
+            let snapshot = want_basis.then(|| BasisSnapshot::of(&tableau));
             (
                 LpSolution {
                     status: LpStatus::Optimal,
@@ -715,7 +739,7 @@ fn warm_tableau(
     // transformed RHS.
     let mut assigned = vec![false; m];
     let mut row_of = vec![usize::MAX; m];
-    for (k, &c) in snap.basis.iter().enumerate() {
+    for (k, c) in snap.columns().enumerate() {
         if c >= width {
             return None;
         }
@@ -769,7 +793,7 @@ fn warm_tableau(
     // entire warm start. Inconsistent snapshot rows degrade gracefully.
     let mut in_basis = vec![false; ncols];
     let mut basis = vec![0usize; m];
-    for (k, &c) in snap.basis.iter().enumerate() {
+    for (k, c) in snap.columns().enumerate() {
         in_basis[c] = true;
         basis[row_of[k]] = c;
     }
@@ -838,7 +862,7 @@ fn solve_warm(
     iters: &mut u64,
 ) -> Option<(LpSolution, Option<BasisSnapshot>)> {
     let n = problem.col_count();
-    let width = if snap.basis.iter().any(|&c| c >= n) {
+    let width = if snap.columns().any(|c| c >= n) {
         n + problem.row_count()
     } else {
         n
@@ -889,10 +913,7 @@ fn resume_warm(
         Ok(obj) => {
             let mut values = tableau.values();
             values.truncate(n);
-            let next = BasisSnapshot {
-                basis: tableau.basis.clone(),
-                status: tableau.status.clone(),
-            };
+            let next = BasisSnapshot::of(&tableau);
             Some((
                 LpSolution {
                     status: LpStatus::Optimal,
@@ -1559,7 +1580,7 @@ mod tests {
         assert!(starts.len() >= 3, "dive ended after {} steps", starts.len());
         for snap in &starts {
             assert!(
-                snap.basis.iter().any(|&c| c >= n),
+                snap.columns().any(|c| c >= n),
                 "no artificial basic in {snap:?}"
             );
         }

@@ -155,10 +155,14 @@ impl fmt::Display for MilpSolution {
     }
 }
 
-/// A branch-and-bound node: bound overrides relative to the model.
+/// A branch-and-bound node. Its bounds are the root bounds with every
+/// decision on its `branch` path applied; workers rebuild them with
+/// [`node_bounds`] when they pop the node, so an open node costs a few
+/// words rather than a full bounds vector.
 #[derive(Debug, Clone)]
 struct Node {
-    bounds: Vec<(f64, f64)>,
+    /// The decision that made this node; `None` at the root.
+    branch: Option<Arc<Branch>>,
     /// LP bound inherited from the parent (in internal maximize terms).
     bound: f64,
     depth: u32,
@@ -167,13 +171,60 @@ struct Node {
     basis: Arc<BasisSnapshot>,
 }
 
+/// One branching decision, `var ∈ [lo, hi]`, linked to the decision
+/// above it. Siblings share their ancestors' links, so a child costs
+/// one small allocation whatever the model width.
+#[derive(Debug)]
+struct Branch {
+    var: usize,
+    lo: f64,
+    hi: f64,
+    parent: Option<Arc<Branch>>,
+}
+
+impl Drop for Branch {
+    /// Unlinks the chain iteratively: the default drop would recurse
+    /// once per ancestor this branch held the last reference to.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(link) = next {
+            next = Arc::into_inner(link).and_then(|mut b| b.parent.take());
+        }
+    }
+}
+
+/// Rebuilds the bounds of the node whose last decision is `branch` into
+/// `out`: the root bounds, then every decision on the path applied root
+/// first, so a later decision on the same variable wins. `path` is
+/// scratch space, reused across calls like `out`.
+fn node_bounds(
+    root: &[(f64, f64)],
+    branch: Option<&Branch>,
+    path: &mut Vec<(usize, f64, f64)>,
+    out: &mut Vec<(f64, f64)>,
+) {
+    path.clear();
+    let mut link = branch;
+    while let Some(b) = link {
+        path.push((b.var, b.lo, b.hi));
+        link = b.parent.as_deref();
+    }
+    out.clear();
+    out.extend_from_slice(root);
+    for &(var, lo, hi) in path.iter().rev() {
+        out[var] = (lo, hi);
+    }
+}
+
 /// Heap ordering: best bound first, deeper first on ties (dives toward
 /// integer solutions).
 struct HeapNode(Node);
 
 impl PartialEq for HeapNode {
+    /// Equal exactly when [`Ord`] says so (`0.0` and `-0.0` bounds
+    /// differ under `total_cmp`, as `==` would not).
     fn eq(&self, other: &Self) -> bool {
-        self.0.bound == other.0.bound && self.0.depth == other.0.depth
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapNode {}
@@ -322,6 +373,7 @@ impl Model {
         let shared = Shared {
             model: self,
             ctx,
+            root_bounds,
             int_vars,
             deadline: start + config.time_limit,
             relative_gap: config.relative_gap,
@@ -377,13 +429,13 @@ impl Model {
         // Root heuristics: rounding, then a warm LP-guided dive.
         let snapped = rounded(&root.values, &shared.int_vars);
         shared.consider(&snapped);
-        if let Some(dived) = shared.dive_warm(&root_bounds, &root.basis) {
+        if let Some(dived) = shared.dive_warm(&shared.root_bounds, &root.basis) {
             shared.consider(&dived);
         }
 
         let root_bound = internal(root.objective);
         shared.queue.lock().heap.push(HeapNode(Node {
-            bounds: root_bounds,
+            branch: None,
             bound: root_bound,
             depth: 0,
             basis: Arc::new(root.basis),
@@ -474,6 +526,8 @@ struct SearchQueue {
 struct Shared<'a> {
     model: &'a Model,
     ctx: WarmContext,
+    /// The model's own variable bounds: every node's starting point.
+    root_bounds: Vec<(f64, f64)>,
     int_vars: Vec<usize>,
     deadline: Instant,
     relative_gap: f64,
@@ -639,6 +693,9 @@ impl Shared<'_> {
 
     /// One worker's search loop.
     fn worker(&self, w: usize) {
+        // The popped node's bounds, rebuilt in place for every node.
+        let mut bounds = Vec::with_capacity(self.root_bounds.len());
+        let mut path = Vec::new();
         loop {
             // Pull the best node; compute the global bound while holding
             // the lock so in-flight peers are accounted for.
@@ -693,7 +750,13 @@ impl Shared<'_> {
 
             // Solve this node's relaxation warm from the parent basis
             // (`solve_relaxation` falls back cold itself).
-            let relax = match self.ctx.solve_relaxation(&node.bounds, Some(&node.basis)) {
+            node_bounds(
+                &self.root_bounds,
+                node.branch.as_deref(),
+                &mut path,
+                &mut bounds,
+            );
+            let relax = match self.ctx.solve_relaxation(&bounds, Some(&node.basis)) {
                 Ok(r) => r,
                 Err(MilpError::Infeasible) => {
                     self.finish_node(w);
@@ -760,7 +823,7 @@ impl Shared<'_> {
                         128
                     };
                     if explored % cadence == 0 {
-                        if let Some(dived) = self.dive_warm(&node.bounds, &relax.basis) {
+                        if let Some(dived) = self.dive_warm(&bounds, &relax.basis) {
                             self.consider(&dived);
                         }
                     }
@@ -768,32 +831,31 @@ impl Shared<'_> {
                     self.consider(&snapped);
 
                     let x = vals[j];
-                    let (lo, hi) = node.bounds[j];
+                    let (lo, hi) = bounds[j];
                     let child_basis = Arc::new(relax.basis);
+                    let child = |lo: f64, hi: f64, basis: Arc<BasisSnapshot>| {
+                        HeapNode(Node {
+                            branch: Some(Arc::new(Branch {
+                                var: j,
+                                lo,
+                                hi,
+                                parent: node.branch.clone(),
+                            })),
+                            bound: node_bound,
+                            depth: node.depth + 1,
+                            basis,
+                        })
+                    };
                     let mut children = Vec::with_capacity(2);
                     // Down branch: x <= floor.
                     let down_hi = x.floor();
                     if down_hi >= lo - INT_EPS {
-                        let mut b = node.bounds.clone();
-                        b[j] = (lo, down_hi.max(lo));
-                        children.push(HeapNode(Node {
-                            bounds: b,
-                            bound: node_bound,
-                            depth: node.depth + 1,
-                            basis: Arc::clone(&child_basis),
-                        }));
+                        children.push(child(lo, down_hi.max(lo), Arc::clone(&child_basis)));
                     }
                     // Up branch: x >= ceil.
                     let up_lo = x.ceil();
                     if up_lo <= hi + INT_EPS {
-                        let mut b = node.bounds.clone();
-                        b[j] = (up_lo.min(hi), hi);
-                        children.push(HeapNode(Node {
-                            bounds: b,
-                            bound: node_bound,
-                            depth: node.depth + 1,
-                            basis: child_basis,
-                        }));
+                        children.push(child(up_lo.min(hi), hi, child_basis));
                     }
                     if !children.is_empty() {
                         let mut q = self.queue.lock();
@@ -826,6 +888,109 @@ fn rounded(vals: &[f64], int_vars: &[usize]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::model::Relation;
+    use proptest::prelude::*;
+
+    #[test]
+    fn open_nodes_stay_compact() {
+        // A bound, a depth and two pointers: the bounds themselves live
+        // on the shared `Branch` chain.
+        let size = std::mem::size_of::<Node>();
+        assert!(size <= 32, "Node is {size} bytes");
+    }
+
+    /// A heap entry with the given bound and depth (the basis is any
+    /// valid one; ordering never reads it).
+    fn heap_node(bound: f64, depth: u32) -> HeapNode {
+        let mut m = Model::new(Sense::Maximize);
+        m.add_binary("x", 1.0);
+        let basis = WarmContext::new(&m)
+            .solve_relaxation(&[(0.0, 1.0)], None)
+            .unwrap()
+            .basis;
+        HeapNode(Node {
+            branch: None,
+            bound,
+            depth,
+            basis: Arc::new(basis),
+        })
+    }
+
+    #[test]
+    fn heap_equality_agrees_with_ordering_on_signed_zero() {
+        let (neg, pos) = (heap_node(-0.0, 3), heap_node(0.0, 3));
+        assert_eq!(neg.cmp(&pos), Ordering::Less);
+        assert!(neg != pos, "-0.0 and 0.0 bounds order apart");
+        assert!(neg == heap_node(-0.0, 3));
+        assert!(pos == heap_node(0.0, 3));
+        assert!(pos != heap_node(0.0, 4));
+    }
+
+    #[test]
+    fn later_decision_on_a_variable_wins() {
+        // Repeated branching on one general integer, ending in a
+        // decision that is not nested in the one before it.
+        let root = [(0.0, 10.0), (0.0, 1.0)];
+        let mut link = None;
+        for (var, lo, hi) in [(0, 3.0, 10.0), (1, 1.0, 1.0), (0, 3.0, 6.0), (0, 7.0, 8.0)] {
+            link = Some(Arc::new(Branch {
+                var,
+                lo,
+                hi,
+                parent: link,
+            }));
+        }
+        let (mut path, mut out) = (Vec::new(), Vec::new());
+        node_bounds(&root, link.as_deref(), &mut path, &mut out);
+        assert_eq!(out, [(7.0, 8.0), (1.0, 1.0)]);
+        node_bounds(&root, None, &mut path, &mut out);
+        assert_eq!(out, root);
+    }
+
+    #[test]
+    fn long_branch_chain_drops_without_recursion() {
+        let mut link = None;
+        for i in 0..1_000_000 {
+            link = Some(Arc::new(Branch {
+                var: i % 7,
+                lo: 0.0,
+                hi: 1.0,
+                parent: link,
+            }));
+        }
+        drop(link);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rebuilt bounds equal the full bounds vector each node would
+        /// have stored, over random trees whose nodes branch from any
+        /// earlier node (so siblings share ancestors) on few variables
+        /// (so one variable is decided again and again, not always
+        /// nested in its earlier decision).
+        #[test]
+        fn node_bounds_match_explicit_bounds_vectors(
+            nvars in 1usize..6,
+            steps in proptest::collection::vec((0usize..64, 0usize..6, 0u8..11, 0u8..11), 1..40),
+        ) {
+            let root: Vec<(f64, f64)> = (0..nvars).map(|i| (0.0, 10.0 + i as f64)).collect();
+            // Each node's decision chain and the bounds vector it stood for.
+            let mut nodes = vec![(None::<Arc<Branch>>, root.clone())];
+            for (parent, var, a, b) in steps {
+                let (link, mut bounds) = nodes[parent % nodes.len()].clone();
+                let var = var % nvars;
+                let (lo, hi) = (f64::from(a.min(b)), f64::from(a.max(b)));
+                bounds[var] = (lo, hi);
+                let branch = Branch { var, lo, hi, parent: link };
+                nodes.push((Some(Arc::new(branch)), bounds));
+            }
+            let (mut path, mut out) = (Vec::new(), Vec::new());
+            for (link, expected) in &nodes {
+                node_bounds(&root, link.as_deref(), &mut path, &mut out);
+                prop_assert_eq!(&out, expected);
+            }
+        }
+    }
 
     #[test]
     fn pure_lp_passes_through() {

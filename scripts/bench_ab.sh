@@ -6,10 +6,15 @@
 # there and in the current tree, then runs interleaved rounds of one
 # workload, each `--seconds 10 --trace 0` with the round number as
 # seed; odd rounds run the base first, even rounds the current tree.
-# Prints run_s, ops_per_s and peak_rss_mb per run, then the median of
-# each per side and the relative change. With an output path, also
-# writes the per-run rows and per-side medians there as JSON. Exits
-# non-zero if any run fails or reports "correct": false.
+# Prints run_s, ops_per_s and peak_rss_mb per run, then per metric the
+# median of each side, the relative change, how many rounds the new
+# tree beat the same round's base run (strictly, in the metric's better
+# direction), and the interquartile range of the base runs (linear
+# interpolation between order statistics). A claimed gain should win at
+# least 9 of 10 rounds with a median gap larger than that IQR. With an
+# output path, also writes the per-run rows and the per-metric medians,
+# wins and base IQR there as JSON. Exits non-zero if any run fails or
+# reports "correct": false.
 #
 # Usage: scripts/bench_ab.sh <base-rev> <workload> [rounds] [out.json]
 #        (rounds: 5)
@@ -28,6 +33,7 @@ rounds=${3:-5}
 out=${4:-}
 seconds=10
 metrics=(run_s ops_per_s peak_rss_mb)
+declare -A better=([run_s]=lower [ops_per_s]=higher [peak_rss_mb]=lower)
 
 base_dir=$(mktemp -d)
 trap 'rm -rf "$base_dir"' EXIT
@@ -49,6 +55,15 @@ metric() {
 median() {
     sort -g | awk '{ v[NR] = $1 } END {
         if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+# iqr: Q3 - Q1 of the values on stdin, each quartile interpolated
+# linearly between the order statistics at rank 1 + p * (n - 1).
+iqr() {
+    sort -g | awk '
+        function q(p,   h, lo) { h = 1 + p * (NR - 1); lo = int(h)
+            return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+        { v[NR] = $1 } END { if (NR) print q(0.75) - q(0.25); else print 0 }'
 }
 
 declare -A values
@@ -75,6 +90,7 @@ for round in $(seq 1 "$rounds"); do
         for m in "${metrics[@]}"; do
             v=$(metric "$line" "$m")
             values[$side.$m]+="$v"$'\n'
+            values[$side.$m.$round]=$v
             row+="  $m=$v"
             json_row+=", \"$m\": $v"
         done
@@ -88,10 +104,24 @@ json_medians=()
 for m in "${metrics[@]}"; do
     b=$(printf '%s' "${values[base.$m]:-}" | median)
     n=$(printf '%s' "${values[new.$m]:-}" | median)
-    awk -v m="$m" -v b="$b" -v n="$n" 'BEGIN {
+    q=$(printf '%s' "${values[base.$m]:-}" | iqr)
+    wins=0
+    paired=0
+    for round in $(seq 1 "$rounds"); do
+        bv=${values[base.$m.$round]:-}
+        nv=${values[new.$m.$round]:-}
+        [ -n "$bv" ] && [ -n "$nv" ] || continue
+        paired=$((paired + 1))
+        if awk -v b="$bv" -v n="$nv" -v dir="${better[$m]}" \
+            'BEGIN { exit !(dir == "lower" ? n < b : n > b) }'; then
+            wins=$((wins + 1))
+        fi
+    done
+    awk -v m="$m" -v b="$b" -v n="$n" -v q="$q" -v w="$wins/$paired" 'BEGIN {
         change = (b == 0 ? 0 : (n - b) / b * 100)
-        printf "%-12s base %-12g new %-12g change %+.1f%%\n", m, b, n, change }'
-    json_medians+=("\"$m\": {\"base\": $b, \"new\": $n}")
+        printf "%-12s base %-12g new %-12g change %+.1f%%  new won %s  base IQR %g\n",
+            m, b, n, change, w, q }'
+    json_medians+=("\"$m\": {\"base\": $b, \"new\": $n, \"new_wins\": $wins, \"base_iqr\": $q}")
 done
 
 if [ -n "$out" ]; then
