@@ -103,7 +103,9 @@ fn placement_like(deps: usize, pairs: usize) -> Model {
 /// Thread-count matrix on the ~200-binary placement-shaped instance,
 /// plus a one-shot solver-counter report per thread count. The node
 /// budget (not the wall clock) bounds each solve so configurations do
-/// comparable work and throughput is the comparable number.
+/// the same work and throughput is the comparable number. Every thread
+/// count explores the single-thread tree, so the report panics if the
+/// nodes or pivots differ between thread counts.
 fn bench_thread_matrix(c: &mut Criterion) {
     let m = placement_like(40, 5);
     let make_cfg = |threads: usize| SolveConfig {
@@ -124,13 +126,24 @@ fn bench_thread_matrix(c: &mut Criterion) {
     group.finish();
 
     println!("\nmilp/threads-200bin node throughput:");
+    let mut trees = Vec::new();
     for &threads in &[1usize, 2, 4] {
         let start = Instant::now();
         let sol = m.solve(&make_cfg(threads)).unwrap();
         let secs = start.elapsed().as_secs_f64();
         println!(
-            "  threads={threads}: {:.0} nodes/s ({sol} in {secs:.3}s)",
+            "  threads={threads}: nodes={} lp_iterations={}, {:.0} nodes/s ({sol} in {secs:.3}s)",
+            sol.nodes_explored,
+            sol.lp_iterations,
             sol.nodes_explored as f64 / secs.max(1e-9),
+        );
+        trees.push((threads, sol.nodes_explored, sol.lp_iterations));
+    }
+    let (_, nodes, iters) = trees[0];
+    for &(threads, n, it) in &trees[1..] {
+        assert!(
+            (n, it) == (nodes, iters),
+            "threads={threads} explored {n} nodes in {it} pivots, threads=1 {nodes} in {iters}",
         );
     }
 }

@@ -10,14 +10,16 @@
 //!   objective;
 //! - [`simplex`] — a dense two-phase primal simplex over the LP
 //!   relaxation;
-//! - branch-and-bound ([`Model::solve`]) — parallel best-first search on
-//!   the LP bound with most-fractional branching, warm-started node
+//! - branch-and-bound ([`Model::solve`]) — best-first search on the LP
+//!   bound with most-fractional branching, warm-started node
 //!   relaxations (dual simplex from the parent basis, see
 //!   [`simplex::WarmContext`]), rounding and diving incumbent
 //!   heuristics, a relative-gap stop, and a wall-clock time limit
 //!   (mirroring the paper's 5-minute Gurobi cap).
-//!   [`SolveConfig::threads`] selects the worker count; `threads: 1` is
-//!   deterministic. See `crates/milp/README.md` for the engine
+//!   [`SolveConfig::threads`] sets how many threads solve node
+//!   relaxations; one of them commits nodes in the single-thread
+//!   order, so every thread count explores the same tree and returns
+//!   the same solution. See `crates/milp/README.md` for the engine
 //!   architecture.
 //!
 //! # Example: a tiny knapsack

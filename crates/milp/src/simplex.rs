@@ -198,31 +198,37 @@ enum ColStatus {
     AtUpper,
 }
 
-/// Reduced-cost pricing: fills `d` with `d_j = c_j − c_Bᵀ·tab[:,j]` for
-/// every tableau column. [`Tableau::reduced_costs`] is the one the solver
-/// uses; the parameter lets tests run the column-wise reference.
-type Pricing = fn(&Tableau, &[f64], &mut Vec<f64>);
+/// Reduced-cost pricing of every tableau column: fills `d` with
+/// `d_k = c_j − c_Bᵀ·tab[:,k]`, where `j` is the problem column of
+/// tableau column `k`. [`Tableau::reduced_costs`] is the one the
+/// solver uses; the parameter lets tests run the column-wise reference.
+type Pricing = fn(&Tableau<'_>, &[f64], &mut Vec<f64>);
 
-struct Tableau {
-    /// m × ncols dense matrix, current B⁻¹A.
-    tab: Vec<Vec<f64>>,
+/// The solver's pricing: [`Tableau::reduced_costs`].
+const ROW_WISE: Pricing = |t, costs, d| t.reduced_costs(costs, d);
+
+struct Tableau<'a> {
+    /// m × `cols.len()` dense matrix, current B⁻¹A over the tableau
+    /// columns, row-major in one buffer that the caller reuses across
+    /// solves.
+    tab: &'a mut [f64],
     /// Basic-variable values per row.
     xb: Vec<f64>,
-    /// Column in the basis for each row.
+    /// Problem column in the basis for each row.
     basis: Vec<usize>,
     /// Per-column status and bounds: one entry for every problem
-    /// column, artificials included, even when the tableau is narrower.
+    /// column, artificials included, whether or not the tableau holds it.
     status: Vec<ColStatus>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     m: usize,
-    /// Tableau width: the columns priced and pivoted. Columns past it
-    /// are artificials a warm tableau leaves out; they stay nonbasic,
-    /// pinned at [0, 0].
-    ncols: usize,
+    /// Problem column of each tableau column, ascending: the columns
+    /// priced and pivoted. Problem columns missing from it are ones a
+    /// warm tableau leaves out; they stay nonbasic, pinned at [0, 0].
+    cols: Vec<usize>,
 }
 
-impl Tableau {
+impl Tableau<'_> {
     /// Current value of every column.
     fn values(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self
@@ -241,6 +247,11 @@ impl Tableau {
         v
     }
 
+    /// Entry (row `i`, tableau column `k`).
+    fn at(&self, i: usize, k: usize) -> f64 {
+        self.tab[i * self.cols.len() + k]
+    }
+
     /// Runs the primal simplex for the given cost vector. Returns
     /// `Ok(objective)` at optimality. Each pivot or bound flip adds one
     /// to `iters`.
@@ -252,34 +263,34 @@ impl Tableau {
         price: Pricing,
     ) -> Result<f64, LpStatus> {
         let mut degenerate_streak: u32 = 0;
-        let mut reduced = Vec::with_capacity(self.ncols);
+        let mut reduced = Vec::with_capacity(self.cols.len());
         for _ in 0..max_iters {
             price(self, costs, &mut reduced);
-            let mut entering: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
+            let mut entering: Option<(usize, f64, f64)> = None; // (tableau col, |d|, sigma)
             let use_bland = degenerate_streak >= DEGENERACY_GUARD;
-            for j in 0..self.ncols {
+            for (k, &j) in self.cols.iter().enumerate() {
                 if self.status[j] == ColStatus::Basic {
                     continue;
                 }
                 if self.upper[j] - self.lower[j] < PIVOT_EPS {
                     continue; // fixed column can never improve
                 }
-                let d = reduced[j];
+                let d = reduced[k];
                 let sigma = match self.status[j] {
                     ColStatus::AtLower if d < -PRICE_EPS => 1.0,
                     ColStatus::AtUpper if d > PRICE_EPS => -1.0,
                     _ => continue,
                 };
                 if use_bland {
-                    entering = Some((j, d.abs(), sigma));
+                    entering = Some((k, d.abs(), sigma));
                     break;
                 }
                 match entering {
                     Some((_, best, _)) if d.abs() <= best => {}
-                    _ => entering = Some((j, d.abs(), sigma)),
+                    _ => entering = Some((k, d.abs(), sigma)),
                 }
             }
-            let Some((j, _, sigma)) = entering else {
+            let Some((k, _, sigma)) = entering else {
                 // Optimal: compute objective.
                 let obj = self
                     .values()
@@ -289,6 +300,7 @@ impl Tableau {
                     .sum::<f64>();
                 return Ok(obj);
             };
+            let j = self.cols[k];
             *iters += 1;
 
             // Ratio test: how far can x_j move (by t ≥ 0 in direction sigma)?
@@ -296,7 +308,7 @@ impl Tableau {
             let mut t_max = own_limit;
             let mut leaving: Option<(usize, ColStatus)> = None; // (row, bound hit)
             for i in 0..self.m {
-                let a = sigma * self.tab[i][j];
+                let a = sigma * self.at(i, k);
                 if a > PIVOT_EPS {
                     // Basic value decreases toward its lower bound.
                     let room = self.xb[i] - self.lower[self.basis[i]];
@@ -329,7 +341,7 @@ impl Tableau {
 
             // Apply the move to basic values.
             for i in 0..self.m {
-                self.xb[i] -= sigma * t_max * self.tab[i][j];
+                self.xb[i] -= sigma * t_max * self.at(i, k);
             }
             match leaving {
                 None => {
@@ -353,7 +365,7 @@ impl Tableau {
                     self.basis[row] = j;
                     self.status[j] = ColStatus::Basic;
                     self.xb[row] = new_value;
-                    self.pivot(row, j);
+                    self.pivot(row, k);
                 }
             }
         }
@@ -365,6 +377,11 @@ impl Tableau {
     /// exactly the state a parent node's optimal basis is in after
     /// branch-and-bound tightens one variable's bounds.
     ///
+    /// Only the columns that pass the ratio test's sign check are
+    /// priced, each column by column ([`Tableau::reduced_cost`]); a
+    /// `price` given instead prices every column per iteration, the
+    /// reference the tests compare against.
+    ///
     /// Returns `Ok(())` once every basic variable is within bounds.
     /// `Err(Infeasible)` is a sound infeasibility certificate: the
     /// violated row admits no further movement within the remaining
@@ -374,9 +391,10 @@ impl Tableau {
         costs: &[f64],
         max_iters: u64,
         iters: &mut u64,
-        price: Pricing,
+        price: Option<Pricing>,
     ) -> Result<(), LpStatus> {
-        let mut reduced = Vec::with_capacity(self.ncols);
+        let mut reduced = Vec::new();
+        let mut basic_costs = Vec::with_capacity(self.m);
         for _ in 0..max_iters {
             // Leaving row: the worst bound violation among basic vars.
             let mut leave: Option<(usize, f64, f64)> = None; // (row, signed delta, violation)
@@ -403,16 +421,19 @@ impl Tableau {
             // columns whose admissible movement reduces the violation
             // (keeps the basis dual feasible); ties prefer a larger
             // pivot magnitude for numerical stability.
-            price(self, costs, &mut reduced);
-            let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
-            for j in 0..self.ncols {
+            match price {
+                Some(price) => price(self, costs, &mut reduced),
+                None => self.basic_costs(costs, &mut basic_costs),
+            }
+            let mut enter: Option<(usize, f64, f64)> = None; // (tableau col, ratio, |alpha|)
+            for (k, &j) in self.cols.iter().enumerate() {
                 if self.status[j] == ColStatus::Basic {
                     continue;
                 }
                 if self.upper[j] - self.lower[j] < PIVOT_EPS {
                     continue; // fixed column cannot move
                 }
-                let a = self.tab[r][j];
+                let a = self.at(r, k);
                 let eligible = if case_above {
                     (self.status[j] == ColStatus::AtLower && a > PIVOT_EPS)
                         || (self.status[j] == ColStatus::AtUpper && a < -PIVOT_EPS)
@@ -423,7 +444,11 @@ impl Tableau {
                 if !eligible {
                     continue;
                 }
-                let ratio = (reduced[j] / a).abs();
+                let d = match price {
+                    Some(_) => reduced[k],
+                    None => self.reduced_cost(&basic_costs, costs[j], k),
+                };
+                let ratio = (d / a).abs();
                 let better = match enter {
                     None => true,
                     Some((_, br, ba)) => {
@@ -431,17 +456,18 @@ impl Tableau {
                     }
                 };
                 if better {
-                    enter = Some((j, ratio, a.abs()));
+                    enter = Some((k, ratio, a.abs()));
                 }
             }
-            let Some((j, _, _)) = enter else {
+            let Some((k, _, _)) = enter else {
                 return Err(LpStatus::Infeasible);
             };
+            let j = self.cols[k];
             *iters += 1;
 
             // Pivot: the entering variable moves by exactly enough to put
             // the leaving variable on its violated bound.
-            let step = delta / self.tab[r][j];
+            let step = delta / self.at(r, k);
             let start = match self.status[j] {
                 ColStatus::AtLower => self.lower[j],
                 ColStatus::AtUpper => self.upper[j],
@@ -449,7 +475,7 @@ impl Tableau {
             };
             for i in 0..self.m {
                 if i != r {
-                    self.xb[i] -= self.tab[i][j] * step;
+                    self.xb[i] -= self.at(i, k) * step;
                 }
             }
             let leaving_col = self.basis[r];
@@ -461,7 +487,7 @@ impl Tableau {
             self.basis[r] = j;
             self.status[j] = ColStatus::Basic;
             self.xb[r] = start + step;
-            self.pivot(r, j);
+            self.pivot(r, k);
         }
         Err(LpStatus::IterationLimit)
     }
@@ -473,8 +499,11 @@ impl Tableau {
     /// it; the contiguous inner loop vectorizes.
     fn reduced_costs(&self, costs: &[f64], d: &mut Vec<f64>) {
         d.clear();
-        d.extend_from_slice(&costs[..self.ncols]);
-        for (row, &b) in self.tab.iter().zip(&self.basis) {
+        d.extend(self.cols.iter().map(|&j| costs[j]));
+        if d.is_empty() {
+            return;
+        }
+        for (row, &b) in self.tab.chunks_exact(d.len()).zip(&self.basis) {
             let cb = costs[b];
             if cb != 0.0 {
                 for (dj, &a) in d.iter_mut().zip(row) {
@@ -484,27 +513,37 @@ impl Tableau {
         }
     }
 
-    /// Gauss–Jordan pivot on (row, col).
+    /// Fills `out` with `(offset of row i, c_B[i])` for each basis row
+    /// `i`, in ascending order, whose basic cost is nonzero: the rows
+    /// [`Tableau::reduced_cost`] reads.
+    fn basic_costs(&self, costs: &[f64], out: &mut Vec<(usize, f64)>) {
+        let w = self.cols.len();
+        out.clear();
+        out.extend(
+            self.basis
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| costs[b] != 0.0)
+                .map(|(i, &b)| (i * w, costs[b])),
+        );
+    }
+
+    /// Column-wise reduced cost of tableau column `k` with cost `c`:
+    /// `c`, less `c_B[i]·tab[i][k]` for each row of `basic_costs` (see
+    /// [`Tableau::basic_costs`]) in order — the operations
+    /// [`Tableau::reduced_costs`] applies to that column, so the same
+    /// bits.
+    fn reduced_cost(&self, basic_costs: &[(usize, f64)], c: f64, k: usize) -> f64 {
+        let mut d = c;
+        for &(row, cb) in basic_costs {
+            d -= cb * self.tab[row + k];
+        }
+        d
+    }
+
+    /// Gauss–Jordan pivot on (row, tableau column `col`).
     fn pivot(&mut self, row: usize, col: usize) {
-        let p = self.tab[row][col];
-        debug_assert!(p.abs() > PIVOT_EPS, "pivot on ~zero element");
-        let inv = 1.0 / p;
-        for v in &mut self.tab[row] {
-            *v *= inv;
-        }
-        let pivot_row = self.tab[row].clone();
-        for (i, r) in self.tab.iter_mut().enumerate() {
-            if i == row {
-                continue;
-            }
-            let f = r[col];
-            if f != 0.0 {
-                for (v, pv) in r.iter_mut().zip(&pivot_row) {
-                    *v -= f * pv;
-                }
-                r[col] = 0.0; // kill residual rounding
-            }
-        }
+        eliminate(self.tab, self.cols.len(), row, col, |_, _| {});
     }
 }
 
@@ -515,13 +554,15 @@ impl Tableau {
 /// change — the warm-start handoff between branch-and-bound nodes.
 ///
 /// Open branch-and-bound nodes hold their parent's snapshot, so it is
-/// packed: `u32` basis columns and one byte per column status.
+/// packed: `u32` basis columns and one bit per column, since a column
+/// the basis does not hold rests at its lower or its upper bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasisSnapshot {
-    /// Basis columns (tableau column indices, artificials included).
+    /// Basis columns (problem column indices, artificials included).
     basis: Box<[u32]>,
-    /// Per-column rest status, `ncols` entries.
-    status: Box<[ColStatus]>,
+    /// One bit per problem column (`n + m`, column `j` at bit `j % 8` of
+    /// byte `j / 8`), set when the column is nonbasic at its upper bound.
+    at_upper: Box<[u8]>,
 }
 
 impl BasisSnapshot {
@@ -531,18 +572,32 @@ impl BasisSnapshot {
     ///
     /// Panics on a column index past `u32::MAX`; a dense tableau that
     /// wide could not have been allocated.
-    fn of(tableau: &Tableau) -> BasisSnapshot {
+    fn of(tableau: &Tableau<'_>) -> BasisSnapshot {
         BasisSnapshot {
             basis: tableau
                 .basis
                 .iter()
                 .map(|&c| u32::try_from(c).expect("tableau column index fits in u32"))
                 .collect(),
-            status: tableau.status.as_slice().into(),
+            at_upper: tableau
+                .status
+                .chunks(8)
+                .map(|byte| {
+                    byte.iter()
+                        .enumerate()
+                        .filter(|&(_, &s)| s == ColStatus::AtUpper)
+                        .fold(0u8, |bits, (b, _)| bits | 1 << b)
+                })
+                .collect(),
         }
     }
 
-    /// The basis columns as tableau column indices.
+    /// Whether column `j` rested at its upper bound.
+    fn at_upper(&self, j: usize) -> bool {
+        self.at_upper[j / 8] & 1 << (j % 8) != 0
+    }
+
+    /// The basis columns as problem column indices.
     fn columns(&self) -> impl Iterator<Item = usize> + '_ {
         self.basis.iter().map(|&c| c as usize)
     }
@@ -552,19 +607,60 @@ impl BasisSnapshot {
 /// problem's columns (structural + slack), artificials excluded.
 pub fn solve(problem: &LpProblem) -> LpSolution {
     let mut iters = 0;
-    solve_two_phase(problem, &problem.lower, &problem.upper, &mut iters, false).0
+    let (lower, upper) = (&problem.lower, &problem.upper);
+    solve_two_phase(problem, lower, upper, &mut iters, false, &mut Vec::new()).0
+}
+
+/// Gauss–Jordan elimination on (`row`, `col`) of the row-major,
+/// `w`-wide matrix `tab`: scales the pivot row to a unit pivot, then
+/// subtracts it from every other row with a nonzero entry in `col`,
+/// calling `on_row(i, f)` with that row's index and factor. The scaled
+/// pivot row is read in place, not copied.
+fn eliminate(
+    tab: &mut [f64],
+    w: usize,
+    row: usize,
+    col: usize,
+    mut on_row: impl FnMut(usize, f64),
+) {
+    let (above, rest) = tab.split_at_mut(row * w);
+    let (prow, below) = rest.split_at_mut(w);
+    let p = prow[col];
+    debug_assert!(p.abs() > PIVOT_EPS, "pivot on ~zero element");
+    let inv = 1.0 / p;
+    for v in prow.iter_mut() {
+        *v *= inv;
+    }
+    let others = above.chunks_exact_mut(w).enumerate().chain(
+        below
+            .chunks_exact_mut(w)
+            .enumerate()
+            .map(|(i, r)| (row + 1 + i, r)),
+    );
+    for (i, r) in others {
+        let f = r[col];
+        if f != 0.0 {
+            for (v, pv) in r.iter_mut().zip(prow.iter()) {
+                *v -= f * pv;
+            }
+            r[col] = 0.0; // kill residual rounding
+            on_row(i, f);
+        }
+    }
 }
 
 /// Cold two-phase solve under explicit column bounds (`col_lower` /
 /// `col_upper` cover structural + slack columns; artificials are
-/// appended internally). The pivot sequence is exactly the seed
-/// algorithm's — `iters` counting and basis capture are observational.
+/// appended internally), with the tableau in `buf`. The pivot sequence
+/// is exactly the seed algorithm's — `iters` counting and basis capture
+/// are observational.
 fn solve_two_phase(
     problem: &LpProblem,
     col_lower: &[f64],
     col_upper: &[f64],
     iters: &mut u64,
     want_basis: bool,
+    buf: &mut Vec<f64>,
 ) -> (LpSolution, Option<BasisSnapshot>) {
     let m = problem.row_count();
     let n = problem.col_count();
@@ -588,11 +684,12 @@ fn solve_two_phase(
     };
 
     // Dense rows and residuals r = b − A·x_start.
-    let mut dense = vec![vec![0.0_f64; ncols]; m];
+    buf.clear();
+    buf.resize(m * ncols, 0.0);
     let mut resid = problem.rhs.clone();
     for (i, row) in problem.rows.iter().enumerate() {
         for &(j, a) in row {
-            dense[i][j] = a;
+            buf[i * ncols + j] = a;
             resid[i] -= a * start_value(j);
         }
     }
@@ -604,14 +701,15 @@ fn solve_two_phase(
     let mut basis = Vec::with_capacity(m);
     let mut xb = Vec::with_capacity(m);
     for i in 0..m {
+        let dense = &mut buf[i * ncols..(i + 1) * ncols];
         if resid[i] < 0.0 {
-            for v in &mut dense[i] {
+            for v in dense.iter_mut() {
                 *v = -*v;
             }
             resid[i] = -resid[i];
         }
         let col = n + i;
-        dense[i][col] = 1.0;
+        dense[col] = 1.0;
         lower.push(0.0);
         upper.push(f64::INFINITY);
         status[col] = ColStatus::Basic;
@@ -620,14 +718,14 @@ fn solve_two_phase(
     }
 
     let mut tableau = Tableau {
-        tab: dense,
+        tab: buf,
         xb,
         basis,
         status,
         lower,
         upper,
         m,
-        ncols,
+        cols: (0..ncols).collect(),
     };
 
     // Phase 1: minimize the sum of artificials.
@@ -635,7 +733,7 @@ fn solve_two_phase(
     for c in phase1_costs.iter_mut().skip(n) {
         *c = 1.0;
     }
-    match tableau.optimize(&phase1_costs, max_iters, iters, Tableau::reduced_costs) {
+    match tableau.optimize(&phase1_costs, max_iters, iters, ROW_WISE) {
         Ok(w) => {
             if w > FEAS_EPS * (1.0 + problem.rhs.iter().map(|r| r.abs()).sum::<f64>()) {
                 return (
@@ -673,7 +771,7 @@ fn solve_two_phase(
     // Phase 2: the real objective.
     let mut phase2_costs = vec![0.0; ncols];
     phase2_costs[..n].copy_from_slice(&problem.costs);
-    match tableau.optimize(&phase2_costs, max_iters, iters, Tableau::reduced_costs) {
+    match tableau.optimize(&phase2_costs, max_iters, iters, ROW_WISE) {
         Ok(obj) => {
             let mut values = tableau.values();
             values.truncate(n);
@@ -698,58 +796,197 @@ fn solve_two_phase(
     }
 }
 
-/// Rebuilds a [`Tableau`] of `width` columns from a basis snapshot under
-/// new column bounds: refactors `B⁻¹A` by Gauss–Jordan, assigning each
-/// snapshot basis column the remaining row with the largest pivot.
-/// Returns `None` when the snapshot does not fit this problem or the
-/// basis is numerically singular — callers fall back to a cold solve.
+/// What a thread keeps from one LP solve to the next: the tableau
+/// buffer, and the last warm factorization with what it came from.
 ///
-/// `width` is `n` (structural + slack columns) or `n + m` (artificials
-/// too); status and bounds always cover all `n + m` columns. Row
-/// scaling from the cold path's sign flips is immaterial: `B⁻¹A` is
-/// invariant under row scaling of `[A | b]`, so artificial columns are
-/// laid down as `+eᵢ` unconditionally here.
-fn warm_tableau(
+/// The factor (`B⁻¹A` over the live columns, and `B⁻¹b`) depends on the
+/// problem, the snapshot's basis columns in order, and which columns
+/// are live, and on nothing else. The two children of a node share
+/// their parent's snapshot and differ only in the bounds of the
+/// variable branched on, which is basic in that snapshot, so they have
+/// the same live columns and the same factor; the second one, usually
+/// solved right after the first, copies it instead of refactoring. A
+/// copy has the same bits as a refactor. One `LpBuffers` serves one
+/// [`WarmContext`]: the cache does not record the problem.
+#[derive(Debug, Default)]
+pub(crate) struct LpBuffers {
+    tab: Vec<f64>,
+    factor: Factor,
+}
+
+/// A kept factorization (see [`LpBuffers`]).
+#[derive(Debug, Default)]
+struct Factor {
+    /// The snapshot basis columns, in order; empty when nothing is kept.
+    basis: Vec<u32>,
+    /// The live columns.
+    cols: Vec<usize>,
+    /// `B⁻¹A` over `cols`, row-major.
+    tab: Vec<f64>,
+    /// `B⁻¹b`.
+    rhs: Vec<f64>,
+    /// The pivot row of each snapshot basis column, in snapshot order.
+    row_of: Vec<usize>,
+}
+
+/// Rebuilds a [`Tableau`] in `bufs` from a basis snapshot under new
+/// column bounds: refactors `B⁻¹A` by Gauss–Jordan, assigning each
+/// snapshot basis column the remaining row with the largest pivot, or
+/// copies the factor `bufs` kept when it came from the same basis and
+/// live columns. Returns `None` when the snapshot does not fit this
+/// problem or the basis is numerically singular — callers fall back to
+/// a cold solve.
+///
+/// With `live_only`, the tableau leaves out every column that is
+/// nonbasic in the snapshot and pinned at [0, 0] by the new bounds:
+/// every artificial the snapshot does not keep basic, and every binary
+/// that branching fixed at 0. Otherwise it holds all `n + m` columns.
+/// Status and bounds always cover all `n + m` columns. Row scaling from
+/// the cold path's sign flips is immaterial: `B⁻¹A` is invariant under
+/// row scaling of `[A | b]`, so artificial columns are laid down as
+/// `+eᵢ` unconditionally here.
+fn warm_tableau<'a>(
     problem: &LpProblem,
     col_lower: &[f64],
     col_upper: &[f64],
     snap: &BasisSnapshot,
-    width: usize,
-) -> Option<Tableau> {
+    live_only: bool,
+    bufs: &'a mut LpBuffers,
+) -> Option<Tableau<'a>> {
     let m = problem.row_count();
     let n = problem.col_count();
     let ncols = n + m;
-    if snap.basis.len() != m || snap.status.len() != ncols {
+    if snap.basis.len() != m || snap.at_upper.len() != ncols.div_ceil(8) {
         return None;
     }
 
-    let mut dense = vec![vec![0.0_f64; width]; m];
-    for (i, row) in problem.rows.iter().enumerate() {
-        for &(j, a) in row {
-            dense[i][j] = a;
+    // Column bounds in problem layout; artificials stay pinned at zero
+    // (they were fixed after phase 1 of the solve the snapshot came from).
+    let mut lower = col_lower.to_vec();
+    let mut upper = col_upper.to_vec();
+    lower.resize(ncols, 0.0);
+    upper.resize(ncols, 0.0);
+
+    let mut in_basis = vec![false; ncols];
+    for c in snap.columns() {
+        *in_basis.get_mut(c)? = true;
+    }
+    // The tableau's columns, and each problem column's place among them
+    // (`usize::MAX`: left out).
+    let mut pos = vec![usize::MAX; ncols];
+    let mut cols = Vec::with_capacity(ncols);
+    for j in 0..ncols {
+        if !live_only || in_basis[j] || lower[j] != 0.0 || upper[j] != 0.0 {
+            pos[j] = cols.len();
+            cols.push(j);
         }
-        if width > n {
-            dense[i][n + i] = 1.0;
+    }
+    let w = cols.len();
+    let LpBuffers { tab: buf, factor } = bufs;
+    let (rhs, row_of) = if factor.basis[..] == snap.basis[..] && factor.cols == cols {
+        buf.clone_from(&factor.tab);
+        (factor.rhs.clone(), factor.row_of.clone())
+    } else {
+        factor.basis.clear();
+        let (rhs, row_of) = factor_basis(problem, snap, &pos, w, buf)?;
+        factor.basis.extend_from_slice(&snap.basis);
+        factor.cols.clone_from(&cols);
+        factor.tab.clone_from(buf);
+        factor.rhs.clone_from(&rhs);
+        factor.row_of.clone_from(&row_of);
+        (rhs, row_of)
+    };
+
+    // Statuses: basis membership wins; other columns keep their snapshot
+    // rest bound, re-read against the *new* bounds — that re-read is the
+    // entire warm start. Inconsistent snapshot rows degrade gracefully.
+    let mut basis = vec![0usize; m];
+    for (kk, c) in snap.columns().enumerate() {
+        basis[row_of[kk]] = c;
+    }
+    let status: Vec<ColStatus> = (0..ncols)
+        .map(|j| {
+            if in_basis[j] {
+                ColStatus::Basic
+            } else if snap.at_upper(j) && upper[j].is_finite() {
+                ColStatus::AtUpper
+            } else {
+                ColStatus::AtLower
+            }
+        })
+        .collect();
+
+    // Basic values: xb = B⁻¹b − Σ (B⁻¹A)ⱼ·xⱼ over nonbasic columns
+    // (columns left out rest at zero and add nothing).
+    let mut xb = rhs;
+    for (k, &j) in cols.iter().enumerate() {
+        let v = match status[j] {
+            ColStatus::Basic => continue,
+            ColStatus::AtLower => lower[j],
+            ColStatus::AtUpper => upper[j],
+        };
+        if v != 0.0 {
+            for (x, row) in xb.iter_mut().zip(buf.chunks_exact(w)) {
+                let a = row[k];
+                if a != 0.0 {
+                    *x -= a * v;
+                }
+            }
+        }
+    }
+
+    Some(Tableau {
+        tab: buf,
+        xb,
+        basis,
+        status,
+        lower,
+        upper,
+        m,
+        cols,
+    })
+}
+
+/// Lays the problem rows over the `w` tableau columns (`pos` maps each
+/// problem column to its tableau column, `usize::MAX` if left out) into
+/// `buf` and factors the snapshot's basis: each basis column gets a
+/// pivot row (largest remaining magnitude) and is eliminated from all
+/// other rows and the transformed RHS. Returns `B⁻¹b` and each basis
+/// column's pivot row, or `None` for a numerically singular basis.
+fn factor_basis(
+    problem: &LpProblem,
+    snap: &BasisSnapshot,
+    pos: &[usize],
+    w: usize,
+    buf: &mut Vec<f64>,
+) -> Option<(Vec<f64>, Vec<usize>)> {
+    let m = problem.row_count();
+    let n = problem.col_count();
+    buf.clear();
+    buf.resize(m * w, 0.0);
+    for (i, row) in problem.rows.iter().enumerate() {
+        let dense = &mut buf[i * w..(i + 1) * w];
+        for &(j, a) in row {
+            if pos[j] != usize::MAX {
+                dense[pos[j]] = a;
+            }
+        }
+        if pos[n + i] != usize::MAX {
+            dense[pos[n + i]] = 1.0;
         }
     }
     let mut rhs = problem.rhs.clone();
-
-    // Factor the basis: give each basis column a pivot row (largest
-    // remaining magnitude), eliminating it from all other rows and the
-    // transformed RHS.
     let mut assigned = vec![false; m];
     let mut row_of = vec![usize::MAX; m];
-    for (k, c) in snap.columns().enumerate() {
-        if c >= width {
-            return None;
-        }
+    for (kk, c) in snap.columns().enumerate() {
+        let k = pos[c]; // basis columns are always held
         let mut best: Option<(usize, f64)> = None;
         for (r, &used) in assigned.iter().enumerate() {
             if used {
                 continue;
             }
-            let a = dense[r][c].abs();
-            if best.map_or(true, |(_, ba)| a > ba) {
+            let a = buf[r * w + k].abs();
+            if best.is_none_or(|(_, ba)| a > ba) {
                 best = Some((r, a));
             }
         }
@@ -757,88 +994,13 @@ fn warm_tableau(
         if mag <= 1e-8 {
             return None; // singular basis: cold fallback
         }
-        let inv = 1.0 / dense[r][c];
-        for v in &mut dense[r] {
-            *v *= inv;
-        }
-        rhs[r] *= inv;
-        let prow = dense[r].clone();
+        rhs[r] *= 1.0 / buf[r * w + k];
         let prhs = rhs[r];
-        for i in 0..m {
-            if i == r {
-                continue;
-            }
-            let f = dense[i][c];
-            if f != 0.0 {
-                for (v, pv) in dense[i].iter_mut().zip(&prow) {
-                    *v -= f * pv;
-                }
-                dense[i][c] = 0.0;
-                rhs[i] -= f * prhs;
-            }
-        }
+        eliminate(buf, w, r, k, |i, f| rhs[i] -= f * prhs);
         assigned[r] = true;
-        row_of[k] = r;
+        row_of[kk] = r;
     }
-
-    // Column bounds in tableau layout; artificials stay pinned at zero
-    // (they were fixed after phase 1 of the solve the snapshot came from).
-    let mut lower = col_lower.to_vec();
-    let mut upper = col_upper.to_vec();
-    lower.resize(ncols, 0.0);
-    upper.resize(ncols, 0.0);
-
-    // Statuses: basis membership wins; other columns keep their snapshot
-    // rest bound, re-read against the *new* bounds — that re-read is the
-    // entire warm start. Inconsistent snapshot rows degrade gracefully.
-    let mut in_basis = vec![false; ncols];
-    let mut basis = vec![0usize; m];
-    for (k, c) in snap.columns().enumerate() {
-        in_basis[c] = true;
-        basis[row_of[k]] = c;
-    }
-    let mut status = Vec::with_capacity(ncols);
-    for j in 0..ncols {
-        let s = if in_basis[j] {
-            ColStatus::Basic
-        } else {
-            match snap.status[j] {
-                ColStatus::AtUpper if upper[j].is_finite() => ColStatus::AtUpper,
-                _ => ColStatus::AtLower,
-            }
-        };
-        status.push(s);
-    }
-
-    // Basic values: xb = B⁻¹b − Σ (B⁻¹A)ⱼ·xⱼ over nonbasic columns
-    // (columns past `width` rest at zero and add nothing).
-    let mut xb = rhs;
-    for j in 0..width {
-        let v = match status[j] {
-            ColStatus::Basic => continue,
-            ColStatus::AtLower => lower[j],
-            ColStatus::AtUpper => upper[j],
-        };
-        if v != 0.0 {
-            for i in 0..m {
-                let a = dense[i][j];
-                if a != 0.0 {
-                    xb[i] -= a * v;
-                }
-            }
-        }
-    }
-
-    Some(Tableau {
-        tab: dense,
-        xb,
-        basis,
-        status,
-        lower,
-        upper,
-        m,
-        ncols: width,
-    })
+    Some((rhs, row_of))
 }
 
 /// Warm solve: rebuilds the parent basis under new bounds, restores
@@ -847,37 +1009,33 @@ fn warm_tableau(
 /// rebuild or iteration trouble); `Some` carries a definitive answer —
 /// including a sound `Infeasible` from the dual ratio test.
 ///
-/// The tableau leaves the artificial columns out unless the snapshot
-/// keeps one basic. Warm solves pin artificials at [0, 0], so pricing
-/// skips them as fixed and the `xb` sum skips their zero rest value:
-/// no entry of a nonbasic artificial column is ever read. Gauss–Jordan
-/// row operations act on each column independently, so dropping those
-/// columns leaves every other entry, and so every answer, pivot and
-/// snapshot, bit-identical.
+/// The tableau holds the live columns only (see [`warm_tableau`]). A
+/// left-out column is nonbasic and pinned at [0, 0], so pricing skips
+/// it as fixed, it never enters, and the `xb` sum skips its zero rest
+/// value: no entry of it is ever read. Gauss–Jordan row operations act
+/// on each column independently, so leaving it out changes no other
+/// entry, and every answer, pivot and snapshot is bit-identical to a
+/// full-width solve.
 fn solve_warm(
     problem: &LpProblem,
     col_lower: &[f64],
     col_upper: &[f64],
     snap: &BasisSnapshot,
     iters: &mut u64,
+    bufs: &mut LpBuffers,
 ) -> Option<(LpSolution, Option<BasisSnapshot>)> {
-    let n = problem.col_count();
-    let width = if snap.columns().any(|c| c >= n) {
-        n + problem.row_count()
-    } else {
-        n
-    };
-    let tableau = warm_tableau(problem, col_lower, col_upper, snap, width)?;
-    resume_warm(problem, tableau, iters, Tableau::reduced_costs)
+    let tableau = warm_tableau(problem, col_lower, col_upper, snap, true, bufs)?;
+    resume_warm(problem, tableau, iters, None)
 }
 
 /// The dual-restore and primal-polish half of [`solve_warm`], from a
-/// refactored tableau.
+/// refactored tableau. `price`, when given, replaces the solver's own
+/// pricing in both phases (tests pass the column-wise reference).
 fn resume_warm(
     problem: &LpProblem,
-    mut tableau: Tableau,
+    mut tableau: Tableau<'_>,
     iters: &mut u64,
-    price: Pricing,
+    price: Option<Pricing>,
 ) -> Option<(LpSolution, Option<BasisSnapshot>)> {
     let m = problem.row_count();
     let n = problem.col_count();
@@ -909,6 +1067,7 @@ fn resume_warm(
     // The cap counts the problem's `n + m` columns, not the tableau
     // width, so a narrow tableau keeps the cold path's iteration limit.
     let max_iters = 200 * (m as u64 + ncols as u64) + 20_000;
+    let price = price.unwrap_or(ROW_WISE);
     match tableau.optimize(&phase2_costs, max_iters, iters, price) {
         Ok(obj) => {
             let mut values = tableau.values();
@@ -938,7 +1097,8 @@ fn resume_warm(
 /// Maps non-optimal statuses onto [`MilpError`].
 pub fn solve_relaxation(model: &Model, bounds: &[(f64, f64)]) -> Result<(f64, Vec<f64>), MilpError> {
     let problem = LpProblem::from_model(model, bounds);
-    let (sol, _) = solve_two_phase(&problem, &problem.lower, &problem.upper, &mut 0, false);
+    let (lower, upper) = (&problem.lower, &problem.upper);
+    let (sol, _) = solve_two_phase(&problem, lower, upper, &mut 0, false, &mut Vec::new());
     match sol.status {
         LpStatus::Optimal => {
             let sign = match model.sense() {
@@ -1045,6 +1205,20 @@ impl WarmContext {
         bounds: &[(f64, f64)],
         basis: Option<&BasisSnapshot>,
     ) -> Result<RelaxSolve, MilpError> {
+        self.solve_relaxation_in(bounds, basis, &mut LpBuffers::default())
+    }
+
+    /// [`WarmContext::solve_relaxation`] with the dense tableau built in
+    /// `bufs`, which a search thread keeps across its solves of this
+    /// context's problem: it allocates its tableau once, and a node's
+    /// sibling copies the node's factorization (see [`LpBuffers`]). The
+    /// buffers never change a result's bits.
+    pub(crate) fn solve_relaxation_in(
+        &self,
+        bounds: &[(f64, f64)],
+        basis: Option<&BasisSnapshot>,
+        bufs: &mut LpBuffers,
+    ) -> Result<RelaxSolve, MilpError> {
         assert_eq!(bounds.len(), self.nvars, "bounds length mismatch");
         // Structural columns map 1:1 onto model variables (dense layout);
         // intersect node bounds with model bounds defensively, then keep
@@ -1060,14 +1234,20 @@ impl WarmContext {
         let mut warmed = false;
         let outcome = basis
             .and_then(|snap| {
-                let out = solve_warm(&self.problem, &col_lower, &col_upper, snap, &mut iters);
+                let out = solve_warm(
+                    &self.problem,
+                    &col_lower,
+                    &col_upper,
+                    snap,
+                    &mut iters,
+                    bufs,
+                );
                 warmed = out.is_some();
                 out
             })
             .unwrap_or_else(|| {
-                let (sol, snap) =
-                    solve_two_phase(&self.problem, &col_lower, &col_upper, &mut iters, true);
-                (sol, snap)
+                let (lower, upper) = (&col_lower, &col_upper);
+                solve_two_phase(&self.problem, lower, upper, &mut iters, true, &mut bufs.tab)
             });
         let (sol, snapshot) = outcome;
 
@@ -1391,16 +1571,16 @@ mod tests {
         );
     }
 
-    /// Reference pricing for [`Tableau::reduced_costs`]: one strided dot
-    /// product per column, the form the row-wise loop replaced.
-    fn colwise_reduced_costs(t: &Tableau, costs: &[f64], d: &mut Vec<f64>) {
+    /// Reference pricing for [`Tableau::reduced_costs`] and
+    /// [`Tableau::reduced_cost`]: one strided dot product per column.
+    fn colwise_reduced_costs(t: &Tableau<'_>, costs: &[f64], d: &mut Vec<f64>) {
         let cb: Vec<f64> = t.basis.iter().map(|&b| costs[b]).collect();
         d.clear();
-        d.extend((0..t.ncols).map(|j| {
+        d.extend(t.cols.iter().enumerate().map(|(k, &j)| {
             let mut dj = costs[j];
-            for (row, &c) in t.tab.iter().zip(&cb) {
+            for (i, &c) in cb.iter().enumerate() {
                 if c != 0.0 {
-                    dj -= c * row[j];
+                    dj -= c * t.at(i, k);
                 }
             }
             dj
@@ -1409,8 +1589,9 @@ mod tests {
 
     type WarmOutcome = Option<(LpSolution, Option<BasisSnapshot>)>;
 
-    /// Reference warm solve: a full-width tableau, artificial columns
-    /// included, priced column by column. [`solve_warm`] must match it
+    /// Reference warm solve: a tableau of all `n + m` columns,
+    /// artificials and pinned columns included, priced column by column
+    /// over every column in both phases. [`solve_warm`] must match it
     /// bit for bit.
     fn solve_warm_reference(
         problem: &LpProblem,
@@ -1419,9 +1600,9 @@ mod tests {
         snap: &BasisSnapshot,
         iters: &mut u64,
     ) -> WarmOutcome {
-        let width = problem.col_count() + problem.row_count();
-        let tableau = warm_tableau(problem, col_lower, col_upper, snap, width)?;
-        resume_warm(problem, tableau, iters, colwise_reduced_costs)
+        let mut bufs = LpBuffers::default();
+        let tableau = warm_tableau(problem, col_lower, col_upper, snap, false, &mut bufs)?;
+        resume_warm(problem, tableau, iters, Some(colwise_reduced_costs))
     }
 
     /// An outcome with its floats as bit patterns, for exact comparison.
@@ -1436,50 +1617,95 @@ mod tests {
         })
     }
 
+    /// One compared step of [`check_warm_chain`].
+    struct ChainStep {
+        /// The snapshot the step started from.
+        start: BasisSnapshot,
+        /// The problem columns of the step's live-column tableau.
+        live: Vec<usize>,
+        /// The column the step tightened, and its value if that pinned it.
+        column: usize,
+        pinned_at: Option<f64>,
+        /// Whether the step's sibling had the same live columns, so that
+        /// its solve copied the step's factorization.
+        sibling_shares_factor: bool,
+    }
+
     /// Runs a branch-and-bound-style chain of warm re-solves through the
     /// fast path and the reference side by side. Each step tightens one
     /// integer column's bound around the previous solve's value (`up`
     /// raises the lower bound, otherwise the upper bound drops) and
-    /// re-solves from the previous basis. Fails unless every step agrees
-    /// bit for bit: objective, values, snapshot and pivot count. Returns
-    /// the snapshot each compared step started from.
+    /// re-solves from the previous basis; then the step's sibling, with
+    /// the bound tightened the other way, re-solves from the same basis
+    /// through the same buffers. Fails unless every solve agrees bit for
+    /// bit: objective, values, snapshot and pivot count. Returns the
+    /// steps compared.
     fn check_warm_chain(
         problem: &LpProblem,
         int_cols: &[usize],
         chain: &[(usize, bool)],
-    ) -> Result<Vec<BasisSnapshot>, String> {
+    ) -> Result<Vec<ChainStep>, String> {
         let mut lower = problem.lower.clone();
         let mut upper = problem.upper.clone();
-        let (root, root_snap) = solve_two_phase(problem, &lower, &upper, &mut 0, true);
+        let (root, root_snap) =
+            solve_two_phase(problem, &lower, &upper, &mut 0, true, &mut Vec::new());
         let Some(mut snap) = root_snap else {
             return Err(format!("root solve ended {:?}", root.status));
         };
         let mut values = root.values;
-        let mut starts = Vec::new();
-        let full = problem.col_count() + problem.row_count();
+        let mut steps = Vec::new();
+        let mut bufs = LpBuffers {
+            tab: vec![f64::NAN; 7], // stale contents must not leak into a solve
+            ..LpBuffers::default()
+        };
         for (step, &(pick, up)) in chain.iter().enumerate() {
             let j = int_cols[pick % int_cols.len()];
+            // The other child of this step's parent: `j` tightened the
+            // other way.
+            let (mut other_lower, mut other_upper) = (lower.clone(), upper.clone());
+            let raise = |lo: &mut [f64], hi: &[f64]| {
+                lo[j] = values[j].ceil().max(lo[j] + 1.0).min(hi[j]);
+            };
+            let drop = |lo: &[f64], hi: &mut [f64]| {
+                hi[j] = values[j].floor().min(hi[j] - 1.0).max(lo[j]);
+            };
             if up {
-                lower[j] = values[j].ceil().max(lower[j] + 1.0).min(upper[j]);
+                raise(&mut lower, &upper);
+                drop(&other_lower, &mut other_upper);
             } else {
-                upper[j] = values[j].floor().min(upper[j] - 1.0).max(lower[j]);
+                drop(&lower, &mut upper);
+                raise(&mut other_lower, &other_upper);
             }
-            // Pricing alone, on the full-width tableau this step starts from.
-            if let Some(t) = warm_tableau(problem, &lower, &upper, &snap, full) {
+            // Pricing alone, on the full-width tableau this step starts
+            // from: row-wise, and the dual's one column at a time, against
+            // the column-wise reference.
+            let mut full_bufs = LpBuffers::default();
+            if let Some(t) = warm_tableau(problem, &lower, &upper, &snap, false, &mut full_bufs) {
                 let mut costs = problem.costs.clone();
-                costs.resize(full, 0.0);
+                costs.resize(t.cols.len(), 0.0);
                 let (mut by_row, mut by_col) = (Vec::new(), Vec::new());
                 t.reduced_costs(&costs, &mut by_row);
                 colwise_reduced_costs(&t, &costs, &mut by_col);
+                let mut basic_costs = Vec::new();
+                t.basic_costs(&costs, &mut basic_costs);
+                let one_by_one: Vec<f64> = (0..t.cols.len())
+                    .map(|k| t.reduced_cost(&basic_costs, costs[k], k))
+                    .collect();
                 let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                if bits(&by_row) != bits(&by_col) {
+                if bits(&by_row) != bits(&by_col) || bits(&one_by_one) != bits(&by_col) {
                     return Err(format!(
-                        "step {step}: row-wise {by_row:?} vs column-wise {by_col:?}"
+                        "step {step}: row-wise {by_row:?}, one by one {one_by_one:?}, \
+                         column-wise {by_col:?}"
                     ));
                 }
             }
+            let live_cols = |lo: &[f64], hi: &[f64]| {
+                warm_tableau(problem, lo, hi, &snap, true, &mut LpBuffers::default())
+                    .map_or_else(Vec::new, |t| t.cols.clone())
+            };
+            let live = live_cols(&lower, &upper);
             let (mut fast_iters, mut ref_iters) = (0, 0);
-            let fast = solve_warm(problem, &lower, &upper, &snap, &mut fast_iters);
+            let fast = solve_warm(problem, &lower, &upper, &snap, &mut fast_iters, &mut bufs);
             let reference = solve_warm_reference(problem, &lower, &upper, &snap, &mut ref_iters);
             if fast_iters != ref_iters || outcome_bits(&fast) != outcome_bits(&reference) {
                 return Err(format!(
@@ -1487,7 +1713,25 @@ mod tests {
                      reference {reference:?} in {ref_iters} pivots"
                 ));
             }
-            starts.push(snap);
+            // The sibling, solved next with the same buffers: it copies
+            // the step's factorization when its live columns are the same.
+            let (mut fast_iters, mut ref_iters) = (0, 0);
+            let (lo, hi) = (&other_lower, &other_upper);
+            let sibling = solve_warm(problem, lo, hi, &snap, &mut fast_iters, &mut bufs);
+            let reference = solve_warm_reference(problem, lo, hi, &snap, &mut ref_iters);
+            if fast_iters != ref_iters || outcome_bits(&sibling) != outcome_bits(&reference) {
+                return Err(format!(
+                    "step {step} sibling (column {j}): fast {sibling:?} in {fast_iters} \
+                     pivots, reference {reference:?} in {ref_iters} pivots"
+                ));
+            }
+            steps.push(ChainStep {
+                sibling_shares_factor: !live.is_empty() && live_cols(lo, hi) == live,
+                start: snap,
+                live,
+                column: j,
+                pinned_at: (lower[j] == upper[j]).then_some(lower[j]),
+            });
             match fast {
                 Some((sol, Some(next))) => {
                     snap = next;
@@ -1496,7 +1740,7 @@ mod tests {
                 _ => break, // infeasible child or cold fallback: the dive ends
             }
         }
-        Ok(starts)
+        Ok(steps)
     }
 
     /// Random mixed-integer maximize models of the same shape as
@@ -1535,29 +1779,72 @@ mod tests {
         })
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+    /// What the chains of [`warm_solves_match_full_width_reference_bitwise`]
+    /// exercised, summed over its cases.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct ChainCoverage {
+        /// Steps that pinned a binary at 0, and at 1.
+        binary_at_0: u32,
+        binary_at_1: u32,
+        /// Steps whose live-column tableau left out a structural column.
+        dropped_pinned: u32,
+        /// Steps whose sibling copied the step's factorization.
+        factor_reused: u32,
+    }
 
-        /// The narrow, row-priced warm solve is bit-identical to the
-        /// full-width, column-priced reference over dives of 3–6 warm
-        /// re-solves.
-        #[test]
-        fn warm_solves_match_full_width_reference_bitwise(
-            (m, int_cols) in arb_mip(),
-            chain in proptest::collection::vec((0usize..8, proptest::bool::ANY), 3..=6),
-        ) {
-            prop_assume!(!int_cols.is_empty());
-            let problem = LpProblem::from_model_dense(&m, &model_bounds(&m));
-            check_warm_chain(&problem, &int_cols, &chain).map_err(TestCaseError::fail)?;
-        }
+    /// The live-column warm solve, priced row-wise in the primal and
+    /// only over the ratio-test-eligible columns in the dual, is
+    /// bit-identical to the full-width, column-priced reference over
+    /// dives of 3–6 warm re-solves. The check is not vacuous: across
+    /// the cases, steps pin binaries at both 0 and 1, and some step's
+    /// tableau leaves a pinned structural column out.
+    #[test]
+    fn warm_solves_match_full_width_reference_bitwise() {
+        let total = std::cell::Cell::new(ChainCoverage::default());
+        let strategy = (
+            arb_mip(),
+            proptest::collection::vec((0usize..8, proptest::bool::ANY), 3..=6),
+        );
+        proptest::test_runner::run(
+            &ProptestConfig::with_cases(128),
+            "warm_solves_match_full_width_reference_bitwise",
+            strategy,
+            |((m, int_cols), chain)| -> TestCaseResult {
+                prop_assume!(!int_cols.is_empty());
+                let problem = LpProblem::from_model_dense(&m, &model_bounds(&m));
+                let n = problem.col_count();
+                let steps =
+                    check_warm_chain(&problem, &int_cols, &chain).map_err(TestCaseError::fail)?;
+                let mut c = total.get();
+                for s in &steps {
+                    let binary = problem.lower[s.column] == 0.0 && problem.upper[s.column] == 1.0;
+                    match s.pinned_at {
+                        Some(v) if binary && v == 0.0 => c.binary_at_0 += 1,
+                        Some(v) if binary && v == 1.0 => c.binary_at_1 += 1,
+                        _ => {}
+                    }
+                    if !s.live.is_empty() && s.live.iter().filter(|&&j| j < n).count() < n {
+                        c.dropped_pinned += 1;
+                    }
+                    c.factor_reused += u32::from(s.sibling_shares_factor);
+                }
+                total.set(c);
+                Ok(())
+            },
+        );
+        let c = total.get();
+        assert!(
+            c.binary_at_0 > 0 && c.binary_at_1 > 0 && c.dropped_pinned > 0 && c.factor_reused > 0,
+            "vacuous chains: {c:?}"
+        );
     }
 
     #[test]
-    fn basic_artificial_keeps_full_width_and_matches_reference() {
+    fn basic_artificial_stays_live_and_matches_reference() {
         // The second row is twice the first, so the basis can hold only
         // one of them: an artificial stays basic (at zero) through phase
-        // 2 and every warm re-solve, and the warm tableau keeps all its
-        // columns.
+        // 2 and every warm re-solve. The live-column tableau keeps that
+        // artificial and leaves the other ones out.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Integer, 0.0, 3.0, 3.0).unwrap();
         let y = m.add_var("y", VarKind::Integer, 0.0, 3.0, 2.0).unwrap();
@@ -1576,13 +1863,17 @@ mod tests {
         let problem = LpProblem::from_model_dense(&m, &model_bounds(&m));
         let n = problem.col_count();
         let chain = [(0, false), (1, true), (0, true), (1, false)];
-        let starts = check_warm_chain(&problem, &[0, 1], &chain).unwrap();
-        assert!(starts.len() >= 3, "dive ended after {} steps", starts.len());
-        for snap in &starts {
+        let steps = check_warm_chain(&problem, &[0, 1], &chain).unwrap();
+        assert!(steps.len() >= 3, "dive ended after {} steps", steps.len());
+        for s in &steps {
+            let artificials: Vec<usize> = s.start.columns().filter(|&c| c >= n).collect();
             assert!(
-                snap.columns().any(|c| c >= n),
-                "no artificial basic in {snap:?}"
+                !artificials.is_empty(),
+                "no artificial basic in {:?}",
+                s.start
             );
+            let live_artificials: Vec<usize> = s.live.iter().copied().filter(|&c| c >= n).collect();
+            assert_eq!(live_artificials, artificials, "live columns {:?}", s.live);
         }
     }
 }

@@ -1,17 +1,20 @@
 //! Branch-and-bound over the LP relaxation.
 //!
-//! One engine: a worker pool over a shared best-first queue. Each node
-//! carries its parent's optimal basis ([`BasisSnapshot`]); child
-//! relaxations re-solve via the dual simplex from that basis instead of
-//! restarting phase 1, falling back to a cold solve on numerical
-//! trouble. Workers prune against a shared incumbent and stop on a
-//! global gap/budget/exhaustion condition. With `threads == 1` the
-//! engine is fully deterministic.
+//! One search at every thread count: a committing loop pops nodes from
+//! a best-first heap and processes each in turn. Each node carries its
+//! parent's optimal basis ([`BasisSnapshot`]); child relaxations
+//! re-solve via the dual simplex from that basis instead of restarting
+//! phase 1, falling back to a cold solve on numerical trouble. With
+//! more than one thread, helpers solve the relaxations of the best open
+//! nodes ahead of the committer. A relaxation depends only on its
+//! node's bounds and its parent's basis, so a helper's answer is the
+//! one the committer would have computed, and only the committer
+//! consumes answers: every thread count explores the `threads: 1` tree
+//! and returns its solution, bit for bit.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +22,7 @@ use flex_obs::{Counter, Histogram, Obs};
 use parking_lot::{Condvar, Mutex};
 
 use crate::model::{Model, Sense, VarKind};
-use crate::simplex::{BasisSnapshot, RelaxSolve, WarmContext};
+use crate::simplex::{BasisSnapshot, LpBuffers, RelaxSolve, WarmContext};
 use crate::MilpError;
 
 /// Integrality tolerance: LP values this close to an integer count as
@@ -35,14 +38,14 @@ pub struct SolveConfig {
     /// Stop when `(best_bound − incumbent) / max(|incumbent|, 1)` falls
     /// below this relative gap.
     pub relative_gap: f64,
-    /// Hard cap on explored branch-and-bound nodes (global across
-    /// workers; may overshoot by at most the worker count).
+    /// Hard cap on explored branch-and-bound nodes.
     pub max_nodes: u64,
-    /// Worker threads for the branch-and-bound search. `0` means use
-    /// [`std::thread::available_parallelism`]. `1` is deterministic:
-    /// nodes are processed in exactly the best-first heap order. Every
-    /// count runs the same warm-started engine; more workers change the
-    /// node order, never the optimal objective.
+    /// Threads for the branch-and-bound search. `0` means use
+    /// [`std::thread::available_parallelism`]. One thread commits nodes
+    /// in exactly the best-first heap order; the others only solve node
+    /// relaxations ahead of it. Every count explores the same tree and
+    /// returns the same solution, counters included, so the wall-clock
+    /// `time_limit` is the only input that can make two solves differ.
     pub threads: usize,
 }
 
@@ -156,9 +159,9 @@ impl fmt::Display for MilpSolution {
 }
 
 /// A branch-and-bound node. Its bounds are the root bounds with every
-/// decision on its `branch` path applied; workers rebuild them with
-/// [`node_bounds`] when they pop the node, so an open node costs a few
-/// words rather than a full bounds vector.
+/// decision on its `branch` path applied; threads rebuild them with
+/// [`node_bounds`] when they solve the node, so an open node costs a
+/// few words rather than a full bounds vector.
 #[derive(Debug, Clone)]
 struct Node {
     /// The decision that made this node; `None` at the root.
@@ -166,10 +169,17 @@ struct Node {
     /// LP bound inherited from the parent (in internal maximize terms).
     bound: f64,
     depth: u32,
+    /// Names the node's relaxation among results solved ahead of the
+    /// committer; [`NO_ID`] once the ids run out.
+    id: u32,
     /// Parent's optimal basis for warm-starting this node's relaxation
     /// (shared between siblings).
     basis: Arc<BasisSnapshot>,
 }
+
+/// The id of nodes that are never solved ahead: issued once `u32` ids
+/// run out, so an id never names two nodes.
+const NO_ID: u32 = u32::MAX;
 
 /// One branching decision, `var ∈ [lo, hi]`, linked to the decision
 /// above it. Siblings share their ancestors' links, so a child costs
@@ -244,8 +254,8 @@ impl Ord for HeapNode {
 
 /// `flex-obs` hooks for the solver: per-relaxation pivot accounting and
 /// warm/cold/failure counters. All noop unless minted from a recording
-/// handle via [`Model::solve_observed`]; the handles are lock-free
-/// atomics, so workers update them without extra synchronization.
+/// handle via [`Model::solve_observed`]. Only the committing loop
+/// updates them, in commit order.
 struct MilpHooks {
     nodes: Counter,
     warm_starts: Counter,
@@ -337,143 +347,120 @@ impl Model {
         self.solve_inner(config, None, &MilpHooks::new(obs))
     }
 
-    /// The branch-and-bound engine: a pool of worker threads over a
-    /// shared best-first queue with warm-started relaxations. With
-    /// `threads == 1`, processing order is deterministic.
+    /// The branch-and-bound engine: the committing loop on this thread,
+    /// with `threads − 1` helpers solving relaxations ahead of it.
     fn solve_inner(
         &self,
         config: &SolveConfig,
         warm_start: Option<&[f64]>,
         hooks: &MilpHooks,
     ) -> Result<MilpSolution, MilpError> {
-        let threads = config.resolved_threads().max(1);
+        let helpers = config.resolved_threads().max(1) - 1;
         let start = Instant::now();
-        let internal = |obj: f64| match self.sense {
-            Sense::Maximize => obj,
-            Sense::Minimize => -obj,
-        };
-        let external = internal; // involution
-
         let root_bounds: Vec<(f64, f64)> = self.vars.iter().map(|v| (v.lower, v.upper)).collect();
-        let int_vars: Vec<usize> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Integer)
-            .map(|(i, _)| i)
-            .collect();
-
-        let ctx = WarmContext::new(self);
-        // Root relaxation failures abort the solve: there is no tree to
-        // fall back on yet.
-        let root = ctx.solve_relaxation(&root_bounds, None)?;
-        hooks.nodes.inc();
-        hooks.lp(root.iterations, root.warmed);
-
         let shared = Shared {
-            model: self,
-            ctx,
+            ctx: WarmContext::new(self),
             root_bounds,
-            int_vars,
+            frontier: Mutex::new(Frontier {
+                prune_at: f64::NEG_INFINITY,
+                ..Frontier::default()
+            }),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        };
+        let mut search = Search {
+            shared: &shared,
+            model: self,
+            int_vars: self
+                .vars
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.kind == VarKind::Integer)
+                .map(|(i, _)| i)
+                .collect(),
             deadline: start + config.time_limit,
             relative_gap: config.relative_gap,
             max_nodes: config.max_nodes,
-            queue: Mutex::new(SearchQueue {
-                heap: BinaryHeap::new(),
-                in_flight: vec![None; threads],
-                stop: None,
-                stop_bound: f64::NEG_INFINITY,
-            }),
-            work_cv: Condvar::new(),
-            incumbent: Mutex::new(None),
-            failed_bound: Mutex::new(f64::NEG_INFINITY),
-            nodes_explored: AtomicU64::new(1),
-            lp_iterations: AtomicU64::new(root.iterations),
-            warm_starts: AtomicU64::new(0),
-            cold_starts: AtomicU64::new(1),
-            relaxation_failures: AtomicU64::new(0),
+            helpers,
             hooks,
+            incumbent: None,
+            failed_bound: f64::NEG_INFINITY,
+            nodes_explored: 1,
+            lp_iterations: 0,
+            warm_starts: 0,
+            cold_starts: 1,
+            relaxation_failures: 0,
+            next_id: 0,
+            reserved: None,
+            bufs: Buffers::default(),
         };
+
+        // Root relaxation failures abort the solve: there is no tree to
+        // fall back on yet.
+        let root =
+            shared
+                .ctx
+                .solve_relaxation_in(&shared.root_bounds, None, &mut search.bufs.lp)?;
+        search.lp_iterations = root.iterations;
+        hooks.nodes.inc();
+        hooks.lp(root.iterations, root.warmed);
 
         if let Some(ws) = warm_start {
             if ws.len() == self.vars.len() && self.is_feasible(ws, 1e-6) {
-                let snapped = rounded(ws, &shared.int_vars);
-                shared.consider(&snapped);
+                let snapped = rounded(ws, &search.int_vars);
+                search.consider(&snapped);
             }
         }
 
-        let collect = |status: SolveStatus, objective: f64, values: Vec<f64>, best_bound: f64| {
-            MilpSolution {
-                status,
-                objective,
-                values,
-                best_bound,
-                nodes_explored: shared.nodes_explored.load(AtomicOrdering::Relaxed),
-                lp_iterations: shared.lp_iterations.load(AtomicOrdering::Relaxed),
-                warm_starts: shared.warm_starts.load(AtomicOrdering::Relaxed),
-                cold_starts: shared.cold_starts.load(AtomicOrdering::Relaxed),
-                relaxation_failures: shared.relaxation_failures.load(AtomicOrdering::Relaxed),
-            }
-        };
-
         // Integral root: optimal outright (if it validates).
-        if is_integral(&root.values, &shared.int_vars) {
-            let snapped = rounded(&root.values, &shared.int_vars);
-            shared.consider(&snapped);
-            let inc = shared.incumbent.lock().take();
-            if let Some((obj, values)) = inc {
-                let e = external(obj);
-                return Ok(collect(SolveStatus::Optimal, e, values, e));
+        if is_integral(&root.values, &search.int_vars) {
+            let snapped = rounded(&root.values, &search.int_vars);
+            search.consider(&snapped);
+            if let Some((obj, values)) = search.incumbent.take() {
+                let e = search.external(obj);
+                return Ok(search.solution(SolveStatus::Optimal, e, values, e));
             }
         }
         // Root heuristics: rounding, then a warm LP-guided dive.
-        let snapped = rounded(&root.values, &shared.int_vars);
-        shared.consider(&snapped);
-        if let Some(dived) = shared.dive_warm(&shared.root_bounds, &root.basis) {
-            shared.consider(&dived);
+        let snapped = rounded(&root.values, &search.int_vars);
+        search.consider(&snapped);
+        if let Some(dived) = search.dive_warm(&shared.root_bounds, &root.basis) {
+            search.consider(&dived);
         }
 
-        let root_bound = internal(root.objective);
-        shared.queue.lock().heap.push(HeapNode(Node {
+        let root_node = Node {
             branch: None,
-            bound: root_bound,
+            bound: search.internal(root.objective),
             depth: 0,
+            id: search.next_id(),
             basis: Arc::new(root.basis),
-        }));
-
-        crossbeam::thread::scope(|s| {
-            for w in 0..threads {
-                let shared = &shared;
-                s.spawn(move |_| shared.worker(w));
-            }
-        })
-        .expect("branch-and-bound worker panicked");
-
-        let (stop, stop_bound) = {
-            let q = shared.queue.lock();
-            (q.stop.unwrap_or(Stop::Exhausted), q.stop_bound)
         };
-        let incumbent = shared.incumbent.lock().take();
-        let failures = shared.relaxation_failures.load(AtomicOrdering::Relaxed);
-        let failed_bound = *shared.failed_bound.lock();
+        shared.frontier.lock().heap.push(HeapNode(root_node));
 
+        let (stop, stop_bound) = crossbeam::thread::scope(|s| {
+            for _ in 0..helpers {
+                s.spawn(|_| shared.help());
+            }
+            // Helpers return once the search is over, also when the
+            // committing loop panics.
+            let _release = ReleaseHelpers(&shared);
+            search.run()
+        })
+        .expect("branch-and-bound helper panicked");
+
+        let incumbent = search.incumbent.take();
+        let failures = search.relaxation_failures;
         match stop {
             Stop::GapReached => {
                 let (obj, values) = incumbent.expect("gap stop implies an incumbent");
-                Ok(collect(
-                    SolveStatus::Optimal,
-                    external(obj),
-                    values,
-                    external(stop_bound.max(obj)),
-                ))
+                let bound = search.external(stop_bound.max(obj));
+                Ok(search.solution(SolveStatus::Optimal, search.external(obj), values, bound))
             }
             Stop::Budget => match incumbent {
-                Some((obj, values)) => Ok(collect(
-                    SolveStatus::Feasible,
-                    external(obj),
-                    values,
-                    external(stop_bound.max(obj)),
-                )),
+                Some((obj, values)) => {
+                    let bound = search.external(stop_bound.max(obj));
+                    Ok(search.solution(SolveStatus::Feasible, search.external(obj), values, bound))
+                }
                 None => Err(MilpError::TimeLimitNoSolution),
             },
             Stop::Exhausted => match incumbent {
@@ -481,15 +468,16 @@ impl Model {
                     // With dropped nodes the tree has holes: optimality
                     // cannot be claimed, and the bound must cover them.
                     if failures > 0 {
-                        Ok(collect(
+                        let bound = search.external(search.failed_bound.max(obj));
+                        Ok(search.solution(
                             SolveStatus::Feasible,
-                            external(obj),
+                            search.external(obj),
                             values,
-                            external(failed_bound.max(obj)),
+                            bound,
                         ))
                     } else {
-                        let e = external(obj);
-                        Ok(collect(SolveStatus::Optimal, e, values, e))
+                        let e = search.external(obj);
+                        Ok(search.solution(SolveStatus::Optimal, e, values, e))
                     }
                 }
                 None if failures > 0 => Err(MilpError::IterationLimit),
@@ -499,55 +487,327 @@ impl Model {
     }
 }
 
-/// Why the parallel search stopped.
+/// Why the search stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stop {
     /// Global bound closed to within the relative gap of the incumbent.
     GapReached,
     /// Time limit or node cap hit.
     Budget,
-    /// Queue drained with no work in flight.
+    /// Heap drained.
     Exhausted,
 }
 
-/// Queue state shared by the worker pool, guarded by one mutex.
-struct SearchQueue {
+/// Relaxations solved ahead of the committer, ready or in progress,
+/// kept at most: helpers wait rather than claim past it, which bounds
+/// the memory the results hold. Large enough that a helper keeps busy
+/// through the committer's dives.
+const MAX_AHEAD: usize = 32;
+
+/// Heap slots helpers look through for a node to claim: the top five
+/// levels of the binary heap, where the next nodes to pop sit.
+const SCAN_SLOTS: usize = 31;
+
+/// A node LP's outcome.
+type LpResult = Result<RelaxSolve, MilpError>;
+
+/// The open nodes and the bookkeeping of relaxations solved ahead of
+/// the committer, under one mutex.
+#[derive(Default)]
+struct Frontier {
+    /// Open nodes, best first. Only the committer pushes and pops.
     heap: BinaryHeap<HeapNode>,
-    /// Per-worker bound of the node currently being processed; `None`
-    /// when idle. Together with the heap top this yields the global
-    /// best bound (children never exceed their parent's bound).
-    in_flight: Vec<Option<f64>>,
-    stop: Option<Stop>,
-    /// Global bound recorded by whichever worker set `stop`.
-    stop_bound: f64,
+    /// Ids of nodes whose relaxation a thread is solving ahead.
+    claimed: Vec<u32>,
+    /// Relaxations solved ahead and not yet taken.
+    ready: Vec<Ready>,
+    /// Helper results the committer has copied, for a helper to free.
+    returned: Vec<LpResult>,
+    /// Claimed nodes the committer pruned unsolved: their results are
+    /// dropped on delivery.
+    pruned: Vec<u32>,
+    /// The committer prunes nodes whose bound is at or below this, so
+    /// helpers skip them (NEG_INFINITY until there is an incumbent).
+    prune_at: f64,
+    /// Helpers blocked on `work_cv`.
+    idle_helpers: usize,
+    /// Whether the committer is blocked on `done_cv`.
+    committer_waiting: bool,
+    /// Set when the search is over: helpers return.
+    done: bool,
 }
 
-/// Everything the workers share, borrowed for the scope of the solve.
-struct Shared<'a> {
-    model: &'a Model,
+/// A relaxation solved ahead of the committer.
+struct Ready {
+    id: u32,
+    result: LpResult,
+    /// Solved on a helper thread, not by the committer.
+    by_helper: bool,
+}
+
+/// A node claimed for solving ahead: what its relaxation depends on.
+struct Task {
+    id: u32,
+    branch: Option<Arc<Branch>>,
+    basis: Arc<BasisSnapshot>,
+}
+
+/// Claimed nodes a thread solves back to back: a node, and its sibling
+/// when that was claimable too, whose LP then starts from the node's
+/// factorization (see [`LpBuffers`]).
+type Claim = (Task, Option<Task>);
+
+impl Frontier {
+    /// Whether a thread may claim `n`: it has an id, no result ready or
+    /// coming, and the incumbent does not prune it.
+    fn claimable(&self, n: &Node) -> bool {
+        n.id != NO_ID
+            && n.bound > self.prune_at
+            && !self.claimed.contains(&n.id)
+            && !self.ready.iter().any(|r| r.id == n.id)
+    }
+
+    fn has_room(&self) -> bool {
+        self.ready.len() + self.claimed.len() < MAX_AHEAD
+    }
+
+    fn claim_node(&mut self, n: &Node) -> Task {
+        self.claimed.push(n.id);
+        Task {
+            id: n.id,
+            branch: n.branch.clone(),
+            basis: Arc::clone(&n.basis),
+        }
+    }
+
+    /// Claims the sibling of `of` (the open node that shares its parent's
+    /// snapshot) if it sits among the top heap slots and is claimable.
+    fn claim_sibling(&mut self, of: &Node) -> Option<Task> {
+        if !self.has_room() {
+            return None;
+        }
+        let HeapNode(sibling) = self.heap.iter().take(SCAN_SLOTS).find(|HeapNode(n)| {
+            n.id != of.id && Arc::ptr_eq(&n.basis, &of.basis) && self.claimable(n)
+        })?;
+        let sibling = sibling.clone();
+        Some(self.claim_node(&sibling))
+    }
+
+    /// Claims the best claimable node among the top heap slots, with its
+    /// sibling when that is claimable too; `None` when there is none or
+    /// `MAX_AHEAD` results are outstanding.
+    fn claim(&mut self) -> Option<Claim> {
+        if !self.has_room() {
+            return None;
+        }
+        let HeapNode(node) = self
+            .heap
+            .iter()
+            .take(SCAN_SLOTS)
+            .filter(|HeapNode(n)| self.claimable(n))
+            .max()?;
+        let node = node.clone();
+        let first = self.claim_node(&node);
+        Some((first, self.claim_sibling(&node)))
+    }
+}
+
+/// Per-thread buffers for node relaxations: the rebuilt bounds, the
+/// decision path, and the LP's buffers, all reused node to node.
+#[derive(Default)]
+struct Buffers {
+    bounds: Vec<(f64, f64)>,
+    path: Vec<(usize, f64, f64)>,
+    lp: LpBuffers,
+}
+
+/// What the committer and its helpers share, borrowed for the solve.
+struct Shared {
     ctx: WarmContext,
     /// The model's own variable bounds: every node's starting point.
     root_bounds: Vec<(f64, f64)>,
+    frontier: Mutex<Frontier>,
+    /// Helpers wait here for a node to claim.
+    work_cv: Condvar,
+    /// The committer waits here for a helper's result.
+    done_cv: Condvar,
+}
+
+/// Ends the search for the helpers when dropped.
+struct ReleaseHelpers<'a>(&'a Shared);
+
+impl Drop for ReleaseHelpers<'_> {
+    fn drop(&mut self) {
+        self.0.frontier.lock().done = true;
+        self.0.work_cv.notify_all();
+    }
+}
+
+impl Shared {
+    /// Solves the relaxation of the node `branch` leads to, warm from
+    /// its parent's `basis` (`solve_relaxation_in` falls back cold
+    /// itself). The node's bounds are left in `bufs.bounds`.
+    fn solve_node(
+        &self,
+        branch: Option<&Branch>,
+        basis: &BasisSnapshot,
+        bufs: &mut Buffers,
+    ) -> LpResult {
+        node_bounds(&self.root_bounds, branch, &mut bufs.path, &mut bufs.bounds);
+        self.ctx
+            .solve_relaxation_in(&bufs.bounds, Some(basis), &mut bufs.lp)
+    }
+
+    /// Solves claimed nodes in order, handing each result over as soon
+    /// as it is done.
+    fn solve_ahead(&self, (first, second): Claim, bufs: &mut Buffers, by_helper: bool) {
+        for Task { id, branch, basis } in std::iter::once(first).chain(second) {
+            let result = self.solve_node(branch.as_deref(), &basis, bufs);
+            // Let go of the node's links while the committer still holds
+            // the node, so a helper never frees the committer's
+            // allocations.
+            drop((branch, basis));
+            let mut f = self.frontier.lock();
+            f.claimed.retain(|&c| c != id);
+            if let Some(i) = f.pruned.iter().position(|&p| p == id) {
+                f.pruned.swap_remove(i);
+            } else {
+                f.ready.push(Ready {
+                    id,
+                    result,
+                    by_helper,
+                });
+            }
+            if f.committer_waiting {
+                self.done_cv.notify_one();
+            }
+        }
+    }
+
+    /// A helper's loop: claim the best unclaimed node near the heap
+    /// top, solve it, hand the result over, until the search is done.
+    /// Along the way it frees the results the committer gave back.
+    fn help(&self) {
+        let mut bufs = Buffers::default();
+        let mut trash = Vec::new();
+        loop {
+            let task = {
+                let mut f = self.frontier.lock();
+                std::mem::swap(&mut trash, &mut f.returned);
+                loop {
+                    if f.done {
+                        return;
+                    }
+                    if let Some(task) = f.claim() {
+                        break task;
+                    }
+                    f.idle_helpers += 1;
+                    self.work_cv.wait(&mut f);
+                    f.idle_helpers -= 1;
+                }
+            };
+            trash.clear();
+            self.solve_ahead(task, &mut bufs, true);
+        }
+    }
+
+    /// Wakes idle helpers after the committer changed the heap or freed
+    /// a result slot.
+    fn wake_helpers(&self, f: &Frontier) {
+        if f.idle_helpers > 0 {
+            self.work_cv.notify_all();
+        }
+    }
+
+    /// The committer's side of solving ahead: takes the result for node
+    /// `id` if one is ready; while a helper is still solving it, solves
+    /// another claimable pair ahead in the meantime, or waits. `None`
+    /// when no thread has claimed the node.
+    ///
+    /// A helper's result comes back as a copy in the committer's own
+    /// allocations, and the original goes back for a helper to free:
+    /// with the allocator's per-thread caches, a thread that frees
+    /// another's memory reuses it for its own, and the basis snapshots
+    /// that open nodes keep would then pin pages of a helper's arena
+    /// (the crate README gives the peak memory measured both ways).
+    fn take_result(&self, id: u32, bufs: &mut Buffers) -> Option<LpResult> {
+        loop {
+            let task = {
+                let mut f = self.frontier.lock();
+                loop {
+                    if let Some(i) = f.ready.iter().position(|r| r.id == id) {
+                        let ready = f.ready.swap_remove(i);
+                        self.wake_helpers(&f);
+                        if !ready.by_helper {
+                            return Some(ready.result);
+                        }
+                        let own = ready.result.clone();
+                        f.returned.push(ready.result);
+                        return Some(own);
+                    }
+                    if !f.claimed.contains(&id) {
+                        return None;
+                    }
+                    if let Some(task) = f.claim() {
+                        break task;
+                    }
+                    f.committer_waiting = true;
+                    self.done_cv.wait(&mut f);
+                    f.committer_waiting = false;
+                }
+            };
+            self.solve_ahead(task, bufs, false);
+        }
+    }
+
+    /// Forgets any result for a node the committer pruned unsolved.
+    fn forget(&self, id: u32) {
+        let mut f = self.frontier.lock();
+        if let Some(i) = f.ready.iter().position(|r| r.id == id) {
+            let ready = f.ready.swap_remove(i);
+            if ready.by_helper {
+                f.returned.push(ready.result);
+            }
+            self.wake_helpers(&f);
+        } else if f.claimed.contains(&id) {
+            f.pruned.push(id);
+        }
+    }
+}
+
+/// The committing loop: everything that decides the tree. It is the
+/// whole search at `threads: 1`, and the same search at any other
+/// thread count: only it takes relaxation results, offers incumbents,
+/// dives, pushes children and counts.
+struct Search<'a> {
+    shared: &'a Shared,
+    model: &'a Model,
     int_vars: Vec<usize>,
     deadline: Instant,
     relative_gap: f64,
     max_nodes: u64,
-    queue: Mutex<SearchQueue>,
-    work_cv: Condvar,
+    /// Helper threads solving relaxations ahead (0: none).
+    helpers: usize,
+    hooks: &'a MilpHooks,
     /// Best integer-feasible point, internal (maximize) objective.
-    incumbent: Mutex<Option<(f64, Vec<f64>)>>,
+    incumbent: Option<(f64, Vec<f64>)>,
     /// Highest bound among nodes dropped after LP failures; NEG_INFINITY
     /// when none. Keeps `best_bound` honest when the tree has holes.
-    failed_bound: Mutex<f64>,
-    nodes_explored: AtomicU64,
-    lp_iterations: AtomicU64,
-    warm_starts: AtomicU64,
-    cold_starts: AtomicU64,
-    relaxation_failures: AtomicU64,
-    hooks: &'a MilpHooks,
+    failed_bound: f64,
+    nodes_explored: u64,
+    lp_iterations: u64,
+    warm_starts: u64,
+    cold_starts: u64,
+    relaxation_failures: u64,
+    /// The id the next pushed node gets.
+    next_id: u32,
+    /// The sibling of the node being processed, claimed so that no
+    /// helper takes it before the next pop.
+    reserved: Option<u32>,
+    bufs: Buffers,
 }
 
-impl Shared<'_> {
+impl Search<'_> {
     fn internal(&self, obj: f64) -> f64 {
         match self.model.sense {
             Sense::Maximize => obj,
@@ -555,57 +815,79 @@ impl Shared<'_> {
         }
     }
 
-    /// Offers a candidate to the shared incumbent (validating
-    /// feasibility), keeping the better of the two.
-    fn consider(&self, vals: &[f64]) {
+    /// Internal → model sense (the map is an involution).
+    fn external(&self, obj: f64) -> f64 {
+        self.internal(obj)
+    }
+
+    fn solution(
+        &self,
+        status: SolveStatus,
+        objective: f64,
+        values: Vec<f64>,
+        best_bound: f64,
+    ) -> MilpSolution {
+        MilpSolution {
+            status,
+            objective,
+            values,
+            best_bound,
+            nodes_explored: self.nodes_explored,
+            lp_iterations: self.lp_iterations,
+            warm_starts: self.warm_starts,
+            cold_starts: self.cold_starts,
+            relaxation_failures: self.relaxation_failures,
+        }
+    }
+
+    fn next_id(&mut self) -> u32 {
+        let id = self.next_id;
+        self.next_id = id.saturating_add(1);
+        id
+    }
+
+    /// Offers a candidate to the incumbent (validating feasibility),
+    /// keeping the better of the two.
+    fn consider(&mut self, vals: &[f64]) {
         if !self.model.is_feasible(vals, 1e-6) {
             return;
         }
         let obj = self.internal(self.model.objective_value(vals));
-        let mut inc = self.incumbent.lock();
-        match &*inc {
+        match &self.incumbent {
             Some((best, _)) if *best >= obj => {}
-            _ => *inc = Some((obj, vals.to_vec())),
+            _ => {
+                self.incumbent = Some((obj, vals.to_vec()));
+                if self.helpers > 0 {
+                    let cut = obj + self.relative_gap * obj.abs().max(1.0);
+                    self.shared.frontier.lock().prune_at = cut;
+                }
+            }
         }
     }
 
     fn incumbent_objective(&self) -> Option<f64> {
-        self.incumbent.lock().as_ref().map(|(o, _)| *o)
+        self.incumbent.as_ref().map(|(o, _)| *o)
     }
 
-    /// Marks worker `w` idle; declares exhaustion when nothing is queued
-    /// or running. Always wakes waiters (a pushed child or the final
-    /// stop both need the nudge).
-    fn finish_node(&self, w: usize) {
-        let mut q = self.queue.lock();
-        q.in_flight[w] = None;
-        if q.stop.is_none() && q.heap.is_empty() && q.in_flight.iter().all(Option::is_none) {
-            q.stop = Some(Stop::Exhausted);
+    /// Counts one relaxation the search used.
+    fn count_lp(&mut self, relax: &RelaxSolve) {
+        self.lp_iterations += relax.iterations;
+        if relax.warmed {
+            self.warm_starts += 1;
+        } else {
+            self.cold_starts += 1;
         }
-        self.work_cv.notify_all();
-    }
-
-    fn request_stop(&self, w: usize, stop: Stop, bound: f64) {
-        let mut q = self.queue.lock();
-        if q.stop.is_none() {
-            q.stop = Some(stop);
-            q.stop_bound = bound;
-        }
-        q.in_flight[w] = None;
-        self.work_cv.notify_all();
+        self.hooks.lp(relax.iterations, relax.warmed);
     }
 
     /// One counted LP solve for the dive.
-    fn dive_lp(&self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<RelaxSolve> {
-        let relax = self.ctx.solve_relaxation(bounds, Some(basis)).ok()?;
-        self.lp_iterations
-            .fetch_add(relax.iterations, AtomicOrdering::Relaxed);
-        if relax.warmed {
-            self.warm_starts.fetch_add(1, AtomicOrdering::Relaxed);
-        } else {
-            self.cold_starts.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        self.hooks.lp(relax.iterations, relax.warmed);
+    fn dive_lp(&mut self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<RelaxSolve> {
+        let relax = self
+            .shared
+            .ctx
+            .solve_relaxation_in(bounds, Some(basis), &mut self.bufs.lp)
+            .ok()?;
+        self.count_lp(&relax);
         Some(relax)
     }
 
@@ -616,7 +898,7 @@ impl Shared<'_> {
     /// single-variable fix (either side) before the dive gives up —
     /// incumbents come almost entirely from dives, so a fragile dive
     /// starves the whole search.
-    fn dive_warm(&self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<Vec<f64>> {
+    fn dive_warm(&mut self, bounds: &[(f64, f64)], basis: &BasisSnapshot) -> Option<Vec<f64>> {
         let mut b = bounds.to_vec();
         let mut relax = self.dive_lp(&b, basis)?;
         for _ in 0..(self.int_vars.len() + 1) {
@@ -691,106 +973,97 @@ impl Shared<'_> {
         None
     }
 
-    /// One worker's search loop.
-    fn worker(&self, w: usize) {
-        // The popped node's bounds, rebuilt in place for every node.
-        let mut bounds = Vec::with_capacity(self.root_bounds.len());
-        let mut path = Vec::new();
+    /// The node's relaxation: a helper's result when one is ready or
+    /// coming, else solved here. Either way the node's bounds end up in
+    /// `self.bufs.bounds`.
+    fn relaxation(&mut self, node: &Node) -> LpResult {
+        let shared = self.shared;
+        if self.helpers > 0 && node.id != NO_ID {
+            if let Some(result) = shared.take_result(node.id, &mut self.bufs) {
+                let s = &mut self.bufs;
+                node_bounds(
+                    &shared.root_bounds,
+                    node.branch.as_deref(),
+                    &mut s.path,
+                    &mut s.bounds,
+                );
+                return result;
+            }
+        }
+        shared.solve_node(node.branch.as_deref(), &node.basis, &mut self.bufs)
+    }
+
+    /// The committing loop: pops nodes best first and processes each
+    /// exactly as a lone thread would. Returns why it stopped and the
+    /// global bound at that point.
+    fn run(&mut self) -> (Stop, f64) {
+        let shared = self.shared;
         loop {
-            // Pull the best node; compute the global bound while holding
-            // the lock so in-flight peers are accounted for.
             let (node, global_bound) = {
-                let mut q = self.queue.lock();
-                loop {
-                    if q.stop.is_some() {
-                        return;
-                    }
-                    if let Some(HeapNode(node)) = q.heap.pop() {
-                        q.in_flight[w] = Some(node.bound);
-                        let mut g = node.bound;
-                        for b in q.in_flight.iter().flatten() {
-                            g = g.max(*b);
-                        }
-                        if let Some(top) = q.heap.peek() {
-                            g = g.max(top.0.bound);
-                        }
-                        break (node, g);
-                    }
-                    if q.in_flight.iter().all(Option::is_none) {
-                        q.stop = Some(Stop::Exhausted);
-                        self.work_cv.notify_all();
-                        return;
-                    }
-                    // Peers are still expanding; wait for pushes (with a
-                    // timeout so deadline expiry cannot strand us).
-                    self.work_cv.wait_for(&mut q, Duration::from_millis(20));
+                let mut f = shared.frontier.lock();
+                let Some(HeapNode(node)) = f.heap.pop() else {
+                    return (Stop::Exhausted, f64::NEG_INFINITY);
+                };
+                // The last node's reserved sibling: solved here if it is
+                // this node, else left to the helpers.
+                if let Some(id) = self.reserved.take() {
+                    f.claimed.retain(|&c| c != id);
                 }
+                // Children never exceed their parent's bound, so the
+                // popped node and the heap top bound every open node.
+                let top = f.heap.peek().map_or(node.bound, |t| t.0.bound);
+                // A node no thread has taken is solved here. Its sibling
+                // often pops next and then starts from this node's
+                // factorization, so it stays reserved until the next pop:
+                // no helper splits the pair.
+                if self.helpers > 0 && f.claimable(&node) {
+                    self.reserved = f.claim_sibling(&node).map(|task| task.id);
+                }
+                shared.wake_helpers(&f);
+                let global_bound = node.bound.max(top);
+                (node, global_bound)
             };
 
             let inc_obj = self.incumbent_objective();
             if let Some(inc) = inc_obj {
                 let gap = (global_bound - inc) / inc.abs().max(1.0);
                 if gap <= self.relative_gap {
-                    self.request_stop(w, Stop::GapReached, global_bound);
-                    return;
+                    return (Stop::GapReached, global_bound);
                 }
             }
-            if Instant::now() >= self.deadline
-                || self.nodes_explored.load(AtomicOrdering::Relaxed) >= self.max_nodes
-            {
-                self.request_stop(w, Stop::Budget, global_bound);
-                return;
+            if Instant::now() >= self.deadline || self.nodes_explored >= self.max_nodes {
+                return (Stop::Budget, global_bound);
             }
             if let Some(inc) = inc_obj {
                 if node.bound <= inc + self.relative_gap * inc.abs().max(1.0) {
-                    self.finish_node(w); // pruned by bound
+                    if self.helpers > 0 {
+                        shared.forget(node.id); // pruned by bound
+                    }
                     continue;
                 }
             }
 
-            // Solve this node's relaxation warm from the parent basis
-            // (`solve_relaxation` falls back cold itself).
-            node_bounds(
-                &self.root_bounds,
-                node.branch.as_deref(),
-                &mut path,
-                &mut bounds,
-            );
-            let relax = match self.ctx.solve_relaxation(&bounds, Some(&node.basis)) {
+            let relax = match self.relaxation(&node) {
                 Ok(r) => r,
-                Err(MilpError::Infeasible) => {
-                    self.finish_node(w);
-                    continue;
-                }
+                Err(MilpError::Infeasible) => continue,
                 Err(_) => {
                     // Numerical failure: drop the node but record the
                     // hole so the final status/bound stay honest.
-                    self.relaxation_failures
-                        .fetch_add(1, AtomicOrdering::Relaxed);
+                    self.relaxation_failures += 1;
                     self.hooks.relaxation_failures.inc();
-                    let mut fb = self.failed_bound.lock();
-                    *fb = fb.max(node.bound);
-                    drop(fb);
-                    self.finish_node(w);
+                    self.failed_bound = self.failed_bound.max(node.bound);
                     continue;
                 }
             };
-            self.lp_iterations
-                .fetch_add(relax.iterations, AtomicOrdering::Relaxed);
-            if relax.warmed {
-                self.warm_starts.fetch_add(1, AtomicOrdering::Relaxed);
-            } else {
-                self.cold_starts.fetch_add(1, AtomicOrdering::Relaxed);
-            }
-            self.hooks.lp(relax.iterations, relax.warmed);
-            let explored = self.nodes_explored.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+            self.count_lp(&relax);
+            self.nodes_explored += 1;
+            let explored = self.nodes_explored;
             self.hooks.nodes.inc();
 
             let node_bound = self.internal(relax.objective);
             if let Some(inc) = self.incumbent_objective() {
                 if node_bound <= inc + self.relative_gap * inc.abs().max(1.0) {
-                    self.finish_node(w); // pruned by bound
-                    continue;
+                    continue; // pruned by bound
                 }
             }
 
@@ -807,65 +1080,61 @@ impl Shared<'_> {
                     }
                 }
             }
-            match branch_var {
-                None => {
-                    // Integer feasible.
-                    let snapped = rounded(vals, &self.int_vars);
-                    self.consider(&snapped);
+            let Some((j, _)) = branch_var else {
+                // Integer feasible.
+                let snapped = rounded(vals, &self.int_vars);
+                self.consider(&snapped);
+                continue;
+            };
+            let x = vals[j];
+            let (lo, hi) = self.bufs.bounds[j];
+            // Dive eagerly until a first incumbent exists (without one,
+            // nothing prunes and a budgeted solve can end empty-handed),
+            // occasionally afterwards.
+            let cadence = if self.incumbent.is_none() { 16 } else { 128 };
+            if explored.is_multiple_of(cadence) {
+                let bounds = std::mem::take(&mut self.bufs.bounds);
+                if let Some(dived) = self.dive_warm(&bounds, &relax.basis) {
+                    self.consider(&dived);
                 }
-                Some((j, _)) => {
-                    // Dive eagerly until a first incumbent exists (without
-                    // one, nothing prunes and a budgeted solve can end
-                    // empty-handed), occasionally afterwards.
-                    let cadence = if self.incumbent_objective().is_none() {
-                        16
-                    } else {
-                        128
-                    };
-                    if explored % cadence == 0 {
-                        if let Some(dived) = self.dive_warm(&bounds, &relax.basis) {
-                            self.consider(&dived);
-                        }
-                    }
-                    let snapped = rounded(vals, &self.int_vars);
-                    self.consider(&snapped);
-
-                    let x = vals[j];
-                    let (lo, hi) = bounds[j];
-                    let child_basis = Arc::new(relax.basis);
-                    let child = |lo: f64, hi: f64, basis: Arc<BasisSnapshot>| {
-                        HeapNode(Node {
-                            branch: Some(Arc::new(Branch {
-                                var: j,
-                                lo,
-                                hi,
-                                parent: node.branch.clone(),
-                            })),
-                            bound: node_bound,
-                            depth: node.depth + 1,
-                            basis,
-                        })
-                    };
-                    let mut children = Vec::with_capacity(2);
-                    // Down branch: x <= floor.
-                    let down_hi = x.floor();
-                    if down_hi >= lo - INT_EPS {
-                        children.push(child(lo, down_hi.max(lo), Arc::clone(&child_basis)));
-                    }
-                    // Up branch: x >= ceil.
-                    let up_lo = x.ceil();
-                    if up_lo <= hi + INT_EPS {
-                        children.push(child(up_lo.min(hi), hi, child_basis));
-                    }
-                    if !children.is_empty() {
-                        let mut q = self.queue.lock();
-                        for c in children {
-                            q.heap.push(c);
-                        }
-                    }
-                }
+                self.bufs.bounds = bounds;
             }
-            self.finish_node(w);
+            let snapped = rounded(&relax.values, &self.int_vars);
+            self.consider(&snapped);
+
+            let child_basis = Arc::new(relax.basis);
+            let mut children = [None, None];
+            // Down branch: x <= floor.
+            let down_hi = x.floor();
+            if down_hi >= lo - INT_EPS {
+                children[0] = Some((lo, down_hi.max(lo)));
+            }
+            // Up branch: x >= ceil.
+            let up_lo = x.ceil();
+            if up_lo <= hi + INT_EPS {
+                children[1] = Some((up_lo.min(hi), hi));
+            }
+            let children = children.map(|bounds| {
+                bounds.map(|(lo, hi)| Node {
+                    branch: Some(Arc::new(Branch {
+                        var: j,
+                        lo,
+                        hi,
+                        parent: node.branch.clone(),
+                    })),
+                    bound: node_bound,
+                    depth: node.depth + 1,
+                    id: self.next_id(),
+                    basis: Arc::clone(&child_basis),
+                })
+            });
+            // One push each, down first: the heap's layout, and so its
+            // order among equal keys, is the single-thread search's.
+            let mut f = shared.frontier.lock();
+            for child in children.into_iter().flatten() {
+                f.heap.push(HeapNode(child));
+            }
+            shared.wake_helpers(&f);
         }
     }
 }
@@ -892,8 +1161,8 @@ mod tests {
 
     #[test]
     fn open_nodes_stay_compact() {
-        // A bound, a depth and two pointers: the bounds themselves live
-        // on the shared `Branch` chain.
+        // A bound, a depth, an id and two pointers: the bounds
+        // themselves live on the shared `Branch` chain.
         let size = std::mem::size_of::<Node>();
         assert!(size <= 32, "Node is {size} bytes");
     }
@@ -911,6 +1180,7 @@ mod tests {
             branch: None,
             bound,
             depth,
+            id: 0,
             basis: Arc::new(basis),
         })
     }
@@ -1382,8 +1652,8 @@ mod tests {
         };
         match m.solve(&cfg) {
             Ok(sol) => {
-                // Overshoot is bounded by the worker count.
-                assert!(sol.nodes_explored <= 16 + 4, "nodes {}", sol.nodes_explored);
+                // Only the committer counts nodes: no overshoot.
+                assert!(sol.nodes_explored <= 16, "nodes {}", sol.nodes_explored);
                 assert!(m.is_feasible(&sol.values, 1e-6));
             }
             Err(MilpError::TimeLimitNoSolution) => {}

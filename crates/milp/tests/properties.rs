@@ -1,7 +1,9 @@
 //! Property tests: the MILP solver against brute force and its own LP bound.
 
 use flex_milp::simplex::solve_relaxation;
-use flex_milp::{MilpError, Model, Relation, Sense, SolveConfig, VarKind, WarmContext};
+use flex_milp::{
+    MilpError, MilpSolution, Model, Relation, Sense, SolveConfig, SolveStatus, VarKind, WarmContext,
+};
 use proptest::prelude::*;
 
 /// Builds a random feasible maximize-LP: non-negative variables with upper
@@ -154,6 +156,26 @@ fn config_for(threads: usize) -> SolveConfig {
     }
 }
 
+/// A solution's status and counters, with its floats as bit patterns
+/// (objective, best bound, values) for exact comparison.
+type SolutionBits = (SolveStatus, u64, u64, Vec<u64>, [u64; 5]);
+
+fn solution_bits(sol: &MilpSolution) -> SolutionBits {
+    (
+        sol.status,
+        sol.objective.to_bits(),
+        sol.best_bound.to_bits(),
+        sol.values.iter().map(|v| v.to_bits()).collect(),
+        [
+            sol.nodes_explored,
+            sol.lp_iterations,
+            sol.warm_starts,
+            sol.cold_starts,
+            sol.relaxation_failures,
+        ],
+    )
+}
+
 /// Regression for a phase-1 bug: rows whose initial residual is negative
 /// (e.g. `Σ terms − M ≤ −e` with all variables starting at 0) previously
 /// produced a non-identity artificial basis and false infeasibility.
@@ -242,18 +264,19 @@ proptest! {
         prop_assert!(sol.best_bound + 1e-6 >= sol.objective);
     }
 
-    /// The parallel engine finds the same optimal objective as a
-    /// single-threaded solve, at 2 and 4 workers.
+    /// Every thread count explores the single-thread tree: at 2 and 4
+    /// threads the solution is bit-identical to the one-thread solve —
+    /// values, objective and bound bits, and every counter.
     #[test]
     fn parallel_solver_matches_single_thread((m, _) in arb_mip()) {
         let reference = m.solve(&config_for(1)).unwrap();
         for threads in [2usize, 4] {
             let sol = m.solve(&config_for(threads)).unwrap();
-            prop_assert!(
-                (sol.objective - reference.objective).abs() < 1e-6,
-                "threads={threads}: {} vs {}", sol.objective, reference.objective
+            prop_assert_eq!(
+                solution_bits(&sol),
+                solution_bits(&reference),
+                "threads={}: {} vs {}", threads, sol, reference
             );
-            prop_assert!(m.is_feasible(&sol.values, 1e-6));
             prop_assert_eq!(sol.relaxation_failures, 0);
         }
     }

@@ -1,5 +1,5 @@
 //! Search-trace golden: pins the exact branch-and-bound trace of a few
-//! small placement-shaped models at `threads: 1`.
+//! small placement-shaped models, at `threads` 1, 2 and 4 alike.
 //!
 //! The enumeration properties only check that the optimum is right; a
 //! change that keeps optima but moves the search (a different branching
@@ -7,6 +7,10 @@
 //! fails on any such change: node count, pivots, warm and cold
 //! relaxations and the objective's bits must match the recorded values.
 //! A deliberate change to the search re-records them and says so.
+//!
+//! Every thread count explores the `threads: 1` tree (helper threads
+//! only solve node relaxations ahead of the committing loop), so one
+//! set of values holds for all of them.
 
 use flex_milp::{Model, Relation, Sense, SolveConfig, SolveStatus, VarKind};
 
@@ -99,18 +103,22 @@ const GOLDEN: [Golden; 5] = [
     (12, 0x4058_f423_44d7_fb6e, 1252, 2585, 1320, 1),
 ];
 
-#[test]
-fn single_thread_search_trace_matches_golden() {
+/// Checks every golden solve at `threads`.
+fn check_golden(threads: usize) {
     let config = SolveConfig {
-        threads: 1,
+        threads,
         ..SolveConfig::default()
     };
     for &golden in &GOLDEN {
         let seed = golden.0;
         let m = placement_model(seed);
         let sol = m.solve(&config).unwrap();
-        assert_eq!(sol.status, SolveStatus::Optimal, "seed {seed}");
-        assert_eq!(sol.relaxation_failures, 0, "seed {seed}");
+        assert_eq!(
+            sol.status,
+            SolveStatus::Optimal,
+            "seed {seed}, threads {threads}"
+        );
+        assert_eq!(sol.relaxation_failures, 0, "seed {seed}, threads {threads}");
         let got = (
             seed,
             sol.objective.to_bits(),
@@ -119,7 +127,25 @@ fn single_thread_search_trace_matches_golden() {
             sol.warm_starts,
             sol.cold_starts,
         );
-        assert_eq!(got, golden, "seed {seed}: {sol}");
-        assert!(m.is_feasible(&sol.values, 1e-6), "seed {seed}");
+        assert_eq!(got, golden, "seed {seed}, threads {threads}: {sol}");
+        assert!(
+            m.is_feasible(&sol.values, 1e-6),
+            "seed {seed}, threads {threads}"
+        );
     }
+}
+
+#[test]
+fn single_thread_search_trace_matches_golden() {
+    check_golden(1);
+}
+
+#[test]
+fn two_thread_search_trace_matches_golden() {
+    check_golden(2);
+}
+
+#[test]
+fn four_thread_search_trace_matches_golden() {
+    check_golden(4);
 }
