@@ -196,75 +196,6 @@ pub fn simulate_years<R: Rng + ?Sized>(
     result
 }
 
-/// SplitMix64 finalizer: decorrelates per-year RNG streams.
-fn year_seed(root_seed: u64, year: u64) -> u64 {
-    let mut z = root_seed ^ year.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Parallel Monte-Carlo: simulates `years` *independent* one-year
-/// replications of [`simulate_years`] across up to `threads` worker
-/// threads and sums the results in year order.
-///
-/// Each year draws from its own RNG stream derived only from
-/// `(root_seed, year index)`, and the accumulation order is fixed, so
-/// the result is **bit-identical for any `threads` value** — the thread
-/// count affects wall-clock time only. (Unlike one long sequential run,
-/// outage state does not carry across year boundaries; for rare-event
-/// tails over hundreds of years the estimators agree statistically.)
-pub fn simulate_years_parallel(
-    model: &FeasibilityModel,
-    years: usize,
-    root_seed: u64,
-    threads: usize,
-) -> YearSimResult {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = threads.max(1).min(years.max(1));
-    let run_year = |y: usize| {
-        let mut rng = SmallRng::seed_from_u64(year_seed(root_seed, y as u64));
-        simulate_years(model, 1, &mut rng)
-    };
-
-    let mut per_year: Vec<YearSimResult> = Vec::with_capacity(years);
-    if threads == 1 {
-        per_year.extend((0..years).map(run_year));
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<parking_lot::Mutex<YearSimResult>> =
-            (0..years).map(|_| parking_lot::Mutex::new(YearSimResult::default())).collect();
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let y = next.fetch_add(1, Ordering::Relaxed);
-                    if y >= years {
-                        break;
-                    }
-                    *slots[y].lock() = run_year(y);
-                });
-            }
-        })
-        .expect("year-replication worker panicked");
-        per_year.extend(slots.into_iter().map(|s| s.into_inner()));
-    }
-
-    // Fold in year order: f64 addition is not associative, and a fixed
-    // order is what makes the result independent of scheduling.
-    let mut total = YearSimResult::default();
-    for r in per_year {
-        total.hours += r.hours;
-        total.action_hours += r.action_hours;
-        total.shutdown_hours += r.shutdown_hours;
-        total.unplanned_hours += r.unplanned_hours;
-        total.planned_hours += r.planned_hours;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,29 +258,6 @@ mod tests {
             result.planned_hours / 500.0
         );
         // Shutdowns are rarer than actions.
-        assert!(result.shutdown_hours <= result.action_hours);
-    }
-
-    #[test]
-    fn parallel_monte_carlo_is_thread_count_invariant() {
-        let m = FeasibilityModel::paper();
-        let a = simulate_years_parallel(&m, 40, 42, 1);
-        let b = simulate_years_parallel(&m, 40, 42, 4);
-        assert_eq!(a, b, "thread count must not change the result");
-    }
-
-    #[test]
-    fn parallel_monte_carlo_statistics_match_sequential() {
-        let m = FeasibilityModel::paper();
-        let result = simulate_years_parallel(&m, 300, 7, 4);
-        assert!((result.hours - 300.0 * HOURS_PER_YEAR).abs() < 1e-6);
-        let drawn = result.unplanned_hours / 300.0;
-        assert!((0.5..2.0).contains(&drawn), "unplanned {drawn} h/yr");
-        assert!(
-            (result.planned_hours / 300.0 - 40.0).abs() < 1.0,
-            "planned {} h/yr",
-            result.planned_hours / 300.0
-        );
         assert!(result.shutdown_hours <= result.action_hours);
     }
 

@@ -70,7 +70,6 @@ pub(crate) struct VarDef {
 
 #[derive(Debug, Clone)]
 pub(crate) struct ConstraintDef {
-    pub(crate) name: String,
     /// Terms with coefficients, deduplicated by variable.
     pub(crate) terms: Vec<(usize, f64)>,
     pub(crate) relation: Relation,
@@ -217,7 +216,6 @@ impl Model {
             .collect();
         let id = ConstraintId(self.constraints.len());
         self.constraints.push(ConstraintDef {
-            name,
             terms,
             relation,
             rhs,
@@ -253,11 +251,6 @@ impl Model {
             .get(id.0)
             .map(|v| v.name.as_str())
             .ok_or(MilpError::UnknownVariable(id.0))
-    }
-
-    /// A constraint's name, or `None` for a foreign id.
-    pub fn constraint_name(&self, id: ConstraintId) -> Option<&str> {
-        self.constraints.get(id.0).map(|c| c.name.as_str())
     }
 
     /// Evaluates the objective for a full assignment (used by tests and

@@ -18,7 +18,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flex_obs::{Counter, Histogram, Obs};
 use parking_lot::{Condvar, Mutex};
 
 use crate::model::{Model, Sense, VarKind};
@@ -252,50 +251,6 @@ impl Ord for HeapNode {
     }
 }
 
-/// `flex-obs` hooks for the solver: per-relaxation pivot accounting and
-/// warm/cold/failure counters. All noop unless minted from a recording
-/// handle via [`Model::solve_observed`]. Only the committing loop
-/// updates them, in commit order.
-struct MilpHooks {
-    nodes: Counter,
-    warm_starts: Counter,
-    cold_starts: Counter,
-    relaxation_failures: Counter,
-    pivots_per_node: Histogram,
-}
-
-impl MilpHooks {
-    fn noop() -> Self {
-        MilpHooks {
-            nodes: Counter::noop(),
-            warm_starts: Counter::noop(),
-            cold_starts: Counter::noop(),
-            relaxation_failures: Counter::noop(),
-            pivots_per_node: Histogram::noop(),
-        }
-    }
-
-    fn new(obs: &Obs) -> Self {
-        MilpHooks {
-            nodes: obs.counter("milp/nodes"),
-            warm_starts: obs.counter("milp/warm_starts"),
-            cold_starts: obs.counter("milp/cold_starts"),
-            relaxation_failures: obs.counter("milp/relaxation_failures"),
-            pivots_per_node: obs.histogram("milp/pivots_per_node"),
-        }
-    }
-
-    /// One LP relaxation solved: `iters` simplex pivots, warm or cold.
-    fn lp(&self, iters: u64, warmed: bool) {
-        self.pivots_per_node.observe(iters);
-        if warmed {
-            self.warm_starts.inc();
-        } else {
-            self.cold_starts.inc();
-        }
-    }
-}
-
 impl Model {
     /// Solves the model by branch-and-bound.
     ///
@@ -319,6 +274,9 @@ impl Model {
     /// is validated; an infeasible one is silently ignored. Guarantees
     /// that a time-limited solve returns at least the warm-start quality.
     ///
+    /// The committing loop runs on this thread, with `threads − 1`
+    /// helpers solving relaxations ahead of it.
+    ///
     /// # Errors
     ///
     /// See [`Model::solve`].
@@ -326,34 +284,6 @@ impl Model {
         &self,
         config: &SolveConfig,
         warm_start: Option<&[f64]>,
-    ) -> Result<MilpSolution, MilpError> {
-        self.solve_inner(config, warm_start, &MilpHooks::noop())
-    }
-
-    /// Like [`Model::solve`], but streams per-node LP accounting
-    /// (nodes, warm/cold relaxations, pivots per relaxation, numerical
-    /// failures) into `obs` under the `milp/` metric namespace. The
-    /// search itself is unaffected: hooks never branch on recorded
-    /// state, so an observed solve explores the identical tree.
-    ///
-    /// # Errors
-    ///
-    /// See [`Model::solve`].
-    pub fn solve_observed(
-        &self,
-        config: &SolveConfig,
-        obs: &Obs,
-    ) -> Result<MilpSolution, MilpError> {
-        self.solve_inner(config, None, &MilpHooks::new(obs))
-    }
-
-    /// The branch-and-bound engine: the committing loop on this thread,
-    /// with `threads − 1` helpers solving relaxations ahead of it.
-    fn solve_inner(
-        &self,
-        config: &SolveConfig,
-        warm_start: Option<&[f64]>,
-        hooks: &MilpHooks,
     ) -> Result<MilpSolution, MilpError> {
         let helpers = config.resolved_threads().max(1) - 1;
         let start = Instant::now();
@@ -382,7 +312,6 @@ impl Model {
             relative_gap: config.relative_gap,
             max_nodes: config.max_nodes,
             helpers,
-            hooks,
             incumbent: None,
             failed_bound: f64::NEG_INFINITY,
             nodes_explored: 1,
@@ -402,8 +331,6 @@ impl Model {
                 .ctx
                 .solve_relaxation_in(&shared.root_bounds, None, &mut search.bufs.lp)?;
         search.lp_iterations = root.iterations;
-        hooks.nodes.inc();
-        hooks.lp(root.iterations, root.warmed);
 
         if let Some(ws) = warm_start {
             if ws.len() == self.vars.len() && self.is_feasible(ws, 1e-6) {
@@ -437,16 +364,15 @@ impl Model {
         };
         shared.frontier.lock().heap.push(HeapNode(root_node));
 
-        let (stop, stop_bound) = crossbeam::thread::scope(|s| {
+        let (stop, stop_bound) = std::thread::scope(|s| {
             for _ in 0..helpers {
-                s.spawn(|_| shared.help());
+                s.spawn(|| shared.help());
             }
             // Helpers return once the search is over, also when the
             // committing loop panics.
             let _release = ReleaseHelpers(&shared);
             search.run()
-        })
-        .expect("branch-and-bound helper panicked");
+        });
 
         let incumbent = search.incumbent.take();
         let failures = search.relaxation_failures;
@@ -788,7 +714,6 @@ struct Search<'a> {
     max_nodes: u64,
     /// Helper threads solving relaxations ahead (0: none).
     helpers: usize,
-    hooks: &'a MilpHooks,
     /// Best integer-feasible point, internal (maximize) objective.
     incumbent: Option<(f64, Vec<f64>)>,
     /// Highest bound among nodes dropped after LP failures; NEG_INFINITY
@@ -877,7 +802,6 @@ impl Search<'_> {
         } else {
             self.cold_starts += 1;
         }
-        self.hooks.lp(relax.iterations, relax.warmed);
     }
 
     /// One counted LP solve for the dive.
@@ -1050,7 +974,6 @@ impl Search<'_> {
                     // Numerical failure: drop the node but record the
                     // hole so the final status/bound stay honest.
                     self.relaxation_failures += 1;
-                    self.hooks.relaxation_failures.inc();
                     self.failed_bound = self.failed_bound.max(node.bound);
                     continue;
                 }
@@ -1058,7 +981,6 @@ impl Search<'_> {
             self.count_lp(&relax);
             self.nodes_explored += 1;
             let explored = self.nodes_explored;
-            self.hooks.nodes.inc();
 
             let node_bound = self.internal(relax.objective);
             if let Some(inc) = self.incumbent_objective() {
@@ -1291,54 +1213,6 @@ mod tests {
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 220.0).abs() < 1e-6);
         assert!(!sol.is_one(a) && sol.is_one(b) && sol.is_one(c));
-    }
-
-    #[test]
-    fn observed_solve_matches_and_records() {
-        let build = || {
-            let mut m = Model::new(Sense::Maximize);
-            let a = m.add_binary("a", 60.0);
-            let b = m.add_binary("b", 100.0);
-            let c = m.add_binary("c", 120.0);
-            m.add_constraint(
-                "cap",
-                vec![(a, 10.0), (b, 20.0), (c, 30.0)],
-                Relation::Le,
-                50.0,
-            )
-            .unwrap();
-            m
-        };
-        // One thread keeps node processing deterministic, so plain and
-        // observed runs are comparable tree for tree.
-        let config = SolveConfig {
-            threads: 1,
-            ..SolveConfig::default()
-        };
-        let plain = build().solve(&config).unwrap();
-        let obs = Obs::recording();
-        let observed = build().solve_observed(&config, &obs).unwrap();
-        // Hooks never branch the search: identical solution and tree.
-        assert_eq!(observed.status, plain.status);
-        assert!((observed.objective - plain.objective).abs() < 1e-9);
-        assert_eq!(observed.values, plain.values);
-        assert_eq!(observed.nodes_explored, plain.nodes_explored);
-        // The hooks mirrored the solution's own accounting.
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.counters.get("milp/nodes").copied(),
-            Some(plain.nodes_explored)
-        );
-        assert_eq!(
-            snap.counters.get("milp/warm_starts").copied().unwrap_or(0)
-                + snap.counters.get("milp/cold_starts").copied().unwrap_or(0),
-            plain.warm_starts + plain.cold_starts
-        );
-        let pivots = snap
-            .histograms
-            .get("milp/pivots_per_node")
-            .expect("pivot histogram registered");
-        assert_eq!(pivots.sum, plain.lp_iterations);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Three pieces behind one cheap handle ([`Obs`]):
 //!
-//! - a **metrics registry** — sharded [`Counter`]s, last-write-wins
-//!   [`Gauge`]s, and fixed-bucket log-scale [`Histogram`]s whose merged
+//! - a **metrics registry** — [`Counter`]s, last-write-wins
+//!   [`Gauge`]s, and fixed-bucket log-scale [`Histogram`]s whose
 //!   snapshot is byte-deterministic ([`MetricsSnapshot`]);
 //! - **spans** ([`Span`]) — histograms of *sim-time* durations, so the
 //!   detect-to-shed budget (telemetry measure → arrive, submit → apply,
@@ -81,7 +81,7 @@ impl Obs {
         self.inner.is_some()
     }
 
-    /// Mints a counter shard for `name` (noop when disabled).
+    /// Mints a counter handle for `name` (noop when disabled).
     pub fn counter(&self, name: &str) -> Counter {
         self.inner
             .as_ref()
@@ -95,7 +95,7 @@ impl Obs {
             .map_or_else(Gauge::noop, |i| i.registry.gauge(name))
     }
 
-    /// Mints a histogram shard for `name` (noop when disabled).
+    /// Mints a histogram handle for `name` (noop when disabled).
     pub fn histogram(&self, name: &str) -> Histogram {
         self.inner
             .as_ref()

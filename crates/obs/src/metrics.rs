@@ -1,18 +1,15 @@
-//! The metrics registry: sharded counters, gauges, and fixed-bucket
-//! log-scale histograms.
+//! The metrics registry: counters, gauges, and fixed-bucket log-scale
+//! histograms.
 //!
 //! Every handle is either *live* (backed by atomic cells owned by the
 //! registry) or *noop* (`None` inside — the increment path is a single
 //! branch on a discriminant the optimizer can see through, so disabled
 //! observability compiles down to nothing on the hot path).
 //!
-//! Counters and histograms are **sharded**: every registration of a
-//! name hands out a fresh cell, and the snapshot merges cells per name.
-//! Shards mean concurrent writers (the parallel MILP workers) never
-//! contend on a cache line they both own, while merged totals stay
-//! exactly deterministic under any interleaving — addition, `min`, and
-//! `max` are commutative. Gauges are last-write-wins and therefore
-//! deliberately *not* sharded: one cell per name.
+//! Every name has one cell: each registration of a name hands out a
+//! handle to the same cell. Counter and histogram totals stay exactly
+//! deterministic under any interleaving of writers, because addition,
+//! `min`, and `max` are commutative. Gauges are last-write-wins.
 //!
 //! Snapshots order everything through `BTreeMap`s, so a snapshot of the
 //! same history serializes byte-identically every time.
@@ -54,7 +51,7 @@ pub(crate) fn bucket_lower_bound(idx: usize) -> u64 {
     }
 }
 
-/// The atomic cells behind one histogram shard.
+/// The atomic cells behind one histogram name.
 #[derive(Debug)]
 pub(crate) struct HistCells {
     count: AtomicU64,
@@ -112,7 +109,8 @@ impl Counter {
         }
     }
 
-    /// This shard's current value (for tests; reports read snapshots).
+    /// The name's current total, over every handle registered under it
+    /// (for tests; reports read snapshots).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
@@ -194,23 +192,18 @@ impl Span {
     }
 }
 
-/// The live registry: name → shards. Registration takes a lock;
+/// The live registry: name → cell. Registration takes a lock;
 /// recording never does.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
-    counters: Mutex<BTreeMap<String, Vec<Arc<AtomicU64>>>>,
+    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Vec<Arc<HistCells>>>>,
+    histograms: Mutex<BTreeMap<String, Arc<HistCells>>>,
 }
 
 impl Registry {
     pub(crate) fn counter(&self, name: &str) -> Counter {
-        let cell = Arc::new(AtomicU64::new(0));
-        self.counters
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .push(Arc::clone(&cell));
+        let cell = Arc::clone(self.counters.lock().entry(name.to_string()).or_default());
         Counter(Some(cell))
     }
 
@@ -225,12 +218,12 @@ impl Registry {
     }
 
     pub(crate) fn histogram(&self, name: &str) -> Histogram {
-        let cells = Arc::new(HistCells::new());
-        self.histograms
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .push(Arc::clone(&cells));
+        let cells = Arc::clone(
+            self.histograms
+                .lock()
+                .entry(name.to_string())
+                .or_insert_with(|| Arc::new(HistCells::new())),
+        );
         Histogram(Some(cells))
     }
 
@@ -239,13 +232,7 @@ impl Registry {
             .counters
             .lock()
             .iter()
-            .map(|(name, shards)| {
-                let total = shards
-                    .iter()
-                    .map(|s| s.load(Ordering::Relaxed))
-                    .fold(0u64, u64::wrapping_add);
-                (name.clone(), total)
-            })
+            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
         let gauges = self
             .gauges
@@ -257,7 +244,7 @@ impl Registry {
             .histograms
             .lock()
             .iter()
-            .map(|(name, shards)| (name.clone(), HistogramSnapshot::merge(shards)))
+            .map(|(name, cells)| (name.clone(), HistogramSnapshot::read(cells)))
             .collect();
         MetricsSnapshot {
             counters,
@@ -267,7 +254,7 @@ impl Registry {
     }
 }
 
-/// Point-in-time merged view of one histogram name.
+/// Point-in-time view of one histogram name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total samples.
@@ -283,32 +270,22 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn merge(shards: &[Arc<HistCells>]) -> Self {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut merged = [0u64; BUCKETS];
-        for s in shards {
-            count = count.wrapping_add(s.count.load(Ordering::Relaxed));
-            sum = sum.wrapping_add(s.sum.load(Ordering::Relaxed));
-            min = min.min(s.min.load(Ordering::Relaxed));
-            max = max.max(s.max.load(Ordering::Relaxed));
-            for (m, b) in merged.iter_mut().zip(s.buckets.iter()) {
-                *m = m.wrapping_add(b.load(Ordering::Relaxed));
-            }
-        }
-        let buckets = merged
+    fn read(cells: &HistCells) -> Self {
+        let count = cells.count.load(Ordering::Relaxed);
+        let buckets = cells
+            .buckets
             .iter()
             .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower_bound(i), c))
+            .filter_map(|(i, b)| {
+                let c = b.load(Ordering::Relaxed);
+                (c > 0).then(|| (bucket_lower_bound(i), c))
+            })
             .collect();
         HistogramSnapshot {
             count,
-            sum,
-            min: (count > 0).then_some(min),
-            max: (count > 0).then_some(max),
+            sum: cells.sum.load(Ordering::Relaxed),
+            min: (count > 0).then(|| cells.min.load(Ordering::Relaxed)),
+            max: (count > 0).then(|| cells.max.load(Ordering::Relaxed)),
             buckets,
         }
     }
@@ -394,11 +371,11 @@ impl HistogramSnapshot {
 /// A deterministic point-in-time export of the whole registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Counter totals (shards merged).
+    /// Counter totals.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries (shards merged).
+    /// Histogram summaries.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -492,14 +469,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counters_merge() {
+    fn reminted_counter_handles_share_one_cell() {
         let r = Registry::default();
         let a = r.counter("x");
         let b = r.counter("x");
         let c = r.counter("y");
         a.add(3);
+        assert_eq!(b.get(), 3);
         b.add(4);
         c.inc();
+        assert_eq!(a.get(), 7);
         let snap = r.snapshot();
         assert_eq!(snap.counters.get("x"), Some(&7));
         assert_eq!(snap.counters.get("y"), Some(&1));

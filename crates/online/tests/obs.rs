@@ -4,8 +4,8 @@
 //!    must not change a single simulation outcome relative to the noop
 //!    handle (recording never touches RNG streams or scheduling).
 //! 2. **Determinism** — two instrumented runs at the same seed produce
-//!    byte-identical dumps, and sharded metric handles merge to the
-//!    same snapshot regardless of how many threads fed them.
+//!    byte-identical dumps, and metric handles fed from any number of
+//!    threads produce the same snapshot.
 //! 3. **Replay fidelity** — feeding the flight-recorder dump back into
 //!    fresh controllers reproduces the recorded command sequence
 //!    bit-identically (`flex_online::replay`).
@@ -145,7 +145,7 @@ fn instrumented_runs_are_byte_deterministic() {
 }
 
 #[test]
-fn sharded_counters_merge_identically_across_thread_counts() {
+fn concurrent_writers_snapshot_identically_across_thread_counts() {
     let run_with = |threads: u64| {
         let obs = Obs::recording();
         let mut handles = Vec::new();

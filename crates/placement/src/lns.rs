@@ -190,44 +190,32 @@ pub fn refine_parallel(
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let replicas = replicas.max(1);
-    let threads = threads.max(1).min(replicas);
-    if threads == 1 {
-        // Same computation without the pool (still replica-seeded, so the
-        // answer matches the threaded path exactly).
-        let mut best: Option<((f64, f64, f64), Vec<(usize, PduPairId)>)> = None;
-        for r in 0..replicas {
-            let mut rng = SmallRng::seed_from_u64(mix_seed(seed, r as u64));
-            let out = refine(base, batch, initial, config, &mut rng);
-            let obj = score_assignment(base, batch, &out);
-            match &best {
-                Some((b, _)) if *b >= obj => {}
-                _ => best = Some((obj, out)),
-            }
-        }
-        return best.expect("replicas >= 1").1;
-    }
-
     let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<Vec<(usize, PduPairId)>>>> =
-        (0..replicas).map(|_| parking_lot::Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let r = next.fetch_add(1, Ordering::Relaxed);
-                if r >= replicas {
-                    break;
-                }
-                let mut rng = SmallRng::seed_from_u64(mix_seed(seed, r as u64));
-                let out = refine(base, batch, initial, config, &mut rng);
-                *slots[r].lock() = Some(out);
-            });
-        }
-    })
-    .expect("LNS replica worker panicked");
+    let mut outs: Vec<(usize, Vec<(usize, PduPairId)>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.clamp(1, replicas))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let r = next.fetch_add(1, Ordering::Relaxed);
+                        if r >= replicas {
+                            return done;
+                        }
+                        let mut rng = SmallRng::seed_from_u64(mix_seed(seed, r as u64));
+                        done.push((r, refine(base, batch, initial, config, &mut rng)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("LNS replica worker panicked"))
+            .collect()
+    });
+    outs.sort_unstable_by_key(|&(r, _)| r);
 
     let mut best: Option<((f64, f64, f64), Vec<(usize, PduPairId)>)> = None;
-    for slot in slots {
-        let out = slot.into_inner().expect("every replica index was claimed");
+    for (_, out) in outs {
         let obj = score_assignment(base, batch, &out);
         match &best {
             Some((b, _)) if *b >= obj => {}
@@ -394,9 +382,13 @@ mod tests {
             max_ruin: 2,
         };
         let seq = refine_parallel(&base, &batch, &[], &config, 99, 3, 1);
-        let par = refine_parallel(&base, &batch, &[], &config, 99, 3, 3);
-        assert_eq!(seq, par, "thread count must not change the result");
         assert!(!seq.is_empty());
+        // 2 threads claim 3 replicas unevenly; 8 is more workers than
+        // replicas.
+        for threads in [2, 3, 8] {
+            let par = refine_parallel(&base, &batch, &[], &config, 99, 3, threads);
+            assert_eq!(seq, par, "{threads} threads changed the result");
+        }
     }
 
     #[test]

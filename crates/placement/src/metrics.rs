@@ -79,24 +79,6 @@ pub fn sum_squared_failover_cap(state: &RoomState) -> f64 {
     sum
 }
 
-/// The worst post-corrective-action failover load across all scenarios,
-/// as a fraction of UPS capacity — the Equation 4 quantity. Placements
-/// with a lower value leave more headroom for future deployments.
-pub fn worst_case_failover_cap_fraction(state: &RoomState) -> f64 {
-    let topo = state.room().topology();
-    let mut worst: f64 = 0.0;
-    for f in topo.ups_ids() {
-        for u in topo.ups_ids() {
-            if u == f {
-                continue;
-            }
-            let cap = topo.ups(u).expect("ups in room").capacity();
-            worst = worst.max(state.failover_cap_load(u, f) / cap);
-        }
-    }
-    worst
-}
-
 /// The worst-case throttling need across all failover scenarios, as a
 /// fraction of UPS capacity (an absolute companion to the imbalance).
 pub fn worst_case_throttling_need(state: &RoomState) -> f64 {

@@ -155,20 +155,6 @@ impl FlexOffline {
         }
     }
 
-    /// Custom batching fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `batch_fraction > 0`.
-    pub fn with_fraction(batch_fraction: f64) -> Self {
-        assert!(batch_fraction > 0.0, "batch fraction must be positive");
-        FlexOffline {
-            name: format!("Flex-Offline({batch_fraction:.2})"),
-            batch_fraction,
-            config: IlpConfig::default(),
-        }
-    }
-
     /// Overrides the per-batch solver configuration.
     pub fn with_config(mut self, config: IlpConfig) -> Self {
         self.config = config;

@@ -77,15 +77,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample (n−1) standard deviation; 0 with fewer than two samples.
-    pub fn sample_std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

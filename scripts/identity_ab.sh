@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Byte-identity check of the working tree against a base revision.
+#
+# Extracts <base-rev> with `git archive` into a temporary directory (no
+# worktree, nothing written inside the repository) and builds the
+# figure binaries and flex-chaos there and in the current tree. Each
+# side then runs the deterministic figure binaries with
+# FLEX_BENCH_FAST=1, and a 200-scenario chaos campaign with and without
+# --ab (the JSON report embeds each failure's recorder dump). Every
+# stdout, JSON report and chaos exit status is compared with `cmp`.
+#
+# fig09, fig10, the two sweeps, baseline_comparison and
+# ablation_forecast are left out: their placement solves stop at a
+# wall-clock deadline, so their output varies from run to run.
+#
+# Prints one line per output and exits non-zero if any output differs
+# or a figure binary fails.
+#
+# Usage: scripts/identity_ab.sh <base-rev>
+
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <base-rev>" >&2
+    exit 2
+fi
+base_rev=$1
+figures=(fig03_workload_mix fig06_trip_curves fig11_impact_scenarios
+    fig12_online_decisions fig13_end_to_end sec3_feasibility
+    sec6_production_latency ablation_redundancy_designs)
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/src" "$tmp/base" "$tmp/new"
+git archive "$base_rev" | tar -x -C "$tmp/src"
+
+build() {
+    echo "== building in $1 =="
+    (cd "$1" && env -u CARGO_TARGET_DIR cargo build --release --offline --quiet \
+        -p flex-bench --bins -p flex-chaos)
+}
+
+# run_chaos <bin-dir> <out-stem> [flags...]: one campaign's report,
+# stdout and exit status (an --ab campaign finds violations and exits
+# non-zero by design).
+run_chaos() {
+    local bin=$1 stem=$2 status=0
+    shift 2
+    "$bin/flex-chaos" run --scenarios 200 "$@" --json "$stem.json" >"$stem.out" || status=$?
+    echo "$status" >"$stem.status"
+}
+
+# run_side <checkout> <out-dir>: every output of one side.
+run_side() {
+    local bin=$1/target/release out=$2 name
+    echo "== running in $1 =="
+    for name in "${figures[@]}"; do
+        FLEX_BENCH_FAST=1 "$bin/$name" >"$out/$name.out" || {
+            echo "$name failed in $1" >&2
+            exit 1
+        }
+    done
+    run_chaos "$bin" "$out/chaos"
+    run_chaos "$bin" "$out/chaos_ab" --ab
+}
+
+build "$tmp/src"
+build "$PWD"
+run_side "$tmp/src" "$tmp/base"
+run_side "$PWD" "$tmp/new"
+
+differ=0
+for f in "$tmp"/base/*; do
+    name=$(basename "$f")
+    if cmp -s "$f" "$tmp/new/$name"; then
+        echo "identical  $name"
+    else
+        echo "DIFFERS    $name"
+        differ=1
+    fi
+done
+if [ "$differ" -ne 0 ]; then
+    echo "identity_ab: outputs differ from $base_rev" >&2
+    exit 1
+fi
+echo "identity_ab: every output identical to $base_rev"
