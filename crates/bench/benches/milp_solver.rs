@@ -1,10 +1,10 @@
 //! Criterion: simplex and branch-and-bound scaling on knapsack-shaped
-//! models (the Gurobi stand-in's core loop), and one warm node LP alone.
+//! models (the Gurobi stand-in's core loop), and warm node LPs alone.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flex_core::milp::simplex::solve_relaxation;
+use flex_core::milp::simplex::{solve_relaxation, LpBuffers};
 use flex_core::milp::{Model, Relation, Sense, SolveConfig, WarmContext};
 
 fn knapsack(n: usize) -> Model {
@@ -148,11 +148,16 @@ fn bench_thread_matrix(c: &mut Criterion) {
     }
 }
 
-/// One branch-and-bound node's LP on its own: a warm child re-solve
-/// from the root basis of the ~200-binary placement-shaped instance,
-/// with the root's most fractional binary fixed to 1. This times the
-/// per-node simplex kernel (tableau refactor, dual restore, primal
-/// polish) apart from the search, then prints its pivot count.
+/// Branch-and-bound node LPs on their own, on the ~200-binary
+/// placement-shaped instance. `fix-one-200bin`: a warm child re-solve
+/// from the root basis with the root's most fractional binary fixed to
+/// 1. `dive-8`: eight successive warm re-solves, each fixing the most
+/// fractional binary of the solve before at its nearer integer and
+/// starting from that solve's basis, through one kept set of buffers
+/// as a search thread does; its dual pivots drive columns that left
+/// the basis back in. This times the per-node simplex kernel (tableau
+/// refactor, dual restore, primal polish) apart from the search, then
+/// prints the pivot counts.
 fn bench_warm_node(c: &mut Criterion) {
     let m = placement_like(40, 5);
     let ctx = WarmContext::new(&m);
@@ -165,17 +170,44 @@ fn bench_warm_node(c: &mut Criterion) {
     let mut child = root_bounds.clone();
     child[branch] = (1.0, 1.0);
 
+    let mut dive = Vec::new();
+    let (mut bounds, mut at) = (root_bounds.clone(), root.clone());
+    for _ in 0..8 {
+        let j = (0..at.values.len())
+            .max_by(|&a, &b| frac(at.values[a]).total_cmp(&frac(at.values[b])))
+            .unwrap();
+        assert!(frac(at.values[j]) > 0.0, "the dive reached an integral solution");
+        let v = at.values[j].round();
+        bounds[j] = (v, v);
+        at = ctx.solve_relaxation(&bounds, Some(&at.basis)).unwrap();
+        assert!(at.warmed, "a dive step fell back to a cold solve");
+        dive.push((bounds.clone(), at.iterations));
+    }
+
     let mut group = c.benchmark_group("milp/warm-node");
     group.bench_function("fix-one-200bin", |b| {
         b.iter(|| ctx.solve_relaxation(&child, Some(&root.basis)).unwrap())
+    });
+    group.bench_function("dive-8", |b| {
+        let mut bufs = LpBuffers::default();
+        b.iter(|| {
+            let mut basis = root.basis.clone();
+            for (bounds, _) in &dive {
+                basis = ctx.solve_relaxation_in(bounds, Some(&basis), &mut bufs).unwrap().basis;
+            }
+            basis
+        })
     });
     group.finish();
 
     let node = ctx.solve_relaxation(&child, Some(&root.basis)).unwrap();
     assert!(node.warmed, "the child re-solve fell back to a cold solve");
     println!(
-        "\nmilp/warm-node: x{branch} = {:.3} fixed to 1, {} pivots per re-solve",
-        root.values[branch], node.iterations,
+        "\nmilp/warm-node: x{branch} = {:.3} fixed to 1, {} pivots per re-solve; \
+         dive-8 pivots per step {:?}",
+        root.values[branch],
+        node.iterations,
+        dive.iter().map(|(_, iters)| iters).collect::<Vec<_>>(),
     );
 }
 

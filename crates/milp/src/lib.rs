@@ -8,8 +8,10 @@
 //! - [`Model`] — a mutable model builder: variables (continuous or
 //!   integer/binary, with bounds), linear constraints, and a linear
 //!   objective;
-//! - [`simplex`] — a dense two-phase primal simplex over the LP
-//!   relaxation;
+//! - [`simplex`] — a two-phase bounded-variable simplex over the LP
+//!   relaxation, on a tableau that stores only the nonbasic columns
+//!   (`B⁻¹N`; each basic column is implicit in its pivot entry), with
+//!   a dual simplex for warm re-solves;
 //! - branch-and-bound ([`Model::solve`]) — best-first search on the LP
 //!   bound with most-fractional branching, warm-started node
 //!   relaxations (dual simplex from the parent basis, see

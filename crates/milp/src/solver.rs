@@ -15,10 +15,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::model::{Model, Sense, VarKind};
 use crate::simplex::{BasisSnapshot, LpBuffers, RelaxSolve, WarmContext};
@@ -362,7 +360,7 @@ impl Model {
             id: search.next_id(),
             basis: Arc::new(root.basis),
         };
-        shared.frontier.lock().heap.push(HeapNode(root_node));
+        shared.lock_frontier().heap.push(HeapNode(root_node));
 
         let (stop, stop_bound) = std::thread::scope(|s| {
             for _ in 0..helpers {
@@ -564,12 +562,19 @@ struct ReleaseHelpers<'a>(&'a Shared);
 
 impl Drop for ReleaseHelpers<'_> {
     fn drop(&mut self) {
-        self.0.frontier.lock().done = true;
+        self.0.lock_frontier().done = true;
         self.0.work_cv.notify_all();
     }
 }
 
 impl Shared {
+    /// Locks the frontier, poisoned or not: a panic while the lock is
+    /// held unwinds the whole search, and [`ReleaseHelpers`] still takes
+    /// the lock on the way out to end the helpers.
+    fn lock_frontier(&self) -> MutexGuard<'_, Frontier> {
+        self.frontier.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Solves the relaxation of the node `branch` leads to, warm from
     /// its parent's `basis` (`solve_relaxation_in` falls back cold
     /// itself). The node's bounds are left in `bufs.bounds`.
@@ -593,7 +598,7 @@ impl Shared {
             // the node, so a helper never frees the committer's
             // allocations.
             drop((branch, basis));
-            let mut f = self.frontier.lock();
+            let mut f = self.lock_frontier();
             f.claimed.retain(|&c| c != id);
             if let Some(i) = f.pruned.iter().position(|&p| p == id) {
                 f.pruned.swap_remove(i);
@@ -618,7 +623,7 @@ impl Shared {
         let mut trash = Vec::new();
         loop {
             let task = {
-                let mut f = self.frontier.lock();
+                let mut f = self.lock_frontier();
                 std::mem::swap(&mut trash, &mut f.returned);
                 loop {
                     if f.done {
@@ -628,7 +633,7 @@ impl Shared {
                         break task;
                     }
                     f.idle_helpers += 1;
-                    self.work_cv.wait(&mut f);
+                    f = self.work_cv.wait(f).unwrap_or_else(PoisonError::into_inner);
                     f.idle_helpers -= 1;
                 }
             };
@@ -659,7 +664,7 @@ impl Shared {
     fn take_result(&self, id: u32, bufs: &mut Buffers) -> Option<LpResult> {
         loop {
             let task = {
-                let mut f = self.frontier.lock();
+                let mut f = self.lock_frontier();
                 loop {
                     if let Some(i) = f.ready.iter().position(|r| r.id == id) {
                         let ready = f.ready.swap_remove(i);
@@ -678,7 +683,7 @@ impl Shared {
                         break task;
                     }
                     f.committer_waiting = true;
-                    self.done_cv.wait(&mut f);
+                    f = self.done_cv.wait(f).unwrap_or_else(PoisonError::into_inner);
                     f.committer_waiting = false;
                 }
             };
@@ -688,7 +693,7 @@ impl Shared {
 
     /// Forgets any result for a node the committer pruned unsolved.
     fn forget(&self, id: u32) {
-        let mut f = self.frontier.lock();
+        let mut f = self.lock_frontier();
         if let Some(i) = f.ready.iter().position(|r| r.id == id) {
             let ready = f.ready.swap_remove(i);
             if ready.by_helper {
@@ -784,7 +789,7 @@ impl Search<'_> {
                 self.incumbent = Some((obj, vals.to_vec()));
                 if self.helpers > 0 {
                     let cut = obj + self.relative_gap * obj.abs().max(1.0);
-                    self.shared.frontier.lock().prune_at = cut;
+                    self.shared.lock_frontier().prune_at = cut;
                 }
             }
         }
@@ -924,7 +929,7 @@ impl Search<'_> {
         let shared = self.shared;
         loop {
             let (node, global_bound) = {
-                let mut f = shared.frontier.lock();
+                let mut f = shared.lock_frontier();
                 let Some(HeapNode(node)) = f.heap.pop() else {
                     return (Stop::Exhausted, f64::NEG_INFINITY);
                 };
@@ -1052,7 +1057,7 @@ impl Search<'_> {
             });
             // One push each, down first: the heap's layout, and so its
             // order among equal keys, is the single-thread search's.
-            let mut f = shared.frontier.lock();
+            let mut f = shared.lock_frontier();
             for child in children.into_iter().flatten() {
                 f.heap.push(HeapNode(child));
             }

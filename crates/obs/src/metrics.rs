@@ -16,22 +16,22 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use flex_sim::{SimDuration, SimTime};
-use parking_lot::Mutex;
 
 use crate::json::{obj, Value};
 
-/// Number of fixed histogram buckets. Log-scale with four sub-buckets
-/// per octave covers the full `u64` range in 252 slots.
-const BUCKETS: usize = 256;
+/// Number of fixed histogram buckets: one per index [`bucket_index`]
+/// returns. Log-scale with four sub-buckets per octave covers the full
+/// `u64` range in 252 slots.
+const BUCKETS: usize = bucket_index(u64::MAX) + 1;
 
 /// Bucket index for a value: values below 4 get exact singleton
 /// buckets; above, each power-of-two octave splits into four
 /// sub-buckets keyed by the two bits below the most significant bit.
 /// Relative resolution is therefore better than 25% everywhere.
-fn bucket_index(v: u64) -> usize {
+const fn bucket_index(v: u64) -> usize {
     if v < 4 {
         v as usize
     } else {
@@ -40,7 +40,8 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive lower bound of a bucket (inverse of [`bucket_index`]).
+/// Inclusive lower bound of a bucket (inverse of [`bucket_index`]),
+/// for every `idx < BUCKETS`.
 pub(crate) fn bucket_lower_bound(idx: usize) -> u64 {
     if idx < 4 {
         idx as u64
@@ -192,6 +193,12 @@ impl Span {
     }
 }
 
+/// Locks `m`, poisoned or not: instruments degrade, never die, and
+/// every critical section here leaves its map whole.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The live registry: name → cell. Registration takes a lock;
 /// recording never does.
 #[derive(Debug, Default)]
@@ -203,14 +210,13 @@ pub(crate) struct Registry {
 
 impl Registry {
     pub(crate) fn counter(&self, name: &str) -> Counter {
-        let cell = Arc::clone(self.counters.lock().entry(name.to_string()).or_default());
+        let cell = Arc::clone(lock(&self.counters).entry(name.to_string()).or_default());
         Counter(Some(cell))
     }
 
     pub(crate) fn gauge(&self, name: &str) -> Gauge {
         let cell = Arc::clone(
-            self.gauges
-                .lock()
+            lock(&self.gauges)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0.0_f64.to_bits()))),
         );
@@ -219,8 +225,7 @@ impl Registry {
 
     pub(crate) fn histogram(&self, name: &str) -> Histogram {
         let cells = Arc::clone(
-            self.histograms
-                .lock()
+            lock(&self.histograms)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(HistCells::new())),
         );
@@ -228,21 +233,15 @@ impl Registry {
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
+        let counters = lock(&self.counters)
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
+        let gauges = lock(&self.gauges)
             .iter()
             .map(|(name, cell)| (name.clone(), f64::from_bits(cell.load(Ordering::Relaxed))))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
+        let histograms = lock(&self.histograms)
             .iter()
             .map(|(name, cells)| (name.clone(), HistogramSnapshot::read(cells)))
             .collect();
@@ -448,7 +447,7 @@ mod tests {
 
     #[test]
     fn bucket_index_roundtrips_lower_bounds() {
-        for idx in 0..252 {
+        for idx in 0..BUCKETS {
             let lo = bucket_lower_bound(idx);
             assert_eq!(bucket_index(lo), idx, "bucket {idx} lower bound {lo}");
         }
@@ -465,7 +464,7 @@ mod tests {
                 assert!(bucket_index(*a) <= bucket_index(*b), "{a} vs {b}");
             }
         }
-        assert!(bucket_index(u64::MAX) < BUCKETS);
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

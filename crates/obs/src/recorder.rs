@@ -12,11 +12,10 @@
 //! what a crash-forensics recorder is for.
 
 use std::collections::VecDeque;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::json::{obj, Value};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{lock, MetricsSnapshot};
 
 /// Default ring capacity: comfortably holds a full chaos-scenario run
 /// of the 4-UPS room (a few thousand events) with room to spare.
@@ -527,7 +526,7 @@ impl Recorder {
     }
 
     pub(crate) fn record(&self, at_ns: u64, event: FlightEvent) {
-        let mut ring = self.ring.lock();
+        let mut ring = lock(&self.ring);
         if ring.events.len() >= ring.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -536,7 +535,7 @@ impl Recorder {
     }
 
     pub(crate) fn drain_view(&self) -> (Vec<(u64, FlightEvent)>, u64) {
-        let ring = self.ring.lock();
+        let ring = lock(&self.ring);
         (ring.events.iter().cloned().collect(), ring.dropped)
     }
 }
