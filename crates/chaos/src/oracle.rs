@@ -30,7 +30,7 @@
 //!    through.
 
 use flex_obs::json::{obj, Value};
-use flex_online::sim::SimEvent;
+use flex_online::sim::{RoomSimConfig, SimEvent};
 use flex_online::RackPowerState;
 use flex_sim::{SimDuration, SimTime};
 
@@ -41,9 +41,6 @@ use crate::scenario::{fault_plan_of, RunOutcome, CONTROLLERS};
 /// decision round, actuation latency. Trips with less actionable time
 /// than this are physics, not bugs.
 const RESP_FLOOR_SECS: f64 = 3.0;
-
-/// Out-of-band alarm latency (mirrors `RoomSimConfig::default`).
-const ALARM_LATENCY_SECS: f64 = 0.2;
 
 /// Oracle sampling step when scanning availability windows.
 const SCAN_STEP_SECS: f64 = 0.1;
@@ -119,6 +116,8 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
     let rm_plan = fault_plan_of(&scenario.rm_faults);
     let pipeline_plan = fault_plan_of(&scenario.pipeline_faults);
     let rack_count = world.racks().len();
+    // Scenarios run with the default out-of-band alarm latency.
+    let alarm_latency_secs = RoomSimConfig::default().alarm_latency.as_secs_f64();
 
     for (at, event) in &world.stats.events {
         let SimEvent::UpsTripped(ups) = event else {
@@ -133,10 +132,10 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
         // Physics excuse: the overload window was too short for any
         // response (e.g. a second transfer pushing a survivor to 2×
         // load, 0.5 s tolerance).
-        if window_secs < RESP_FLOOR_SECS + ALARM_LATENCY_SECS {
+        if window_secs < RESP_FLOOR_SECS + alarm_latency_secs {
             continue;
         }
-        let known_from = trip_secs - window_secs + ALARM_LATENCY_SECS;
+        let known_from = trip_secs - window_secs + alarm_latency_secs;
         let actionable_until = trip_secs - RESP_FLOOR_SECS;
         if actionable_until <= known_from {
             continue;
@@ -212,7 +211,7 @@ fn check_orphans(out: &RunOutcome, violations: &mut Vec<Violation>) {
         if world.pending_enforcement(rack) {
             continue;
         }
-        let owned = world.controllers().iter().enumerate().any(|(c, ctrl)| {
+        let owned = world.controllers().enumerate().any(|(c, ctrl)| {
             live.get(c).copied().unwrap_or(true) && ctrl.action_log().contains_key(&rack)
         });
         if !owned {

@@ -37,6 +37,28 @@ pub enum RackPowerState {
     Off,
 }
 
+impl RackPowerState {
+    /// The flight-recorder wire code (0 = normal, 1 = throttled,
+    /// 2 = off).
+    pub fn code(self) -> u8 {
+        match self {
+            RackPowerState::Normal => 0,
+            RackPowerState::Throttled => 1,
+            RackPowerState::Off => 2,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code); an unknown code decodes to
+    /// `Normal`.
+    pub fn from_code(code: u8) -> Self {
+        match code {
+            1 => RackPowerState::Throttled,
+            2 => RackPowerState::Off,
+            _ => RackPowerState::Normal,
+        }
+    }
+}
+
 /// Actuator tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuatorConfig {
@@ -325,7 +347,7 @@ impl Actuator {
         self.submit_to_apply.record_between(now, apply_at);
         self.obs.record_with(now, || FlightEvent::CommandSubmitted {
             rack: rack.0 as u32,
-            state: state_code(new_state),
+            state: new_state.code(),
             apply_at_ns: apply_at.as_nanos(),
         });
         let cmd = PendingCommand {
@@ -368,16 +390,6 @@ impl Actuator {
             RackPowerState::Throttled => demand.min(flex_power),
             RackPowerState::Off => flex_power::Watts::ZERO,
         }
-    }
-}
-
-/// The flight-recorder wire code for a rack power state
-/// (0 = normal, 1 = throttled, 2 = off).
-pub fn state_code(state: RackPowerState) -> u8 {
-    match state {
-        RackPowerState::Normal => 0,
-        RackPowerState::Throttled => 1,
-        RackPowerState::Off => 2,
     }
 }
 
@@ -575,6 +587,22 @@ mod tests {
         // Re-applying is harmless.
         a.apply(&c2);
         assert!(a.pending().is_empty());
+    }
+
+    #[test]
+    fn state_codes_round_trip() {
+        let all = [
+            RackPowerState::Normal,
+            RackPowerState::Throttled,
+            RackPowerState::Off,
+        ];
+        for (code, state) in all.into_iter().enumerate() {
+            assert_eq!(state.code(), code as u8);
+            assert_eq!(RackPowerState::from_code(state.code()), state);
+        }
+        // Unknown codes fall back to Normal.
+        assert_eq!(RackPowerState::from_code(3), RackPowerState::Normal);
+        assert_eq!(RackPowerState::from_code(u8::MAX), RackPowerState::Normal);
     }
 
     #[test]

@@ -42,6 +42,26 @@ impl Command {
             Command::Act { rack, .. } | Command::Restore { rack } => rack,
         }
     }
+
+    /// The flight-recorder action code (0 = shutdown, 1 = throttle,
+    /// 2 = restore).
+    pub fn code(&self) -> u8 {
+        match self {
+            Command::Act { kind: ActionKind::Shutdown, .. } => 0,
+            Command::Act { kind: ActionKind::Throttle, .. } => 1,
+            Command::Restore { .. } => 2,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code) for a command on `rack`; an
+    /// unknown code decodes to a restore.
+    pub fn from_code(rack: RackId, code: u8) -> Command {
+        match code {
+            0 => Command::Act { rack, kind: ActionKind::Shutdown },
+            1 => Command::Act { rack, kind: ActionKind::Throttle },
+            _ => Command::Restore { rack },
+        }
+    }
 }
 
 /// Controller tuning.
@@ -93,77 +113,85 @@ impl Default for ControllerConfig {
     }
 }
 
-/// A comparable snapshot of every decision-relevant field of a
-/// [`Controller`]. Two instances with equal states issue identical
-/// commands for identical future inputs — the equality the
+/// Every decision-relevant field of a [`Controller`], held in one
+/// place: the controller keeps its decision state in this struct, so a
+/// field cannot be added to the controller and left out of the state
+/// the recovery tests compare. Two instances with equal states issue
+/// identical commands for identical future inputs — the equality the
 /// crash-recovery property test asserts (recovered instance vs a
 /// never-crashed twin).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerState {
-    /// Fencing epoch.
+    /// Fencing epoch of this incarnation: set when the instance is
+    /// built or restarted ([`Controller::restarted`]). Commands
+    /// submitted under an older epoch are rejected by the actuation
+    /// fence.
     pub epoch: u64,
     /// Per-UPS telemetry slots (measured-at, reading).
     pub ups_power: Vec<Option<(SimTime, Watts)>>,
     /// Per-rack telemetry slots (measured-at, reading).
     pub rack_power: Vec<Option<(SimTime, Watts)>>,
-    /// Racks this instance believes it has acted on.
+    /// Racks this instance believes it has acted on. A BTreeMap so
+    /// iteration order — and therefore command order — is the same on
+    /// every run (lint rule D2).
     pub action_log: BTreeMap<RackId, ActionKind>,
     /// Time since when the room has continuously looked healthy.
     pub healthy_since: Option<SimTime>,
-    /// Whether corrective actions are outstanding.
+    /// Whether corrective actions are outstanding (set after a
+    /// failover engaged; restore logic only runs then).
     pub engaged: bool,
-    /// Unreflected recent actions: (issued at, rack, per-UPS shares).
+    /// Recently issued actions whose effect telemetry has not yet
+    /// reflected: (issued at, rack, estimated per-UPS recovery).
     pub recent: Vec<(SimTime, RackId, RecoveryShares)>,
     /// `measured_at` of the newest accepted fresh UPS snapshot.
     pub last_ups_data: Option<SimTime>,
-    /// When this instance first learned of the ongoing failover.
+    /// When this instance first learned a failover is in progress
+    /// (failover alarm or observed overdraw); cleared on full recovery.
     pub failover_known: Option<SimTime>,
     /// UPSes with an outstanding failover alarm.
     pub alarmed: BTreeSet<flex_power::UpsId>,
-    /// Watchdog latch for the current dark period.
+    /// The watchdog fired for the current dark period; re-armed by
+    /// fresh UPS data.
     pub watchdog_fired: bool,
+}
+
+impl ControllerState {
+    /// The state of an instance that has seen nothing yet: empty slots
+    /// for `ups_count` UPSes and `rack_count` racks, in `epoch`.
+    pub fn blank(ups_count: usize, rack_count: usize, epoch: u64) -> Self {
+        ControllerState {
+            epoch,
+            ups_power: vec![None; ups_count],
+            rack_power: vec![None; rack_count],
+            action_log: BTreeMap::new(),
+            healthy_since: None,
+            engaged: false,
+            recent: Vec::new(),
+            last_ups_data: None,
+            failover_known: None,
+            alarmed: BTreeSet::new(),
+            watchdog_fired: false,
+        }
+    }
 }
 
 /// One multi-primary controller instance.
 #[derive(Debug, Clone)]
 pub struct Controller {
     id: usize,
-    /// Monotonic fencing epoch: bumped (externally, via
-    /// [`set_epoch`](Controller::set_epoch)) on restart and on
-    /// watchdog-declared isolation. Commands submitted under an older
-    /// epoch are rejected by the actuation fence.
-    epoch: u64,
     topology: Topology,
     racks: Vec<PlacedRack>,
     registry: ImpactRegistry,
     config: ControllerConfig,
-    ups_power: Vec<Option<(SimTime, Watts)>>,
-    rack_power: Vec<Option<(SimTime, Watts)>>,
+    /// Everything the instance's decisions depend on.
+    state: ControllerState,
     /// A lower bound on the measured-at time of every held UPS and rack
     /// slot (`None` when none is held): [`prune_stale`](Self::prune_stale)
     /// scans the slots only once this bound is past the staleness limit.
+    /// Kept out of [`ControllerState`]: it is a cache, not decision
+    /// state — twins with equal slots may hold different bounds (a scan
+    /// tightens it), and no decision reads it.
     oldest: Option<SimTime>,
-    /// This instance's view of the actions it has requested. A BTreeMap
-    /// so iteration order — and therefore command order — is the same on
-    /// every run (lint rule D2).
-    action_log: BTreeMap<RackId, ActionKind>,
-    /// Time since when the room has continuously looked healthy.
-    healthy_since: Option<SimTime>,
-    /// Set after a failover engaged; restore logic only runs then.
-    engaged: bool,
-    /// Recently issued actions whose effect telemetry has not yet
-    /// reflected: (issued at, rack, estimated per-UPS recovery).
-    recent: Vec<(SimTime, RackId, RecoveryShares)>,
-    /// `measured_at` of the newest accepted fresh UPS snapshot.
-    last_ups_data: Option<SimTime>,
-    /// When this instance first learned a failover is in progress
-    /// (failover alarm or observed overdraw); cleared on full recovery.
-    failover_known: Option<SimTime>,
-    /// UPSes with an outstanding failover alarm.
-    alarmed: BTreeSet<flex_power::UpsId>,
-    /// The watchdog fired for the current dark period; re-armed by
-    /// fresh UPS data.
-    watchdog_fired: bool,
     /// Observability (noop unless attached): the recorder receives the
     /// ingest/watchdog state transitions that `flex_online::replay`
     /// feeds back to reconstruct this instance's decisions.
@@ -174,7 +202,7 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller instance.
+    /// Creates a controller instance in epoch 0.
     pub fn new(
         id: usize,
         topology: Topology,
@@ -182,26 +210,15 @@ impl Controller {
         registry: ImpactRegistry,
         config: ControllerConfig,
     ) -> Self {
-        let ups_count = topology.ups_count();
-        let rack_count = racks.len();
+        let state = ControllerState::blank(topology.ups_count(), racks.len(), 0);
         Controller {
             id,
-            epoch: 0,
             topology,
             racks,
             registry,
             config,
-            ups_power: vec![None; ups_count],
-            rack_power: vec![None; rack_count],
+            state,
             oldest: None,
-            action_log: BTreeMap::new(),
-            healthy_since: None,
-            engaged: false,
-            recent: Vec::new(),
-            last_ups_data: None,
-            failover_known: None,
-            alarmed: BTreeSet::new(),
-            watchdog_fired: false,
             obs: Obs::noop(),
             readings_accepted: Counter::noop(),
             readings_stale: Counter::noop(),
@@ -227,74 +244,43 @@ impl Controller {
         self.id
     }
 
-    /// The fencing epoch this instance issues commands under.
+    /// The fencing epoch this incarnation issues commands under.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
     }
 
-    /// Sets the fencing epoch (the room supervisor owns the counter and
-    /// bumps it on restart and on declared isolation).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// A blank instance with this one's identity, topology, placement,
-    /// registry, configuration, observability, and epoch — what a cold
-    /// restart produces. Recovery starts from here and layers the
-    /// snapshot + catch-up on top ([`Controller::recover`]).
-    pub fn fresh_like(&self) -> Controller {
+    /// What a cold restart into `epoch` produces: this instance's
+    /// identity, topology, placement, registry, configuration and
+    /// observability over a blank [`ControllerState`]. Recovery starts
+    /// from here and layers the snapshot + catch-up on top
+    /// ([`Controller::recover`]).
+    pub fn restarted(&self, epoch: u64) -> Controller {
+        let ups_count = self.state.ups_power.len();
+        let state = ControllerState::blank(ups_count, self.state.rack_power.len(), epoch);
+        // Every other field carries over, so a field added to the
+        // controller needs no edit here.
         Controller {
-            id: self.id,
-            epoch: self.epoch,
-            topology: self.topology.clone(),
-            racks: self.racks.clone(),
-            registry: self.registry.clone(),
-            config: self.config,
-            ups_power: vec![None; self.ups_power.len()],
-            rack_power: vec![None; self.rack_power.len()],
+            state,
             oldest: None,
-            action_log: BTreeMap::new(),
-            healthy_since: None,
-            engaged: false,
-            recent: Vec::new(),
-            last_ups_data: None,
-            failover_known: None,
-            alarmed: BTreeSet::new(),
-            watchdog_fired: false,
-            obs: self.obs.clone(),
-            readings_accepted: self.readings_accepted.clone(),
-            readings_stale: self.readings_stale.clone(),
-            watchdog_fires: self.watchdog_fires.clone(),
+            ..self.clone()
         }
     }
 
     /// The full decision-relevant state, for equality comparison in
     /// recovery and convergence tests.
-    pub fn state(&self) -> ControllerState {
-        ControllerState {
-            epoch: self.epoch,
-            ups_power: self.ups_power.clone(),
-            rack_power: self.rack_power.clone(),
-            action_log: self.action_log.clone(),
-            healthy_since: self.healthy_since,
-            engaged: self.engaged,
-            recent: self.recent.clone(),
-            last_ups_data: self.last_ups_data,
-            failover_known: self.failover_known,
-            alarmed: self.alarmed.clone(),
-            watchdog_fired: self.watchdog_fired,
-        }
+    pub fn state(&self) -> &ControllerState {
+        &self.state
     }
 
     /// Racks this instance believes it has acted on.
     pub fn action_log(&self) -> &BTreeMap<RackId, ActionKind> {
-        &self.action_log
+        &self.state.action_log
     }
 
     /// True once the controller has taken corrective actions that have
     /// not yet been restored.
     pub fn is_engaged(&self) -> bool {
-        self.engaged
+        self.state.engaged
     }
 
     /// Ingests a telemetry delivery and returns any commands to enforce.
@@ -350,7 +336,7 @@ impl Controller {
                 // command stream depend on duplication patterns.
                 let mut accepted = false;
                 for &(ups, w) in snapshot {
-                    if let Some(slot) = self.ups_power.get_mut(ups.0) {
+                    if let Some(slot) = self.state.ups_power.get_mut(ups.0) {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
                             accepted = true;
@@ -370,12 +356,12 @@ impl Controller {
                     // delivery).
                     self.readings_accepted.inc();
                     if now.saturating_since(measured_at) <= self.config.staleness_limit {
-                        self.last_ups_data = Some(match self.last_ups_data {
+                        self.state.last_ups_data = Some(match self.state.last_ups_data {
                             Some(t) => t.max(measured_at),
                             None => measured_at,
                         });
                         // Fresh data re-arms the blackout watchdog.
-                        self.watchdog_fired = false;
+                        self.state.watchdog_fired = false;
                     }
                 } else {
                     self.readings_stale.inc();
@@ -384,7 +370,7 @@ impl Controller {
             }
             TelemetryPayload::RackSnapshot(snapshot) => {
                 for &(rack, w) in snapshot {
-                    if let Some(slot) = self.rack_power.get_mut(rack) {
+                    if let Some(slot) = self.state.rack_power.get_mut(rack) {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
                             self.lower_oldest(measured_at);
@@ -417,7 +403,7 @@ impl Controller {
         let limit = self.config.staleness_limit;
         if self.oldest.is_some_and(|t| now.saturating_since(t) > limit) {
             let mut oldest: Option<SimTime> = None;
-            for slot in self.ups_power.iter_mut().chain(self.rack_power.iter_mut()) {
+            for slot in self.state.ups_power.iter_mut().chain(self.state.rack_power.iter_mut()) {
                 match *slot {
                     Some((t, _)) if now.saturating_since(t) > limit => *slot = None,
                     Some((t, _)) => oldest = Some(oldest.map_or(t, |o| o.min(t))),
@@ -426,11 +412,8 @@ impl Controller {
             }
             self.oldest = oldest;
         }
-        if self
-            .last_ups_data
-            .is_some_and(|t| now.saturating_since(t) > limit)
-        {
-            self.last_ups_data = None;
+        if self.state.last_ups_data.is_some_and(|t| now.saturating_since(t) > limit) {
+            self.state.last_ups_data = None;
         }
     }
 
@@ -442,8 +425,8 @@ impl Controller {
             controller: self.id as u32,
             ups: ups.0 as u32,
         });
-        self.alarmed.insert(ups);
-        self.failover_known.get_or_insert(now);
+        self.state.alarmed.insert(ups);
+        self.state.failover_known.get_or_insert(now);
     }
 
     /// Notifies this instance that a previously alarmed UPS is back in
@@ -454,10 +437,10 @@ impl Controller {
             controller: self.id as u32,
             ups: ups.0 as u32,
         });
-        self.alarmed.remove(&ups);
-        if self.alarmed.is_empty() {
-            self.failover_known = None;
-            self.watchdog_fired = false;
+        self.state.alarmed.remove(&ups);
+        if self.state.alarmed.is_empty() {
+            self.state.failover_known = None;
+            self.state.watchdog_fired = false;
         }
     }
 
@@ -475,13 +458,13 @@ impl Controller {
     /// Propagates decision-policy errors exactly like
     /// [`on_delivery`](Self::on_delivery).
     pub fn on_tick(&mut self, now: SimTime) -> Result<Vec<Command>, OnlineError> {
-        if !self.config.blackout_watchdog || self.watchdog_fired {
+        if !self.config.blackout_watchdog || self.state.watchdog_fired {
             return Ok(Vec::new());
         }
-        let Some(known_at) = self.failover_known else {
+        let Some(known_at) = self.state.failover_known else {
             return Ok(Vec::new());
         };
-        let dark_since = match self.last_ups_data {
+        let dark_since = match self.state.last_ups_data {
             Some(t) => t.max(known_at),
             None => known_at,
         };
@@ -495,7 +478,7 @@ impl Controller {
         self.obs.record(now, FlightEvent::WatchdogTick {
             controller: self.id as u32,
         });
-        self.watchdog_fired = true;
+        self.state.watchdog_fired = true;
         self.watchdog_fires.inc();
         self.obs.record(now, FlightEvent::WatchdogFired {
             controller: self.id as u32,
@@ -506,22 +489,22 @@ impl Controller {
             .upses()
             .iter()
             .map(|u| {
-                if self.alarmed.contains(&u.id()) {
+                if self.state.alarmed.contains(&u.id()) {
                     Watts::ZERO
                 } else {
                     u.capacity() * (4.0 / 3.0)
                 }
             })
             .collect();
-        self.healthy_since = None;
+        self.state.healthy_since = None;
         self.shed_against(now, &ups_power)
     }
 
     /// Records that a previously issued action could not be enforced
     /// (unreachable RM), so it will be retried on the next decision.
     pub fn on_enforcement_failed(&mut self, rack: RackId) {
-        self.action_log.remove(&rack);
-        self.recent.retain(|(_, r, _)| *r != rack);
+        self.state.action_log.remove(&rack);
+        self.state.recent.retain(|(_, r, _)| *r != rack);
     }
 
     /// Rebuilds a restarted instance from a [`RecoverySnapshot`] plus a
@@ -564,17 +547,17 @@ impl Controller {
                 got: snapshot.rack_states.len(),
             });
         }
-        let mut c = base.fresh_like();
-        c.epoch = snapshot.epoch;
+        let mut c = base.restarted(snapshot.epoch);
+        let s = &mut c.state;
 
         // 1. Enforced racks, from actuation ground truth.
         for (i, state) in snapshot.rack_states.iter().enumerate() {
             match state {
                 RackPowerState::Off => {
-                    c.action_log.insert(RackId(i), ActionKind::Shutdown);
+                    s.action_log.insert(RackId(i), ActionKind::Shutdown);
                 }
                 RackPowerState::Throttled => {
-                    c.action_log.insert(RackId(i), ActionKind::Throttle);
+                    s.action_log.insert(RackId(i), ActionKind::Throttle);
                 }
                 RackPowerState::Normal => {}
             }
@@ -585,22 +568,22 @@ impl Controller {
         for cmd in &inflight {
             match cmd.new_state {
                 RackPowerState::Off => {
-                    c.action_log.insert(cmd.rack, ActionKind::Shutdown);
+                    s.action_log.insert(cmd.rack, ActionKind::Shutdown);
                 }
                 RackPowerState::Throttled => {
-                    c.action_log.insert(cmd.rack, ActionKind::Throttle);
+                    s.action_log.insert(cmd.rack, ActionKind::Throttle);
                 }
                 RackPowerState::Normal => {
-                    c.action_log.remove(&cmd.rack);
+                    s.action_log.remove(&cmd.rack);
                 }
             }
         }
-        c.engaged = !c.action_log.is_empty();
+        s.engaged = !s.action_log.is_empty();
 
         // 3. Standing alarms.
         for &(ups, since) in &snapshot.alarmed {
-            c.alarmed.insert(ups);
-            c.failover_known = Some(match c.failover_known {
+            s.alarmed.insert(ups);
+            s.failover_known = Some(match s.failover_known {
                 Some(t) => t.min(since),
                 None => since,
             });
@@ -627,7 +610,7 @@ impl Controller {
                 continue;
             };
             let estimate = match cmd.new_state {
-                RackPowerState::Off => match c.rack_power.get(cmd.rack.0).copied().flatten() {
+                RackPowerState::Off => match c.state.rack_power.get(cmd.rack.0).copied().flatten() {
                     Some((_, w)) => w.min(r.provisioned),
                     None => r.provisioned,
                 },
@@ -641,7 +624,7 @@ impl Controller {
             }
             let shares =
                 crate::policy::recovery_shares(&c.topology, r.pdu_pair, &online, estimate)?;
-            c.recent.push((now, cmd.rack, shares));
+            c.state.recent.push((now, cmd.rack, shares));
         }
         Ok(c)
     }
@@ -651,9 +634,9 @@ impl Controller {
         // conservative treatment the paper requires when data is missing.
         // Zipping the topology with the slots sidesteps any id lookup
         // (`ups_power` is sized from `topology.ups_count()` at build).
-        let mut out = Vec::with_capacity(self.ups_power.len());
+        let mut out = Vec::with_capacity(self.state.ups_power.len());
         let mut any_fresh = false;
-        for (ups, slot) in self.topology.upses().iter().zip(&self.ups_power) {
+        for (ups, slot) in self.topology.upses().iter().zip(&self.state.ups_power) {
             match slot {
                 Some((t, w)) if now.saturating_since(*t) <= self.config.staleness_limit => {
                     any_fresh = true;
@@ -670,7 +653,7 @@ impl Controller {
         // (conservative for recovery estimation).
         self.racks
             .iter()
-            .map(|r| match self.rack_power.get(r.id.0).copied().flatten() {
+            .map(|r| match self.state.rack_power.get(r.id.0).copied().flatten() {
                 Some((_, w)) => w,
                 None => r.provisioned,
             })
@@ -683,9 +666,9 @@ impl Controller {
         };
         // Project the recoveries of recently issued (not yet reflected)
         // actions onto the readings.
-        self.recent
+        self.state.recent
             .retain(|(t, _, _)| now.saturating_since(*t) < self.config.reflect_window);
-        for (_, _, shares) in &self.recent {
+        for (_, _, shares) in &self.state.recent {
             for (u, w) in shares.iter() {
                 if let Some(slot) = ups_power.get_mut(u.0) {
                     *slot = (*slot - w).clamp_non_negative();
@@ -700,15 +683,15 @@ impl Controller {
                 .is_some_and(|p| p.exceeds(limit))
         });
         if over {
-            self.healthy_since = None;
+            self.state.healthy_since = None;
             // An observed overdraw means a failover is in progress even
             // without an out-of-band alarm.
-            self.failover_known.get_or_insert(now);
+            self.state.failover_known.get_or_insert(now);
             return self.shed_against(now, &ups_power);
         }
 
         // Healthy: consider restoration if we are engaged.
-        if !self.engaged {
+        if !self.state.engaged {
             return Ok(Vec::new());
         }
         // A slot missing from the view (cannot happen: both are sized
@@ -725,24 +708,26 @@ impl Controller {
                 .is_some_and(|p| !p.exceeds(u.capacity() * self.config.restore_threshold_fraction))
         });
         if all_in_service && all_below_restore {
-            let since = *self.healthy_since.get_or_insert(now);
+            let since = *self.state.healthy_since.get_or_insert(now);
             if now.saturating_since(since) >= self.config.restore_hysteresis {
                 let commands: Vec<Command> = self
+                    .state
                     .action_log
                     .keys()
                     .map(|&rack| Command::Restore { rack })
                     .collect();
-                self.action_log.clear();
-                self.engaged = false;
-                self.healthy_since = None;
-                self.failover_known = None;
-                self.alarmed.clear();
-                self.watchdog_fired = false;
+                let s = &mut self.state;
+                s.action_log.clear();
+                s.engaged = false;
+                s.healthy_since = None;
+                s.failover_known = None;
+                s.alarmed.clear();
+                s.watchdog_fired = false;
                 return Ok(commands);
             }
             return Ok(Vec::new());
         }
-        self.healthy_since = None;
+        self.state.healthy_since = None;
 
         // Partial relief (the paper's "if the power draw falls
         // significantly, some power caps may be lifted or servers
@@ -755,10 +740,10 @@ impl Controller {
                 crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy);
             let rack_power = self.rack_powers();
             let mut best = None;
-            for (&rack, &kind) in &self.action_log {
+            for (&rack, &kind) in &self.state.action_log {
                 // Never lift an action that may still be in flight —
                 // telemetry has not yet confirmed its effect.
-                if self.recent.iter().any(|(_, r, _)| *r == rack) {
+                if self.state.recent.iter().any(|(_, r, _)| *r == rack) {
                     continue;
                 }
                 let Some(r) = self.racks.get(rack.0) else {
@@ -807,7 +792,7 @@ impl Controller {
                 }
             }
             if let Some((rack, returned, pair)) = best {
-                self.action_log.remove(&rack);
+                self.state.action_log.remove(&rack);
                 // Account for the returning load in the reflect window
                 // (negative recovery = added power).
                 let shares = crate::policy::recovery_shares(
@@ -817,9 +802,9 @@ impl Controller {
                     returned,
                 )?
                 .negated();
-                self.recent.push((now, rack, shares));
-                if self.action_log.is_empty() {
-                    self.engaged = false;
+                self.state.recent.push((now, rack, shares));
+                if self.state.action_log.is_empty() {
+                    self.state.engaged = false;
                 }
                 return Ok(vec![Command::Restore { rack }]);
             }
@@ -842,7 +827,7 @@ impl Controller {
             rack_power: &rack_power,
             ups_power,
         };
-        let outcome = decide(&input, &self.action_log, &self.registry, &self.config.policy)?;
+        let outcome = decide(&input, &self.state.action_log, &self.registry, &self.config.policy)?;
         let online = crate::policy::infer_online(&self.topology, ups_power, &self.config.policy);
         let mut commands = Vec::with_capacity(outcome.actions.len());
         for action in outcome.actions {
@@ -851,21 +836,21 @@ impl Controller {
             let Some(pair) = self.racks.get(action.rack.0).map(|r| r.pdu_pair) else {
                 continue;
             };
-            self.action_log.insert(action.rack, action.kind);
+            self.state.action_log.insert(action.rack, action.kind);
             let shares = crate::policy::recovery_shares(
                 &self.topology,
                 pair,
                 &online,
                 action.estimated_recovery,
             )?;
-            self.recent.push((now, action.rack, shares));
+            self.state.recent.push((now, action.rack, shares));
             commands.push(Command::Act {
                 rack: action.rack,
                 kind: action.kind,
             });
         }
         if !commands.is_empty() {
-            self.engaged = true;
+            self.state.engaged = true;
         }
         Ok(commands)
     }
@@ -1104,18 +1089,95 @@ mod tests {
         assert!(retry.iter().any(|c| matches!(c, Command::Act { rack: r, .. } if *r == rack)));
     }
 
+    #[test]
+    fn command_codes_round_trip() {
+        let rack = RackId(17);
+        let all = [
+            Command::Act { rack, kind: ActionKind::Shutdown },
+            Command::Act { rack, kind: ActionKind::Throttle },
+            Command::Restore { rack },
+        ];
+        for (code, cmd) in all.into_iter().enumerate() {
+            assert_eq!(cmd.code(), code as u8);
+            assert_eq!(Command::from_code(rack, cmd.code()), cmd);
+        }
+        // Unknown codes fall back to a restore.
+        assert_eq!(Command::from_code(rack, 3), Command::Restore { rack });
+        assert_eq!(Command::from_code(rack, u8::MAX), Command::Restore { rack });
+    }
+
+    /// A fixture controller that has acted on a failover: alarmed,
+    /// engaged, with telemetry, an action log and a reflect window.
+    fn acted(util: f64) -> Fixture {
+        let mut f = fixture(util);
+        let topo = f.placed.room().topology().clone();
+        let (ups_bad, racks) = snapshots(&f, &FeedState::with_failed(&topo, [UpsId(0)]));
+        let t = SimTime::from_secs_f64(1.0);
+        f.controller.on_failover_alarm(t, UpsId(0));
+        f.controller.on_delivery(t, t, &racks).unwrap();
+        let commands = f.controller.on_delivery(t, t, &ups_bad).unwrap();
+        assert!(!commands.is_empty(), "the fixture must act");
+        f
+    }
+
+    #[test]
+    fn restarted_equals_new_in_that_epoch() {
+        let f = acted(0.85);
+        let ups = f.placed.room().topology().ups_count();
+        let racks = f.placed.racks().len();
+        let mut fresh = fixture(0.85).controller;
+        assert_eq!(fresh.state(), &ControllerState::blank(ups, racks, 0));
+        assert_ne!(f.controller.state(), fresh.state());
+
+        let mut restarted = f.controller.restarted(7);
+        assert_eq!(restarted.state(), &ControllerState::blank(ups, racks, 7));
+        assert_eq!(restarted.id(), fresh.id());
+        assert_eq!(restarted.oldest, None);
+        // Apart from the epoch it behaves as a new instance: the same
+        // inputs give the same commands and the same state.
+        let topo = f.placed.room().topology().clone();
+        let (ups_bad, rack_snap) = snapshots(&f, &FeedState::with_failed(&topo, [UpsId(0)]));
+        let t = SimTime::from_secs_f64(30.0);
+        for c in [&mut restarted, &mut fresh] {
+            c.on_delivery(t, t, &rack_snap).unwrap();
+        }
+        assert_eq!(
+            restarted.on_delivery(t, t, &ups_bad).unwrap(),
+            fresh.on_delivery(t, t, &ups_bad).unwrap()
+        );
+        let mut expected = fresh.state().clone();
+        expected.epoch = 7;
+        assert_eq!(restarted.state(), &expected);
+    }
+
+    #[test]
+    fn recover_from_empty_snapshot_equals_restarted() {
+        let f = acted(0.85);
+        let snapshot = RecoverySnapshot {
+            epoch: 5,
+            rack_states: vec![RackPowerState::Normal; f.placed.racks().len()],
+            inflight: Vec::new(),
+            alarmed: Vec::new(),
+            last_seq: vec![0; f.placed.room().topology().ups_count()],
+        };
+        let now = SimTime::from_secs_f64(2.0);
+        let recovered = Controller::recover(&f.controller, &snapshot, &[], now).unwrap();
+        assert_eq!(recovered.state(), f.controller.restarted(5).state());
+        assert_eq!(recovered.epoch(), 5);
+    }
+
     /// The reference `prune_stale`: scans every slot on every call.
     fn prune_stale_full_scan(c: &mut Controller, now: SimTime) {
         let limit = c.config.staleness_limit;
-        for slot in c.ups_power.iter_mut().chain(c.rack_power.iter_mut()) {
+        for slot in c.state.ups_power.iter_mut().chain(c.state.rack_power.iter_mut()) {
             if slot.is_some_and(|(t, _)| now.saturating_since(t) > limit) {
                 *slot = None;
             }
         }
-        if c.last_ups_data
+        if c.state.last_ups_data
             .is_some_and(|t| now.saturating_since(t) > limit)
         {
-            c.last_ups_data = None;
+            c.state.last_ups_data = None;
         }
     }
 
@@ -1146,7 +1208,7 @@ mod tests {
     /// One generated delivery: (kind, arrival step ms, age at arrival
     /// ms, first slot, slot count). Kinds 0-3 are UPS snapshots, 4-7
     /// rack snapshots, 8 a redelivery of the previous message, 9 a
-    /// `fresh_like` rebuild; a step ≥ 8 s is stretched past the
+    /// `restarted` rebuild; a step ≥ 8 s is stretched past the
     /// staleness limit.
     type Op = (u8, u64, u64, usize, usize);
 
@@ -1190,7 +1252,7 @@ mod tests {
                         None => continue,
                     },
                     _ => {
-                        c = c.fresh_like();
+                        c = c.restarted(c.epoch());
                         continue;
                     }
                 };
@@ -1200,7 +1262,7 @@ mod tests {
                 let mut reference = c.clone();
                 prune_stale_full_scan(&mut reference, now);
                 prop_assert_eq!(c.state(), reference.state(), "at {}", now);
-                for (t, _) in c.ups_power.iter().chain(&c.rack_power).flatten() {
+                for (t, _) in c.state.ups_power.iter().chain(&c.state.rack_power).flatten() {
                     prop_assert!(
                         c.oldest.is_some_and(|o| o <= *t),
                         "bound {:?} above held reading at {}", c.oldest, t

@@ -14,9 +14,15 @@
 //!   after cap-able ones) when none are registered;
 //! - [`Controller`] — a stateful multi-primary controller instance:
 //!   consumes telemetry deliveries, triggers decisions, tracks its action
-//!   log, and lifts actions once the failover clears (with hysteresis);
+//!   log, and lifts actions once the failover clears (with hysteresis).
+//!   Everything its decisions depend on is one [`ControllerState`];
+//!   [`Controller::restarted`] is the blank restart into a new epoch;
 //! - [`Actuator`] — the out-of-band rack-manager/BMC path: latency,
-//!   unreachability, idempotent command application;
+//!   unreachability, idempotent command application, epoch fencing;
+//! - [`recovery`] — deterministic crash recovery: the
+//!   [`RecoverySnapshot`] a restarted instance rebuilds from, the
+//!   [`CatchUpBuffer`] of recent telemetry, and the snapshot's
+//!   flight-recorder codec;
 //! - [`prober::Prober`] — the background firmware/reachability monitor
 //!   from the production-lessons section (VI);
 //! - [`replay`] — standalone reconstruction of a controller's decision
@@ -39,9 +45,7 @@ pub mod recovery;
 pub mod replay;
 pub mod sim;
 
-pub use actuation::{
-    state_code, Actuator, ActuatorConfig, PendingCommand, RackPowerState, Submission,
-};
+pub use actuation::{Actuator, ActuatorConfig, PendingCommand, RackPowerState, Submission};
 pub use controller::{Command, Controller, ControllerConfig, ControllerState};
 pub use recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
 pub use error::OnlineError;

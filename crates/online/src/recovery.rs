@@ -13,16 +13,25 @@
 //!    the instance's telemetry view matches what it would hold had it
 //!    never crashed.
 //!
-//! Because [`crate::Controller`] state is a pure function of its
-//! inputs, and the buffer horizon
+//! Because a [`crate::Controller`]'s [`crate::ControllerState`] is a
+//! pure function of its inputs, and the buffer horizon
 //! ([`CATCH_UP_HORIZON`]) exceeds the controller's staleness limit,
 //! the recovered instance is *bit-identical* to a never-crashed twin
 //! given the same post-restart deliveries — the property
 //! `tests/recovery.rs` drives. See `Controller::recover` for the
-//! rebuild itself.
+//! rebuild itself: it starts from [`crate::Controller::restarted`],
+//! the blank state in the new epoch, which is also what a restart
+//! without recovery (or a malformed snapshot) produces.
+//!
+//! The room records each rebuild as a `RecoveryCompleted` flight
+//! event ([`RecoverySnapshot::to_event`]); replay decodes it
+//! ([`RecoverySnapshot::from_event`]) and re-runs the same rebuild
+//! against its mirror of the catch-up buffer.
 
 use std::collections::VecDeque;
 
+use flex_obs::FlightEvent;
+use flex_placement::RackId;
 use flex_power::UpsId;
 use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
@@ -62,6 +71,72 @@ pub struct RecoverySnapshot {
     /// state is gone, so skipping "already consumed" items would lose
     /// data); the cursor exists for diagnostics and cross-checking.
     pub last_seq: Vec<u64>,
+}
+
+impl RecoverySnapshot {
+    /// The flight-recorder event marking instance `controller`'s
+    /// rebuild from this snapshot. Replay decodes it with
+    /// [`from_event`](Self::from_event) and re-runs the rebuild.
+    pub fn to_event(&self, controller: usize) -> FlightEvent {
+        FlightEvent::RecoveryCompleted {
+            controller: controller as u32,
+            epoch: self.epoch,
+            rack_states: self.rack_states.iter().map(|s| s.code()).collect(),
+            inflight: self
+                .inflight
+                .iter()
+                .map(|p| (p.rack.0 as u32, p.new_state.code(), p.apply_at.as_nanos()))
+                .collect(),
+            alarmed: self
+                .alarmed
+                .iter()
+                .map(|&(u, t)| (u.0 as u32, t.as_nanos()))
+                .collect(),
+            last_seq: self.last_seq.clone(),
+        }
+    }
+
+    /// Decodes a [`FlightEvent::RecoveryCompleted`] into the recovering
+    /// instance and its snapshot (`None` for any other event). The dump
+    /// does not track an in-flight command's issuer, epoch or
+    /// staleness: they decode as the recovering instance, the snapshot's
+    /// epoch and not stale. Recovery reads only rack, state and apply
+    /// time, so the rebuild is the same.
+    pub fn from_event(event: &FlightEvent) -> Option<(usize, RecoverySnapshot)> {
+        let FlightEvent::RecoveryCompleted {
+            controller,
+            epoch,
+            rack_states,
+            inflight,
+            alarmed,
+            last_seq,
+        } = event
+        else {
+            return None;
+        };
+        let controller = *controller as usize;
+        let snapshot = RecoverySnapshot {
+            epoch: *epoch,
+            rack_states: rack_states.iter().map(|&s| RackPowerState::from_code(s)).collect(),
+            inflight: inflight
+                .iter()
+                .map(|&(r, s, at_ns)| PendingCommand {
+                    rack: RackId(r as usize),
+                    new_state: RackPowerState::from_code(s),
+                    apply_at: SimTime::from_nanos(at_ns),
+                    issuer: controller,
+                    epoch: *epoch,
+                    stale: false,
+                })
+                .collect(),
+            alarmed: alarmed
+                .iter()
+                .map(|&(u, t_ns)| (UpsId(u as usize), SimTime::from_nanos(t_ns)))
+                .collect(),
+            last_seq: last_seq.clone(),
+        };
+        Some((controller, snapshot))
+    }
 }
 
 /// One retained delivery, replayable through the ingest path.
@@ -140,6 +215,56 @@ mod tests {
             measured_at: SimTime::from_nanos(at_secs * 1_000_000_000),
             payload: TelemetryPayload::UpsSnapshot(Vec::new()),
         }
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_its_flight_event() {
+        let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+        let pending = |rack: usize, new_state, ms| PendingCommand {
+            rack: RackId(rack),
+            new_state,
+            apply_at: at(ms),
+            issuer: 2,
+            epoch: 3,
+            stale: false,
+        };
+        // In-flight commands carry the fields the dump does not track
+        // (issuer, epoch, staleness) as they decode: the recovering
+        // instance, the snapshot's epoch, not stale.
+        let snapshot = RecoverySnapshot {
+            epoch: 3,
+            rack_states: vec![
+                RackPowerState::Normal,
+                RackPowerState::Throttled,
+                RackPowerState::Off,
+            ],
+            inflight: vec![
+                pending(0, RackPowerState::Off, 1_250),
+                pending(1, RackPowerState::Normal, 1_500),
+                pending(2, RackPowerState::Throttled, 900),
+            ],
+            alarmed: vec![(UpsId(1), at(700)), (UpsId(3), at(800))],
+            last_seq: vec![4, 0, 9, 2],
+        };
+        let event = snapshot.to_event(2);
+        assert_eq!(
+            RecoverySnapshot::from_event(&event),
+            Some((2, snapshot.clone()))
+        );
+        // An untracked field is lost: a command from another issuer
+        // decodes as the recovering instance's.
+        let mut foreign = snapshot.clone();
+        if let Some(p) = foreign.inflight.first_mut() {
+            p.issuer = 0;
+        }
+        assert_eq!(
+            RecoverySnapshot::from_event(&foreign.to_event(2)),
+            Some((2, snapshot))
+        );
+        assert_eq!(
+            RecoverySnapshot::from_event(&FlightEvent::WatchdogTick { controller: 2 }),
+            None
+        );
     }
 
     #[test]

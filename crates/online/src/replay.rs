@@ -22,19 +22,8 @@ use flex_power::{UpsId, Watts};
 use flex_sim::SimTime;
 use flex_telemetry::TelemetryPayload;
 
-use crate::actuation::PendingCommand;
-use crate::policy::ActionKind;
 use crate::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
-use crate::{Command, Controller, RackPowerState};
-
-/// Inverse of [`crate::state_code`].
-fn decode_state(code: u8) -> RackPowerState {
-    match code {
-        1 => RackPowerState::Throttled,
-        2 => RackPowerState::Off,
-        _ => RackPowerState::Normal,
-    }
-}
+use crate::{Command, Controller};
 
 /// One replayed (or recorded) command: when, by which instance, what.
 pub type TimedCommand = (SimTime, usize, Command);
@@ -93,35 +82,30 @@ pub fn replay_decisions(
                 controllers: mask,
                 measured_at_ns,
                 readings,
-            } => {
-                let payload = TelemetryPayload::UpsSnapshot(
-                    readings
-                        .iter()
-                        .map(|&(u, w)| (UpsId(u as usize), Watts::new(w)))
-                        .collect(),
-                );
-                // Pushed before the feed, matching the room's dispatch
-                // order: a recovery at this same instant (an *earlier*
-                // event in the stream) must not see this delivery.
-                buffer.push(BufferedDelivery {
-                    seq: 0,
-                    arrive_at: now,
-                    measured_at: SimTime::from_nanos(*measured_at_ns),
-                    payload: payload.clone(),
-                });
-                deliver(controllers, *mask, now, *measured_at_ns, &payload, &mut out);
             }
-            FlightEvent::RackDelivery {
+            | FlightEvent::RackDelivery {
                 controllers: mask,
                 measured_at_ns,
                 readings,
             } => {
-                let payload = TelemetryPayload::RackSnapshot(
-                    readings
-                        .iter()
-                        .map(|&(r, w)| (r as usize, Watts::new(w)))
-                        .collect(),
-                );
+                let payload = if matches!(event, FlightEvent::UpsDelivery { .. }) {
+                    TelemetryPayload::UpsSnapshot(
+                        readings
+                            .iter()
+                            .map(|&(u, w)| (UpsId(u as usize), Watts::new(w)))
+                            .collect(),
+                    )
+                } else {
+                    TelemetryPayload::RackSnapshot(
+                        readings
+                            .iter()
+                            .map(|&(r, w)| (r as usize, Watts::new(w)))
+                            .collect(),
+                    )
+                };
+                // Pushed before the feed, matching the room's dispatch
+                // order: a recovery at this same instant (an *earlier*
+                // event in the stream) must not see this delivery.
                 buffer.push(BufferedDelivery {
                     seq: 0,
                     arrive_at: now,
@@ -161,58 +145,23 @@ pub fn replay_decisions(
             // in between — so overlaying the rebuild then is faithful.
             FlightEvent::EpochBump { controller, epoch } => {
                 if let Some(c) = controllers.get_mut(*controller as usize) {
-                    let mut fresh = c.fresh_like();
-                    fresh.set_epoch(*epoch);
-                    *c = fresh;
+                    *c = c.restarted(*epoch);
                 }
             }
             // The embedded snapshot plus the buffer mirror re-derive
             // the recovered state exactly as the room did.
-            FlightEvent::RecoveryCompleted {
-                controller,
-                epoch,
-                rack_states,
-                inflight,
-                alarmed,
-                last_seq,
-            } => {
-                let idx = *controller as usize;
+            FlightEvent::RecoveryCompleted { .. } => {
+                let Some((idx, snapshot)) = RecoverySnapshot::from_event(event) else {
+                    continue;
+                };
                 let Some(c) = controllers.get_mut(idx) else {
                     continue;
                 };
-                let snapshot = RecoverySnapshot {
-                    epoch: *epoch,
-                    rack_states: rack_states.iter().map(|&s| decode_state(s)).collect(),
-                    inflight: inflight
-                        .iter()
-                        .map(|&(r, s, at_ns)| PendingCommand {
-                            rack: RackId(r as usize),
-                            new_state: decode_state(s),
-                            apply_at: SimTime::from_nanos(at_ns),
-                            // Untracked in the dump; recovery reads
-                            // only rack/state/apply-time.
-                            issuer: idx,
-                            epoch: *epoch,
-                            stale: false,
-                        })
-                        .collect(),
-                    alarmed: alarmed
-                        .iter()
-                        .map(|&(u, t_ns)| (UpsId(u as usize), SimTime::from_nanos(t_ns)))
-                        .collect(),
-                    last_seq: last_seq.clone(),
-                };
                 let items = buffer.items();
-                *c = match Controller::recover(c, &snapshot, items, now) {
-                    Ok(rebuilt) => rebuilt,
-                    // Mirror the room's degrade-to-blank on a
-                    // malformed snapshot.
-                    Err(_) => {
-                        let mut fresh = c.fresh_like();
-                        fresh.set_epoch(*epoch);
-                        fresh
-                    }
-                };
+                // A malformed snapshot degrades to a blank restart, as
+                // in the room.
+                *c = Controller::recover(c, &snapshot, items, now)
+                    .unwrap_or_else(|_| c.restarted(snapshot.epoch));
             }
             // Everything else (command/apply/trip/fence bookkeeping and
             // recovery-start markers) is an *output* of the control
@@ -237,18 +186,7 @@ pub fn recorded_commands(events: &[(u64, FlightEvent)]) -> Vec<TimedCommand> {
         else {
             continue;
         };
-        let rack = RackId(*rack as usize);
-        let cmd = match action {
-            0 => Command::Act {
-                rack,
-                kind: ActionKind::Shutdown,
-            },
-            1 => Command::Act {
-                rack,
-                kind: ActionKind::Throttle,
-            },
-            _ => Command::Restore { rack },
-        };
+        let cmd = Command::from_code(RackId(*rack as usize), *action);
         out.push((SimTime::from_nanos(*t_ns), *controller as usize, cmd));
     }
     out

@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 use crate::actuation::PendingCommand;
 use crate::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
 use crate::{
-    state_code, Actuator, ActuatorConfig, Command, Controller, ControllerConfig, ImpactRegistry,
+    Actuator, ActuatorConfig, Command, Controller, ControllerConfig, ImpactRegistry,
     RackPowerState, Submission,
 };
 
@@ -394,14 +394,56 @@ impl Event<RoomWorld> for RoomEvent {
     }
 }
 
+/// One controller instance as the room supervises it.
+struct Instance {
+    /// The current incarnation.
+    controller: Controller,
+    /// The authoritative epoch: what the current incarnation should
+    /// carry. Bumped on crash restart and on watchdog-declared
+    /// isolation. The incarnation issues commands under its own
+    /// [`Controller::epoch`], fixed when it was built, so between an
+    /// isolation declaration and the rebuild the two differ and the
+    /// actuation fence rejects what the superseded incarnation submits.
+    epoch: u64,
+    /// Availability at the previous refresh — the down→up edge
+    /// detector.
+    was_up: bool,
+    /// Set when the isolation supervisor declared the instance stale;
+    /// the next refresh rebuilds it.
+    needs_recovery: bool,
+    /// Per-UPS highest delivered telemetry sequence (advisory cursor
+    /// carried into recovery snapshots).
+    acks: Vec<u64>,
+    /// When the instance last received any telemetry delivery.
+    last_delivery_at: SimTime,
+}
+
+impl Instance {
+    /// Supersedes instance `i`'s current incarnation: bumps the
+    /// authoritative epoch and raises the actuation fence to it.
+    fn bump_epoch(&mut self, i: usize, actuator: &mut Actuator, obs: &Obs, now: SimTime) {
+        self.epoch += 1;
+        actuator.observe_epoch(i, self.epoch);
+        obs.record_with(now, || FlightEvent::EpochBump {
+            controller: i as u32,
+            epoch: self.epoch,
+        });
+    }
+}
+
 /// The simulation world.
 pub struct RoomWorld {
+    /// The configuration the world was built from; the tick periods,
+    /// alarm latency, delivery chaos, recovery switch and isolation
+    /// deadline are read from it.
+    config: RoomSimConfig,
     topo: Topology,
     racks: Vec<PlacedRack>,
     demand_fn: DemandFn,
     demand: Vec<Watts>,
     pipeline: Pipeline,
-    controllers: Vec<Controller>,
+    /// The controller instances (index = instance id).
+    instances: Vec<Instance>,
     actuator: Actuator,
     feed: FeedState,
     /// Cached effective power of each rack (index = rack id) and the
@@ -422,10 +464,6 @@ pub struct RoomWorld {
     /// Controller-instance availability (crash injection): the plan
     /// resolved over the `"controller/{i}"` names, by instance.
     controller_faults: ResolvedPlan,
-    /// Out-of-band alarm latency (copied from the config).
-    alarm_latency: SimDuration,
-    /// Delivery duplication/reordering injection.
-    chaos: DeliveryChaos,
     /// Monotone delivery counter driving the chaos periods.
     delivery_seq: u64,
     /// Per-(controller, rack) submission generation: a retry chain
@@ -437,21 +475,6 @@ pub struct RoomWorld {
     /// this to distinguish "rack Off with an owner still working on it"
     /// from an orphaned rack.
     inflight: BTreeMap<RackId, usize>,
-    /// Authoritative per-instance epoch: what the *current* incarnation
-    /// of instance `i` should carry. Bumped on crash restart and on
-    /// watchdog-declared isolation.
-    epochs: Vec<u64>,
-    /// Instance availability at the previous refresh — the down→up edge
-    /// detector.
-    was_up: Vec<bool>,
-    /// Set when the isolation supervisor declared the instance stale;
-    /// the next refresh rebuilds it.
-    needs_recovery: Vec<bool>,
-    /// Per-instance per-UPS highest delivered telemetry sequence
-    /// (advisory cursor carried into recovery snapshots).
-    acks: Vec<Vec<u64>>,
-    /// When each instance last received any telemetry delivery.
-    last_delivery_at: Vec<SimTime>,
     /// Standing failover alarms and when each was raised (the alarm
     /// registry recovery snapshots draw from).
     alarm_since: BTreeMap<UpsId, SimTime>,
@@ -460,17 +483,6 @@ pub struct RoomWorld {
     catch_up: CatchUpBuffer,
     /// Active pub/sub partition, if any.
     partition: Option<PubSubPartition>,
-    /// Whether rebuilds use the recovery protocol (from the config).
-    recovery_enabled: bool,
-    /// Isolation-supervisor silence threshold (from the config).
-    isolation_deadline: SimDuration,
-    /// Recurring-tick periods (from the config).
-    ups_poll_interval: SimDuration,
-    rack_poll_interval: SimDuration,
-    demand_update_interval: SimDuration,
-    overload_step: SimDuration,
-    stats_interval: SimDuration,
-    watchdog_poll_interval: SimDuration,
     /// Observability instruments.
     sim_obs: SimObs,
     /// Statistics.
@@ -552,11 +564,6 @@ impl RoomWorld {
         self.refresh_power();
     }
 
-    /// True if controller instance `i` is up (not crash-injected).
-    fn controller_up(&self, i: usize, now: SimTime) -> bool {
-        self.controller_faults.is_up(i, now)
-    }
-
     /// Brings instance `i` current before it is fed anything: a
     /// down→up edge or a standing isolation declaration rebuilds it in
     /// a fresh epoch — via the recovery protocol when enabled, blank
@@ -564,39 +571,23 @@ impl RoomWorld {
     /// restore notification, watchdog tick), so a dead incarnation's
     /// state is never consulted after its epoch was superseded.
     fn refresh_instance(&mut self, i: usize, now: SimTime) {
-        let up = self.controller_up(i, now);
-        let Some(was) = self.was_up.get_mut(i) else {
+        let up = self.controller_faults.is_up(i, now);
+        let Some(inst) = self.instances.get_mut(i) else {
             return;
         };
-        let was_up = std::mem::replace(was, up);
-        if !up {
+        let was_up = std::mem::replace(&mut inst.was_up, up);
+        if !up || (was_up && !inst.needs_recovery) {
             return;
         }
-        let declared = self.needs_recovery.get(i).copied().unwrap_or(false);
-        if was_up && !declared {
-            return;
-        }
-        if let Some(flag) = self.needs_recovery.get_mut(i) {
-            *flag = false;
-        }
+        inst.needs_recovery = false;
+        let obs = &self.sim_obs.obs;
         if !was_up {
             // Crash restart: the isolation path already bumped.
-            if let Some(e) = self.epochs.get_mut(i) {
-                *e += 1;
-            }
-            let epoch = self.epochs.get(i).copied().unwrap_or(0);
-            self.actuator.observe_epoch(i, epoch);
-            self.sim_obs.obs.record_with(now, || FlightEvent::EpochBump {
-                controller: i as u32,
-                epoch,
-            });
+            inst.bump_epoch(i, &mut self.actuator, obs, now);
         }
-        let epoch = self.epochs.get(i).copied().unwrap_or(0);
-        let Some(base) = self.controllers.get(i) else {
-            return;
-        };
-        let rebuilt = if self.recovery_enabled {
-            self.sim_obs.obs.record_with(now, || FlightEvent::RecoveryStarted {
+        let epoch = inst.epoch;
+        inst.controller = if self.config.recovery {
+            obs.record_with(now, || FlightEvent::RecoveryStarted {
                 controller: i as u32,
                 epoch,
             });
@@ -605,54 +596,26 @@ impl RoomWorld {
                 rack_states: self.actuator.states().to_vec(),
                 inflight: self.actuator.pending().to_vec(),
                 alarmed: self.alarm_since.iter().map(|(&u, &t)| (u, t)).collect(),
-                last_seq: self.acks.get(i).cloned().unwrap_or_default(),
+                last_seq: inst.acks.clone(),
             };
             let items = self.catch_up.items();
-            let rebuilt = match Controller::recover(base, &snapshot, items, now) {
-                Ok(c) => c,
-                // Shape mismatches cannot happen for a snapshot taken
-                // from this very room; degrade to a blank restart
-                // rather than panic mid-event-loop (lint rule P1).
-                Err(_) => {
-                    let mut c = base.fresh_like();
-                    c.set_epoch(epoch);
-                    c
-                }
-            };
-            self.sim_obs.obs.record_with(now, || FlightEvent::RecoveryCompleted {
-                controller: i as u32,
-                epoch,
-                rack_states: snapshot.rack_states.iter().map(|&s| state_code(s)).collect(),
-                inflight: snapshot
-                    .inflight
-                    .iter()
-                    .map(|p| (p.rack.0 as u32, state_code(p.new_state), p.apply_at.as_nanos()))
-                    .collect(),
-                alarmed: snapshot
-                    .alarmed
-                    .iter()
-                    .map(|&(u, t)| (u.0 as u32, t.as_nanos()))
-                    .collect(),
-                last_seq: snapshot.last_seq.clone(),
-            });
+            // Shape mismatches cannot happen for a snapshot taken from
+            // this very room; degrade to a blank restart rather than
+            // panic mid-event-loop (lint rule P1).
+            let rebuilt = Controller::recover(&inst.controller, &snapshot, items, now)
+                .unwrap_or_else(|_| inst.controller.restarted(epoch));
+            obs.record_with(now, || snapshot.to_event(i));
             rebuilt
         } else {
-            let mut c = base.fresh_like();
-            c.set_epoch(epoch);
-            c
+            inst.controller.restarted(epoch)
         };
-        if let Some(slot) = self.controllers.get_mut(i) {
-            *slot = rebuilt;
-        }
         // The rebuild counts as contact: a fresh incarnation gets a
         // full silence window before it can be declared isolated.
-        if let Some(t) = self.last_delivery_at.get_mut(i) {
-            *t = now;
-        }
+        inst.last_delivery_at = now;
     }
 
     fn refresh_all(&mut self, now: SimTime) {
-        for i in 0..self.controllers.len() {
+        for i in 0..self.instances.len() {
             self.refresh_instance(i, now);
         }
     }
@@ -664,33 +627,31 @@ impl RoomWorld {
     /// is fed nothing, so the superseded state produces no output).
     /// Returns true if a declaration is standing.
     fn maybe_declare_isolated(&mut self, i: usize, now: SimTime) -> bool {
-        if self.needs_recovery.get(i).copied().unwrap_or(false) {
+        let deadline = self.config.isolation_deadline;
+        let heard = |inst: &Instance| now.saturating_since(inst.last_delivery_at) < deadline;
+        let Some(inst) = self.instances.get(i) else {
+            return false;
+        };
+        if inst.needs_recovery {
             return true;
         }
-        let heard = |t: Option<&SimTime>| match t {
-            Some(&t) => now.saturating_since(t) < self.isolation_deadline,
-            None => true,
-        };
-        if heard(self.last_delivery_at.get(i)) {
+        if heard(inst) {
             return false;
         }
-        let peer_heard = (0..self.controllers.len())
-            .any(|j| j != i && self.controller_up(j, now) && heard(self.last_delivery_at.get(j)));
+        let faults = &self.controller_faults;
+        let peer_heard = self
+            .instances
+            .iter()
+            .enumerate()
+            .any(|(j, peer)| j != i && faults.is_up(j, now) && heard(peer));
         if !peer_heard {
             return false;
         }
-        if let Some(e) = self.epochs.get_mut(i) {
-            *e += 1;
-        }
-        let epoch = self.epochs.get(i).copied().unwrap_or(0);
-        self.actuator.observe_epoch(i, epoch);
-        if let Some(flag) = self.needs_recovery.get_mut(i) {
-            *flag = true;
-        }
-        self.sim_obs.obs.record_with(now, || FlightEvent::EpochBump {
-            controller: i as u32,
-            epoch,
-        });
+        let Some(inst) = self.instances.get_mut(i) else {
+            return false;
+        };
+        inst.needs_recovery = true;
+        inst.bump_epoch(i, &mut self.actuator, &self.sim_obs.obs, now);
         true
     }
 
@@ -713,28 +674,32 @@ impl RoomWorld {
         commands: Vec<Command>,
         ctx: &mut RoomCtx,
     ) {
-        if !commands.is_empty() {
-            if let Some(failed_at) = self.pending_detection.take() {
-                self.stats
-                    .detection_latency
-                    .push(now.saturating_since(failed_at));
-                self.sim_obs.detect.record_between(failed_at, now);
-                self.stats
-                    .events
-                    .push((now, SimEvent::FirstCommand { controller: controller_idx }));
-            }
+        if commands.is_empty() {
+            return;
         }
+        if let Some(failed_at) = self.pending_detection.take() {
+            self.stats
+                .detection_latency
+                .push(now.saturating_since(failed_at));
+            self.sim_obs.detect.record_between(failed_at, now);
+            self.stats
+                .events
+                .push((now, SimEvent::FirstCommand { controller: controller_idx }));
+        }
+        // A command carries the incarnation's epoch, not the
+        // authoritative one: a superseded incarnation keeps issuing
+        // under its old epoch and the actuation layer fences it.
+        let epoch = self
+            .instances
+            .get(controller_idx)
+            .map_or(0, |inst| inst.controller.epoch());
         for cmd in commands {
             let rack = cmd.rack();
             self.sim_obs.commands_issued.inc();
             self.sim_obs.obs.record_with(now, || FlightEvent::CommandIssued {
                 controller: controller_idx as u32,
                 rack: rack.0 as u32,
-                action: match cmd {
-                    Command::Act { kind: crate::policy::ActionKind::Shutdown, .. } => 0,
-                    Command::Act { kind: crate::policy::ActionKind::Throttle, .. } => 1,
-                    Command::Restore { .. } => 2,
-                },
+                action: cmd.code(),
             });
             // A new command for this (controller, rack) supersedes any
             // retry chain still backing off for it.
@@ -743,13 +708,6 @@ impl RoomWorld {
                 *entry += 1;
                 *entry
             };
-            // The command carries the *instance's* epoch, not the
-            // authoritative one: a superseded incarnation keeps issuing
-            // under its old epoch and the actuation layer fences it.
-            let epoch = self
-                .controllers
-                .get(controller_idx)
-                .map_or(0, |c| c.epoch());
             self.submit_with_retry(now, controller_idx, epoch, cmd, 1, gen, ctx);
         }
     }
@@ -827,8 +785,8 @@ impl RoomWorld {
                 self.stats
                     .events
                     .push((now, SimEvent::EnforcementDropped { rack }));
-                if let Some(c) = self.controllers.get_mut(controller_idx) {
-                    c.on_enforcement_failed(rack);
+                if let Some(inst) = self.instances.get_mut(controller_idx) {
+                    inst.controller.on_enforcement_failed(rack);
                 }
             }
         }
@@ -842,7 +800,7 @@ impl RoomWorld {
         self.sim_obs.applies.inc();
         self.sim_obs.obs.record_with(p.apply_at, || FlightEvent::CommandApplied {
             rack: p.rack.0 as u32,
-            state: crate::actuation::state_code(p.new_state),
+            state: p.new_state.code(),
         });
         if p.stale {
             // Only reachable with fencing disabled: the violation the
@@ -880,19 +838,16 @@ fn retry(w: &mut RoomWorld, ctx: &mut RoomCtx, r: Retry) {
 /// learns of a UPS loss `alarm_latency` after it happens, independent
 /// of the metering pipeline (which may itself be dark).
 fn schedule_failover_alarm(w: &RoomWorld, ctx: &mut RoomCtx, now: SimTime, ups: UpsId) {
-    ctx.schedule_event_at(now + w.alarm_latency, RoomEvent::FailoverAlarm(ups));
+    ctx.schedule_event_at(now + w.config.alarm_latency, RoomEvent::FailoverAlarm(ups));
 }
 
 /// The failover alarm for `ups` reaches every live controller.
 fn failover_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
     w.refresh_all(now);
     w.alarm_since.entry(ups).or_insert(now);
-    for i in 0..w.controllers.len() {
-        if !w.controller_up(i, now) {
-            continue;
-        }
-        if let Some(c) = w.controllers.get_mut(i) {
-            c.on_failover_alarm(now, ups);
+    for (i, inst) in w.instances.iter_mut().enumerate() {
+        if w.controller_faults.is_up(i, now) {
+            inst.controller.on_failover_alarm(now, ups);
         }
     }
 }
@@ -903,7 +858,7 @@ fn failover_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
 fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut RoomCtx, d: Delivery) {
     w.delivery_seq += 1;
     let seq = w.delivery_seq;
-    let chaos = w.chaos;
+    let chaos = w.config.delivery_chaos;
     let Delivery {
         seq: pipeline_seq,
         pubsub,
@@ -945,8 +900,8 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
     // A crashed instance processes nothing; an erroring one contributes
     // no commands. The other primaries cover. A partition hides the
     // delivery from the far side's mask.
-    let up_mask = (0..w.controllers.len())
-        .filter(|&i| w.controller_up(i, arrive))
+    let up_mask = (0..w.instances.len())
+        .filter(|&i| w.controller_faults.is_up(i, arrive))
         .filter(|&i| {
             w.partition
                 .as_ref()
@@ -973,28 +928,25 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
             readings: snap.iter().map(|&(r, p)| (r as u32, p.as_w())).collect(),
         },
     });
-    for i in 0..w.controllers.len() {
+    for i in 0..w.instances.len() {
         if up_mask & receiver_bit(i) == 0 {
             continue;
         }
-        if let Some(t) = w.last_delivery_at.get_mut(i) {
-            *t = arrive;
-        }
+        let Some(inst) = w.instances.get_mut(i) else {
+            continue;
+        };
+        inst.last_delivery_at = arrive;
         if let TelemetryPayload::UpsSnapshot(snap) = &a.payload {
-            if let Some(acks) = w.acks.get_mut(i) {
-                for &(u, _) in snap {
-                    if let Some(slot) = acks.get_mut(u.0) {
-                        *slot = (*slot).max(a.seq);
-                    }
+            for &(u, _) in snap {
+                if let Some(slot) = inst.acks.get_mut(u.0) {
+                    *slot = (*slot).max(a.seq);
                 }
             }
         }
-        let commands = match w.controllers.get_mut(i) {
-            Some(c) => c
-                .on_delivery(arrive, a.measured_at, &a.payload)
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
+        let commands = inst
+            .controller
+            .on_delivery(arrive, a.measured_at, &a.payload)
+            .unwrap_or_default();
         w.handle_commands(arrive, i, commands, ctx);
     }
     // Nothing above reads the buffer, so the payload moves in only now,
@@ -1013,7 +965,7 @@ fn ups_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     for d in w.pipeline.poll_upses(now, &w.truth) {
         dispatch_delivery(w, ctx, d);
     }
-    ctx.schedule_event_in(w.ups_poll_interval, RoomEvent::UpsTick);
+    ctx.schedule_event_in(w.config.pipeline.ups_poll_interval, RoomEvent::UpsTick);
 }
 
 /// Recurring rack poll: meters every rack's effective power.
@@ -1022,20 +974,20 @@ fn rack_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     for d in w.pipeline.poll_racks(now, &w.rack_power) {
         dispatch_delivery(w, ctx, d);
     }
-    ctx.schedule_event_in(w.rack_poll_interval, RoomEvent::RackTick);
+    ctx.schedule_event_in(w.config.pipeline.rack_poll_interval, RoomEvent::RackTick);
 }
 
 /// Recurring demand resample.
 fn demand_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     w.resample_demand(ctx.now());
-    ctx.schedule_event_in(w.demand_update_interval, RoomEvent::DemandTick);
+    ctx.schedule_event_in(w.config.demand_update_interval, RoomEvent::DemandTick);
 }
 
 /// Recurring overload integration: advances every online UPS's trip
 /// accumulator and trips the ones past their tolerance.
 fn overload_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
-    let dt = w.overload_step.as_secs_f64();
+    let dt = w.config.overload_step.as_secs_f64();
     let mut tripped = Vec::new();
     for u in w.topo.upses() {
         let id = u.id();
@@ -1077,7 +1029,7 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
             schedule_failover_alarm(w, ctx, now, id);
         }
     }
-    ctx.schedule_event_in(w.overload_step, RoomEvent::OverloadTick);
+    ctx.schedule_event_in(w.config.overload_step, RoomEvent::OverloadTick);
 }
 
 /// Recurring statistics sample of the UPS load fractions and total power.
@@ -1092,30 +1044,27 @@ fn stats_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     w.stats
         .total_power
         .record(now, w.truth.loads().total().as_w());
-    ctx.schedule_event_in(w.stats_interval, RoomEvent::StatsTick);
+    ctx.schedule_event_in(w.config.stats_interval, RoomEvent::StatsTick);
 }
 
 /// Recurring watchdog tick for every live controller instance.
 fn watchdog_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
     let now = ctx.now();
     w.refresh_all(now);
-    for i in 0..w.controllers.len() {
-        if !w.controller_up(i, now) {
-            continue;
-        }
+    for i in 0..w.instances.len() {
         // A just-declared instance is fed nothing until its rebuild at
         // the next refresh: its superseded state must produce no further
         // output.
-        if w.maybe_declare_isolated(i, now) {
+        if !w.controller_faults.is_up(i, now) || w.maybe_declare_isolated(i, now) {
             continue;
         }
-        let commands = match w.controllers.get_mut(i) {
-            Some(c) => c.on_tick(now).unwrap_or_default(),
-            None => Vec::new(),
+        let Some(inst) = w.instances.get_mut(i) else {
+            continue;
         };
+        let commands = inst.controller.on_tick(now).unwrap_or_default();
         w.handle_commands(now, i, commands, ctx);
     }
-    ctx.schedule_event_in(w.watchdog_poll_interval, RoomEvent::WatchdogTick);
+    ctx.schedule_event_in(w.config.watchdog_poll_interval, RoomEvent::WatchdogTick);
 }
 
 /// A scripted UPS failure. A script referencing a UPS outside the
@@ -1143,7 +1092,7 @@ fn restore_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
         w.pending_detection = None;
         w.sim_obs.obs.record(t, FlightEvent::UpsRestored { ups: ups.0 as u32 });
         w.stats.events.push((t, SimEvent::UpsRestored(ups)));
-        ctx.schedule_event_at(t + w.alarm_latency, RoomEvent::RestoreAlarm(ups));
+        ctx.schedule_event_at(t + w.config.alarm_latency, RoomEvent::RestoreAlarm(ups));
     }
 }
 
@@ -1151,12 +1100,9 @@ fn restore_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
 fn restore_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
     w.refresh_all(now);
     w.alarm_since.remove(&ups);
-    for i in 0..w.controllers.len() {
-        if !w.controller_up(i, now) {
-            continue;
-        }
-        if let Some(c) = w.controllers.get_mut(i) {
-            c.on_ups_restored(now, ups);
+    for (i, inst) in w.instances.iter_mut().enumerate() {
+        if w.controller_faults.is_up(i, now) {
+            inst.controller.on_ups_restored(now, ups);
         }
     }
 }
@@ -1180,17 +1126,25 @@ impl RoomSim {
         let mut pipeline =
             Pipeline::new(config.pipeline.clone(), topo.ups_count(), racks.len(), &pool);
         pipeline.set_obs(&config.obs);
-        let controllers = (0..config.controllers)
+        let ups_count = topo.ups_count();
+        let instances = (0..config.controllers)
             .map(|i| {
-                let mut c = Controller::new(
+                let mut controller = Controller::new(
                     i,
                     topo.clone(),
                     racks.clone(),
                     registry.clone(),
                     config.controller,
                 );
-                c.set_obs(&config.obs);
-                c
+                controller.set_obs(&config.obs);
+                Instance {
+                    controller,
+                    epoch: 0,
+                    was_up: true,
+                    needs_recovery: false,
+                    acks: vec![0; ups_count],
+                    last_delivery_at: SimTime::ZERO,
+                }
             })
             .collect();
         let mut actuator = Actuator::new(racks.len(), config.actuator, &pool);
@@ -1206,31 +1160,17 @@ impl RoomSim {
             .collect();
         let feed = FeedState::all_online(&topo);
         let stats = RoomStats::new(topo.ups_count());
-        let ups_count = topo.ups_count();
         let load_model = LoadModel::new(&topo);
         let mut world = RoomWorld {
-            epochs: vec![0; config.controllers],
-            was_up: vec![true; config.controllers],
-            needs_recovery: vec![false; config.controllers],
-            acks: vec![vec![0; ups_count]; config.controllers],
-            last_delivery_at: vec![SimTime::ZERO; config.controllers],
             alarm_since: BTreeMap::new(),
             catch_up: CatchUpBuffer::new(),
             partition: None,
-            recovery_enabled: config.recovery,
-            isolation_deadline: config.isolation_deadline,
-            ups_poll_interval: config.pipeline.ups_poll_interval,
-            rack_poll_interval: config.pipeline.rack_poll_interval,
-            demand_update_interval: config.demand_update_interval,
-            overload_step: config.overload_step,
-            stats_interval: config.stats_interval,
-            watchdog_poll_interval: config.watchdog_poll_interval,
             topo,
             racks,
             demand_fn,
             demand,
             pipeline,
-            controllers,
+            instances,
             actuator,
             feed,
             rack_power: Vec::new(),
@@ -1240,13 +1180,12 @@ impl RoomSim {
             rng,
             pending_detection: None,
             controller_faults: ResolvedPlan::default(),
-            alarm_latency: config.alarm_latency,
-            chaos: config.delivery_chaos,
             delivery_seq: 0,
             retry_gen: BTreeMap::new(),
             inflight: BTreeMap::new(),
             sim_obs,
             stats,
+            config,
         };
         world.refresh_power();
         let mut sim = Sim::with_world(world);
@@ -1325,7 +1264,7 @@ impl RoomWorld {
     /// injection via `"controller/{i}"` component names).
     pub fn set_controller_fault_plan(&mut self, plan: FaultPlan) {
         self.controller_faults =
-            plan.resolve((0..self.controllers.len()).map(fault_names::controller));
+            plan.resolve((0..self.instances.len()).map(fault_names::controller));
     }
 
     /// The per-UPS overload accumulators (index = UPS id).
@@ -1343,9 +1282,10 @@ impl RoomWorld {
         &self.racks
     }
 
-    /// The controller instances.
-    pub fn controllers(&self) -> &[Controller] {
-        &self.controllers
+    /// The current incarnation of each controller instance, in
+    /// instance order.
+    pub fn controllers(&self) -> impl Iterator<Item = &Controller> {
+        self.instances.iter().map(|inst| &inst.controller)
     }
 
     /// Mutable access to the telemetry pipeline (targeted fault
@@ -1363,11 +1303,6 @@ impl RoomWorld {
     /// Installs (or clears) a pub/sub partition window.
     pub fn set_partition(&mut self, partition: Option<PubSubPartition>) {
         self.partition = partition;
-    }
-
-    /// The authoritative per-instance epochs (index = instance).
-    pub fn epochs(&self) -> &[u64] {
-        &self.epochs
     }
 
     /// The actuation layer (fence state, pending commands, rack truth).

@@ -463,7 +463,6 @@ fn orphans(sim: &RoomSim) -> usize {
                 && !sim
                     .world()
                     .controllers()
-                    .iter()
                     .any(|c| c.state().action_log.contains_key(&rack))
         })
         .count()

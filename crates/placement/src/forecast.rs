@@ -10,13 +10,12 @@
 //! layouts that would strand the expected future demand, while never
 //! displacing certain demand for speculative demand.
 
-use flex_power::Watts;
 use flex_workload::trace::{DemandTrace, TraceConfig, TraceGenerator};
 use flex_workload::DeploymentRequest;
 use rand::Rng;
 
 use crate::ilp::{solve_batch_with_lookahead, IlpConfig};
-use crate::policies::PlacementPolicy;
+use crate::policies::{commit_batch, power_batches, rebalance_placed, PlacementPolicy};
 use crate::{Placement, Room, RoomState};
 
 /// Forecast-aware Flex-Offline: short batches plus discounted phantom
@@ -73,15 +72,10 @@ impl PlacementPolicy for ForecastAware {
 
     fn place<R: Rng + ?Sized>(&self, room: &Room, trace: &DemandTrace, rng: &mut R) -> Placement {
         let mut state = RoomState::new(room);
-        let threshold = room.provisioned_power() * self.batch_fraction;
-        let mut batch: Vec<DeploymentRequest> = Vec::new();
-        let mut acc = Watts::ZERO;
-        let flush = |state: &mut RoomState, batch: &mut Vec<DeploymentRequest>, rng: &mut R| {
-            if batch.is_empty() {
-                return;
-            }
+        for batch in power_batches(room, trace, self.batch_fraction) {
             // Sample phantom demand from the forecast distribution,
-            // capped at the configured lookahead volume.
+            // capped at the configured lookahead volume: one draw per
+            // batch, in batch order.
             let lookahead_power = room.provisioned_power() * self.lookahead_fraction;
             let forecast_config = TraceConfig {
                 target_power: lookahead_power,
@@ -96,44 +90,12 @@ impl PlacementPolicy for ForecastAware {
                 .map(|(i, d)| d.with_id(flex_workload::DeploymentId(1_000_000 + i)))
                 .collect();
             let chosen =
-                solve_batch_with_lookahead(state, batch, &phantom, self.discount, &self.config)
+                solve_batch_with_lookahead(&state, &batch, &phantom, self.discount, &self.config)
                     .unwrap_or_default();
-            let mut placed = vec![false; batch.len()];
-            for (di, pair) in chosen {
-                if state.fits(&batch[di], pair) {
-                    state.place(&batch[di], pair);
-                    placed[di] = true;
-                }
-            }
-            for (di, was_placed) in placed.iter().enumerate() {
-                if !was_placed {
-                    state.reject(batch[di].id());
-                }
-            }
-            batch.clear();
-        };
-        for d in trace.deployments() {
-            batch.push(d.clone());
-            acc += d.total_power();
-            if acc >= threshold {
-                flush(&mut state, &mut batch, rng);
-                acc = Watts::ZERO;
-            }
+            commit_batch(&mut state, &batch, chosen);
         }
-        flush(&mut state, &mut batch, rng);
         // The same power-neutral rebalancing pass as Flex-Offline.
-        crate::lns::rebalance(
-            &mut state,
-            |id| {
-                trace
-                    .deployments()
-                    .iter()
-                    .find(|d| d.id() == id)
-                    .expect("assignment references trace deployment")
-            },
-            2500,
-            rng,
-        );
+        rebalance_placed(&mut state, trace, rng);
         state.into_placement()
     }
 }
@@ -144,6 +106,7 @@ mod tests {
     use crate::metrics::stranded_fraction;
     use crate::policies::replay;
     use crate::RoomConfig;
+    use flex_power::Watts;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::time::Duration;

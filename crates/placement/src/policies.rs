@@ -160,26 +160,77 @@ impl FlexOffline {
         self.config = config;
         self
     }
+}
 
-    /// Splits a trace into batches by cumulative power.
-    fn batches<'a>(&self, room: &Room, trace: &'a DemandTrace) -> Vec<Vec<&'a DeploymentRequest>> {
-        let threshold = room.provisioned_power() * self.batch_fraction.min(1e9);
-        let mut out: Vec<Vec<&DeploymentRequest>> = Vec::new();
-        let mut current: Vec<&DeploymentRequest> = Vec::new();
-        let mut acc = flex_power::Watts::ZERO;
-        for d in trace.deployments() {
-            current.push(d);
-            acc += d.total_power();
-            if acc >= threshold {
-                out.push(std::mem::take(&mut current));
-                acc = flex_power::Watts::ZERO;
-            }
+/// Splits a trace, in arrival order, into batches that each close once
+/// their cumulative power reaches `batch_fraction` of the room's
+/// provisioned power (the last batch may fall short); an infinite
+/// fraction gives one batch. The batching of every Flex-Offline variant.
+pub(crate) fn power_batches(
+    room: &Room,
+    trace: &DemandTrace,
+    batch_fraction: f64,
+) -> Vec<Vec<DeploymentRequest>> {
+    let threshold = room.provisioned_power() * batch_fraction.min(1e9);
+    let mut out = Vec::new();
+    let mut current = Vec::new();
+    let mut acc = flex_power::Watts::ZERO;
+    for d in trace.deployments() {
+        current.push(d.clone());
+        acc += d.total_power();
+        if acc >= threshold {
+            out.push(std::mem::take(&mut current));
+            acc = flex_power::Watts::ZERO;
         }
-        if !current.is_empty() {
-            out.push(current);
-        }
-        out
     }
+    if !current.is_empty() {
+        out.push(current);
+    }
+    out
+}
+
+/// Commits one batch's solve: places each chosen deployment that still
+/// fits (trust but verify: the ILP and `RoomState` must agree) and
+/// rejects the rest of the batch.
+pub(crate) fn commit_batch(
+    state: &mut RoomState,
+    batch: &[DeploymentRequest],
+    chosen: Vec<(usize, PduPairId)>,
+) {
+    let mut placed = vec![false; batch.len()];
+    for (di, pair) in chosen {
+        if state.fits(&batch[di], pair) {
+            state.place(&batch[di], pair);
+            placed[di] = true;
+        }
+    }
+    for (d, was_placed) in batch.iter().zip(placed) {
+        if !was_placed {
+            state.reject(d.id());
+        }
+    }
+}
+
+/// Power-neutral rebalancing after the last batch: 2,500 relocation
+/// moves that even out the worst-case failover loads (the paper's soft
+/// constraints that improve throttling imbalance, Figure 10).
+pub(crate) fn rebalance_placed<R: Rng + ?Sized>(
+    state: &mut RoomState,
+    trace: &DemandTrace,
+    rng: &mut R,
+) {
+    crate::lns::rebalance(
+        state,
+        |id| {
+            trace
+                .deployments()
+                .iter()
+                .find(|d| d.id() == id)
+                .expect("assignment references trace deployment")
+        },
+        2500,
+        rng,
+    );
 }
 
 impl PlacementPolicy for FlexOffline {
@@ -189,43 +240,13 @@ impl PlacementPolicy for FlexOffline {
 
     fn place<R: Rng + ?Sized>(&self, room: &Room, trace: &DemandTrace, rng: &mut R) -> Placement {
         let mut state = RoomState::new(room);
-        for batch in self.batches(room, trace) {
-            let owned: Vec<DeploymentRequest> = batch.iter().map(|d| (*d).clone()).collect();
-            let chosen = match solve_batch(&state, &owned, &self.config) {
-                Ok(c) => c,
-                // A failed solve (time limit with nothing feasible)
-                // degenerates to rejecting the batch.
-                Err(_) => Vec::new(),
-            };
-            let mut placed = vec![false; owned.len()];
-            for (di, pair) in chosen {
-                // Trust but verify: the ILP and RoomState must agree.
-                if state.fits(&owned[di], pair) {
-                    state.place(&owned[di], pair);
-                    placed[di] = true;
-                }
-            }
-            for (di, was_placed) in placed.iter().enumerate() {
-                if !was_placed {
-                    state.reject(owned[di].id());
-                }
-            }
+        for batch in power_batches(room, trace, self.batch_fraction) {
+            // A failed solve (time limit with nothing feasible)
+            // degenerates to rejecting the batch.
+            let chosen = solve_batch(&state, &batch, &self.config).unwrap_or_default();
+            commit_batch(&mut state, &batch, chosen);
         }
-        // Power-neutral rebalancing: relocate deployments to even out
-        // the worst-case failover loads (the paper's soft constraints
-        // that improve throttling imbalance, Figure 10).
-        crate::lns::rebalance(
-            &mut state,
-            |id| {
-                trace
-                    .deployments()
-                    .iter()
-                    .find(|d| d.id() == id)
-                    .expect("assignment references trace deployment")
-            },
-            2500,
-            rng,
-        );
+        rebalance_placed(&mut state, trace, rng);
         state.into_placement()
     }
 }
@@ -427,11 +448,11 @@ mod tests {
         let room = room();
         let t = trace(5);
         let oracle = FlexOffline::oracle();
-        let batches = oracle.batches(&room, &t);
+        let batches = power_batches(&room, &t, oracle.batch_fraction);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), t.len());
         let short = FlexOffline::short();
-        let short_batches = short.batches(&room, &t);
+        let short_batches = power_batches(&room, &t, short.batch_fraction);
         assert!(short_batches.len() >= 3, "short horizon must batch");
         let total: usize = short_batches.iter().map(|b| b.len()).sum();
         assert_eq!(total, t.len());
