@@ -1,9 +1,6 @@
-//! Criterion: the electrical substrate — failover load transfer and
-//! cascade stepping.
+//! Criterion: the electrical substrate — failover load transfer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flex_core::power::cascade::CascadeSim;
-use flex_core::power::trip_curve::TripCurve;
 use flex_core::power::{FeedState, LoadModel, Topology, UpsId, Watts};
 
 fn loaded_model(x: usize) -> LoadModel {
@@ -28,15 +25,5 @@ fn bench_transfer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cascade(c: &mut Criterion) {
-    c.bench_function("power/cascade-100-steps", |b| {
-        b.iter(|| {
-            let mut sim = CascadeSim::new(loaded_model(4), TripCurve::end_of_life(), 60.0);
-            sim.fail_ups(UpsId(0)).unwrap();
-            sim.run(10.0, 0.1, |_, _| {})
-        })
-    });
-}
-
-criterion_group!(benches, bench_transfer, bench_cascade);
+criterion_group!(benches, bench_transfer);
 criterion_main!(benches);

@@ -17,11 +17,12 @@
 use std::time::Duration;
 
 use flex_core::placement::ilp::IlpConfig;
-use flex_core::placement::metrics::{stranded_fraction, throttling_imbalance, BoxStats};
+use flex_core::placement::metrics::{stranded_fraction, throttling_imbalance};
 use flex_core::placement::policies::{
     replay, BalancedRoundRobin, FlexOffline, PlacementPolicy, Random,
 };
 use flex_core::placement::{Room, RoomConfig};
+use flex_core::sim::stats::Percentiles;
 use flex_core::workload::trace::{DemandTrace, TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -131,22 +132,34 @@ pub fn paper_room_and_trace(seed: u64) -> (Room, DemandTrace) {
     (room, trace)
 }
 
-/// Prints a five-number summary row.
+/// Prints a five-number summary row (min, quartiles, max): the box
+/// plots of Figures 9 and 10 as text.
 pub fn print_box_row(label: &str, values: &[f64], scale: f64, unit: &str) {
-    let b = BoxStats::from_values(values);
+    let [min, p25, median, p75, max] = quantiles(values, [0.0, 0.25, 0.5, 0.75, 1.0]);
     println!(
         "{label:<22} min {:>6.2}{unit}  p25 {:>6.2}{unit}  median {:>6.2}{unit}  p75 {:>6.2}{unit}  max {:>6.2}{unit}",
-        b.min * scale,
-        b.p25 * scale,
-        b.median * scale,
-        b.p75 * scale,
-        b.max * scale,
+        min * scale,
+        p25 * scale,
+        median * scale,
+        p75 * scale,
+        max * scale,
     );
 }
 
 /// Median helper for report lines.
 pub fn median(values: &[f64]) -> f64 {
-    BoxStats::from_values(values).median
+    let [median] = quantiles(values, [0.5]);
+    median
+}
+
+/// The linear-interpolated quantiles `qs` of `values`, in order.
+///
+/// # Panics
+///
+/// Panics on an empty or NaN-containing input.
+fn quantiles<const N: usize>(values: &[f64], qs: [f64; N]) -> [f64; N] {
+    let mut p: Percentiles = values.iter().copied().collect();
+    qs.map(|q| p.quantile(q).expect("box stats need at least one value"))
 }
 
 #[cfg(test)]
@@ -173,5 +186,23 @@ mod tests {
         assert_eq!(trace_count(), 4);
         std::env::remove_var("FLEX_BENCH_TRACES");
         assert_eq!(trace_count(), 10);
+    }
+
+    #[test]
+    fn box_stats_quartiles() {
+        let five = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let odd: Vec<f64> = (1..=9).map(|i| i as f64).collect();
+        assert_eq!(quantiles(&odd, five), [1.0, 3.0, 5.0, 7.0, 9.0]);
+        // Even length, unsorted: every inner quantile falls between two
+        // order statistics and is interpolated at q·(n−1).
+        let even = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantiles(&even, five), [1.0, 1.75, 2.5, 3.25, 4.0]);
+        assert_eq!(median(&even), 2.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one")]
+    fn box_stats_empty_panics() {
+        let _ = median(&[]);
     }
 }

@@ -1448,29 +1448,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn full_utilization_failover_without_flex_cascades() {
-        // Ablation: disable the controllers (none) and fail a UPS at
-        // ~100% utilization; the survivors trip one after another.
+    /// The fig13 room with no controller at all, every rack drawing
+    /// `util` of its provisioned power, and UPS 0 failed at 10 s; run
+    /// to `until_secs`.
+    fn uncontrolled_failover(util: f64, until_secs: f64) -> RoomSim {
         let room = RoomConfig::paper_emulation_room().build().unwrap();
         let config = TraceConfig::microsoft(Watts::from_mw(4.8));
         let mut rng = SmallRng::seed_from_u64(34);
         let trace = TraceGenerator::new(config).generate(&mut rng);
         let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
         let placed = PlacedRoom::materialize(&room, &trace, &placement);
-        let registry = ImpactRegistry::new();
-        let demand: DemandFn = Box::new(|rack, _, _| rack.provisioned);
+        let demand: DemandFn = Box::new(move |rack, _, _| rack.provisioned * util);
         let sim_config = RoomSimConfig {
             controllers: 0,
             ..RoomSimConfig::default()
         };
-        let mut sim = RoomSim::new(&placed, registry, demand, sim_config);
+        let mut sim = RoomSim::new(&placed, ImpactRegistry::new(), demand, sim_config);
         sim.fail_ups_at(SimTime::from_secs_f64(10.0), UpsId(0));
-        sim.run_until(SimTime::from_secs_f64(120.0));
+        sim.run_until(SimTime::from_secs_f64(until_secs));
+        sim
+    }
+
+    #[test]
+    fn full_utilization_failover_without_flex_cascades() {
+        // Ablation: no controllers, a UPS fails at ~100% utilization;
+        // the survivors trip one after another until the room blacks
+        // out.
+        let sim = uncontrolled_failover(1.0, 120.0);
+        let w = sim.world();
+        assert!(w.stats.cascaded(), "unmitigated 100% failover must cascade");
+        assert_eq!(w.feed.online_count(), 0, "events: {:?}", w.stats.events);
+        // The first trip follows the trip curve: the worst survivor's
+        // post-failover load fraction sets how long it holds out.
+        let fail_at = SimTime::from_secs_f64(10.0);
+        let after = fail_at + SimDuration::from_secs(1);
+        let worst = w.stats.ups_fraction[1..]
+            .iter()
+            .filter_map(|s| s.value_at(after))
+            .fold(0.0, f64::max);
+        let tolerance = TripCurve::end_of_life().tolerance(worst).unwrap();
+        let (first, _) = w
+            .stats
+            .events
+            .iter()
+            .find(|(_, e)| matches!(e, SimEvent::UpsTripped(_)))
+            .unwrap();
+        let held = (*first - fail_at).as_secs_f64();
         assert!(
-            sim.world().stats.cascaded(),
-            "unmitigated 100% failover must cascade"
+            (held - tolerance).abs() < 1.0,
+            "first trip {held} s after the failure at load {worst}, tolerance {tolerance} s"
         );
+    }
+
+    #[test]
+    fn conventional_allocation_failover_is_safe_without_flex() {
+        // The reserved-power baseline: at 75% of provisioned power a
+        // 4N/3 room's survivors carry at most their capacity after any
+        // failover, so nothing trips even with no controller at all.
+        let sim = uncontrolled_failover(0.75, 600.0);
+        let w = sim.world();
+        assert!(!w.stats.cascaded(), "events: {:?}", w.stats.events);
+        assert_eq!(w.feed.online_count(), 3);
     }
 
     /// Rack powers and UPS loads computed from scratch with a fresh load

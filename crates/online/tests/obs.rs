@@ -10,45 +10,17 @@
 //!    fresh controllers reproduces the recorded command sequence
 //!    bit-identically (`flex_online::replay`).
 
+mod common;
+
+use common::{registry_for, small_room};
 use flex_obs::{FlightEvent, Obs};
 use flex_online::replay::{recorded_commands, replay_decisions};
 use flex_online::sim::{DemandFn, RoomSim, RoomSimConfig};
-use flex_online::{Controller, ImpactRegistry};
-use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
-use flex_placement::{PlacedRoom, RoomConfig};
-use flex_power::{UpsId, Watts};
+use flex_online::Controller;
+use flex_power::UpsId;
 use flex_sim::SimTime;
-use flex_workload::impact::scenarios;
-use flex_workload::trace::{TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn small_room(seed: u64) -> PlacedRoom {
-    let room = RoomConfig {
-        ups_count: 4,
-        ups_capacity: Watts::from_kw(150.0),
-        rows: 8,
-        racks_per_row: 5,
-        cooling_cfm_per_slot: 2_500.0,
-        pdu_pair_capacity: None,
-    }
-    .build()
-    .unwrap();
-    let mut config = TraceConfig::microsoft(room.provisioned_power());
-    config.deployment_sizes = vec![(5, 0.4), (3, 0.35), (2, 0.25)];
-    config.target_power = room.provisioned_power() * 2.0;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let trace = TraceGenerator::new(config).generate(&mut rng);
-    let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
-    PlacedRoom::materialize(&room, &trace, &placement)
-}
-
-fn registry_for(placed: &PlacedRoom) -> ImpactRegistry {
-    ImpactRegistry::from_scenario(
-        placed.racks().iter().map(|r| (r.deployment, r.category)),
-        &scenarios::realistic_1(),
-    )
-}
+use rand::Rng;
 
 /// Runs a high-utilization failover to 60 s and returns the finished
 /// sim. With `util` ≈ 0.95 the survivors land on the trip curve and the

@@ -13,50 +13,23 @@
 //!    issuer owns the rack (restores it at heal); without recovery the
 //!    same scenario silently orphans the rack.
 
+mod common;
+
+use common::{registry_for, small_room};
 use flex_online::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
 use flex_online::sim::{DemandFn, RoomSim, RoomSimConfig, SimEvent};
 use flex_online::{
     Command, Controller, ControllerConfig, ControllerState, ImpactRegistry, RackPowerState,
 };
-use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
-use flex_placement::{PlacedRoom, RoomConfig};
+use flex_placement::PlacedRoom;
 use flex_power::{FeedState, LoadModel, UpsId, Watts};
 use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
-use flex_workload::impact::scenarios;
-use flex_workload::trace::{TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 fn at_ms(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
-}
-
-fn small_room(seed: u64) -> PlacedRoom {
-    let room = RoomConfig {
-        ups_count: 4,
-        ups_capacity: Watts::from_kw(150.0),
-        rows: 8,
-        racks_per_row: 5,
-        cooling_cfm_per_slot: 2_500.0,
-        pdu_pair_capacity: None,
-    }
-    .build()
-    .unwrap();
-    let mut config = TraceConfig::microsoft(room.provisioned_power());
-    config.deployment_sizes = vec![(5, 0.4), (3, 0.35), (2, 0.25)];
-    config.target_power = room.provisioned_power() * 2.0;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let trace = TraceGenerator::new(config).generate(&mut rng);
-    let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
-    PlacedRoom::materialize(&room, &trace, &placement)
-}
-
-fn registry_for(placed: &PlacedRoom) -> ImpactRegistry {
-    ImpactRegistry::from_scenario(
-        placed.racks().iter().map(|r| (r.deployment, r.category)),
-        &scenarios::realistic_1(),
-    )
 }
 
 /// A deterministic stand-in for the room: per-rack demand, enacted rack

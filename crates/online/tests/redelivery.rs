@@ -7,46 +7,20 @@
 //! command batches — and the whole simulated room's event stream — must
 //! be bit-identical to a run without the chaos.
 
+mod common;
+
+use common::{registry_for, small_room};
 use flex_online::sim::{DeliveryChaos, DemandFn, RoomSim, RoomSimConfig};
-use flex_online::{Command, Controller, ControllerConfig, ImpactRegistry};
-use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
-use flex_placement::{PlacedRoom, RoomConfig};
+use flex_online::{Command, Controller, ControllerConfig};
+use flex_placement::PlacedRoom;
 use flex_power::{FeedState, UpsId, Watts};
 use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
-use flex_workload::impact::scenarios;
-use flex_workload::trace::{TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A small, fast room that still fills to the Equation-2/4 limits (the
-/// paper-scale deployment mix would be rejected wholesale by its
-/// 5-10-slot PDU pairs).
-fn small_room(seed: u64) -> PlacedRoom {
-    let room = RoomConfig {
-        ups_count: 4,
-        ups_capacity: Watts::from_kw(150.0),
-        rows: 8,
-        racks_per_row: 5,
-        cooling_cfm_per_slot: 2_500.0,
-        pdu_pair_capacity: None,
-    }
-    .build()
-    .unwrap();
-    let mut config = TraceConfig::microsoft(room.provisioned_power());
-    config.deployment_sizes = vec![(5, 0.4), (3, 0.35), (2, 0.25)];
-    config.target_power = room.provisioned_power() * 2.0;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let trace = TraceGenerator::new(config).generate(&mut rng);
-    let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
-    PlacedRoom::materialize(&room, &trace, &placement)
-}
-
 fn controller_for(placed: &PlacedRoom) -> Controller {
-    let registry = ImpactRegistry::from_scenario(
-        placed.racks().iter().map(|r| (r.deployment, r.category)),
-        &scenarios::realistic_1(),
-    );
+    let registry = registry_for(placed);
     Controller::new(
         0,
         placed.room().topology().clone(),
@@ -161,10 +135,7 @@ fn room_event_stream_is_identical_under_duplication() {
     for case in 0..4u64 {
         let placed = small_room(20 + case);
         let build = |chaos: DeliveryChaos| {
-            let registry = ImpactRegistry::from_scenario(
-                placed.racks().iter().map(|r| (r.deployment, r.category)),
-                &scenarios::realistic_1(),
-            );
+            let registry = registry_for(&placed);
             let demand: DemandFn = Box::new(|rack, _, rng: &mut SmallRng| {
                 rack.provisioned * rng.gen_range(0.86..0.90)
             });

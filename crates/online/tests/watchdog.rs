@@ -13,16 +13,14 @@
 //!    must never trip *no matter how long the blackout lasts*: the
 //!    watchdog sheds blind off the out-of-band failover alarm.
 
+mod common;
+
+use common::{registry_for, small_room};
 use flex_online::sim::{DemandFn, RoomSim, RoomSimConfig, SimEvent};
-use flex_online::ImpactRegistry;
-use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
-use flex_placement::{PlacedRoom, RoomConfig};
 use flex_power::trip_curve::TripCurve;
-use flex_power::{UpsId, Watts};
+use flex_power::UpsId;
 use flex_sim::fault::{names, FaultPlan};
 use flex_sim::SimTime;
-use flex_workload::impact::scenarios;
-use flex_workload::trace::{TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,26 +31,6 @@ const RESPONSE_BUDGET_SECS: f64 = 5.0;
 /// Watchdog worst case: 4 s blackout deadline + 0.5 s watchdog poll +
 /// actuation p99.9, with slack.
 const WATCHDOG_BUDGET_SECS: f64 = 8.5;
-
-fn small_room(seed: u64) -> PlacedRoom {
-    let room = RoomConfig {
-        ups_count: 4,
-        ups_capacity: Watts::from_kw(150.0),
-        rows: 8,
-        racks_per_row: 5,
-        cooling_cfm_per_slot: 2_500.0,
-        pdu_pair_capacity: None,
-    }
-    .build()
-    .unwrap();
-    let mut config = TraceConfig::microsoft(room.provisioned_power());
-    config.deployment_sizes = vec![(5, 0.4), (3, 0.35), (2, 0.25)];
-    config.target_power = room.provisioned_power() * 2.0;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let trace = TraceGenerator::new(config).generate(&mut rng);
-    let placement = BalancedRoundRobin.place(&room, &trace, &mut rng);
-    PlacedRoom::materialize(&room, &trace, &placement)
-}
 
 #[test]
 fn no_trip_inside_the_tolerance_window() {
@@ -67,10 +45,7 @@ fn no_trip_inside_the_tolerance_window() {
         let darkness = rng.gen_range(3.0..30.0);
         let fail_ups = (case % 4) as usize;
 
-        let registry = ImpactRegistry::from_scenario(
-            placed.racks().iter().map(|r| (r.deployment, r.category)),
-            &scenarios::realistic_1(),
-        );
+        let registry = registry_for(&placed);
         let demand: DemandFn = Box::new(move |rack, _, rng: &mut SmallRng| {
             rack.provisioned * rng.gen_range((util - 0.02)..(util + 0.02))
         });

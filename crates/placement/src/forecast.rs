@@ -52,17 +52,6 @@ impl ForecastAware {
         self.config = config;
         self
     }
-
-    /// Overrides the phantom discount.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < discount < 1`.
-    pub fn with_discount(mut self, discount: f64) -> Self {
-        assert!(discount > 0.0 && discount < 1.0, "discount in (0,1)");
-        self.discount = discount;
-        self
-    }
 }
 
 impl PlacementPolicy for ForecastAware {
@@ -106,7 +95,6 @@ mod tests {
     use crate::metrics::stranded_fraction;
     use crate::policies::replay;
     use crate::RoomConfig;
-    use flex_power::Watts;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -131,12 +119,5 @@ mod tests {
         );
         let stranded = stranded_fraction(&state);
         assert!(stranded < 0.10, "stranded {stranded}");
-    }
-
-    #[test]
-    #[should_panic(expected = "discount")]
-    fn discount_validation() {
-        let config = TraceConfig::microsoft(Watts::from_mw(9.6));
-        let _ = ForecastAware::short(config).with_discount(1.5);
     }
 }

@@ -38,11 +38,9 @@ pub mod metrics;
 mod placed;
 pub mod policies;
 mod room;
-pub mod site;
 mod state;
 
 pub use placed::{PlacedRack, PlacedRoom, RackId};
 pub use policies::PlacementPolicy;
 pub use room::{Room, RoomConfig, Row, RowId};
-pub use site::{Site, SitePlacement};
 pub use state::{Placement, RoomState};

@@ -99,50 +99,6 @@ pub fn worst_case_throttling_need(state: &RoomState) -> f64 {
     worst
 }
 
-/// Simple five-number summary over per-trace metric values, used to print
-/// the box plots of Figures 9 and 10 as text.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoxStats {
-    /// Minimum (lower whisker).
-    pub min: f64,
-    /// 25th percentile (box bottom).
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile (box top).
-    pub p75: f64,
-    /// Maximum (upper whisker).
-    pub max: f64,
-}
-
-impl BoxStats {
-    /// Computes the summary from raw values.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or NaN-containing input.
-    pub fn from_values(values: &[f64]) -> BoxStats {
-        assert!(!values.is_empty(), "box stats need at least one value");
-        let mut v = values.to_vec();
-        v.sort_by(f64::total_cmp);
-        assert!(!v[0].is_nan(), "box stats reject NaN");
-        let q = |p: f64| -> f64 {
-            let pos = p * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let t = pos - lo as f64;
-            v[lo] * (1.0 - t) + v[hi] * t
-        };
-        BoxStats {
-            min: v[0],
-            p25: q(0.25),
-            median: q(0.5),
-            p75: q(0.75),
-            max: v[v.len() - 1],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,22 +193,5 @@ mod tests {
             throttling_imbalance(&s_spread),
             throttling_imbalance(&s_conc)
         );
-    }
-
-    #[test]
-    fn box_stats_quartiles() {
-        let values: Vec<f64> = (1..=9).map(|i| i as f64).collect();
-        let b = BoxStats::from_values(&values);
-        assert_eq!(b.min, 1.0);
-        assert_eq!(b.median, 5.0);
-        assert_eq!(b.max, 9.0);
-        assert_eq!(b.p25, 3.0);
-        assert_eq!(b.p75, 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn box_stats_empty_panics() {
-        let _ = BoxStats::from_values(&[]);
     }
 }

@@ -21,14 +21,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// The pair a deployment was placed under, if accepted.
-    pub fn pair_of(&self, id: DeploymentId) -> Option<PduPairId> {
-        self.assignments
-            .iter()
-            .find(|(d, _)| *d == id)
-            .map(|(_, p)| *p)
-    }
-
     /// Number of accepted deployments.
     pub fn accepted_count(&self) -> usize {
         self.assignments.len()
@@ -572,7 +564,6 @@ mod tests {
         let p = s.into_placement();
         assert_eq!(p.rejected, vec![DeploymentId(7)]);
         assert_eq!(p.accepted_count(), 0);
-        assert_eq!(p.pair_of(DeploymentId(7)), None);
     }
 
     #[test]

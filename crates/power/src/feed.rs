@@ -113,11 +113,6 @@ impl FeedState {
             .collect()
     }
 
-    /// True when every UPS is in service.
-    pub fn is_normal(&self) -> bool {
-        self.online.iter().all(|&b| b)
-    }
-
     /// How the given PDU-pair is fed under this state.
     pub fn pair_feed(&self, pair: &PduPair) -> PairFeed {
         let (a, b) = pair.upstream();
@@ -143,7 +138,6 @@ mod tests {
     fn all_online_state() {
         let t = topo();
         let f = FeedState::all_online(&t);
-        assert!(f.is_normal());
         assert_eq!(f.online_count(), 4);
         assert!(f.failed_ids().is_empty());
     }
@@ -155,9 +149,9 @@ mod tests {
         f.fail(UpsId(1)).unwrap();
         f.fail(UpsId(1)).unwrap(); // idempotent
         assert_eq!(f.online_count(), 3);
-        assert!(!f.is_normal());
+        assert_eq!(f.failed_ids(), vec![UpsId(1)]);
         f.restore(UpsId(1)).unwrap();
-        assert!(f.is_normal());
+        assert!(f.failed_ids().is_empty());
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! - **UPS overload tolerance** (the paper's Figure 6): an inverse-time
 //!   trip-curve model with battery-age interpolation and a thermal
 //!   accumulator that decides *when* an overloaded device trips
-//!   ([`trip_curve::TripCurve`], [`trip_curve::OverloadAccumulator`]);
-//! - **cascading failure** propagation: a tripped UPS sheds its load onto
-//!   the remaining devices, which may in turn overload and trip
-//!   ([`cascade::CascadeSim`]).
+//!   ([`trip_curve::TripCurve`], [`trip_curve::OverloadAccumulator`]).
+//!   A trip is one more failed UPS, so its load shifts onward the same
+//!   way; `flex-online`'s room simulator steps the accumulators over
+//!   time, and that is where a cascade to blackout plays out.
 //!
 //! The model is purely computational — no wall-clock time, no I/O — so the
 //! rest of the workspace can drive it from a discrete-event simulator,
@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cascade;
 mod error;
 mod feed;
 mod load;

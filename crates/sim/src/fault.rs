@@ -2,8 +2,9 @@
 //!
 //! The telemetry pipeline and controller evaluations need to knock out
 //! meters, switches, pollers, pub/sub instances, and controllers on
-//! schedules — both hand-written (worst-case scenarios) and generated from
-//! MTBF/MTTR models.
+//! schedules. A plan only stores windows, hand-written (worst-case
+//! scenarios) or sampled elsewhere: the chaos harness draws its
+//! MTBF/MTTR outages itself and adds them with [`FaultPlan::add_outage`].
 //!
 //! Queries are hot (every poller × component × tick), so outages are
 //! indexed per component with sorted, merged windows and answered by
@@ -13,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::dist::{Exponential, Sample};
 use crate::{SimDuration, SimTime};
 
 /// The shared fault-component name registry.
@@ -146,37 +146,6 @@ impl FaultPlan {
         self
     }
 
-    /// Generates random outage windows for a component over `[0, horizon)`
-    /// from an exponential MTBF/MTTR model, using the provided RNG.
-    pub fn add_random_outages<R: rand::Rng + ?Sized>(
-        &mut self,
-        component: &str,
-        horizon: SimDuration,
-        mtbf: SimDuration,
-        mttr: SimDuration,
-        rng: &mut R,
-    ) -> &mut Self {
-        let up_dist = Exponential::from_mean(mtbf.as_secs_f64());
-        let down_dist = Exponential::from_mean(mttr.as_secs_f64());
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        loop {
-            let up = SimDuration::from_secs_f64(up_dist.sample(rng));
-            let fail_at = t + up;
-            if fail_at >= end {
-                break;
-            }
-            let down = SimDuration::from_secs_f64(down_dist.sample(rng).max(1e-6));
-            let back_at = fail_at + down;
-            self.add_outage(component, fail_at, back_at);
-            t = back_at;
-            if t >= end {
-                break;
-            }
-        }
-        self
-    }
-
     /// True if the component is up at time `t`. Components without any
     /// outage are always up.
     pub fn is_up(&self, component: &str, t: SimTime) -> bool {
@@ -198,19 +167,6 @@ impl FaultPlan {
     /// All outage windows for a component, sorted by start and merged.
     pub fn outages_of(&self, component: &str) -> Vec<Outage> {
         self.outages.get(component).cloned().unwrap_or_default()
-    }
-
-    /// Total downtime of a component within `[0, horizon)`.
-    pub fn downtime(&self, component: &str, horizon: SimDuration) -> SimDuration {
-        let end = SimTime::ZERO + horizon;
-        self.outages_of(component)
-            .iter()
-            .map(|o| {
-                let from = o.from.min(end);
-                let until = o.until.min(end);
-                until.saturating_since(from)
-            })
-            .sum()
     }
 
     /// The components mentioned in this plan, sorted.
@@ -307,54 +263,6 @@ mod tests {
         ] {
             assert_eq!(plan.is_up("x", SimTime::from_secs_f64(t)), up, "t={t}");
         }
-    }
-
-    #[test]
-    fn random_outages_respect_horizon_and_are_deterministic() {
-        let horizon = SimDuration::from_secs(3600);
-        let gen_plan = |seed: u64| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut plan = FaultPlan::new();
-            plan.add_random_outages(
-                "meter",
-                horizon,
-                SimDuration::from_secs(300),
-                SimDuration::from_secs(30),
-                &mut rng,
-            );
-            plan
-        };
-        let a = gen_plan(1);
-        let b = gen_plan(1);
-        assert_eq!(a, b, "same seed must give same plan");
-        let outages = a.outages_of("meter");
-        assert!(!outages.is_empty(), "expected failures within the horizon");
-        for o in &outages {
-            assert!(o.from < SimTime::ZERO + horizon);
-        }
-        assert_ne!(a, gen_plan(2));
-    }
-
-    #[test]
-    fn downtime_accounting_clips_to_horizon() {
-        let mut plan = FaultPlan::new();
-        plan.add_outage("x", SimTime::from_secs_f64(50.0), SimTime::from_secs_f64(70.0));
-        assert_eq!(
-            plan.downtime("x", SimDuration::from_secs(100)),
-            SimDuration::from_secs(20)
-        );
-        assert_eq!(
-            plan.downtime("x", SimDuration::from_secs(60)),
-            SimDuration::from_secs(10)
-        );
-        assert_eq!(
-            plan.downtime("x", SimDuration::from_secs(40)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
-            plan.downtime("unknown", SimDuration::from_secs(100)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

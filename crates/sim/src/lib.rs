@@ -18,8 +18,7 @@
 //!   top of `rand` to keep the dependency footprint small;
 //! - [`stats`] — online mean/variance, exact percentiles, and time-weighted
 //!   series used by every experiment harness;
-//! - [`fault`] — component up/down schedules and MTBF/MTTR window
-//!   generation for failure injection.
+//! - [`fault`] — component up/down schedules for failure injection.
 //!
 //! # Example
 //!

@@ -5,9 +5,11 @@
 # worktree, nothing written inside the repository) and builds the
 # figure binaries and flex-chaos there and in the current tree. Each
 # side then runs the deterministic figure binaries with
-# FLEX_BENCH_FAST=1, and a 200-scenario chaos campaign with and without
-# --ab (the JSON report embeds each failure's recorder dump). Every
-# stdout, JSON report and chaos exit status is compared with `cmp`.
+# FLEX_BENCH_FAST=1 (the seeded simulations plus the closed-form
+# fig01, pricing_model and cost_savings tables), and a 200-scenario
+# chaos campaign with and without --ab (the JSON report embeds each
+# failure's recorder dump). Every stdout, JSON report and chaos exit
+# status is compared with `cmp`.
 #
 # fig09, fig10, the two sweeps, baseline_comparison and
 # ablation_forecast are left out: their placement solves stop at a
@@ -27,9 +29,10 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 base_rev=$1
-figures=(fig03_workload_mix fig06_trip_curves fig11_impact_scenarios
-    fig12_online_decisions fig13_end_to_end sec3_feasibility
-    sec6_production_latency ablation_redundancy_designs)
+figures=(fig01_oversubscription_vs_flex fig03_workload_mix fig06_trip_curves
+    fig11_impact_scenarios fig12_online_decisions fig13_end_to_end
+    sec3_feasibility sec6_production_latency ablation_redundancy_designs
+    pricing_model cost_savings)
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
