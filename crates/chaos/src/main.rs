@@ -12,8 +12,10 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use flex_chaos::scenario::fresh_controllers;
 use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
 use flex_obs::json;
+use flex_online::replay::{recorded_commands, replay_decisions};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -37,7 +39,9 @@ fn usage() -> ExitCode {
          JSON file (a campaign report, one of its failure entries, or a bare\n\
          `scenario`/`minimized` object), reports the verdict, and attaches a\n\
          fresh recorder dump to the JSON output; `--harden` forces every\n\
-         hardening switch on before judging."
+         hardening switch on before judging. `replay` also re-derives the\n\
+         run's decisions from the dump alone, through fresh controllers, and\n\
+         fails unless they equal the recorded commands."
     );
     ExitCode::from(2)
 }
@@ -199,6 +203,20 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         dump.events.len(),
         dump.dropped
     );
+    let recorded = recorded_commands(&dump.events);
+    let replayed = replay_decisions(&mut fresh_controllers(&scenario), &dump.events);
+    // A dump missing its oldest events cannot re-derive the run.
+    let replay_matches = dump.dropped == 0 && replayed == recorded;
+    println!(
+        "decision replay: {} ({} commands replayed from the dump, {} recorded)",
+        if replay_matches {
+            "identical"
+        } else {
+            "DIVERGED"
+        },
+        replayed.len(),
+        recorded.len()
+    );
     let report = json::obj(vec![
         ("scenario", scenario.to_value()),
         (
@@ -208,7 +226,7 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         ("recorder", dump.to_value()),
     ]);
     emit(flags, &report.to_json())?;
-    Ok(violations.is_empty())
+    Ok(violations.is_empty() && replay_matches)
 }
 
 fn main() -> ExitCode {

@@ -12,7 +12,7 @@ use flex_obs::json::{obj, Value};
 use flex_online::sim::{
     DeliveryChaos, DemandFn, PubSubPartition, RoomSim, RoomSimConfig, RoomStats,
 };
-use flex_online::{ActuatorConfig, ControllerConfig, ImpactRegistry};
+use flex_online::{ActuatorConfig, Controller, ControllerConfig, ImpactRegistry};
 use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
 use flex_placement::{PlacedRoom, Placement, Room, RoomConfig, RoomState};
 use flex_power::meter::MeterKind;
@@ -231,8 +231,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A quiet baseline: one UPS failure, no injected faults.
-    pub fn baseline(seed: u64) -> Self {
+    /// A quiet baseline for tests: one UPS failure, no injected faults.
+    #[cfg(test)]
+    pub(crate) fn baseline(seed: u64) -> Self {
         Scenario {
             id: 0,
             family: "baseline".to_string(),
@@ -499,6 +500,41 @@ fn worst_failover(seed: u64) -> (usize, f64) {
     worst
 }
 
+/// The impact registry and controller configuration every controller
+/// of `scenario`'s room runs with.
+fn control_setup(scenario: &Scenario, placed: &PlacedRoom) -> (ImpactRegistry, ControllerConfig) {
+    let registry = ImpactRegistry::from_scenario(
+        placed.racks().iter().map(|r| (r.deployment, r.category)),
+        &impact_scenarios::realistic_1(),
+    );
+    let controller = ControllerConfig {
+        blackout_watchdog: scenario.watchdog,
+        ..ControllerConfig::default()
+    };
+    (registry, controller)
+}
+
+/// Fresh controllers for `scenario`'s room, built as [`run_scenario_obs`]
+/// builds them. Fed a recorded run's flight events through
+/// [`flex_online::replay::replay_decisions`], they must re-issue
+/// exactly the commands the run recorded.
+pub fn fresh_controllers(scenario: &Scenario) -> Vec<Controller> {
+    let placed = place_room(scenario.seed);
+    let (registry, config) = control_setup(scenario, &placed);
+    let topo = placed.room().topology();
+    (0..CONTROLLERS)
+        .map(|i| {
+            Controller::new(
+                i,
+                topo.clone(),
+                placed.racks().to_vec(),
+                registry.clone(),
+                config,
+            )
+        })
+        .collect()
+}
+
 /// Runs a scenario to its horizon and returns the world for the oracle.
 pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     run_scenario_obs(scenario, &flex_obs::Obs::noop())
@@ -510,20 +546,14 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
 /// uninstrumented run — the dump is a pure annotation.
 pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome {
     let placed = place_room(scenario.seed);
-    let registry = ImpactRegistry::from_scenario(
-        placed.racks().iter().map(|r| (r.deployment, r.category)),
-        &impact_scenarios::realistic_1(),
-    );
+    let (registry, controller) = control_setup(scenario, &placed);
     let util = scenario.util;
     let demand: DemandFn = Box::new(move |rack, _, rng: &mut SmallRng| {
         rack.provisioned * rng.gen_range((util - 0.02)..(util + 0.02))
     });
     let config = RoomSimConfig {
         controllers: CONTROLLERS,
-        controller: ControllerConfig {
-            blackout_watchdog: scenario.watchdog,
-            ..ControllerConfig::default()
-        },
+        controller,
         actuator: ActuatorConfig {
             max_retries: if scenario.retries {
                 ActuatorConfig::default().max_retries

@@ -8,9 +8,10 @@
 //! - with the hardening features disabled the campaign finds trip-curve
 //!   violations that the enabled configuration survives.
 
-use flex_chaos::scenario::{generate, run_scenario};
+use flex_chaos::scenario::{fresh_controllers, generate, run_scenario, run_scenario_obs, FAMILIES};
 use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
-use flex_obs::json;
+use flex_obs::{json, Obs};
+use flex_online::replay::{recorded_commands, replay_decisions};
 
 #[test]
 fn campaign_of_200_is_bit_identical_across_runs() {
@@ -90,6 +91,33 @@ fn violation_replays_from_json_alone() {
         v1.iter().any(|v| v.kind == "unexcused-trip"),
         "the reproducer must still fail: {v1:?}"
     );
+}
+
+#[test]
+fn recorded_decisions_replay_through_fresh_controllers() {
+    // One scenario of every family, hardened and not: the flight
+    // recorder's dump alone re-derives every command the run issued,
+    // crash recoveries and fenced incarnations included.
+    for i in 0..FAMILIES.len() as u64 {
+        for hardened in [true, false] {
+            let mut s = generate(0xC4A05, i);
+            s.watchdog = hardened;
+            s.retries = hardened;
+            s.fencing = hardened;
+            s.recovery = hardened;
+            let obs = Obs::recording();
+            run_scenario_obs(&s, &obs);
+            let dump = obs.dump();
+            assert_eq!(dump.dropped, 0, "{}: ring overflowed", s.family);
+            let recorded = recorded_commands(&dump.events);
+            let replayed = replay_decisions(&mut fresh_controllers(&s), &dump.events);
+            assert_eq!(
+                replayed, recorded,
+                "{} (hardened {hardened}): replay diverged from the recording",
+                s.family
+            );
+        }
+    }
 }
 
 #[test]

@@ -66,7 +66,7 @@ impl Default for RuleConfig {
 }
 
 /// The rule identifiers flex-lint knows about.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "P1", "U1", "F1", "H1", "S1"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "P1", "U1", "F1", "H1", "S1", "A1"];
 
 /// Whole-workspace lint configuration.
 #[derive(Debug, Clone)]

@@ -85,8 +85,13 @@ impl FileContext {
     /// True if the (1-based) line is inside a test-gated item, or the
     /// whole file is test context.
     pub fn in_test(&self, line: u32) -> bool {
-        self.class == FileClass::TestContext
-            || self.test_lines.get(line as usize).copied().unwrap_or(false)
+        self.class == FileClass::TestContext || self.in_test_region(line)
+    }
+
+    /// True if the (1-based) line is inside a `#[cfg(test)]`/`#[test]`
+    /// item, whatever the file's class.
+    pub(crate) fn in_test_region(&self, line: u32) -> bool {
+        self.test_lines.get(line as usize).copied().unwrap_or(false)
     }
 
     /// The non-comment token at code-index `ci`, if any.

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use crate::config::{LintConfig, Severity};
 use crate::context::FileContext;
 use crate::lexer::lex;
-use crate::rules::{check_file, Diagnostic};
+use crate::rules::{check_file, ApiIndex, Diagnostic};
 
 /// The outcome of linting a tree.
 #[derive(Debug, Default)]
@@ -89,12 +89,27 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Lints one file's source text under its workspace-relative path.
+/// Lints in-memory `(workspace-relative path, source)` pairs: the
+/// per-file rules on each file, then the workspace pass (A1) over all of
+/// them together.
 ///
-/// This is the core entry point the fixtures tests drive directly.
-pub fn lint_source(rel_path: &str, source: &str, config: &LintConfig) -> (Vec<Diagnostic>, usize) {
-    let ctx = FileContext::new(rel_path, lex(source));
-    check_file(&ctx, config)
+/// This is the core entry point; the fixtures tests drive it directly.
+pub fn lint_sources<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)], config: &LintConfig) -> Report {
+    let mut report = Report::default();
+    let mut api = ApiIndex::default();
+    for (rel, source) in files {
+        let ctx = FileContext::new(rel.as_ref(), lex(source.as_ref()));
+        let (diags, suppressed) = check_file(&ctx, config);
+        api.add(&ctx);
+        report.diagnostics.extend(diags);
+        report.suppressed += suppressed;
+        report.files += 1;
+    }
+    let (diags, suppressed) = api.finish(config);
+    report.diagnostics.extend(diags);
+    report.suppressed += suppressed;
+    report.diagnostics.sort();
+    report
 }
 
 /// Lints every `.rs` file under `root`, honoring `config.skip`.
@@ -105,20 +120,14 @@ pub fn lint_source(rel_path: &str, source: &str, config: &LintConfig) -> (Vec<Di
 ///
 /// Propagates I/O errors from directory walking or file reads.
 pub fn lint_workspace(root: &Path, config: &LintConfig) -> io::Result<Report> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    collect_rs_files(root, root, config, &mut files)?;
-    files.sort();
-    let mut report = Report::default();
-    for path in files {
-        let rel = rel_path(root, &path);
-        let source = fs::read_to_string(&path)?;
-        let (diags, suppressed) = lint_source(&rel, &source, config);
-        report.diagnostics.extend(diags);
-        report.suppressed += suppressed;
-        report.files += 1;
-    }
-    report.diagnostics.sort();
-    Ok(report)
+    let mut paths: Vec<PathBuf> = Vec::new();
+    collect_rs_files(root, root, config, &mut paths)?;
+    paths.sort();
+    let files = paths
+        .iter()
+        .map(|path| Ok((rel_path(root, path), fs::read_to_string(path)?)))
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(lint_sources(&files, config))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -166,8 +175,9 @@ use std::collections::HashMap;
 // flex-lint: allow(D2): test of the suppression machinery
 use std::collections::HashSet;
 ";
-        let (diags, suppressed) = lint_source("crates/online/src/x.rs", src, &config);
-        assert_eq!(suppressed, 1, "HashSet import is suppressed");
+        let report = lint_sources(&[("crates/online/src/x.rs", src)], &config);
+        let diags = &report.diagnostics;
+        assert_eq!(report.suppressed, 1, "HashSet import is suppressed");
         assert_eq!(diags.len(), 1, "HashMap import survives: {diags:?}");
         assert_eq!(diags[0].rule, "D2");
         assert_eq!(diags[0].line, 1);

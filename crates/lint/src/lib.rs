@@ -17,6 +17,9 @@
 //!   **F1**).
 //! - **Header hygiene** — every crate root forbids `unsafe` and warns
 //!   on missing docs (rule **H1**).
+//! - **No dead public API** — a `pub fn` that no non-test code names is
+//!   a finding (rule **A1**); rustc's `dead_code` lint stops at the
+//!   crate boundary for `pub` items.
 //!
 //! The analyzer is built from scratch on a hand-rolled lexer
 //! ([`lexer`]) and a token-level rule engine ([`rules`]) — no `syn`, no
@@ -30,7 +33,7 @@
 //! - `cargo run -p flex-lint` — CLI with text + JSON output;
 //! - `tests/lint_gate.rs` — workspace test, so `cargo test` fails on
 //!   new violations;
-//! - [`lint_source`] — in-memory API, used by the fixtures tests.
+//! - [`lint_sources`] — in-memory API, used by the fixtures tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,5 +46,5 @@ pub mod rules;
 
 pub use config::{LintConfig, RuleConfig, Severity, RULE_IDS};
 pub use context::{FileClass, FileContext, Suppression};
-pub use engine::{lint_source, lint_workspace, Report};
+pub use engine::{lint_sources, lint_workspace, Report};
 pub use rules::Diagnostic;

@@ -9,6 +9,12 @@
 //! | F1 | no `==`/`!=` on float expressions | all non-test code |
 //! | H1 | crate roots carry `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` | `crates/*/src/lib.rs` |
 //! | S1 | suppressions must parse and carry a justification | everywhere |
+//! | A1 | no `pub fn` whose name no non-test code uses | `pub fn`s in `crates/*/src`; uses from the whole walk minus tests |
+//!
+//! D1–S1 look at one file at a time ([`check_file`]); A1 needs the
+//! whole walk at once (`ApiIndex`).
+
+use std::collections::HashSet;
 
 use crate::config::{LintConfig, Severity};
 use crate::context::{FileClass, FileContext};
@@ -456,4 +462,144 @@ fn rule_s1(ctx: &FileContext, config: &LintConfig, out: &mut Vec<Diagnostic>) {
             );
         }
     }
+}
+
+/// A1 — no public API without a non-test caller. rustc's `dead_code`
+/// lint stops at the crate boundary for `pub` items, so a `pub fn` that
+/// only its own tests call builds warning-free forever, and its tests
+/// keep passing on code no binary runs.
+///
+/// The index records every `pub fn` defined outside test code in
+/// `crates/*/src`, and every identifier that non-test code anywhere in
+/// the walk names: libraries, binaries, benches and examples. These
+/// never count as a use: `#[cfg(test)]`/`#[test]` items, files under a
+/// `tests/` or `fixtures/` directory, comments (doc examples included),
+/// string literals, the name of any `fn` definition, and a `use` line,
+/// unless it renames the item (`use a::f as g`). A `pub fn` whose name
+/// is never used is a finding at its definition; a justified
+/// `// flex-lint: allow(A1): …` there exempts it.
+///
+/// The match is by name, not by path: a dead `pub fn` that shares its
+/// name with something used (a `new`, a trait method, a field) is
+/// missed, but a `pub fn` that non-test code names is never flagged.
+/// Trait impls define no `pub fn` and are out of scope.
+#[derive(Debug, Default)]
+pub(crate) struct ApiIndex {
+    /// `pub fn` definitions in walk order.
+    defs: Vec<PubFn>,
+    /// Identifiers named by non-test code.
+    used: HashSet<String>,
+}
+
+#[derive(Debug)]
+struct PubFn {
+    file: String,
+    line: u32,
+    name: String,
+    suppressed: bool,
+}
+
+impl ApiIndex {
+    /// Records one file's `pub fn` definitions and non-test uses.
+    pub(crate) fn add(&mut self, ctx: &FileContext) {
+        let in_crate_src = ctx.crate_name.is_some()
+            && ctx.rel_path.split('/').nth(2) == Some("src")
+            && ctx.class == FileClass::Library;
+        let test_path = ctx.rel_path.starts_with("tests/")
+            || ctx.rel_path.contains("/tests/")
+            || ctx.rel_path.contains("/fixtures/");
+        let mut in_use = false;
+        for ci in 0..ctx.code.len() {
+            let Some(t) = ctx.code_token(ci) else { break };
+            if in_crate_src && t.is_ident("pub") && !ctx.in_test_region(t.line) {
+                if let Some(name) = pub_fn_name(ctx, ci + 1) {
+                    self.defs.push(PubFn {
+                        file: ctx.rel_path.clone(),
+                        line: t.line,
+                        name: name.to_string(),
+                        suppressed: ctx.is_suppressed("A1", t.line),
+                    });
+                }
+            }
+            if test_path || ctx.in_test_region(t.line) {
+                continue;
+            }
+            let next = ctx.code_token(ci + 1);
+            if in_use {
+                in_use = !t.is_punct(";");
+                if t.kind == TokenKind::Ident && next.is_some_and(|n| n.is_ident("as")) {
+                    self.note(&t.text);
+                }
+            } else if t.is_ident("use") {
+                in_use = true;
+            } else if t.kind == TokenKind::Ident
+                && !ci
+                    .checked_sub(1)
+                    .and_then(|p| ctx.code_token(p))
+                    .is_some_and(|p| p.is_ident("fn"))
+            {
+                self.note(&t.text);
+            }
+        }
+    }
+
+    fn note(&mut self, name: &str) {
+        if !self.used.contains(name) {
+            self.used.insert(name.to_string());
+        }
+    }
+
+    /// The A1 findings over everything added, plus the number a
+    /// justified suppression silenced.
+    pub(crate) fn finish(self, config: &LintConfig) -> (Vec<Diagnostic>, usize) {
+        let rc = config.rule("A1");
+        let mut out = Vec::new();
+        let mut suppressed = 0usize;
+        if rc.severity == Severity::Off {
+            return (out, suppressed);
+        }
+        for def in self.defs {
+            if self.used.contains(&def.name) || config.is_allowed("A1", &def.file) {
+                continue;
+            }
+            if def.suppressed {
+                suppressed += 1;
+                continue;
+            }
+            out.push(Diagnostic {
+                file: def.file,
+                line: def.line,
+                rule: "A1".to_string(),
+                severity: rc.severity,
+                message: format!(
+                    "pub fn `{}` has no caller outside tests; delete it, call it, or justify keeping it",
+                    def.name
+                ),
+            });
+        }
+        (out, suppressed)
+    }
+}
+
+/// The name in `pub [const] [async] [unsafe] [extern "abi"] fn NAME`,
+/// reading from the token after `pub`. `pub(crate)` and other restricted
+/// visibilities are rustc's `dead_code` lint's to check.
+fn pub_fn_name(ctx: &FileContext, mut ci: usize) -> Option<&str> {
+    while let Some(t) = ctx.code_token(ci) {
+        if t.is_ident("fn") {
+            return ctx
+                .code_token(ci + 1)
+                .filter(|n| n.kind == TokenKind::Ident)
+                .map(|n| n.text.as_str());
+        }
+        let qualifier = ["const", "async", "unsafe", "extern"]
+            .iter()
+            .any(|q| t.is_ident(q))
+            || t.kind == TokenKind::StrLit;
+        if !qualifier {
+            return None;
+        }
+        ci += 1;
+    }
+    None
 }

@@ -1,16 +1,26 @@
 //! Fixture tests: one intentionally-violating and one clean source per
-//! rule, driven through [`flex_lint::lint_source`] under synthetic
+//! rule, driven through [`flex_lint::lint_sources`] under synthetic
 //! workspace paths (so crate-scoped rules see the crate they expect).
 //!
 //! The fixture files live in `tests/fixtures/`, which `lint.toml` skips
-//! during the workspace walk — they exist only for these tests.
+//! during the workspace walk — they exist only for these tests. The A1
+//! cases build small multi-file workspaces inline.
 
-use flex_lint::{lint_source, Diagnostic, LintConfig, Severity};
+use flex_lint::{lint_sources, Diagnostic, LintConfig, Severity};
+
+/// The defaults with A1 off: a one-file workspace has no callers, so
+/// the per-file rules' fixtures would all trip the workspace rule.
+fn per_file_config() -> LintConfig {
+    let mut config = LintConfig::default();
+    if let Some(a1) = config.rules.get_mut("A1") {
+        a1.severity = Severity::Off;
+    }
+    config
+}
 
 /// Lints embedded fixture source as if it lived at `rel_path`.
 fn lint(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let (diags, _suppressed) = lint_source(rel_path, source, &LintConfig::default());
-    diags
+    lint_sources(&[(rel_path, source)], &per_file_config()).diagnostics
 }
 
 fn rule_lines(diags: &[Diagnostic], rule: &str) -> Vec<u32> {
@@ -245,11 +255,14 @@ fn s1_fires_on_a_justification_free_suppression() {
 
 #[test]
 fn s1_accepts_justified_suppressions_and_they_work() {
-    let (diags, suppressed) = lint_source(
-        "crates/online/src/fixture.rs",
-        include_str!("fixtures/s1_justified.rs"),
-        &LintConfig::default(),
+    let report = lint_sources(
+        &[(
+            "crates/online/src/fixture.rs",
+            include_str!("fixtures/s1_justified.rs"),
+        )],
+        &per_file_config(),
     );
+    let (diags, suppressed) = (report.diagnostics, report.suppressed);
     assert!(
         diags.is_empty(),
         "every D2 site is covered by a justified directive: {diags:?}"
@@ -268,4 +281,119 @@ fn s1_fires_on_malformed_directives() {
         2,
         "unknown rule ids and unknown verbs are malformed: {diags:?}"
     );
+}
+
+// ---------------------------------------------------------------- A1
+
+/// The names of the `pub fn`s A1 flags in a small workspace.
+fn a1_flagged(files: &[(&str, &str)]) -> Vec<String> {
+    lint_sources(files, &LintConfig::default())
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "A1")
+        .map(|d| {
+            assert_eq!(d.severity, Severity::Error, "A1 defaults to error: {d:?}");
+            d.message.split('`').nth(1).unwrap_or_default().to_string()
+        })
+        .collect()
+}
+
+const LIB: &str = "\
+/// Called by the binary.
+pub fn used() {}
+
+/// Called by nothing.
+pub fn dead() {}
+";
+
+#[test]
+fn a1_flags_a_pub_fn_no_code_calls() {
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        ("crates/demo/src/main.rs", "fn main() { demo::used(); }\n"),
+    ]);
+    assert_eq!(flagged, vec!["dead"]);
+}
+
+#[test]
+fn a1_ignores_uses_from_tests_docs_strings_and_plain_use_lines() {
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        (
+            "crates/demo/src/main.rs",
+            "\
+//! Calls `dead()` only in prose:
+/// ```
+/// demo::dead();
+/// ```
+use demo::dead;
+fn main() {
+    demo::used();
+    println!(\"dead()\");
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { super::dead(); }
+}
+",
+        ),
+        (
+            "crates/demo/tests/it.rs",
+            "#[test]\nfn t() { demo::dead(); }\n",
+        ),
+        ("tests/workspace.rs", "#[test]\nfn t() { demo::dead(); }\n"),
+    ]);
+    assert_eq!(flagged, vec!["dead"]);
+}
+
+#[test]
+fn a1_counts_benches_and_examples_as_callers() {
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        ("flexbench/benches/main.rs", "fn main() { demo::used(); }\n"),
+        ("examples/tour.rs", "fn main() { demo::dead(); }\n"),
+    ]);
+    assert!(flagged.is_empty(), "{flagged:?}");
+}
+
+#[test]
+fn a1_counts_a_renaming_use_as_a_caller() {
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        (
+            "crates/demo/src/main.rs",
+            "use demo::{dead as revived, used};\nfn main() { used(); revived(); }\n",
+        ),
+    ]);
+    assert!(flagged.is_empty(), "{flagged:?}");
+}
+
+#[test]
+fn a1_justified_suppression_silences_the_finding() {
+    let lib = LIB.replace(
+        "pub fn dead",
+        "// flex-lint: allow(A1): kept for a caller that lands next\npub fn dead",
+    );
+    let report = lint_sources(
+        &[
+            ("crates/demo/src/api.rs", lib.as_str()),
+            ("crates/demo/src/main.rs", "fn main() { demo::used(); }\n"),
+        ],
+        &LintConfig::default(),
+    );
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert_eq!(report.suppressed, 1);
+}
+
+#[test]
+fn a1_misses_a_dead_pub_fn_that_shares_a_used_name() {
+    // The documented false negative: the match is by name, so the dead
+    // `Meter::used` hides behind the live free function of that name.
+    let lib = format!("{LIB}\npub struct Meter;\nimpl Meter {{\n    pub fn used(&self) {{}}\n}}\n");
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", lib.as_str()),
+        ("crates/demo/src/main.rs", "fn main() { demo::used(); }\n"),
+    ]);
+    assert_eq!(flagged, vec!["dead"]);
 }

@@ -228,31 +228,6 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Number of integer (including binary) variables.
-    pub fn integer_count(&self) -> usize {
-        self.vars
-            .iter()
-            .filter(|v| v.kind == VarKind::Integer)
-            .count()
-    }
-
-    /// A variable's name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MilpError::UnknownVariable`] for a foreign id.
-    pub fn var_name(&self, id: VarId) -> Result<&str, MilpError> {
-        self.vars
-            .get(id.0)
-            .map(|v| v.name.as_str())
-            .ok_or(MilpError::UnknownVariable(id.0))
-    }
-
     /// Evaluates the objective for a full assignment (used by tests and
     /// heuristics).
     ///
@@ -316,7 +291,7 @@ mod tests {
             .add_var("x", VarKind::Continuous, 0.0, 1.0, f64::NAN)
             .is_err());
         let id = m.add_var("x", VarKind::Continuous, 0.0, 1.0, 2.0).unwrap();
-        assert_eq!(m.var_name(id).unwrap(), "x");
+        assert_eq!(m.vars[id.0].name, "x");
         assert_eq!(m.var_count(), 1);
     }
 
@@ -370,7 +345,5 @@ mod tests {
         assert!(!m.is_feasible(&[0.5, 1.0], 1e-9)); // fractional binary
         assert!(!m.is_feasible(&[0.0, 11.0], 1e-9)); // bound violation
         assert_eq!(m.objective_value(&[1.0, 4.0]), 5.0);
-        assert_eq!(m.integer_count(), 1);
-        assert_eq!(m.constraint_count(), 1);
     }
 }

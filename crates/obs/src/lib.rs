@@ -36,7 +36,7 @@ use std::sync::Arc;
 use flex_sim::SimTime;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Span};
-pub use recorder::{FlightEvent, ObsDump, DEFAULT_RING_CAPACITY};
+pub use recorder::{FlightEvent, ObsDump, RecoveredState, DEFAULT_RING_CAPACITY};
 
 /// The observability handle threaded through the control path.
 ///
@@ -73,12 +73,6 @@ impl Obs {
                 recorder: recorder::Recorder::with_capacity(ring_capacity),
             })),
         }
-    }
-
-    /// True when this handle records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Mints a counter handle for `name` (noop when disabled).
@@ -159,7 +153,6 @@ mod tests {
         let obs = Obs::noop();
         obs.counter("x").inc();
         obs.record(SimTime::ZERO, FlightEvent::UpsFailed { ups: 0 });
-        assert!(!obs.is_enabled());
         assert_eq!(obs.dump(), ObsDump::default());
     }
 
@@ -203,7 +196,7 @@ mod tests {
             let obs = Obs::recording();
             obs.counter("a").add(41);
             obs.gauge("g").set(1.25);
-            obs.span("s").record(SimDuration::from_micros(300));
+            obs.span("s").record(SimDuration::from_nanos(300_000));
             obs.record(
                 SimTime::from_nanos(5),
                 FlightEvent::CommandApplied { rack: 3, state: 1 },

@@ -242,14 +242,12 @@ fn describe(event: &FlightEvent) -> String {
         FlightEvent::RecoveryCompleted {
             controller,
             epoch,
-            inflight,
-            alarmed,
-            ..
+            recovered,
         } => format!(
             "controller {controller} recovery completed (epoch {epoch}, \
              {} in-flight, {} alarmed)",
-            inflight.len(),
-            alarmed.len()
+            recovered.inflight.len(),
+            recovered.alarmed.len()
         ),
     }
 }

@@ -189,15 +189,24 @@ pub enum FlightEvent {
         controller: u32,
         /// The epoch the instance recovered into.
         epoch: u64,
-        /// Per-rack power-state codes (0/1/2) queried from actuation.
-        rack_states: Vec<u8>,
-        /// In-flight commands as `(rack id, state code, apply ns)`.
-        inflight: Vec<(u32, u8, u64)>,
-        /// Standing failover alarms as `(ups id, since ns)`.
-        alarmed: Vec<(u32, u64)>,
-        /// Last-accepted telemetry sequence per UPS (advisory cursor).
-        last_seq: Vec<u64>,
+        /// The snapshot's contents. Boxed: every ring slot is as large
+        /// as the largest variant, and this is the only rare one with
+        /// four vectors.
+        recovered: Box<RecoveredState>,
     },
+}
+
+/// The vectors of a [`FlightEvent::RecoveryCompleted`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveredState {
+    /// Per-rack power-state codes (0/1/2) queried from actuation.
+    pub rack_states: Vec<u8>,
+    /// In-flight commands as `(rack id, state code, apply ns)`.
+    pub inflight: Vec<(u32, u8, u64)>,
+    /// Standing failover alarms as `(ups id, since ns)`.
+    pub alarmed: Vec<(u32, u64)>,
+    /// Last-accepted telemetry sequence per UPS (advisory cursor).
+    pub last_seq: Vec<u64>,
 }
 
 impl FlightEvent {
@@ -323,11 +332,14 @@ impl FlightEvent {
             FlightEvent::RecoveryCompleted {
                 controller,
                 epoch,
-                rack_states,
-                inflight,
-                alarmed,
-                last_seq,
+                recovered,
             } => {
+                let RecoveredState {
+                    rack_states,
+                    inflight,
+                    alarmed,
+                    last_seq,
+                } = &**recovered;
                 fields.push(("c", num(*controller as u64)));
                 fields.push(("e", num(*epoch)));
                 fields.push((
@@ -456,41 +468,43 @@ impl FlightEvent {
             "recovery_completed" => FlightEvent::RecoveryCompleted {
                 controller: c()?,
                 epoch: v.get("e")?.as_u64()?,
-                rack_states: v
-                    .get("rs")?
-                    .as_arr()?
-                    .iter()
-                    .map(|s| Some(s.as_u64()? as u8))
-                    .collect::<Option<Vec<_>>>()?,
-                inflight: v
-                    .get("inf")?
-                    .as_arr()?
-                    .iter()
-                    .map(|row| {
-                        let items = row.as_arr()?;
-                        let rack = items.first()?.as_u64()? as u32;
-                        let state = items.get(1)?.as_u64()? as u8;
-                        let at = items.get(2)?.as_str()?.parse::<u64>().ok()?;
-                        Some((rack, state, at))
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-                alarmed: v
-                    .get("al")?
-                    .as_arr()?
-                    .iter()
-                    .map(|row| {
-                        let items = row.as_arr()?;
-                        let ups = items.first()?.as_u64()? as u32;
-                        let since = items.get(1)?.as_str()?.parse::<u64>().ok()?;
-                        Some((ups, since))
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-                last_seq: v
-                    .get("ls")?
-                    .as_arr()?
-                    .iter()
-                    .map(|s| s.as_u64())
-                    .collect::<Option<Vec<_>>>()?,
+                recovered: Box::new(RecoveredState {
+                    rack_states: v
+                        .get("rs")?
+                        .as_arr()?
+                        .iter()
+                        .map(|s| Some(s.as_u64()? as u8))
+                        .collect::<Option<Vec<_>>>()?,
+                    inflight: v
+                        .get("inf")?
+                        .as_arr()?
+                        .iter()
+                        .map(|row| {
+                            let items = row.as_arr()?;
+                            let rack = items.first()?.as_u64()? as u32;
+                            let state = items.get(1)?.as_u64()? as u8;
+                            let at = items.get(2)?.as_str()?.parse::<u64>().ok()?;
+                            Some((rack, state, at))
+                        })
+                        .collect::<Option<Vec<_>>>()?,
+                    alarmed: v
+                        .get("al")?
+                        .as_arr()?
+                        .iter()
+                        .map(|row| {
+                            let items = row.as_arr()?;
+                            let ups = items.first()?.as_u64()? as u32;
+                            let since = items.get(1)?.as_str()?.parse::<u64>().ok()?;
+                            Some((ups, since))
+                        })
+                        .collect::<Option<Vec<_>>>()?,
+                    last_seq: v
+                        .get("ls")?
+                        .as_arr()?
+                        .iter()
+                        .map(|s| s.as_u64())
+                        .collect::<Option<Vec<_>>>()?,
+                }),
             },
             _ => return None,
         })
@@ -637,12 +651,22 @@ mod tests {
             FlightEvent::RecoveryCompleted {
                 controller: 2,
                 epoch: 1,
-                rack_states: vec![0, 2, 1, 0],
-                inflight: vec![(7, 2, 21_500_000_333), (9, 1, 22_000_000_000)],
-                alarmed: vec![(1, 20_200_000_000)],
-                last_seq: vec![41, 0, 41, 39],
+                recovered: Box::new(RecoveredState {
+                    rack_states: vec![0, 2, 1, 0],
+                    inflight: vec![(7, 2, 21_500_000_333), (9, 1, 22_000_000_000)],
+                    alarmed: vec![(1, 20_200_000_000)],
+                    last_seq: vec![41, 0, 41, 39],
+                }),
             },
         ]
+    }
+
+    #[test]
+    fn ring_slots_stay_small() {
+        // Every recording handle reserves ring slots of this size up
+        // front; a new variant that grows it should box its payload.
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 40);
+        assert_eq!(std::mem::size_of::<(u64, FlightEvent)>(), 48);
     }
 
     #[test]

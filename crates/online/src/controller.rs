@@ -277,12 +277,6 @@ impl Controller {
         &self.state.action_log
     }
 
-    /// True once the controller has taken corrective actions that have
-    /// not yet been restored.
-    pub fn is_engaged(&self) -> bool {
-        self.state.engaged
-    }
-
     /// Ingests a telemetry delivery and returns any commands to enforce.
     ///
     /// `now` is the arrival time, `measured_at` the time the underlying
@@ -931,7 +925,7 @@ mod tests {
         let t = SimTime::from_secs_f64(1.0);
         assert!(f.controller.on_delivery(t, t, &racks).unwrap().is_empty());
         assert!(f.controller.on_delivery(t, t, &ups).unwrap().is_empty());
-        assert!(!f.controller.is_engaged());
+        assert!(!f.controller.state().engaged);
     }
 
     #[test]
@@ -951,7 +945,7 @@ mod tests {
             .controller
             .on_delivery(SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(2.0), &ups_bad).unwrap();
         assert!(!commands.is_empty(), "overdraw must trigger actions");
-        assert!(f.controller.is_engaged());
+        assert!(f.controller.state().engaged);
         assert!(commands
             .iter()
             .all(|c| matches!(c, Command::Act { .. })));
@@ -985,7 +979,7 @@ mod tests {
         assert!(restores
             .iter()
             .all(|c| matches!(c, Command::Restore { .. })));
-        assert!(!f.controller.is_engaged());
+        assert!(!f.controller.state().engaged);
         assert!(f.controller.action_log().is_empty());
     }
 
@@ -1022,7 +1016,7 @@ mod tests {
         let fired = f.controller.on_tick(SimTime::from_secs_f64(9.5)).unwrap();
         assert!(!fired.is_empty(), "watchdog must shed on dark telemetry");
         assert!(fired.iter().all(|c| matches!(c, Command::Act { .. })));
-        assert!(f.controller.is_engaged());
+        assert!(f.controller.state().engaged);
         // Fires at most once per dark period.
         let again = f.controller.on_tick(SimTime::from_secs_f64(20.0)).unwrap();
         assert!(again.is_empty(), "watchdog must latch until fresh data");

@@ -25,6 +25,7 @@ pub struct ProbeReport {
 
 impl ProbeReport {
     /// True when every RM is healthy.
+    // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn all_healthy(&self) -> bool {
         self.unreachable.is_empty()
             && self.outdated_firmware.is_empty()
@@ -52,6 +53,7 @@ impl Prober {
     /// Records a firmware downgrade/regression on one RM (e.g. a server
     /// replaced after repair with stale firmware). A foreign rack id is
     /// ignored.
+    // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn set_firmware(&mut self, rack: RackId, version: u32) {
         if let Some(slot) = self.firmware.get_mut(rack.0) {
             *slot = version;
@@ -59,12 +61,14 @@ impl Prober {
     }
 
     /// Raises the fleet-wide required firmware version.
+    // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn set_required_firmware(&mut self, version: u32) {
         self.required_firmware = version;
     }
 
     /// Re-flashes an RM to the required version (the remediation the
     /// report triggers). A foreign rack id is ignored.
+    // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn redeploy_firmware(&mut self, rack: RackId) {
         if let Some(slot) = self.firmware.get_mut(rack.0) {
             *slot = self.required_firmware;
@@ -74,6 +78,7 @@ impl Prober {
     /// Runs one probe sweep: reachability (per the fault plan's
     /// `"rm/{rack}"` components), firmware currency, and a fake action
     /// (which fails when the RM is unreachable or outdated).
+    // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn sweep(&self, now: SimTime, faults: &FaultPlan) -> ProbeReport {
         let mut unreachable = Vec::new();
         let mut outdated = Vec::new();

@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use flex_obs::FlightEvent;
+use flex_obs::{FlightEvent, RecoveredState};
 use flex_placement::RackId;
 use flex_power::UpsId;
 use flex_sim::{SimDuration, SimTime};
@@ -81,18 +81,20 @@ impl RecoverySnapshot {
         FlightEvent::RecoveryCompleted {
             controller: controller as u32,
             epoch: self.epoch,
-            rack_states: self.rack_states.iter().map(|s| s.code()).collect(),
-            inflight: self
-                .inflight
-                .iter()
-                .map(|p| (p.rack.0 as u32, p.new_state.code(), p.apply_at.as_nanos()))
-                .collect(),
-            alarmed: self
-                .alarmed
-                .iter()
-                .map(|&(u, t)| (u.0 as u32, t.as_nanos()))
-                .collect(),
-            last_seq: self.last_seq.clone(),
+            recovered: Box::new(RecoveredState {
+                rack_states: self.rack_states.iter().map(|s| s.code()).collect(),
+                inflight: self
+                    .inflight
+                    .iter()
+                    .map(|p| (p.rack.0 as u32, p.new_state.code(), p.apply_at.as_nanos()))
+                    .collect(),
+                alarmed: self
+                    .alarmed
+                    .iter()
+                    .map(|&(u, t)| (u.0 as u32, t.as_nanos()))
+                    .collect(),
+                last_seq: self.last_seq.clone(),
+            }),
         }
     }
 
@@ -106,14 +108,17 @@ impl RecoverySnapshot {
         let FlightEvent::RecoveryCompleted {
             controller,
             epoch,
-            rack_states,
-            inflight,
-            alarmed,
-            last_seq,
+            recovered,
         } = event
         else {
             return None;
         };
+        let RecoveredState {
+            rack_states,
+            inflight,
+            alarmed,
+            last_seq,
+        } = &**recovered;
         let controller = *controller as usize;
         let snapshot = RecoverySnapshot {
             epoch: *epoch,

@@ -1477,7 +1477,12 @@ mod tests {
         let sim = uncontrolled_failover(1.0, 120.0);
         let w = sim.world();
         assert!(w.stats.cascaded(), "unmitigated 100% failover must cascade");
-        assert_eq!(w.feed.online_count(), 0, "events: {:?}", w.stats.events);
+        assert_eq!(
+            w.feed.failed_ids().len(),
+            w.topo.ups_count(),
+            "events: {:?}",
+            w.stats.events
+        );
         // The first trip follows the trip curve: the worst survivor's
         // post-failover load fraction sets how long it holds out.
         let fail_at = SimTime::from_secs_f64(10.0);
@@ -1508,7 +1513,7 @@ mod tests {
         let sim = uncontrolled_failover(0.75, 600.0);
         let w = sim.world();
         assert!(!w.stats.cascaded(), "events: {:?}", w.stats.events);
-        assert_eq!(w.feed.online_count(), 3);
+        assert_eq!(w.feed.failed_ids(), vec![UpsId(0)]);
     }
 
     /// Rack powers and UPS loads computed from scratch with a fresh load

@@ -140,5 +140,5 @@ fn controller_action_log_is_identical_across_runs() {
         b.action_log(),
         "the engaged-action maps must match entry for entry"
     );
-    assert!(a.is_engaged(), "the overload must have engaged the controller");
+    assert!(a.state().engaged, "the overload must have engaged the controller");
 }

@@ -79,26 +79,6 @@ pub fn sum_squared_failover_cap(state: &RoomState) -> f64 {
     sum
 }
 
-/// The worst-case throttling need across all failover scenarios, as a
-/// fraction of UPS capacity (an absolute companion to the imbalance).
-pub fn worst_case_throttling_need(state: &RoomState) -> f64 {
-    let topo = state.room().topology();
-    let mut worst: f64 = 0.0;
-    for f in topo.ups_ids() {
-        for u in topo.ups_ids() {
-            if u == f {
-                continue;
-            }
-            let cap = topo.ups(u).expect("ups in room").capacity();
-            let full = state.failover_full_load(u, f);
-            let sr = state.failover_shutdown_recoverable(u, f);
-            let need = (full - cap - sr).clamp_non_negative();
-            worst = worst.max(need / cap);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +120,6 @@ mod tests {
         let state = RoomState::new(&room);
         assert!((stranded_fraction(&state) - 1.0).abs() < 1e-12);
         assert_eq!(throttling_imbalance(&state), 0.0);
-        assert_eq!(worst_case_throttling_need(&state), 0.0);
     }
 
     #[test]
@@ -153,7 +132,6 @@ mod tests {
             .collect();
         let (state, _) = state_with(&deps);
         assert_eq!(throttling_imbalance(&state), 0.0);
-        assert_eq!(worst_case_throttling_need(&state), 0.0);
     }
 
     #[test]
@@ -168,10 +146,8 @@ mod tests {
         ];
         let (state, _) = state_with(&deps);
         let imb = throttling_imbalance(&state);
-        let worst = worst_case_throttling_need(&state);
         // Failover of UPS 1: UPS 0 carries 2.4 + 1.2 = 3.6 MW full load,
         // 1.2 MW above capacity with no SR to shut down: r = 0.5.
-        assert!((worst - 0.5).abs() < 1e-9, "worst {worst}");
         assert!((imb - 0.5).abs() < 1e-9, "imbalance {imb} (min need is 0)");
     }
 

@@ -95,16 +95,6 @@ impl PlacedRoom {
         self.racks.get(id.0)
     }
 
-    /// Racks of one deployment.
-    pub fn racks_of_deployment(&self, id: DeploymentId) -> Vec<&PlacedRack> {
-        self.racks.iter().filter(|r| r.deployment == id).collect()
-    }
-
-    /// Racks of one category.
-    pub fn racks_of_category(&self, category: WorkloadCategory) -> Vec<&PlacedRack> {
-        self.racks.iter().filter(|r| r.category == category).collect()
-    }
-
     /// Distinct deployments present, in first-rack order.
     pub fn deployments(&self) -> Vec<DeploymentId> {
         let mut seen = Vec::new();
@@ -175,6 +165,19 @@ mod tests {
             .sum();
         assert_eq!(placed.rack_count(), accepted_racks);
         assert!(placed.rack_count() > 100);
+        // Each accepted deployment gets exactly its racks, in its category.
+        for d in trace.deployments() {
+            if !placed.deployments().contains(&d.id()) {
+                continue;
+            }
+            let racks: Vec<&PlacedRack> = placed
+                .racks()
+                .iter()
+                .filter(|r| r.deployment == d.id())
+                .collect();
+            assert_eq!(racks.len(), d.racks());
+            assert!(racks.iter().all(|r| r.category == d.category()));
+        }
         // Ids are dense.
         for (i, r) in placed.racks().iter().enumerate() {
             assert_eq!(r.id, RackId(i));
@@ -207,31 +210,16 @@ mod tests {
         let draws = vec![Watts::from_kw(10.0); placed.rack_count()];
         let model = placed.load_model(&draws);
         let expected = Watts::from_kw(10.0 * placed.rack_count() as f64);
-        assert!(model.total_load().approx_eq(expected, 1e-3));
+        let all_online = FeedState::all_online(model.topology());
+        assert!(model
+            .ups_loads(&all_online)
+            .total()
+            .approx_eq(expected, 1e-3));
         // Loads track failovers.
         let topo = placed.room().topology().clone();
         let normal = placed.ups_loads(&draws, &FeedState::all_online(&topo));
         let failed = placed.ups_loads(&draws, &FeedState::with_failed(&topo, [UpsId(0)]));
         assert!(failed.load(UpsId(1)) >= normal.load(UpsId(1)));
-    }
-
-    #[test]
-    fn lookup_by_deployment_and_category() {
-        let (placed, trace) = placed();
-        let first = placed.deployments()[0];
-        let racks = placed.racks_of_deployment(first);
-        let d = trace
-            .deployments()
-            .iter()
-            .find(|d| d.id() == first)
-            .unwrap();
-        assert_eq!(racks.len(), d.racks());
-        assert!(racks.iter().all(|r| r.category == d.category()));
-        let by_cat: usize = WorkloadCategory::ALL
-            .iter()
-            .map(|&c| placed.racks_of_category(c).len())
-            .sum();
-        assert_eq!(by_cat, placed.rack_count());
     }
 
     #[test]

@@ -402,7 +402,7 @@ mod tests {
             policy.name()
         );
         let stranded = state.stranded_power() / room.provisioned_power();
-        (stranded, placement.accepted_count())
+        (stranded, placement.assignments.len())
     }
 
     #[test]

@@ -20,13 +20,6 @@ pub struct Placement {
     pub rejected: Vec<DeploymentId>,
 }
 
-impl Placement {
-    /// Number of accepted deployments.
-    pub fn accepted_count(&self) -> usize {
-        self.assignments.len()
-    }
-}
-
 /// Mutable placement state over a room.
 #[derive(Debug, Clone)]
 pub struct RoomState {
@@ -44,11 +37,6 @@ pub struct RoomState {
     /// `cap_shared[u][f]`: extra `CapPow` that UPS `u` absorbs when UPS
     /// `f` fails (half the CapPow of every pair bridging u and f).
     cap_shared: Vec<Vec<Watts>>,
-    /// Throttle-recoverable power per UPS under normal split.
-    thr_normal: Vec<Watts>,
-    /// `thr_shared[u][f]`: extra throttle-recoverable power on `u` during
-    /// failover of `f`.
-    thr_shared: Vec<Vec<Watts>>,
     /// Shutdown-recoverable (software-redundant) analogues.
     sr_normal: Vec<Watts>,
     sr_shared: Vec<Vec<Watts>>,
@@ -83,8 +71,6 @@ impl RoomState {
             ups_normal: vec![Watts::ZERO; upses],
             cap_normal: vec![Watts::ZERO; upses],
             cap_shared: vec![vec![Watts::ZERO; upses]; upses],
-            thr_normal: vec![Watts::ZERO; upses],
-            thr_shared: vec![vec![Watts::ZERO; upses]; upses],
             sr_normal: vec![Watts::ZERO; upses],
             sr_shared: vec![vec![Watts::ZERO; upses]; upses],
             full_shared: vec![vec![Watts::ZERO; upses]; upses],
@@ -138,11 +124,6 @@ impl RoomState {
     /// 100% utilization, before corrective actions).
     pub fn failover_full_load(&self, ups: UpsId, failed: UpsId) -> Watts {
         self.ups_normal[ups.0] + self.full_shared[ups.0][failed.0]
-    }
-
-    /// Throttle-recoverable power on `ups` during failover of `failed`.
-    pub fn failover_throttle_recoverable(&self, ups: UpsId, failed: UpsId) -> Watts {
-        self.thr_normal[ups.0] + self.thr_shared[ups.0][failed.0]
     }
 
     /// Shutdown-recoverable (software-redundant) power on `ups` during
@@ -219,11 +200,6 @@ impl RoomState {
             .upstream();
         let pow = d.total_power();
         let cap = d.cap_power();
-        let thr = if d.category() == WorkloadCategory::CapAble {
-            d.shaveable_power()
-        } else {
-            Watts::ZERO
-        };
         let sr = if d.category() == WorkloadCategory::SoftwareRedundant {
             pow
         } else {
@@ -236,8 +212,6 @@ impl RoomState {
             self.ups_normal[u.0] += pow * 0.5;
             self.cap_normal[u.0] += cap * 0.5;
             self.cap_shared[u.0][f.0] += cap * 0.5;
-            self.thr_normal[u.0] += thr * 0.5;
-            self.thr_shared[u.0][f.0] += thr * 0.5;
             self.sr_normal[u.0] += sr * 0.5;
             self.sr_shared[u.0][f.0] += sr * 0.5;
             self.full_shared[u.0][f.0] += pow * 0.5;
@@ -265,11 +239,6 @@ impl RoomState {
             .upstream();
         let pow = d.total_power();
         let cap = d.cap_power();
-        let thr = if d.category() == WorkloadCategory::CapAble {
-            d.shaveable_power()
-        } else {
-            Watts::ZERO
-        };
         let sr = if d.category() == WorkloadCategory::SoftwareRedundant {
             pow
         } else {
@@ -282,8 +251,6 @@ impl RoomState {
             self.ups_normal[u.0] -= pow * 0.5;
             self.cap_normal[u.0] -= cap * 0.5;
             self.cap_shared[u.0][f.0] -= cap * 0.5;
-            self.thr_normal[u.0] -= thr * 0.5;
-            self.thr_shared[u.0][f.0] -= thr * 0.5;
             self.sr_normal[u.0] -= sr * 0.5;
             self.sr_shared[u.0][f.0] -= sr * 0.5;
             self.full_shared[u.0][f.0] -= pow * 0.5;
@@ -463,10 +430,6 @@ mod tests {
         assert!(s
             .failover_cap_load(a, other)
             .approx_eq(Watts::from_kw(120.0), 1e-6));
-        // Throttle-recoverable on a during failover of b: 20% of 300 kW.
-        assert!(s
-            .failover_throttle_recoverable(a, b)
-            .approx_eq(Watts::from_kw(60.0), 1e-6));
         assert!(s.verify_safety(&[d]).is_empty());
     }
 
@@ -563,7 +526,7 @@ mod tests {
         s.reject(DeploymentId(7));
         let p = s.into_placement();
         assert_eq!(p.rejected, vec![DeploymentId(7)]);
-        assert_eq!(p.accepted_count(), 0);
+        assert!(p.assignments.is_empty());
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl FeedState {
         }
     }
 
-    /// Number of UPSes currently online.
-    pub fn online_count(&self) -> usize {
-        self.online.iter().filter(|&&b| b).count()
-    }
-
     /// Ids of all failed UPSes, ascending.
     pub fn failed_ids(&self) -> Vec<UpsId> {
         self.online
@@ -138,7 +133,6 @@ mod tests {
     fn all_online_state() {
         let t = topo();
         let f = FeedState::all_online(&t);
-        assert_eq!(f.online_count(), 4);
         assert!(f.failed_ids().is_empty());
     }
 
@@ -148,7 +142,6 @@ mod tests {
         let mut f = FeedState::all_online(&t);
         f.fail(UpsId(1)).unwrap();
         f.fail(UpsId(1)).unwrap(); // idempotent
-        assert_eq!(f.online_count(), 3);
         assert_eq!(f.failed_ids(), vec![UpsId(1)]);
         f.restore(UpsId(1)).unwrap();
         assert!(f.failed_ids().is_empty());
@@ -186,6 +179,5 @@ mod tests {
         let t = topo();
         let f = FeedState::with_failed(&t, [UpsId(0), UpsId(3)]);
         assert_eq!(f.failed_ids(), vec![UpsId(0), UpsId(3)]);
-        assert_eq!(f.online_count(), 2);
     }
 }

@@ -11,7 +11,7 @@
 //!   service, each PDU-pair that it fed shifts its full load onto the
 //!   surviving partner UPS ([`FeedState`], [`LoadModel`]);
 //! - **UPS overload tolerance** (the paper's Figure 6): an inverse-time
-//!   trip-curve model with battery-age interpolation and a thermal
+//!   trip-curve model (end- and beginning-of-life curves) and a thermal
 //!   accumulator that decides *when* an overloaded device trips
 //!   ([`trip_curve::TripCurve`], [`trip_curve::OverloadAccumulator`]).
 //!   A trip is one more failed UPS, so its load shifts onward the same

@@ -33,18 +33,6 @@ impl UpsLoads {
     pub fn total(&self) -> Watts {
         self.0.iter().sum()
     }
-
-    /// UPSes whose load exceeds their rated capacity, with the overdraw
-    /// amount, considering only in-service devices.
-    pub fn overloads(&self, topo: &Topology, feed: &FeedState) -> Vec<(UpsId, Watts)> {
-        self.iter()
-            .filter(|(id, _)| feed.is_online(*id))
-            .filter_map(|(id, load)| {
-                let cap = topo.ups(id).ok()?.capacity();
-                load.exceeds(cap).then(|| (id, load - cap))
-            })
-            .collect()
-    }
 }
 
 impl Index<UpsId> for UpsLoads {
@@ -141,11 +129,6 @@ impl LoadModel {
         self.pair_loads.get(pair.0).copied().unwrap_or(Watts::ZERO)
     }
 
-    /// Total IT load attached to the room (independent of feed state).
-    pub fn total_load(&self) -> Watts {
-        self.pair_loads.iter().sum()
-    }
-
     /// Per-UPS load under the given feed state.
     pub fn ups_loads(&self, feed: &FeedState) -> UpsLoads {
         let mut loads = vec![Watts::ZERO; self.topo.ups_count()];
@@ -167,16 +150,6 @@ impl LoadModel {
             }
         }
         UpsLoads(loads)
-    }
-
-    /// IT load dropped because both feeds of its pair are offline.
-    pub fn lost_load(&self, feed: &FeedState) -> Watts {
-        self.topo
-            .pdu_pairs()
-            .iter()
-            .filter(|p| feed.pair_feed(p) == PairFeed::Dead)
-            .map(|p| self.pair_load(p.id()))
-            .sum()
     }
 }
 
@@ -218,8 +191,7 @@ mod tests {
         }
         assert!(loads[UpsId(0)].approx_eq(Watts::ZERO, 1e-9));
         // No load lost: every pair still has a live feed.
-        assert!(m.lost_load(&feed).approx_eq(Watts::ZERO, 1e-9));
-        assert!(loads.total().approx_eq(m.total_load(), 1e-6));
+        assert!(loads.total().approx_eq(Watts::from_mw(3.6), 1e-6));
     }
 
     #[test]
@@ -243,12 +215,9 @@ mod tests {
         let m = uniform_model(600.0);
         let topo = m.topology().clone();
         let feed = FeedState::with_failed(&topo, [UpsId(0), UpsId(1)]);
-        // The (0,1) pair is dead: 600 kW lost.
-        assert!(m.lost_load(&feed).approx_eq(Watts::from_kw(600.0), 1e-6));
+        // The (0,1) pair is dead: 600 kW of the 3.6 MW lost.
         let loads = m.ups_loads(&feed);
-        assert!(loads
-            .total()
-            .approx_eq(m.total_load() - Watts::from_kw(600.0), 1e-6));
+        assert!(loads.total().approx_eq(Watts::from_kw(3000.0), 1e-6));
     }
 
     #[test]
@@ -257,11 +226,13 @@ mod tests {
         let topo = m.topology().clone();
         let feed = FeedState::with_failed(&topo, [UpsId(0)]);
         let loads = m.ups_loads(&feed);
-        let over = loads.overloads(&topo, &feed);
-        assert_eq!(over.len(), 3);
-        for (id, amount) in over {
-            assert_ne!(id, UpsId(0), "failed UPS must not be reported");
-            assert!(amount.approx_eq(Watts::from_kw(800.0), 1e-3));
+        let cap = Watts::from_mw(2.4);
+        assert!(
+            loads[UpsId(0)].approx_eq(Watts::ZERO, 1e-9),
+            "a failed UPS carries nothing"
+        );
+        for id in [UpsId(1), UpsId(2), UpsId(3)] {
+            assert!((loads[id] - cap).approx_eq(Watts::from_kw(800.0), 1e-3));
         }
     }
 
@@ -274,7 +245,7 @@ mod tests {
             let feed = FeedState::with_failed(&topo, [f]);
             let loads = m.ups_loads(&feed);
             assert!(
-                loads.overloads(&topo, &feed).is_empty(),
+                loads.iter().all(|(_, l)| !l.exceeds(Watts::from_mw(2.4))),
                 "failover of {f} must stay within capacity"
             );
         }

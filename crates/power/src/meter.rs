@@ -68,7 +68,7 @@ impl MeterKind {
 /// }
 /// let truth = GroundTruth::capture(&load, &FeedState::all_online(&topo));
 /// let ups0 = topo.ups_ids()[0];
-/// let raw = truth.raw_reading(ups0, MeterKind::UpsOutput);
+/// let raw = MeterKind::UpsOutput.denormalize(truth.it_power(ups0));
 /// // Normalizing recovers the IT power the other meters agree on.
 /// assert!(MeterKind::UpsOutput.normalize(raw).approx_eq(truth.it_power(ups0), 1e-6));
 /// # Ok::<(), flex_power::PowerError>(())
@@ -94,11 +94,6 @@ impl GroundTruth {
     /// Equivalent IT power on the given UPS.
     pub fn it_power(&self, id: UpsId) -> Watts {
         self.loads.load(id)
-    }
-
-    /// The raw value the given physical meter would report (noiselessly).
-    pub fn raw_reading(&self, id: UpsId, kind: MeterKind) -> Watts {
-        kind.denormalize(self.it_power(id))
     }
 
     /// Per-UPS loads backing this snapshot.
@@ -132,7 +127,7 @@ mod tests {
         let id = UpsId(0);
         let raws: Vec<Watts> = MeterKind::ALL
             .iter()
-            .map(|k| truth.raw_reading(id, *k))
+            .map(|k| k.denormalize(truth.it_power(id)))
             .collect();
         assert!(raws[0] != raws[1] && raws[1] != raws[2]);
         for (k, raw) in MeterKind::ALL.iter().zip(&raws) {

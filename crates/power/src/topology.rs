@@ -76,18 +76,6 @@ impl PduPair {
     pub fn is_fed_by(&self, ups: UpsId) -> bool {
         self.upstream.0 == ups || self.upstream.1 == ups
     }
-
-    /// Given one upstream UPS, returns the other; `None` if `ups` does not
-    /// feed this pair.
-    pub fn partner_of(&self, ups: UpsId) -> Option<UpsId> {
-        if self.upstream.0 == ups {
-            Some(self.upstream.1)
-        } else if self.upstream.1 == ups {
-            Some(self.upstream.0)
-        } else {
-            None
-        }
-    }
 }
 
 /// Incremental builder for irregular topologies.
@@ -158,19 +146,9 @@ impl TopologyBuilder {
         if self.upses.len() < 2 {
             return Err(PowerError::TooFewUpses(self.upses.len()));
         }
-        let mut pairs_by_ups = vec![Vec::new(); self.upses.len()];
-        for pair in &self.pairs {
-            // Both endpoints were bounds-checked in add_pdu_pair.
-            for end in [pair.upstream.0, pair.upstream.1] {
-                if let Some(slot) = pairs_by_ups.get_mut(end.0) {
-                    slot.push(pair.id);
-                }
-            }
-        }
         Ok(Topology {
             upses: self.upses,
             pairs: self.pairs,
-            pairs_by_ups,
         })
     }
 }
@@ -180,8 +158,6 @@ impl TopologyBuilder {
 pub struct Topology {
     upses: Vec<Ups>,
     pairs: Vec<PduPair>,
-    /// For each UPS (by index), the PDU-pairs it feeds.
-    pairs_by_ups: Vec<Vec<PduPairId>>,
 }
 
 impl Topology {
@@ -268,32 +244,16 @@ impl Topology {
         self.pairs.get(id.0).ok_or(PowerError::UnknownPduPair(id.0))
     }
 
-    /// The PDU-pairs fed by the given UPS.
-    pub fn pairs_of_ups(&self, id: UpsId) -> &[PduPairId] {
-        self.pairs_by_ups.get(id.0).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Total provisioned power: the sum of all UPS capacities (reserve plus
     /// non-reserve, in the paper's terminology).
     pub fn provisioned_power(&self) -> Watts {
         self.upses.iter().map(|u| u.capacity).sum()
     }
 
-    /// The conventional (non-Flex) per-UPS allocation limit,
-    /// `capacity × (x−1)/x`, which keeps every single-UPS failover within
-    /// the survivors' rated capacity without corrective actions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::UnknownUps`] for a foreign id.
-    pub fn conventional_allocation_limit(&self, id: UpsId) -> Result<Watts, PowerError> {
-        let ups = self.ups(id)?;
-        let x = self.ups_count() as f64;
-        Ok(ups.capacity() * ((x - 1.0) / x))
-    }
-
-    /// The room's *failover budget*: the sum of conventional allocation
-    /// limits. In a non-Flex room this is the most power that may ever be
+    /// The room's *failover budget*: the sum of the conventional
+    /// (non-Flex) per-UPS allocation limits, `capacity × (x−1)/x`, each of
+    /// which keeps every single-UPS failover within the survivors' rated
+    /// capacity without corrective actions. In a non-Flex room this is the most power that may ever be
     /// allocated; a Flex room allocates up to [`Topology::provisioned_power`]
     /// instead.
     pub fn failover_budget(&self) -> Watts {
@@ -330,7 +290,7 @@ mod tests {
         assert_eq!(t.pdu_pairs().len(), 6);
         // Every UPS feeds exactly 3 pairs.
         for id in t.ups_ids() {
-            assert_eq!(t.pairs_of_ups(id).len(), 3);
+            assert_eq!(t.pdu_pairs().iter().filter(|p| p.is_fed_by(id)).count(), 3);
         }
     }
 
@@ -351,7 +311,7 @@ mod tests {
         let t = Topology::distributed_redundant_with_pairs(4, Watts::from_mw(2.4), 3).unwrap();
         assert_eq!(t.pdu_pairs().len(), 18);
         for id in t.ups_ids() {
-            assert_eq!(t.pairs_of_ups(id).len(), 9);
+            assert_eq!(t.pdu_pairs().iter().filter(|p| p.is_fed_by(id)).count(), 9);
         }
     }
 
@@ -365,20 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn conventional_allocation_limit_is_three_quarters() {
-        let t = four_n_three();
-        let lim = t.conventional_allocation_limit(UpsId(0)).unwrap();
-        assert!(lim.approx_eq(Watts::from_mw(1.8), 1e-6));
-    }
-
-    #[test]
-    fn partner_of_resolves_both_sides() {
+    fn is_fed_by_matches_both_sides() {
         let t = four_n_three();
         let p = &t.pdu_pairs()[0];
         let (a, b) = p.upstream();
-        assert_eq!(p.partner_of(a), Some(b));
-        assert_eq!(p.partner_of(b), Some(a));
-        assert_eq!(p.partner_of(UpsId(99)), None);
         assert!(p.is_fed_by(a) && p.is_fed_by(b));
         assert!(!p.is_fed_by(UpsId(99)));
     }
@@ -410,7 +360,6 @@ mod tests {
         let t = four_n_three();
         assert!(t.ups(UpsId(17)).is_err());
         assert!(t.pdu_pair(PduPairId(17)).is_err());
-        assert!(t.conventional_allocation_limit(UpsId(17)).is_err());
     }
 
     #[test]

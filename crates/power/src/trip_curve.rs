@@ -112,30 +112,6 @@ impl TripCurve {
         .expect("scaled curve preserves ordering")
     }
 
-    /// Interpolates between beginning- and end-of-life curves by battery
-    /// age in `[0, 1]` (0 = fresh). Tolerances interpolate geometrically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `age` is NaN or outside `[0, 1]`.
-    pub fn at_battery_age(age: f64) -> Self {
-        assert!((0.0..=1.0).contains(&age), "battery age must be in [0,1]");
-        let bol = TripCurve::beginning_of_life();
-        let eol = TripCurve::end_of_life();
-        let points = bol
-            .points
-            .iter()
-            .zip(&eol.points)
-            .map(|(b, e)| TripPoint {
-                load_fraction: b.load_fraction,
-                tolerance_secs: b.tolerance_secs.powf(1.0 - age) * e.tolerance_secs.powf(age),
-            })
-            .collect();
-        TripCurve::new(points, eol.ride_through_secs)
-            // flex-lint: allow(P1): geometric interpolation of two valid curves keeps every invariant
-            .expect("interpolation preserves ordering")
-    }
-
     /// The curve's overload points, ascending by load.
     pub fn points(&self) -> &[TripPoint] {
         &self.points
@@ -212,11 +188,9 @@ impl Default for TripCurve {
 /// use flex_power::trip_curve::{TripCurve, OverloadAccumulator};
 /// let mut acc = OverloadAccumulator::new(TripCurve::end_of_life(), 60.0);
 /// // 6 s at 133% consumes 60% of the 10 s budget: not tripped yet.
-/// acc.advance(6.0, 4.0 / 3.0);
-/// assert!(!acc.is_tripped());
+/// assert!(!acc.advance(6.0, 4.0 / 3.0));
 /// // Another 5 s pushes past the limit.
-/// acc.advance(5.0, 4.0 / 3.0);
-/// assert!(acc.is_tripped());
+/// assert!(acc.advance(5.0, 4.0 / 3.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadAccumulator {
@@ -293,11 +267,6 @@ impl OverloadAccumulator {
         self.damage.min(1.0)
     }
 
-    /// Whether the device has tripped (latching).
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
-
     /// Remaining trip-budget margin in `[0, 1]`: `1 − damage`. A healthy
     /// device sits at 1.0 and a tripped one at 0.0; observability gauges
     /// export this per UPS so a dump shows how close each survivor came
@@ -306,26 +275,9 @@ impl OverloadAccumulator {
         (1.0 - self.damage).clamp(0.0, 1.0)
     }
 
-    /// Remaining time (seconds) at a constant `load_fraction` before the
-    /// device trips; `None` if that load is tolerated indefinitely.
-    pub fn time_to_trip(&self, load_fraction: f64) -> Option<f64> {
-        if self.tripped {
-            return Some(0.0);
-        }
-        self.curve
-            .tolerance(load_fraction)
-            .map(|tol| (1.0 - self.damage) * tol)
-    }
-
     /// The curve this accumulator integrates against.
     pub fn curve(&self) -> &TripCurve {
         &self.curve
-    }
-
-    /// Total simulated time this accumulator has integrated (seconds since
-    /// construction or the last [`reset`](Self::reset)).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed
     }
 
     /// Length of the contiguous damage-carrying window that ended in a
@@ -389,24 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn battery_age_interpolates_between_curves() {
-        let mid = TripCurve::at_battery_age(0.5);
-        let t = mid.tolerance(4.0 / 3.0).unwrap();
-        assert!(t > 10.0 && t < 30.0, "got {t}");
-        let fresh = TripCurve::at_battery_age(0.0);
-        assert!((fresh.tolerance(1.2).unwrap()
-            - TripCurve::beginning_of_life().tolerance(1.2).unwrap())
-        .abs()
-            < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "battery age")]
-    fn battery_age_out_of_range_panics() {
-        let _ = TripCurve::at_battery_age(1.5);
-    }
-
-    #[test]
     fn validation_rejects_malformed_curves() {
         assert_eq!(TripCurve::new(vec![], 0.0), Err(PowerError::EmptyTripCurve));
         // Starts at 1.0 (not > 1.0).
@@ -443,8 +377,6 @@ mod tests {
             assert!(!acc.advance(1.0, 4.0 / 3.0), "tripped early at {step} s");
         }
         assert!(acc.advance(1.0, 4.0 / 3.0));
-        assert!(acc.is_tripped());
-        assert_eq!(acc.time_to_trip(1.5), Some(0.0));
     }
 
     #[test]
@@ -452,20 +384,18 @@ mod tests {
         let mut acc = OverloadAccumulator::new(TripCurve::end_of_life(), 10.0);
         acc.advance(5.0, 4.0 / 3.0); // 50% damage
         assert!((acc.damage() - 0.5).abs() < 1e-9);
-        acc.advance(5.0, 0.9); // recover half of full scale
+        assert!(!acc.advance(5.0, 0.9)); // recover half of full scale
         assert!(acc.damage() < 0.01);
-        assert!(!acc.is_tripped());
     }
 
     #[test]
     fn accumulator_latches_and_resets() {
         let mut acc = OverloadAccumulator::new(TripCurve::end_of_life(), 60.0);
-        acc.advance(20.0, 4.0 / 3.0);
-        assert!(acc.is_tripped());
+        assert!(acc.advance(20.0, 4.0 / 3.0));
         // Low load does not untrip.
         assert!(acc.advance(100.0, 0.5));
         acc.reset();
-        assert!(!acc.is_tripped());
+        assert!(!acc.advance(0.0, 0.5));
         assert_eq!(acc.damage(), 0.0);
     }
 
@@ -475,20 +405,8 @@ mod tests {
         assert_eq!(acc.margin(), 1.0);
         acc.advance(5.0, 4.0 / 3.0);
         assert!((acc.margin() - 0.5).abs() < 1e-9);
-        acc.advance(20.0, 4.0 / 3.0);
-        assert!(acc.is_tripped());
+        assert!(acc.advance(20.0, 4.0 / 3.0));
         assert_eq!(acc.margin(), 0.0);
-    }
-
-    #[test]
-    fn time_to_trip_scales_with_damage() {
-        let mut acc = OverloadAccumulator::new(TripCurve::end_of_life(), 60.0);
-        let full = acc.time_to_trip(4.0 / 3.0).unwrap();
-        assert!((full - 10.0).abs() < 1e-9);
-        acc.advance(5.0, 4.0 / 3.0);
-        let half = acc.time_to_trip(4.0 / 3.0).unwrap();
-        assert!((half - 5.0).abs() < 1e-9);
-        assert!(acc.time_to_trip(0.8).is_none());
     }
 
     #[test]
@@ -497,11 +415,10 @@ mod tests {
         assert_eq!(acc.trip_overload_secs(), None);
         // 30 s of healthy load, then a fatal 133% overload.
         acc.advance(30.0, 0.8);
-        for _ in 0..10 {
+        for _ in 0..9 {
             acc.advance(1.0, 4.0 / 3.0);
         }
-        assert!(acc.is_tripped());
-        assert!((acc.elapsed_secs() - 40.0).abs() < 1e-9);
+        assert!(acc.advance(1.0, 4.0 / 3.0));
         let window = acc.trip_overload_secs().unwrap();
         assert!((window - 10.0).abs() < 1e-9, "got {window}");
     }
@@ -514,10 +431,10 @@ mod tests {
         acc.advance(10.0, 0.5); // decays to zero
         assert!((acc.damage() - 0.0).abs() < 1e-12);
         acc.advance(100.0, 0.5);
-        for _ in 0..10 {
+        for _ in 0..9 {
             acc.advance(1.0, 4.0 / 3.0);
         }
-        assert!(acc.is_tripped());
+        assert!(acc.advance(1.0, 4.0 / 3.0));
         // Window covers only the second overload episode, not the first.
         let window = acc.trip_overload_secs().unwrap();
         assert!((window - 10.0).abs() < 1e-9, "got {window}");
@@ -530,7 +447,6 @@ mod tests {
         assert!(acc.trip_overload_secs().is_some());
         acc.reset();
         assert_eq!(acc.trip_overload_secs(), None);
-        assert_eq!(acc.elapsed_secs(), 0.0);
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl Fraction {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Returns `1 - self`.
-    pub fn complement(self) -> Fraction {
-        Fraction(1.0 - self.0)
-    }
 }
 
 impl fmt::Display for Fraction {
@@ -324,10 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn fraction_clamped_and_complement() {
+    fn fraction_clamped() {
         assert_eq!(Fraction::clamped(2.0).value(), 1.0);
         assert_eq!(Fraction::clamped(-3.0).value(), 0.0);
-        assert_eq!(Fraction::clamped(0.25).complement().value(), 0.75);
+        assert_eq!(Fraction::clamped(0.25).value(), 0.25);
     }
 
     #[test]

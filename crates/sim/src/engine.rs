@@ -200,11 +200,6 @@ impl<W, E: Event<W>> Sim<W, E> {
         self.now
     }
 
-    /// Number of events executed so far.
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
     /// Shared access to the world.
     pub fn world(&self) -> &W {
         &self.world
@@ -213,11 +208,6 @@ impl<W, E: Event<W>> Sim<W, E> {
     /// Exclusive access to the world (between events).
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// Consumes the simulator, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Schedules an event at an absolute time.
@@ -283,17 +273,6 @@ impl<W, E: Event<W>> Sim<W, E> {
         true
     }
 
-    /// Runs until the queue is empty. Returns the number of events
-    /// executed by this call.
-    ///
-    /// Prefer [`Sim::run_until`] for workloads with self-perpetuating
-    /// event chains.
-    pub fn run_until_idle(&mut self) -> u64 {
-        let start = self.executed;
-        while self.step() {}
-        self.executed - start
-    }
-
     /// Runs events with firing time `<= deadline`, then advances the clock
     /// to exactly `deadline`. Events scheduled later stay queued.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
@@ -306,12 +285,6 @@ impl<W, E: Event<W>> Sim<W, E> {
         }
         self.now = self.now.max(deadline);
         self.executed - start
-    }
-
-    /// Runs for a relative duration from the current time.
-    pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let deadline = self.now + d;
-        self.run_until(deadline)
     }
 }
 
@@ -337,7 +310,7 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(30), |w: &mut Vec<u32>, _| w.push(3));
         sim.schedule_at(SimTime::from_nanos(10), |w: &mut Vec<u32>, _| w.push(1));
         sim.schedule_at(SimTime::from_nanos(20), |w: &mut Vec<u32>, _| w.push(2));
-        sim.run_until_idle();
+        while sim.step() {}
         assert_eq!(sim.world(), &vec![1, 2, 3]);
     }
 
@@ -348,7 +321,7 @@ mod tests {
         for i in 0..10 {
             sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
         }
-        sim.run_until_idle();
+        while sim.step() {}
         assert_eq!(sim.world(), &(0..10).collect::<Vec<_>>());
     }
 
@@ -362,10 +335,13 @@ mod tests {
                 ctx.schedule_in(SimDuration::from_secs(3), |w: &mut u64, _| *w += 100);
             });
         });
-        sim.run_until_idle();
+        let mut executed = 0;
+        while sim.step() {
+            executed += 1;
+        }
         assert_eq!(*sim.world(), 111);
         assert_eq!(sim.now(), SimTime::from_secs_f64(6.0));
-        assert_eq!(sim.executed_events(), 3);
+        assert_eq!(executed, 3);
     }
 
     #[test]
@@ -378,19 +354,8 @@ mod tests {
         assert_eq!(executed, 4);
         assert_eq!(*sim.world(), 4);
         assert_eq!(sim.now(), SimTime::from_secs_f64(4.5));
-        sim.run_until_idle();
+        while sim.step() {}
         assert_eq!(*sim.world(), 10);
-    }
-
-    #[test]
-    fn run_for_is_relative() {
-        let mut sim = Sim::new(0u32);
-        sim.schedule_at(SimTime::from_secs_f64(1.0), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_secs_f64(3.0), |w: &mut u32, _| *w += 1);
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(*sim.world(), 1);
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(*sim.world(), 2);
     }
 
     #[test]
@@ -398,7 +363,7 @@ mod tests {
     fn scheduling_into_past_panics() {
         let mut sim = Sim::new(());
         sim.schedule_at(SimTime::from_secs_f64(5.0), |_, _| {});
-        sim.run_until_idle();
+        while sim.step() {}
         sim.schedule_at(SimTime::from_secs_f64(1.0), |_, _| {});
     }
 
@@ -414,7 +379,7 @@ mod tests {
         }
         let mut sim = Sim::new(0u32);
         sim.schedule_at(SimTime::ZERO, tick);
-        sim.run_until_idle();
+        while sim.step() {}
         assert_eq!(*sim.world(), 5);
         assert_eq!(sim.now(), SimTime::from_secs_f64(4.0));
     }
@@ -427,9 +392,8 @@ mod tests {
                 let t = SimTime::from_nanos(((i * 37) % 50) as u64);
                 sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
             }
-            sim.run_until_idle();
-            let now = sim.now();
-            (sim.into_world(), now)
+            while sim.step() {}
+            (sim.world().clone(), sim.now())
         }
         assert_eq!(run(), run());
     }
@@ -547,7 +511,7 @@ mod tests {
                 }
             }
         }
-        sim.into_world().fired
+        std::mem::take(&mut sim.world_mut().fired)
     }
 
     proptest! {

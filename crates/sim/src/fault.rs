@@ -173,14 +173,6 @@ impl FaultPlan {
     pub fn components(&self) -> Vec<&str> {
         self.outages.keys().map(String::as_str).collect()
     }
-
-    /// Iterates over every `(component, outage)` pair, sorted by
-    /// component then start time (used for report serialization).
-    pub fn entries(&self) -> impl Iterator<Item = (&str, Outage)> + '_ {
-        self.outages
-            .iter()
-            .flat_map(|(c, ws)| ws.iter().map(move |&o| (c.as_str(), o)))
-    }
 }
 
 /// True unless `t` falls in one of `windows` (sorted by start,
@@ -272,9 +264,7 @@ mod tests {
         plan.add_outage("a", SimTime::ZERO, SimTime::from_secs_f64(1.0));
         plan.add_outage("a", SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(3.0));
         assert_eq!(plan.components(), vec!["a", "b"]);
-        let entries: Vec<(&str, Outage)> = plan.entries().collect();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].0, "a");
+        assert_eq!(plan.outages_of("a").len(), 2);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! - [`dist`] — the distributions the workload and telemetry models need
 //!   (normal, lognormal, exponential, truncated normal, …) implemented on
 //!   top of `rand` to keep the dependency footprint small;
-//! - [`stats`] — online mean/variance, exact percentiles, and time-weighted
-//!   series used by every experiment harness;
+//! - [`stats`] — online mean/variance, exact percentiles, and step-valued
+//!   time series used by every experiment harness;
 //! - [`fault`] — component up/down schedules for failure injection.
 //!
 //! # Example
@@ -31,7 +31,7 @@
 //!     // Events can schedule follow-ups.
 //!     ctx.schedule_in(SimDuration::from_secs(1), |w: &mut u32, _| *w += 10);
 //! });
-//! sim.run_until_idle();
+//! while sim.step() {}
 //! assert_eq!(*sim.world(), 11);
 //! assert_eq!(sim.now().as_secs_f64(), 2.0);
 //! ```

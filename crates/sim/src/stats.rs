@@ -1,6 +1,6 @@
 //! Statistics collectors used by every experiment harness.
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 ///
@@ -85,26 +85,6 @@ impl OnlineStats {
     /// Maximum observation (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another collector into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -217,8 +197,8 @@ impl FromIterator<f64> for Percentiles {
 }
 
 /// A time-stamped series of values with step semantics: the value recorded
-/// at `t` holds until the next record. Supports time-weighted aggregation,
-/// which is what power telemetry needs (a reading holds until replaced).
+/// at `t` holds until the next record, which is what power telemetry
+/// needs (a reading holds until replaced).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -264,35 +244,6 @@ impl TimeSeries {
         idx.checked_sub(1).map(|i| self.points[i].1)
     }
 
-    /// Time-weighted mean over `[from, to]` under step semantics.
-    /// Returns `None` if the series has no value in effect by `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from > to`.
-    pub fn time_weighted_mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        assert!(from <= to, "inverted interval");
-        if from == to {
-            return self.value_at(from);
-        }
-        let mut acc = 0.0;
-        let mut cursor = from;
-        let mut current = self.value_at(from)?;
-        for &(pt, v) in &self.points {
-            if pt <= from {
-                continue;
-            }
-            if pt >= to {
-                break;
-            }
-            acc += current * (pt - cursor).as_secs_f64();
-            cursor = pt;
-            current = v;
-        }
-        acc += current * (to - cursor).as_secs_f64();
-        Some(acc / (to - from).as_secs_f64())
-    }
-
     /// Maximum value over points within `[from, to]`, including the value
     /// in effect at `from`.
     pub fn max_over(&self, from: SimTime, to: SimTime) -> Option<f64> {
@@ -303,36 +254,6 @@ impl TimeSeries {
             }
         }
         best
-    }
-
-    /// Duration within `[from, to]` during which the series value strictly
-    /// exceeded `threshold`.
-    pub fn time_above(&self, threshold: f64, from: SimTime, to: SimTime) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut cursor = from;
-        let mut current = self.value_at(from);
-        for &(pt, v) in &self.points {
-            if pt <= from {
-                continue;
-            }
-            let seg_end = pt.min(to);
-            if let Some(c) = current {
-                if c > threshold && seg_end > cursor {
-                    total += seg_end - cursor;
-                }
-            }
-            if pt >= to {
-                return total;
-            }
-            cursor = pt;
-            current = Some(v);
-        }
-        if let Some(c) = current {
-            if c > threshold && to > cursor {
-                total += to - cursor;
-            }
-        }
-        total
     }
 }
 
@@ -353,41 +274,6 @@ mod tests {
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
         assert!((s.population_variance() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_single_pass() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.mean(), 5.0);
-        let empty = OnlineStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]
@@ -427,11 +313,6 @@ mod tests {
         assert_eq!(ts.value_at(SimTime::from_secs_f64(5.0)), Some(1.0));
         assert_eq!(ts.value_at(SimTime::from_secs_f64(10.0)), Some(3.0));
         assert_eq!(ts.value_at(SimTime::from_secs_f64(99.0)), Some(3.0));
-        // Mean over [0, 20]: 1.0 for 10 s then 3.0 for 10 s.
-        let m = ts
-            .time_weighted_mean(SimTime::ZERO, SimTime::from_secs_f64(20.0))
-            .unwrap();
-        assert!((m - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -439,19 +320,6 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.record(SimTime::from_secs_f64(5.0), 1.0);
         assert_eq!(ts.value_at(SimTime::ZERO), None);
-        assert!(ts
-            .time_weighted_mean(SimTime::ZERO, SimTime::from_secs_f64(1.0))
-            .is_none());
-    }
-
-    #[test]
-    fn time_series_time_above() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs_f64(0.0), 0.5);
-        ts.record(SimTime::from_secs_f64(10.0), 1.5);
-        ts.record(SimTime::from_secs_f64(15.0), 0.8);
-        let above = ts.time_above(1.0, SimTime::ZERO, SimTime::from_secs_f64(30.0));
-        assert_eq!(above, SimDuration::from_secs(5));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Virtual time: nanosecond-resolution instants and durations.
 
 use std::fmt;
-use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A duration of virtual time, in whole nanoseconds.
@@ -22,11 +21,6 @@ impl SimDuration {
     /// From whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
-    }
-
-    /// From whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
     }
 
     /// From whole milliseconds.
@@ -140,12 +134,6 @@ impl Div<u64> for SimDuration {
     }
 }
 
-impl Sum for SimDuration {
-    fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
-        iter.fold(SimDuration::ZERO, |a, b| a + b)
-    }
-}
-
 /// An instant of virtual time: nanoseconds since simulation start.
 ///
 /// ```
@@ -252,8 +240,7 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2000));
-        assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3000));
-        assert_eq!(SimDuration::from_micros(5), SimDuration::from_nanos(5000));
+        assert_eq!(SimDuration::from_millis(3), SimDuration::from_nanos(3_000_000));
         assert_eq!(SimDuration::from_secs_f64(1.5), SimDuration::from_millis(1500));
     }
 
@@ -291,16 +278,6 @@ mod tests {
         assert_eq!(u - SimDuration::from_secs(5), t);
         assert_eq!(t.saturating_since(u), SimDuration::ZERO);
         assert_eq!(u.saturating_since(t), SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn time_ordering_and_sum() {
-        let times: Vec<SimTime> = (0..5).map(|i| SimTime::from_nanos(i * 10)).collect();
-        assert!(times.windows(2).all(|w| w[0] < w[1]));
-        let total: SimDuration = (0..4)
-            .map(|i| times[i + 1] - times[i])
-            .sum();
-        assert_eq!(total, SimDuration::from_nanos(40));
     }
 
     #[test]

@@ -22,18 +22,6 @@ pub struct MeterFaults {
     pub drop_probability: f64,
 }
 
-impl MeterFaults {
-    /// No faults, no noise.
-    pub fn none() -> Self {
-        MeterFaults {
-            noise_rel: 0.0,
-            stuck_probability: 0.0,
-            stuck_duration: SimDuration::ZERO,
-            drop_probability: 0.0,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct MeterState {
     rng: SmallRng,
@@ -189,9 +177,19 @@ mod tests {
         RngPool::new(77)
     }
 
+    /// No faults, no noise.
+    fn no_faults() -> MeterFaults {
+        MeterFaults {
+            noise_rel: 0.0,
+            stuck_probability: 0.0,
+            stuck_duration: SimDuration::ZERO,
+            drop_probability: 0.0,
+        }
+    }
+
     #[test]
     fn noiseless_meter_reads_exact_raw_value() {
-        let mut bank = MeterBank::new(4, 2, MeterFaults::none(), &pool());
+        let mut bank = MeterBank::new(4, 2, no_faults(), &pool());
         let truth = Watts::from_kw(1000.0);
         for kind in MeterKind::ALL {
             let raw = bank
@@ -207,7 +205,7 @@ mod tests {
     fn noise_is_bounded_and_unbiased() {
         let faults = MeterFaults {
             noise_rel: 0.01,
-            ..MeterFaults::none()
+            ..no_faults()
         };
         let mut bank = MeterBank::new(1, 0, faults, &pool());
         let truth = Watts::from_kw(1000.0);
@@ -226,7 +224,7 @@ mod tests {
 
     #[test]
     fn stuck_meter_repeats_last_value() {
-        let mut bank = MeterBank::new(1, 0, MeterFaults::none(), &pool());
+        let mut bank = MeterBank::new(1, 0, no_faults(), &pool());
         let t0 = SimTime::ZERO;
         let first = bank
             .read_ups(UpsId(0), MeterKind::ItAggregate, t0, Watts::from_kw(500.0))
@@ -258,7 +256,7 @@ mod tests {
     fn drops_occur_at_configured_rate() {
         let faults = MeterFaults {
             drop_probability: 0.2,
-            ..MeterFaults::none()
+            ..no_faults()
         };
         let mut bank = MeterBank::new(1, 0, faults, &pool());
         let mut drops = 0;
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn foreign_ids_read_none() {
-        let mut bank = MeterBank::new(2, 2, MeterFaults::none(), &pool());
+        let mut bank = MeterBank::new(2, 2, no_faults(), &pool());
         assert!(bank
             .read_ups(UpsId(9), MeterKind::ItAggregate, SimTime::ZERO, Watts::ZERO)
             .is_none());
@@ -289,7 +287,7 @@ mod tests {
     fn meters_have_independent_noise() {
         let faults = MeterFaults {
             noise_rel: 0.01,
-            ..MeterFaults::none()
+            ..no_faults()
         };
         let mut bank = MeterBank::new(2, 0, faults, &pool());
         let truth = Watts::from_kw(1000.0);

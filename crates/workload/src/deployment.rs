@@ -39,8 +39,8 @@ impl fmt::Display for DeploymentId {
 ///     Some(Fraction::new(0.8)?),
 /// )?;
 /// assert_eq!(d.total_power(), Watts::from_kw(344.0));
-/// // 20% of each rack's power can be shaved via throttling.
-/// assert!(d.shaveable_power().approx_eq(Watts::from_kw(68.8), 1e-6));
+/// // Throttling may take each rack down to 80% of its power.
+/// assert!(d.cap_power().approx_eq(Watts::from_kw(275.2), 1e-6));
 /// # Ok::<(), flex_power::PowerError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -173,12 +173,6 @@ impl DeploymentRequest {
         self.total_power() * self.flex_fraction
     }
 
-    /// Worst-case power recoverable from this deployment
-    /// (`Pow_d − CapPow_d`).
-    pub fn shaveable_power(&self) -> Watts {
-        self.total_power() - self.cap_power()
-    }
-
     /// Splits this deployment into chunks of at most `max_racks` racks
     /// (the paper's deployment-size sensitivity study). Ids are reassigned
     /// by the caller via `renumber`.
@@ -240,22 +234,19 @@ mod tests {
     fn cap_power_follows_equation_3() {
         let sr = dep(WorkloadCategory::SoftwareRedundant, Some(0.8));
         assert_eq!(sr.cap_power(), Watts::ZERO); // flex ignored for SR
-        assert!(sr.shaveable_power().approx_eq(Watts::from_kw(144.0), 1e-6));
 
         let cap = dep(WorkloadCategory::CapAble, Some(0.75));
         assert!(cap.cap_power().approx_eq(Watts::from_kw(108.0), 1e-6));
-        assert!(cap.shaveable_power().approx_eq(Watts::from_kw(36.0), 1e-6));
 
         let non = dep(WorkloadCategory::NonCapAble, Some(0.5));
         assert!(non.cap_power().approx_eq(non.total_power(), 1e-9));
-        assert_eq!(non.shaveable_power(), Watts::ZERO);
     }
 
     #[test]
     fn capable_default_flex_is_one() {
         let cap = dep(WorkloadCategory::CapAble, None);
         assert_eq!(cap.flex_fraction(), Fraction::ONE);
-        assert_eq!(cap.shaveable_power(), Watts::ZERO);
+        assert_eq!(cap.cap_power(), cap.total_power());
     }
 
     #[test]

@@ -77,35 +77,6 @@ impl ImpactFunction {
         }
     }
 
-    /// The identity function: impact grows linearly with the affected
-    /// share.
-    pub fn linear() -> Self {
-        ImpactFunction {
-            points: vec![(0.0, 0.0), (1.0, 1.0)],
-        }
-    }
-
-    /// "Do not touch": any action has maximal impact. Flex-Online treats
-    /// impact-1 candidates as last resorts.
-    pub fn critical() -> Self {
-        ImpactFunction {
-            points: vec![(0.0, 1.0), (1.0, 1.0)],
-        }
-    }
-
-    /// A free buffer of `free` rack-share, then linear growth to
-    /// `max_impact` at full share (Figure 8's growth-buffer pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if arguments leave the unit square.
-    pub fn free_then_linear(free: f64, max_impact: f64) -> Self {
-        assert!((0.0..1.0).contains(&free), "free share must be in [0,1)");
-        assert!((0.0..=1.0).contains(&max_impact), "impact must be in [0,1]");
-        ImpactFunction::from_points(vec![(0.0, 0.0), (free, 0.0), (1.0, max_impact)])
-            .expect("constructed knots are valid")
-    }
-
     /// The knots.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
@@ -128,20 +99,6 @@ impl ImpactFunction {
         }
         let t = (x - x0) / (x1 - x0);
         y0 + t * (y1 - y0)
-    }
-
-    /// The largest affected fraction with zero impact (the "free" share).
-    pub fn free_share(&self) -> f64 {
-        let mut free = 0.0;
-        for &(x, y) in &self.points {
-            // flex-lint: allow(F1): "free" means an impact knot of exactly zero, by definition
-            if y == 0.0 {
-                free = x;
-            } else {
-                break;
-            }
-        }
-        free
     }
 }
 
@@ -303,21 +260,8 @@ mod tests {
 
     #[test]
     fn builtin_functions() {
+        assert_eq!(ImpactFunction::zero().eval(Fraction::ZERO), 0.0);
         assert_eq!(ImpactFunction::zero().eval(Fraction::ONE), 0.0);
-        assert_eq!(ImpactFunction::critical().eval(Fraction::ZERO), 1.0);
-        let lin = ImpactFunction::linear();
-        assert!((lin.eval(Fraction::new(0.3).unwrap()) - 0.3).abs() < 1e-12);
-        let ftl = ImpactFunction::free_then_linear(0.4, 0.8);
-        assert_eq!(ftl.eval(Fraction::new(0.4).unwrap()), 0.0);
-        assert!((ftl.eval(Fraction::ONE) - 0.8).abs() < 1e-12);
-        assert_eq!(ftl.free_share(), 0.4);
-    }
-
-    #[test]
-    fn free_share_detection() {
-        assert_eq!(ImpactFunction::zero().free_share(), 1.0);
-        assert_eq!(ImpactFunction::linear().free_share(), 0.0);
-        assert_eq!(scenarios::figure8_b().free_share(), 0.7);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 mod category;
 mod deployment;
-pub mod flex_estimator;
 pub mod impact;
 pub mod mix;
 pub mod power_model;

@@ -158,21 +158,6 @@ impl DiurnalProfile {
         };
         Fraction::clamped(u)
     }
-
-    /// Hours per week during which utilization is within `margin` of the
-    /// peak (used by the feasibility analysis to weight failure timing).
-    pub fn peak_hours_per_week(&self, margin: f64) -> f64 {
-        let mut hours = 0.0;
-        let step = 0.1;
-        let mut h = 0.0;
-        while h < 168.0 {
-            if self.utilization_at(h).value() >= self.peak - margin {
-                hours += step;
-            }
-            h += step;
-        }
-        hours
-    }
 }
 
 impl Default for DiurnalProfile {
@@ -268,14 +253,6 @@ mod tests {
             (0.15..=0.25).contains(&dip_fraction),
             "dip {dip_fraction} outside the paper's 15–19%-ish range"
         );
-    }
-
-    #[test]
-    fn peak_hours_are_a_minority_of_the_week() {
-        let p = DiurnalProfile::default_microsoft();
-        let hours = p.peak_hours_per_week(0.02);
-        assert!(hours > 0.0);
-        assert!(hours < 60.0, "peak hours {hours} should be well under half the week");
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl DemandTrace {
         self.deployments.iter().map(|d| d.total_power()).sum()
     }
 
-    /// Total requested power for one category.
-    pub fn category_power(&self, category: WorkloadCategory) -> Watts {
-        self.deployments
-            .iter()
-            .filter(|d| d.category() == category)
-            .map(|d| d.total_power())
-            .sum()
-    }
-
     /// A shuffled copy with renumbered ids (the paper evaluates 10 random
     /// orderings of each trace).
     pub fn shuffled<R: Rng + ?Sized>(&self, rng: &mut R) -> DemandTrace {
@@ -228,6 +219,15 @@ mod tests {
         TraceGenerator::new(config).generate(&mut rng)
     }
 
+    /// Total requested power for one category.
+    fn category_power(t: &DemandTrace, category: WorkloadCategory) -> Watts {
+        t.deployments()
+            .iter()
+            .filter(|d| d.category() == category)
+            .map(|d| d.total_power())
+            .sum()
+    }
+
     #[test]
     fn trace_reaches_target_power() {
         let t = microsoft_trace(1);
@@ -241,9 +241,9 @@ mod tests {
     fn category_mix_approximates_configuration() {
         let t = microsoft_trace(2);
         let total = t.total_power();
-        let sr = t.category_power(WorkloadCategory::SoftwareRedundant) / total;
-        let cap = t.category_power(WorkloadCategory::CapAble) / total;
-        let non = t.category_power(WorkloadCategory::NonCapAble) / total;
+        let sr = category_power(&t, WorkloadCategory::SoftwareRedundant) / total;
+        let cap = category_power(&t, WorkloadCategory::CapAble) / total;
+        let non = category_power(&t, WorkloadCategory::NonCapAble) / total;
         assert!((sr - 0.13).abs() < 0.04, "SR share {sr}");
         assert!((cap - 0.56).abs() < 0.04, "cap share {cap}");
         assert!((non - 0.31).abs() < 0.04, "non share {non}");
@@ -327,7 +327,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let t = TraceGenerator::new(config).generate(&mut rng);
         assert_eq!(
-            t.category_power(WorkloadCategory::SoftwareRedundant),
+            category_power(&t, WorkloadCategory::SoftwareRedundant),
             Watts::ZERO
         );
     }

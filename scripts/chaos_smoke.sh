@@ -8,8 +8,9 @@
 #   2. the same campaign with watchdog+retry disabled (--ab) finds at
 #      least one trip-curve violation that the hardened re-judge
 #      survives (the hardening is load-bearing);
-#   3. a failing scenario replays from its JSON text alone and
-#      reproduces the verdict.
+#   3. a failing scenario replays from its JSON text alone,
+#      reproduces the verdict, and its recorder dump re-derives the
+#      recorded controller commands through fresh controllers.
 #
 # Usage: scripts/chaos_smoke.sh
 
@@ -61,6 +62,7 @@ if command -v jq >/dev/null; then
     # The reproducer is unhardened, so replay must report the violation
     # (non-zero exit) — and a second replay must print the same verdict.
     "$BIN" replay --file "$TMP/repro.json" --json "$TMP/r1.json" \
+        | tee "$TMP/r1.out" \
         && { echo "chaos smoke: FAIL — reproducer replayed clean" >&2; exit 1; }
     "$BIN" replay --file "$TMP/repro.json" --json "$TMP/r2.json" || true
     cmp "$TMP/r1.json" "$TMP/r2.json" || {
@@ -69,6 +71,10 @@ if command -v jq >/dev/null; then
     }
     grep -q 'unexcused-trip' "$TMP/r1.json" || {
         echo "chaos smoke: FAIL — replay lost the trip violation" >&2
+        exit 1
+    }
+    grep -q '^decision replay: identical' "$TMP/r1.out" || {
+        echo "chaos smoke: FAIL — decisions replayed from the dump diverged" >&2
         exit 1
     }
 else
