@@ -19,7 +19,6 @@ fn bench_policies(c: &mut Criterion) {
     let trace = TraceGenerator::new(config).generate(&mut SmallRng::seed_from_u64(1));
     let fast_ilp = IlpConfig {
         time_limit: Duration::from_millis(500),
-        ..IlpConfig::default()
     };
 
     let mut group = c.benchmark_group("placement");

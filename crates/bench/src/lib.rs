@@ -48,7 +48,6 @@ pub fn study_ilp_config() -> IlpConfig {
         } else {
             Duration::from_secs(8)
         },
-        ..IlpConfig::default()
     }
 }
 

@@ -30,7 +30,7 @@
 //!    through.
 
 use flex_obs::json::{obj, Value};
-use flex_online::sim::{RoomSimConfig, SimEvent};
+use flex_online::sim::{SimEvent, ALARM_LATENCY};
 use flex_online::RackPowerState;
 use flex_sim::{SimDuration, SimTime};
 
@@ -116,8 +116,7 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
     let rm_plan = fault_plan_of(&scenario.rm_faults);
     let pipeline_plan = fault_plan_of(&scenario.pipeline_faults);
     let rack_count = world.racks().len();
-    // Scenarios run with the default out-of-band alarm latency.
-    let alarm_latency_secs = RoomSimConfig::default().alarm_latency.as_secs_f64();
+    let alarm_latency_secs = ALARM_LATENCY.as_secs_f64();
 
     for (at, event) in &world.stats.events {
         let SimEvent::UpsTripped(ups) = event else {

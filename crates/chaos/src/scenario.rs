@@ -561,7 +561,6 @@ pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome 
                 0
             },
             fencing: scenario.fencing,
-            ..ActuatorConfig::default()
         },
         delivery_chaos: scenario.chaos.to_delivery_chaos(),
         recovery: scenario.recovery,

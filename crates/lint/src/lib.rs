@@ -42,6 +42,7 @@ pub mod config;
 pub mod context;
 pub mod engine;
 pub mod lexer;
+mod locals;
 pub mod rules;
 
 pub use config::{LintConfig, RuleConfig, Severity, RULE_IDS};

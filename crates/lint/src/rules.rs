@@ -9,7 +9,7 @@
 //! | F1 | no `==`/`!=` on float expressions | all non-test code |
 //! | H1 | crate roots carry `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` | `crates/*/src/lib.rs` |
 //! | S1 | suppressions must parse and carry a justification | everywhere |
-//! | A1 | no `pub fn` whose name no non-test code uses | `pub fn`s in `crates/*/src`; uses from the whole walk minus tests |
+//! | A1 | no `pub fn` whose name no non-test code uses (local bindings are not uses) | `pub fn`s in `crates/*/src`; uses from the whole walk minus tests |
 //!
 //! D1–S1 look at one file at a time ([`check_file`]); A1 needs the
 //! whole walk at once (`ApiIndex`).
@@ -19,6 +19,7 @@ use std::collections::HashSet;
 use crate::config::{LintConfig, Severity};
 use crate::context::{FileClass, FileContext};
 use crate::lexer::TokenKind;
+use crate::locals::local_names;
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -474,15 +475,19 @@ fn rule_s1(ctx: &FileContext, config: &LintConfig, out: &mut Vec<Diagnostic>) {
 /// the walk names: libraries, binaries, benches and examples. These
 /// never count as a use: `#[cfg(test)]`/`#[test]` items, files under a
 /// `tests/` or `fixtures/` directory, comments (doc examples included),
-/// string literals, the name of any `fn` definition, and a `use` line,
-/// unless it renames the item (`use a::f as g`). A `pub fn` whose name
+/// string literals, the name of any `fn` definition, a `use` line,
+/// unless it renames the item (`use a::f as g`), and a local binding
+/// (a `let`, parameter, `for`, `match`-arm or closure pattern) or a
+/// bare read of one (see `locals::local_names`). A `pub fn` whose name
 /// is never used is a finding at its definition; a justified
 /// `// flex-lint: allow(A1): …` there exempts it.
 ///
 /// The match is by name, not by path: a dead `pub fn` that shares its
-/// name with something used (a `new`, a trait method, a field) is
-/// missed, but a `pub fn` that non-test code names is never flagged.
-/// Trait impls define no `pub fn` and are out of scope.
+/// name with another item that is used (a `new`, a trait method, a
+/// field) is missed. A `pub fn` that non-test code calls, names by
+/// path or passes by value (`.map(f)`) is never flagged, unless a body
+/// passes it bare from outside the block where it binds a local of
+/// the same name. Trait impls define no `pub fn` and are out of scope.
 #[derive(Debug, Default)]
 pub(crate) struct ApiIndex {
     /// `pub fn` definitions in walk order.
@@ -508,6 +513,7 @@ impl ApiIndex {
         let test_path = ctx.rel_path.starts_with("tests/")
             || ctx.rel_path.contains("/tests/")
             || ctx.rel_path.contains("/fixtures/");
+        let locals = local_names(ctx);
         let mut in_use = false;
         for ci in 0..ctx.code.len() {
             let Some(t) = ctx.code_token(ci) else { break };
@@ -533,6 +539,7 @@ impl ApiIndex {
             } else if t.is_ident("use") {
                 in_use = true;
             } else if t.kind == TokenKind::Ident
+                && !locals.get(ci).copied().unwrap_or(false)
                 && !ci
                     .checked_sub(1)
                     .and_then(|p| ctx.code_token(p))

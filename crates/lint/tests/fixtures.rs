@@ -387,6 +387,45 @@ fn a1_justified_suppression_silences_the_finding() {
 }
 
 #[test]
+fn a1_flags_a_dead_pub_fn_named_like_a_local_variable() {
+    // `dead` is only ever a variable: bound by `let`, a parameter, a
+    // `for`, a match arm and a closure, then read bare. None of that
+    // names the fn.
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        (
+            "crates/demo/src/main.rs",
+            "\
+fn main() {
+    demo::used();
+    let mut dead = false;
+    dead = !dead;
+    if dead {}
+    report(dead);
+    for dead in 0..2 { report(dead > 0); }
+    match Some(1) { Some(dead) if dead > 0 => report(true), _ => {} }
+    let _ = [1].iter().map(|dead| dead + 1);
+}
+fn report(dead: bool) { let _ = dead; }
+",
+        ),
+    ]);
+    assert_eq!(flagged, vec!["dead"]);
+}
+
+#[test]
+fn a1_counts_a_pub_fn_passed_by_value() {
+    let flagged = a1_flagged(&[
+        ("crates/demo/src/api.rs", LIB),
+        (
+            "crates/demo/src/main.rs",
+            "use demo::{dead, used};\nfn main() { used(); let n = [1].iter().map(dead).count(); }\n",
+        ),
+    ]);
+    assert!(flagged.is_empty(), "{flagged:?}");
+}
+
+#[test]
 fn a1_misses_a_dead_pub_fn_that_shares_a_used_name() {
     // The documented false negative: the match is by name, so the dead
     // `Meter::used` hides behind the live free function of that name.

@@ -59,20 +59,33 @@ impl RackPowerState {
     }
 }
 
-/// Actuator tuning.
+/// Median rack-manager command latency (RM/BMC round trip +
+/// enforcement), in milliseconds. With [`LATENCY_SIGMA`] it puts the
+/// p99.9 at about 2.4 s, in line with the paper's out-of-band
+/// actuation latency (p99.9 ≈ 2 s for a 10 MW room, Section VI).
+const LATENCY_MEDIAN_MS: f64 = 600.0;
+
+/// Log-normal sigma of the command latency (see [`LATENCY_MEDIAN_MS`]).
+const LATENCY_SIGMA: f64 = 0.45;
+
+/// Extra delay before a powered-off rack is back up after a restore
+/// command: one server boot. A modelling assumption (the paper gives
+/// no figure); it delays restores only, never a shed.
+const RESTART_DELAY: SimDuration = SimDuration::from_secs(90);
+
+/// Backoff before the first resubmission of a rejected command; it
+/// doubles per attempt up to [`RETRY_BACKOFF_MAX`]. The paper gives no
+/// retry policy: at these values the default six retries span 7.75 s,
+/// inside the 10 s the end-of-life trip curve allows at 133% load
+/// (Figure 6).
+const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(250);
+
+/// Backoff ceiling (see [`RETRY_BACKOFF_BASE`]).
+const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_secs(2);
+
+/// Actuator tuning: the two hardening levers the chaos campaign A/Bs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuatorConfig {
-    /// Median command latency (RM/BMC round trip + enforcement).
-    pub latency_median_ms: f64,
-    /// Log-normal sigma of the command latency.
-    pub latency_sigma: f64,
-    /// Extra delay for a rack to boot back up after a restore command.
-    pub restart_delay: SimDuration,
-    /// First-retry backoff after a rejected submission; doubles per
-    /// attempt up to [`retry_backoff_max`](Self::retry_backoff_max).
-    pub retry_backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub retry_backoff_max: SimDuration,
     /// Maximum resubmissions of a rejected command before giving up and
     /// reporting enforcement failure to the controller. `0` disables
     /// retries (the pre-hardening behavior: wait for the next decision
@@ -88,27 +101,20 @@ pub struct ActuatorConfig {
 impl Default for ActuatorConfig {
     fn default() -> Self {
         ActuatorConfig {
-            latency_median_ms: 600.0,
-            latency_sigma: 0.45,
-            restart_delay: SimDuration::from_secs(90),
-            retry_backoff_base: SimDuration::from_millis(250),
-            retry_backoff_max: SimDuration::from_secs(2),
             max_retries: 6,
             fencing: true,
         }
     }
 }
 
-impl ActuatorConfig {
-    /// Deterministic exponential backoff before resubmission number
-    /// `attempt` (1-based): `base × 2^(attempt−1)`, capped at
-    /// [`retry_backoff_max`](Self::retry_backoff_max). No jitter — the
-    /// simulation's determinism guarantees depend on it, and distinct
-    /// controllers already desynchronize through their command streams.
-    pub fn retry_backoff(&self, attempt: u32) -> SimDuration {
-        let doublings = attempt.saturating_sub(1).min(16);
-        (self.retry_backoff_base * (1u64 << doublings)).min(self.retry_backoff_max)
-    }
+/// Deterministic exponential backoff before resubmission number
+/// `attempt` (1-based): `RETRY_BACKOFF_BASE × 2^(attempt−1)`, capped at
+/// [`RETRY_BACKOFF_MAX`]. No jitter — the simulation's determinism
+/// guarantees depend on it, and distinct controllers already
+/// desynchronize through their command streams.
+pub(crate) fn retry_backoff(attempt: u32) -> SimDuration {
+    let doublings = attempt.saturating_sub(1).min(16);
+    (RETRY_BACKOFF_BASE * (1u64 << doublings)).min(RETRY_BACKOFF_MAX)
 }
 
 /// A command accepted by the actuator, to be applied at `apply_at`.
@@ -141,16 +147,6 @@ pub enum Submission {
     /// Rejected by the epoch fence: the issuer has been superseded.
     /// Never retried — the successor instance owns the rack now.
     Fenced,
-}
-
-impl Submission {
-    /// The accepted command, if any.
-    pub fn accepted(self) -> Option<PendingCommand> {
-        match self {
-            Submission::Accepted(cmd) => Some(cmd),
-            _ => None,
-        }
-    }
 }
 
 /// The rack-manager actuation path: latency, reachability, idempotency.
@@ -192,7 +188,7 @@ impl Actuator {
     pub fn new(rack_count: usize, config: ActuatorConfig, pool: &RngPool) -> Self {
         Actuator {
             states: vec![RackPowerState::Normal; rack_count],
-            latency: LogNormal::from_median(config.latency_median_ms.max(1e-3), config.latency_sigma.max(1e-6)),
+            latency: LogNormal::from_median(LATENCY_MEDIAN_MS, LATENCY_SIGMA),
             rng: pool.stream("actuator"),
             faults: FaultPlan::new(),
             last_apply: vec![SimTime::ZERO; rack_count],
@@ -280,7 +276,7 @@ impl Actuator {
     }
 
     /// Submits a restore (lift cap / power on). Powering on adds the
-    /// configured restart delay.
+    /// rack's boot time (90 s).
     pub fn submit_restore(
         &mut self,
         now: SimTime,
@@ -289,7 +285,7 @@ impl Actuator {
         rack: RackId,
     ) -> Submission {
         let extra = if self.states.get(rack.0) == Some(&RackPowerState::Off) {
-            self.config.restart_delay
+            RESTART_DELAY
         } else {
             SimDuration::ZERO
         };
@@ -452,7 +448,7 @@ mod tests {
         a.apply(&down);
         let now = SimTime::from_secs_f64(60.0);
         let up = ok(a.submit_restore(now, 0, 0, RackId(0)));
-        assert!(up.apply_at >= now + ActuatorConfig::default().restart_delay);
+        assert!(up.apply_at >= now + RESTART_DELAY);
         a.apply(&up);
         assert_eq!(a.state(RackId(0)), Some(RackPowerState::Normal));
         // Restoring a throttled rack has no restart delay.
@@ -607,13 +603,12 @@ mod tests {
 
     #[test]
     fn retry_backoff_doubles_and_caps() {
-        let c = ActuatorConfig::default();
-        assert_eq!(c.retry_backoff(1), SimDuration::from_millis(250));
-        assert_eq!(c.retry_backoff(2), SimDuration::from_millis(500));
-        assert_eq!(c.retry_backoff(3), SimDuration::from_millis(1000));
-        assert_eq!(c.retry_backoff(4), SimDuration::from_millis(2000));
+        assert_eq!(retry_backoff(1), SimDuration::from_millis(250));
+        assert_eq!(retry_backoff(2), SimDuration::from_millis(500));
+        assert_eq!(retry_backoff(3), SimDuration::from_millis(1000));
+        assert_eq!(retry_backoff(4), SimDuration::from_millis(2000));
         // Capped at the ceiling from then on.
-        assert_eq!(c.retry_backoff(5), SimDuration::from_secs(2));
-        assert_eq!(c.retry_backoff(60), SimDuration::from_secs(2));
+        assert_eq!(retry_backoff(5), SimDuration::from_secs(2));
+        assert_eq!(retry_backoff(60), SimDuration::from_secs(2));
     }
 }

@@ -64,51 +64,57 @@ impl Command {
     }
 }
 
+/// How long every UPS must stay below [`RESTORE_THRESHOLD_FRACTION`]
+/// of capacity, all back in service, before an engaged controller
+/// restores its racks: 20 UPS poll rounds of sustained health. A
+/// project choice; the paper gives no restore hysteresis.
+const RESTORE_HYSTERESIS: SimDuration = SimDuration::from_secs(30);
+
+/// The per-UPS load fraction the room must stay under for
+/// [`RESTORE_HYSTERESIS`] before a full restore: 6 points below the
+/// default policy's shed line at `1 − buffer_fraction` (0.98). A
+/// project choice; the paper gives no restore threshold.
+const RESTORE_THRESHOLD_FRACTION: f64 = 0.92;
+
+/// Telemetry older than this is discarded when deciding: ten UPS poll
+/// intervals (1.5 s each, Section IV-D). Crash-recovery catch-up relies
+/// on it staying below `recovery::CATCH_UP_HORIZON` (checked at
+/// compile time there).
+pub(crate) const STALENESS_LIMIT: SimDuration = SimDuration::from_secs(15);
+
+/// For this long after issuing an action, subtract its estimated
+/// recovery from incoming UPS readings (the snapshot has not caught up
+/// yet); limits self-overcorrection between telemetry rounds. 6 s
+/// covers the actuation p99.9 (~2.4 s) plus one UPS poll round (1.5 s)
+/// and the data latency (p99.9 < 1.5 s, Section VI).
+const REFLECT_WINDOW: SimDuration = SimDuration::from_secs(6);
+
+/// How long telemetry may stay dark during a known failover before the
+/// blackout watchdog sheds. It exceeds one UPS poll interval plus the
+/// data latency (1.5 s + 1.5 s), so it does not fire spuriously, and
+/// with the actuation p99.9 (~2.4 s) it stays inside the 10 s trip
+/// window at 133% load (Figure 6). The room's isolation deadline must
+/// exceed it (checked at compile time in `sim`).
+pub(crate) const BLACKOUT_DEADLINE: SimDuration = SimDuration::from_secs(4);
+
 /// Controller tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Decision policy parameters.
     pub policy: PolicyConfig,
-    /// Restore only when every UPS has been below
-    /// `capacity × restore_threshold_fraction` for this long, with all
-    /// UPSes back in service.
-    pub restore_hysteresis: SimDuration,
-    /// See `restore_hysteresis`.
-    pub restore_threshold_fraction: f64,
-    /// Discard telemetry older than this when deciding.
-    pub staleness_limit: SimDuration,
-    /// For this long after issuing an action, subtract its estimated
-    /// recovery from incoming UPS readings (the snapshot has not caught
-    /// up yet); limits self-overcorrection between telemetry rounds.
-    pub reflect_window: SimDuration,
-    /// Lift individual actions while a failover persists if the load has
-    /// dropped far enough that the reversal is provably safe (the
-    /// paper's "some power caps may be lifted… (not shown here)").
-    pub partial_relief: bool,
     /// Telemetry-blackout watchdog: when a failover is known (alarm or
     /// observed overdraw) and no fresh UPS snapshot has arrived for
-    /// [`blackout_deadline`](Self::blackout_deadline), shed preemptively
-    /// against a worst-case load assumption instead of waiting out the
-    /// trip window on stale hope.
+    /// `BLACKOUT_DEADLINE` (4 s), shed preemptively against a worst-case
+    /// load assumption instead of waiting out the trip window on stale
+    /// hope.
     pub blackout_watchdog: bool,
-    /// How long telemetry may stay dark during a known failover before
-    /// the watchdog sheds. Must exceed the normal poll interval plus
-    /// data latency (else it fires spuriously) and leave room for
-    /// actuation p99.9 inside the trip-curve tolerance.
-    pub blackout_deadline: SimDuration,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             policy: PolicyConfig::default(),
-            restore_hysteresis: SimDuration::from_secs(30),
-            restore_threshold_fraction: 0.92,
-            staleness_limit: SimDuration::from_secs(15),
-            reflect_window: SimDuration::from_secs(6),
-            partial_relief: true,
             blackout_watchdog: true,
-            blackout_deadline: SimDuration::from_secs(4),
         }
     }
 }
@@ -349,7 +355,7 @@ impl Controller {
                     // get an event; accepted ones are implied by their
                     // delivery).
                     self.readings_accepted.inc();
-                    if now.saturating_since(measured_at) <= self.config.staleness_limit {
+                    if now.saturating_since(measured_at) <= STALENESS_LIMIT {
                         self.state.last_ups_data = Some(match self.state.last_ups_data {
                             Some(t) => t.max(measured_at),
                             None => measured_at,
@@ -394,7 +400,7 @@ impl Controller {
     /// The slots are scanned only when the oldest held reading may have
     /// expired; a scan also tightens the bound to the exact minimum.
     pub(crate) fn prune_stale(&mut self, now: SimTime) {
-        let limit = self.config.staleness_limit;
+        let limit = STALENESS_LIMIT;
         if self.oldest.is_some_and(|t| now.saturating_since(t) > limit) {
             let mut oldest: Option<SimTime> = None;
             for slot in self.state.ups_power.iter_mut().chain(self.state.rack_power.iter_mut()) {
@@ -441,7 +447,7 @@ impl Controller {
     /// Periodic liveness tick for the telemetry-blackout watchdog.
     ///
     /// When a failover is known and no fresh UPS snapshot has arrived
-    /// within [`ControllerConfig::blackout_deadline`], decides against a
+    /// within `BLACKOUT_DEADLINE` (4 s), decides against a
     /// synthetic worst-case load view — alarmed UPSes at zero (failed),
     /// all others at 4/3 of capacity, the paper's worst-case failover
     /// overdraw — and sheds accordingly. Fires at most once per dark
@@ -462,7 +468,7 @@ impl Controller {
             Some(t) => t.max(known_at),
             None => known_at,
         };
-        if now.saturating_since(dark_since) < self.config.blackout_deadline {
+        if now.saturating_since(dark_since) < BLACKOUT_DEADLINE {
             return Ok(Vec::new());
         }
         // Recorded only for the tick that fires: unarmed ticks and
@@ -603,16 +609,13 @@ impl Controller {
             let Some(r) = c.racks.get(cmd.rack.0) else {
                 continue;
             };
-            let estimate = match cmd.new_state {
-                RackPowerState::Off => match c.state.rack_power.get(cmd.rack.0).copied().flatten() {
-                    Some((_, w)) => w.min(r.provisioned),
-                    None => r.provisioned,
-                },
-                RackPowerState::Throttled => {
-                    (r.provisioned - r.flex_power).clamp_non_negative() * 0.5
-                }
+            let kind = match cmd.new_state {
+                RackPowerState::Off => ActionKind::Shutdown,
+                RackPowerState::Throttled => ActionKind::Throttle,
                 RackPowerState::Normal => continue,
             };
+            let slot = c.state.rack_power.get(cmd.rack.0).copied().flatten();
+            let estimate = action_power(r, kind, slot.map(|(_, w)| w));
             if estimate.as_w() <= 0.0 {
                 continue;
             }
@@ -632,7 +635,7 @@ impl Controller {
         let mut any_fresh = false;
         for (ups, slot) in self.topology.upses().iter().zip(&self.state.ups_power) {
             match slot {
-                Some((t, w)) if now.saturating_since(*t) <= self.config.staleness_limit => {
+                Some((t, w)) if now.saturating_since(*t) <= STALENESS_LIMIT => {
                     any_fresh = true;
                     out.push(*w);
                 }
@@ -661,7 +664,7 @@ impl Controller {
         // Project the recoveries of recently issued (not yet reflected)
         // actions onto the readings.
         self.state.recent
-            .retain(|(t, _, _)| now.saturating_since(*t) < self.config.reflect_window);
+            .retain(|(t, _, _)| now.saturating_since(*t) < REFLECT_WINDOW);
         for (_, _, shares) in &self.state.recent {
             for (u, w) in shares.iter() {
                 if let Some(slot) = ups_power.get_mut(u.0) {
@@ -699,11 +702,11 @@ impl Controller {
         let all_below_restore = self.topology.upses().iter().all(|u| {
             ups_power
                 .get(u.id().0)
-                .is_some_and(|p| !p.exceeds(u.capacity() * self.config.restore_threshold_fraction))
+                .is_some_and(|p| !p.exceeds(u.capacity() * RESTORE_THRESHOLD_FRACTION))
         });
         if all_in_service && all_below_restore {
             let since = *self.state.healthy_since.get_or_insert(now);
-            if now.saturating_since(since) >= self.config.restore_hysteresis {
+            if now.saturating_since(since) >= RESTORE_HYSTERESIS {
                 let commands: Vec<Command> = self
                     .state
                     .action_log
@@ -729,79 +732,58 @@ impl Controller {
         // load has dropped well below the limit, lift one action per
         // telemetry round — the one whose reversal provably keeps every
         // UPS under limit − buffer.
-        if self.config.partial_relief {
-            let online =
-                crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy);
-            let rack_power = self.rack_powers();
-            let mut best = None;
-            for (&rack, &kind) in &self.state.action_log {
-                // Never lift an action that may still be in flight —
-                // telemetry has not yet confirmed its effect.
-                if self.state.recent.iter().any(|(_, r, _)| *r == rack) {
-                    continue;
-                }
-                let Some(r) = self.racks.get(rack.0) else {
-                    continue;
-                };
-                // Power that returns if this action is lifted.
-                let returned = match kind {
-                    ActionKind::Shutdown => rack_power
-                        .get(rack.0)
-                        .copied()
-                        .unwrap_or(r.provisioned)
-                        .min(r.provisioned),
-                    ActionKind::Throttle => {
-                        (r.provisioned - r.flex_power).clamp_non_negative() * 0.5
+        let online = crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy);
+        let rack_power = self.rack_powers();
+        let mut best = None;
+        for (&rack, &kind) in &self.state.action_log {
+            // Never lift an action that may still be in flight —
+            // telemetry has not yet confirmed its effect.
+            if self.state.recent.iter().any(|(_, r, _)| *r == rack) {
+                continue;
+            }
+            let Some(r) = self.racks.get(rack.0) else {
+                continue;
+            };
+            let returned = action_power(r, kind, rack_power.get(rack.0).copied());
+            if returned.as_w() <= 0.0 {
+                continue;
+            }
+            let shares =
+                crate::policy::recovery_shares(&self.topology, r.pdu_pair, &online, returned)?;
+            // A UPS missing from the topology can never be proven
+            // safe, so such a share vetoes the lift.
+            let safe = shares.iter().all(|(u, w)| {
+                self.topology.ups(u).is_ok_and(|ups| {
+                    let limit = ups.capacity() * (1.0 - 2.0 * self.config.policy.buffer_fraction);
+                    ups_power.get(u.0).is_some_and(|p| !(*p + w).exceeds(limit))
+                })
+            });
+            if safe {
+                // Prefer lifting the action that returns the least
+                // power (cheapest to re-take if load climbs back);
+                // ties break by rack id.
+                let better = match best {
+                    Some((br, bw, _)) => {
+                        returned < bw || (returned.approx_eq(bw, 1e-9) && rack < br)
                     }
+                    None => true,
                 };
-                if returned.as_w() <= 0.0 {
-                    continue;
-                }
-                let shares =
-                    crate::policy::recovery_shares(&self.topology, r.pdu_pair, &online, returned)?;
-                // A UPS missing from the topology can never be proven
-                // safe, so such a share vetoes the lift.
-                let safe = shares.iter().all(|(u, w)| {
-                    self.topology.ups(u).is_ok_and(|ups| {
-                        let limit =
-                            ups.capacity() * (1.0 - 2.0 * self.config.policy.buffer_fraction);
-                        ups_power
-                            .get(u.0)
-                            .is_some_and(|p| !(*p + w).exceeds(limit))
-                    })
-                });
-                if safe {
-                    // Prefer lifting the action that returns the least
-                    // power (cheapest to re-take if load climbs back);
-                    // ties break by rack id.
-                    let better = match best {
-                        Some((br, bw, _)) => {
-                            returned < bw || (returned.approx_eq(bw, 1e-9) && rack < br)
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best = Some((rack, returned, r.pdu_pair));
-                    }
+                if better {
+                    best = Some((rack, returned, r.pdu_pair));
                 }
             }
-            if let Some((rack, returned, pair)) = best {
-                self.state.action_log.remove(&rack);
-                // Account for the returning load in the reflect window
-                // (negative recovery = added power).
-                let shares = crate::policy::recovery_shares(
-                    &self.topology,
-                    pair,
-                    &crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy),
-                    returned,
-                )?
-                .negated();
-                self.state.recent.push((now, rack, shares));
-                if self.state.action_log.is_empty() {
-                    self.state.engaged = false;
-                }
-                return Ok(vec![Command::Restore { rack }]);
+        }
+        if let Some((rack, returned, pair)) = best {
+            self.state.action_log.remove(&rack);
+            // Account for the returning load in the reflect window
+            // (negative recovery = added power).
+            let shares =
+                crate::policy::recovery_shares(&self.topology, pair, &online, returned)?.negated();
+            self.state.recent.push((now, rack, shares));
+            if self.state.action_log.is_empty() {
+                self.state.engaged = false;
             }
+            return Ok(vec![Command::Restore { rack }]);
         }
         Ok(Vec::new())
     }
@@ -847,6 +829,18 @@ impl Controller {
             self.state.engaged = true;
         }
         Ok(commands)
+    }
+}
+
+/// The power an action on rack `r` takes out of the room, which is
+/// also what returns when it is lifted. A shutdown removes the rack's
+/// `reading` (its provisioned power when there is none), capped at the
+/// provisioned power; a throttle removes half the headroom between the
+/// provisioned and the flex power.
+fn action_power(r: &PlacedRack, kind: ActionKind, reading: Option<Watts>) -> Watts {
+    match kind {
+        ActionKind::Shutdown => reading.unwrap_or(r.provisioned).min(r.provisioned),
+        ActionKind::Throttle => (r.provisioned - r.flex_power).clamp_non_negative() * 0.5,
     }
 }
 
@@ -973,7 +967,7 @@ mod tests {
         let t_ok = SimTime::from_secs_f64(10.0);
         let none_yet = f.controller.on_delivery(t_ok, t_ok, &ups_ok).unwrap();
         assert!(none_yet.is_empty(), "no restore before hysteresis");
-        let t_late = t_ok + ControllerConfig::default().restore_hysteresis;
+        let t_late = t_ok + RESTORE_HYSTERESIS;
         let restores = f.controller.on_delivery(t_late, t_late, &ups_ok).unwrap();
         assert!(!restores.is_empty(), "restore after hysteresis");
         assert!(restores
@@ -1162,14 +1156,13 @@ mod tests {
 
     /// The reference `prune_stale`: scans every slot on every call.
     fn prune_stale_full_scan(c: &mut Controller, now: SimTime) {
-        let limit = c.config.staleness_limit;
         for slot in c.state.ups_power.iter_mut().chain(c.state.rack_power.iter_mut()) {
-            if slot.is_some_and(|(t, _)| now.saturating_since(t) > limit) {
+            if slot.is_some_and(|(t, _)| now.saturating_since(t) > STALENESS_LIMIT) {
                 *slot = None;
             }
         }
         if c.state.last_ups_data
-            .is_some_and(|t| now.saturating_since(t) > limit)
+            .is_some_and(|t| now.saturating_since(t) > STALENESS_LIMIT)
         {
             c.state.last_ups_data = None;
         }
@@ -1219,12 +1212,11 @@ mod tests {
         #[test]
         fn prune_bound_matches_full_scan(ops in arb_ops()) {
             let mut c = small_controller();
-            let limit = c.config.staleness_limit;
             let mut now = SimTime::ZERO;
             let mut last: Option<(SimTime, TelemetryPayload)> = None;
             for (kind, step, age, first, count) in ops {
                 let step = SimDuration::from_millis(step);
-                now = now + if step >= SimDuration::from_secs(8) { step + limit } else { step };
+                now = now + if step >= SimDuration::from_secs(8) { step + STALENESS_LIMIT } else { step };
                 let measured_at =
                     SimTime::from_nanos(now.as_nanos().saturating_sub(age * 1_000_000));
                 let w = Watts::from_kw(age as f64 / 1_000.0);

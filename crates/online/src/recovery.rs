@@ -43,12 +43,16 @@ use crate::actuation::{PendingCommand, RackPowerState};
 /// binds long before the capacity does.
 pub const CATCH_UP_CAPACITY: usize = 512;
 
-/// How far back catch-up replay reaches. Strictly longer than
-/// [`crate::ControllerConfig::staleness_limit`] (15 s): everything old
+/// How far back catch-up replay reaches. Strictly longer than the
+/// controller's staleness limit (15 s, checked below): everything old
 /// enough to fall outside the buffer is stale on a never-crashed
 /// instance too (eagerly pruned at ingest), so the horizon loses no
 /// state that could distinguish the recovered instance from its twin.
 pub const CATCH_UP_HORIZON: SimDuration = SimDuration::from_secs(20);
+const _: () = assert!(
+    CATCH_UP_HORIZON.as_nanos() > crate::controller::STALENESS_LIMIT.as_nanos(),
+    "the catch-up horizon must exceed the staleness limit"
+);
 
 /// What a restarted instance bootstraps from (besides catch-up).
 #[derive(Debug, Clone, PartialEq)]

@@ -60,6 +60,33 @@ impl DeliveryChaos {
     }
 }
 
+/// Latency of the out-of-band failover (and restoration) alarm from a
+/// UPS to the controllers, independent of the metering pipeline. A
+/// modelling assumption (the paper gives no figure), well inside one
+/// UPS poll interval (1.5 s).
+pub const ALARM_LATENCY: SimDuration = SimDuration::from_millis(200);
+
+/// How long an instance may go without a single telemetry delivery —
+/// while some peer *is* receiving — before the supervisor declares it
+/// isolated, bumps its epoch (fencing its in-flight commands), and
+/// schedules a rebuild. Six UPS poll intervals (1.5 s each). Strictly
+/// longer than the controller's blackout deadline (4 s, checked below)
+/// so a room-wide dark window still triggers the blind shed unfenced:
+/// isolation requires a *divergence* between instances, not mere
+/// darkness.
+const ISOLATION_DEADLINE: SimDuration = SimDuration::from_secs(9);
+const _: () = assert!(
+    ISOLATION_DEADLINE.as_nanos() > crate::controller::BLACKOUT_DEADLINE.as_nanos(),
+    "the isolation deadline must exceed the blackout deadline"
+);
+
+/// Time for a UPS's overload damage to decay fully at tolerable load
+/// (seconds): the recovery rate of each [`OverloadAccumulator`], which
+/// integrates against the end-of-life trip curve (Figure 6), the curve
+/// Flex must design for. A modelling assumption; the paper gives no
+/// recovery figure.
+const DAMAGE_RECOVERY_SECS: f64 = 60.0;
+
 /// Room simulation configuration.
 pub struct RoomSimConfig {
     /// Telemetry pipeline parameters.
@@ -79,15 +106,8 @@ pub struct RoomSimConfig {
     pub stats_interval: SimDuration,
     /// Resolution of the UPS overload integration.
     pub overload_step: SimDuration,
-    /// UPS overload tolerance curve.
-    pub trip_curve: TripCurve,
-    /// Damage recovery time at tolerable load (seconds).
-    pub damage_recovery_secs: f64,
     /// How often each controller's blackout watchdog is ticked.
     pub watchdog_poll_interval: SimDuration,
-    /// Latency of the out-of-band failover alarm from a UPS to the
-    /// controllers (independent of the metering pipeline).
-    pub alarm_latency: SimDuration,
     /// Pub/sub duplication/reordering injection.
     pub delivery_chaos: DeliveryChaos,
     /// Whether restarted (or isolation-declared) instances rebuild via
@@ -95,14 +115,6 @@ pub struct RoomSimConfig {
     /// see [`crate::recovery`]). With this off they come back blank —
     /// the ablated mode the chaos A/B probes exercise.
     pub recovery: bool,
-    /// How long an instance may go without a single telemetry delivery
-    /// — while some peer *is* receiving — before the supervisor
-    /// declares it isolated, bumps its epoch (fencing its in-flight
-    /// commands), and schedules a rebuild. Strictly longer than the
-    /// controller's 4 s blackout deadline so a room-wide dark window
-    /// still triggers the blind shed unfenced: isolation requires a
-    /// *divergence* between instances, not mere darkness.
-    pub isolation_deadline: SimDuration,
     /// Root seed for all stochastic components.
     pub seed: u64,
     /// Observability: metrics, spans, and the flight recorder are wired
@@ -123,13 +135,9 @@ impl Default for RoomSimConfig {
             demand_update_interval: SimDuration::from_secs(5),
             stats_interval: SimDuration::from_secs(1),
             overload_step: SimDuration::from_millis(250),
-            trip_curve: TripCurve::end_of_life(),
-            damage_recovery_secs: 60.0,
             watchdog_poll_interval: SimDuration::from_millis(500),
-            alarm_latency: SimDuration::from_millis(200),
             delivery_chaos: DeliveryChaos::off(),
             recovery: true,
-            isolation_deadline: SimDuration::from_secs(9),
             seed: 0xF1EC,
             obs: Obs::noop(),
         }
@@ -434,8 +442,7 @@ impl Instance {
 /// The simulation world.
 pub struct RoomWorld {
     /// The configuration the world was built from; the tick periods,
-    /// alarm latency, delivery chaos, recovery switch and isolation
-    /// deadline are read from it.
+    /// delivery chaos and recovery switch are read from it.
     config: RoomSimConfig,
     topo: Topology,
     racks: Vec<PlacedRack>,
@@ -627,8 +634,8 @@ impl RoomWorld {
     /// is fed nothing, so the superseded state produces no output).
     /// Returns true if a declaration is standing.
     fn maybe_declare_isolated(&mut self, i: usize, now: SimTime) -> bool {
-        let deadline = self.config.isolation_deadline;
-        let heard = |inst: &Instance| now.saturating_since(inst.last_delivery_at) < deadline;
+        let heard =
+            |inst: &Instance| now.saturating_since(inst.last_delivery_at) < ISOLATION_DEADLINE;
         let Some(inst) = self.instances.get(i) else {
             return false;
         };
@@ -755,7 +762,7 @@ impl RoomWorld {
                 ));
             }
             Submission::Unreachable if attempt <= self.actuator.config().max_retries => {
-                let backoff = self.actuator.config().retry_backoff(attempt);
+                let backoff = crate::actuation::retry_backoff(attempt);
                 self.sim_obs.retries.inc();
                 self.sim_obs.obs.record_with(now, || FlightEvent::CommandRetried {
                     rack: rack.0 as u32,
@@ -835,10 +842,10 @@ fn retry(w: &mut RoomWorld, ctx: &mut RoomCtx, r: Retry) {
 }
 
 /// Schedules the out-of-band failover alarm: every live controller
-/// learns of a UPS loss `alarm_latency` after it happens, independent
+/// learns of a UPS loss [`ALARM_LATENCY`] after it happens, independent
 /// of the metering pipeline (which may itself be dark).
-fn schedule_failover_alarm(w: &RoomWorld, ctx: &mut RoomCtx, now: SimTime, ups: UpsId) {
-    ctx.schedule_event_at(now + w.config.alarm_latency, RoomEvent::FailoverAlarm(ups));
+fn schedule_failover_alarm(ctx: &mut RoomCtx, now: SimTime, ups: UpsId) {
+    ctx.schedule_event_at(now + ALARM_LATENCY, RoomEvent::FailoverAlarm(ups));
 }
 
 /// The failover alarm for `ups` reaches every live controller.
@@ -1026,7 +1033,7 @@ fn overload_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
                 ups: id.0 as u32,
             });
             w.stats.events.push((now, SimEvent::UpsTripped(id)));
-            schedule_failover_alarm(w, ctx, now, id);
+            schedule_failover_alarm(ctx, now, id);
         }
     }
     ctx.schedule_event_in(w.config.overload_step, RoomEvent::OverloadTick);
@@ -1077,7 +1084,7 @@ fn fail_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
         w.pending_detection = Some(t);
         w.sim_obs.obs.record(t, FlightEvent::UpsFailed { ups: ups.0 as u32 });
         w.stats.events.push((t, SimEvent::UpsFailed(ups)));
-        schedule_failover_alarm(w, ctx, t, ups);
+        schedule_failover_alarm(ctx, t, ups);
     }
 }
 
@@ -1092,7 +1099,7 @@ fn restore_ups(w: &mut RoomWorld, ctx: &mut RoomCtx, ups: UpsId) {
         w.pending_detection = None;
         w.sim_obs.obs.record(t, FlightEvent::UpsRestored { ups: ups.0 as u32 });
         w.stats.events.push((t, SimEvent::UpsRestored(ups)));
-        ctx.schedule_event_at(t + w.config.alarm_latency, RoomEvent::RestoreAlarm(ups));
+        ctx.schedule_event_at(t + ALARM_LATENCY, RoomEvent::RestoreAlarm(ups));
     }
 }
 
@@ -1151,7 +1158,7 @@ impl RoomSim {
         actuator.set_obs(&config.obs);
         let sim_obs = SimObs::new(config.obs.clone(), topo.ups_count());
         let accumulators = (0..topo.ups_count())
-            .map(|_| OverloadAccumulator::new(config.trip_curve.clone(), config.damage_recovery_secs))
+            .map(|_| OverloadAccumulator::new(TripCurve::end_of_life(), DAMAGE_RECOVERY_SECS))
             .collect();
         let mut rng = pool.stream("demand");
         let demand: Vec<Watts> = racks

@@ -149,13 +149,7 @@ fn recovered_instance_is_bit_identical_to_a_never_crashed_twin() {
     for seed in [3u64, 7, 11, 23] {
         let placed = small_room(seed);
         let registry = registry_for(&placed);
-        // Partial relief off so the episode quiesces after the shed:
-        // the reflect window must have drained by the crash for the
-        // snapshot (which carries no `recent` history) to be complete.
-        let config = ControllerConfig {
-            partial_relief: false,
-            ..ControllerConfig::default()
-        };
+        let config = ControllerConfig::default();
         let mut live = controller_for(&placed, &registry, config);
         let mut world = MiniWorld::new(small_room(seed), 0.94);
         let mut buffer = CatchUpBuffer::new();
@@ -164,7 +158,12 @@ fn recovered_instance_is_bit_identical_to_a_never_crashed_twin() {
 
         let mut shed_any = false;
         let mut t_ms = STEP_MS;
-        while t_ms <= 22_000 {
+        // The shed at 10.5 s is followed by partial-relief lifts, at
+        // most one per reflect window, until 22.5 s (seed 11). The
+        // episode has quiesced well before the crash at 30.25 s: the
+        // reflect window must have drained by then for the snapshot
+        // (which carries no `recent` history) to be complete.
+        while t_ms <= 30_000 {
             if t_ms == 10_500 {
                 world.failed = Some(UpsId(1));
                 live.on_failover_alarm(alarm_at, UpsId(1));
@@ -182,10 +181,10 @@ fn recovered_instance_is_bit_identical_to_a_never_crashed_twin() {
             "seed {seed}: reflect window must have drained before the crash"
         );
 
-        // The instance "crashes" at 22.25 s. A new incarnation
+        // The instance "crashes" at 30.25 s. A new incarnation
         // bootstraps from actuation ground truth plus the catch-up
         // buffer — and must be bit-identical to the survivor.
-        let restart = at_ms(22_250);
+        let restart = at_ms(30_250);
         let snapshot = RecoverySnapshot {
             epoch: live.epoch(),
             rack_states: world.states.clone(),
@@ -204,8 +203,8 @@ fn recovered_instance_is_bit_identical_to_a_never_crashed_twin() {
 
         // And the twins stay locked: identical post-restart deliveries
         // produce identical commands and identical states, every round.
-        let mut t_ms = 22_500;
-        while t_ms <= 30_000 {
+        let mut t_ms = 30_500;
+        while t_ms <= 38_000 {
             let outs = feed_round(
                 &mut [&mut live, &mut recovered],
                 &world,
@@ -243,10 +242,7 @@ fn view(state: &ControllerState) -> ControllerState {
 fn divergent_instances_converge_to_identical_state_after_catch_up() {
     let placed = small_room(5);
     let registry = registry_for(&placed);
-    let config = ControllerConfig {
-        partial_relief: false,
-        ..ControllerConfig::default()
-    };
+    let config = ControllerConfig::default();
     let mut a = controller_for(&placed, &registry, config);
     let mut b = controller_for(&placed, &registry, config);
     let mut c = controller_for(&placed, &registry, config);

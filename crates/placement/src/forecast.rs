@@ -107,7 +107,6 @@ mod tests {
         let trace = TraceGenerator::new(config.clone()).generate(&mut rng);
         let policy = ForecastAware::short(config).with_config(IlpConfig {
             time_limit: Duration::from_secs(3),
-            ..IlpConfig::default()
         });
         assert_eq!(policy.name(), "Flex-Offline-Forecast");
         let placement = policy.place(&room, &trace, &mut rng);

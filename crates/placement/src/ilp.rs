@@ -27,27 +27,27 @@ use flex_workload::{DeploymentRequest, WorkloadCategory};
 
 use crate::RoomState;
 
+/// Relative optimality gap at which a batch solve stops: 0.5%. A
+/// project choice; the paper time-limits its solver but states no gap.
+const RELATIVE_GAP: f64 = 5e-3;
+
+/// Weight (kW per unit of imbalance spread) of the throttling-balance
+/// soft objective. Small enough that balance never displaces a
+/// placeable deployment (the smallest is ~72 kW), large enough to break
+/// ties toward even throttling needs (Figure 10).
+const IMBALANCE_WEIGHT: f64 = 50.0;
+
 /// Tuning for the batch solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IlpConfig {
     /// Wall-clock budget per batch solve.
     pub time_limit: Duration,
-    /// Relative optimality gap at which to stop.
-    pub relative_gap: f64,
-    /// Weight (kW per unit of imbalance spread) of the
-    /// throttling-balance soft objective; 0 disables it.
-    pub imbalance_weight: f64,
 }
 
 impl Default for IlpConfig {
     fn default() -> Self {
         IlpConfig {
             time_limit: Duration::from_secs(5),
-            relative_gap: 5e-3,
-            // Small enough that balance never displaces a placeable
-            // deployment (the smallest is ~72 kW), large enough to break
-            // ties toward even throttling needs.
-            imbalance_weight: 50.0,
         }
     }
 }
@@ -277,47 +277,42 @@ fn solve_combined(
     // failed f), the *throttling need* surrogate is N(u,f) = (worst-case
     // failover load − shutdown-recoverable SR power) / capacity — only
     // non-software-redundant deployments contribute. A continuous M ≥
-    // every N(u,f), and the objective pays `imbalance_weight` kW per
+    // every N(u,f), and the objective pays `IMBALANCE_WEIGHT` kW per
     // unit of M: minimizing the worst need both evens the Figure 10
     // metric and preserves failover headroom.
-    let mut imbalance_vars: Option<VarId> = None;
-    if config.imbalance_weight > 0.0 {
-        let w = config.imbalance_weight;
-        let big_m = model.add_continuous("imb_max", 0.0, 4.0, -w)?;
-        imbalance_vars = Some(big_m);
-        for f in topo.ups_ids() {
-            for u in topo.ups_ids() {
-                if u == f {
+    let big_m = model.add_continuous("imb_max", 0.0, 4.0, -IMBALANCE_WEIGHT)?;
+    for f in topo.ups_ids() {
+        for u in topo.ups_ids() {
+            if u == f {
+                continue;
+            }
+            let cap_kw = topo.ups(u).expect("ups in room").capacity().as_kw();
+            let existing = (state.failover_full_load(u, f)
+                - state.failover_shutdown_recoverable(u, f))
+            .as_kw();
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for (pi, p) in pairs.iter().enumerate() {
+                let pair = topo.pdu_pair(*p).expect("pair in room");
+                if !pair.is_fed_by(u) {
                     continue;
                 }
-                let cap_kw = topo.ups(u).expect("ups in room").capacity().as_kw();
-                let existing = (state.failover_full_load(u, f)
-                    - state.failover_shutdown_recoverable(u, f))
-                .as_kw();
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for (pi, p) in pairs.iter().enumerate() {
-                    let pair = topo.pdu_pair(*p).expect("pair in room");
-                    if !pair.is_fed_by(u) {
-                        continue;
-                    }
-                    let share = if pair.is_fed_by(f) { 1.0 } else { 0.5 };
-                    for (di, d) in batch.iter().enumerate() {
-                        if d.category() != WorkloadCategory::SoftwareRedundant {
-                            let pow = d.total_power().as_kw();
-                            terms.push((p_vars[di][pi], share * pow / cap_kw));
-                        }
+                let share = if pair.is_fed_by(f) { 1.0 } else { 0.5 };
+                for (di, d) in batch.iter().enumerate() {
+                    if d.category() != WorkloadCategory::SoftwareRedundant {
+                        let pow = d.total_power().as_kw();
+                        terms.push((p_vars[di][pi], share * pow / cap_kw));
                     }
                 }
-                // M ≥ existing/cap + Σ terms  ⇔  Σ terms − M ≤ −existing/cap
-                let mut up = terms;
-                up.push((big_m, -1.0));
-                model.add_constraint(
-                    format!("imbM_{}_{}", u.0, f.0),
-                    up,
-                    Relation::Le,
-                    -existing / cap_kw,
-                )?;
             }
+            // M ≥ existing/cap + Σ terms  ⇔  Σ terms − M ≤ −existing/cap
+            let mut up = terms;
+            up.push((big_m, -1.0));
+            model.add_constraint(
+                format!("imbM_{}_{}", u.0, f.0),
+                up,
+                Relation::Le,
+                -existing / cap_kw,
+            )?;
         }
     }
 
@@ -369,32 +364,30 @@ fn solve_combined(
             .expect("greedy uses room pairs");
         warm_values[p_vars[di][pi].index()] = 1.0;
     }
-    if let Some(big_m) = imbalance_vars {
-        // Set the min-max auxiliary to the warm-start state's actual
-        // worst throttling-need fraction so the start is feasible.
-        let mut scratch = state.clone();
-        for &(di, pair) in &warm {
-            scratch.place(&batch[di], pair);
-        }
-        let mut max_r: f64 = 0.0;
-        for f in topo.ups_ids() {
-            for u in topo.ups_ids() {
-                if u == f {
-                    continue;
-                }
-                let cap = topo.ups(u).expect("ups in room").capacity();
-                let r = (scratch.failover_full_load(u, f)
-                    - scratch.failover_shutdown_recoverable(u, f))
-                    / cap;
-                max_r = max_r.max(r);
-            }
-        }
-        warm_values[big_m.index()] = max_r.clamp(0.0, 4.0);
+    // Set the min-max auxiliary to the warm-start state's actual
+    // worst throttling-need fraction so the start is feasible.
+    let mut scratch = state.clone();
+    for &(di, pair) in &warm {
+        scratch.place(&batch[di], pair);
     }
+    let mut max_r: f64 = 0.0;
+    for f in topo.ups_ids() {
+        for u in topo.ups_ids() {
+            if u == f {
+                continue;
+            }
+            let cap = topo.ups(u).expect("ups in room").capacity();
+            let r = (scratch.failover_full_load(u, f)
+                - scratch.failover_shutdown_recoverable(u, f))
+                / cap;
+            max_r = max_r.max(r);
+        }
+    }
+    warm_values[big_m.index()] = max_r.clamp(0.0, 4.0);
 
     let solve_config = SolveConfig {
         time_limit: config.time_limit,
-        relative_gap: config.relative_gap,
+        relative_gap: RELATIVE_GAP,
         ..SolveConfig::default()
     };
     let solution = model.solve_with_warm_start(&solve_config, Some(&warm_values))?;
@@ -548,7 +541,6 @@ mod tests {
             .collect();
         let config = IlpConfig {
             time_limit: Duration::from_secs(8),
-            ..IlpConfig::default()
         };
         let out = solve_batch(&s, &batch, &config).unwrap();
         assert!(!out.is_empty());
@@ -575,7 +567,6 @@ mod tests {
             .collect();
         let config = IlpConfig {
             time_limit: Duration::from_secs(8),
-            ..IlpConfig::default()
         };
         let out = solve_batch(&s, &batch, &config).unwrap();
         let placed_power: Watts = out.iter().map(|&(di, _)| batch[di].total_power()).sum();
@@ -584,21 +575,5 @@ mod tests {
             "placed {placed_power} exceeds failover budget {}",
             r.failover_budget()
         );
-    }
-
-    #[test]
-    fn imbalance_weight_zero_still_solves() {
-        let r = room();
-        let s = RoomState::new(&r);
-        let batch = vec![
-            dep(0, WorkloadCategory::CapAble, 20, 15.0),
-            dep(1, WorkloadCategory::SoftwareRedundant, 10, 14.4),
-        ];
-        let config = IlpConfig {
-            imbalance_weight: 0.0,
-            ..IlpConfig::default()
-        };
-        let out = solve_batch(&s, &batch, &config).unwrap();
-        assert_eq!(out.len(), 2);
     }
 }

@@ -168,11 +168,6 @@ impl FaultPlan {
     pub fn outages_of(&self, component: &str) -> Vec<Outage> {
         self.outages.get(component).cloned().unwrap_or_default()
     }
-
-    /// The components mentioned in this plan, sorted.
-    pub fn components(&self) -> Vec<&str> {
-        self.outages.keys().map(String::as_str).collect()
-    }
 }
 
 /// True unless `t` falls in one of `windows` (sorted by start,
@@ -263,8 +258,9 @@ mod tests {
         plan.add_outage("b", SimTime::ZERO, SimTime::from_secs_f64(1.0));
         plan.add_outage("a", SimTime::ZERO, SimTime::from_secs_f64(1.0));
         plan.add_outage("a", SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(3.0));
-        assert_eq!(plan.components(), vec!["a", "b"]);
         assert_eq!(plan.outages_of("a").len(), 2);
+        assert_eq!(plan.outages_of("b").len(), 1);
+        assert!(plan.outages_of("c").is_empty());
     }
 
     #[test]

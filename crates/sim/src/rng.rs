@@ -54,14 +54,6 @@ impl RngPool {
         let h = fnv1a(name.as_bytes()) ^ splitmix64(index.wrapping_add(0x9E37_79B9_7F4A_7C15));
         SmallRng::seed_from_u64(splitmix64(self.root_seed ^ h))
     }
-
-    /// Derives a child pool, partitioning the seed space (e.g. one child
-    /// pool per trace shuffle).
-    pub fn child(&self, name: &str) -> RngPool {
-        RngPool {
-            root_seed: splitmix64(self.root_seed ^ fnv1a(name.as_bytes())),
-        }
-    }
 }
 
 /// 64-bit FNV-1a hash.
@@ -120,18 +112,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), vals.len(), "collision between streams");
-    }
-
-    #[test]
-    fn child_pools_partition() {
-        let pool = RngPool::new(5);
-        let a: u64 = pool.child("trace0").stream("x").gen();
-        let b: u64 = pool.child("trace1").stream("x").gen();
-        assert_ne!(a, b);
-        assert_eq!(
-            pool.child("trace0").root_seed(),
-            pool.child("trace0").root_seed()
-        );
     }
 
     #[test]

@@ -2,6 +2,19 @@
 
 use flex_sim::SimDuration;
 
+/// Independent pollers, each reading every meter: two in the paper's
+/// design (Section IV-D), so one poller loss loses no data.
+pub(crate) const POLLERS: usize = 2;
+
+/// Independent pub/sub systems each poller publishes on: two in the
+/// paper's design (Section IV-D).
+pub(crate) const PUBSUB_INSTANCES: usize = 2;
+
+/// Management switch groups the meters are spread across: two, so one
+/// switch loss removes at most one of a UPS's three logical meters,
+/// which consensus masks (Section IV-D).
+pub(crate) const SWITCH_GROUPS: usize = 2;
+
 /// Parameters of the telemetry pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
@@ -18,12 +31,6 @@ pub struct PipelineConfig {
     pub stuck_duration: SimDuration,
     /// Probability per poll that a meter returns nothing.
     pub drop_probability: f64,
-    /// Number of independent pollers (2 in the paper's design).
-    pub pollers: usize,
-    /// Number of independent pub/sub systems (2 in the paper's design).
-    pub pubsub_instances: usize,
-    /// Number of management switch groups meters are spread across.
-    pub switch_groups: usize,
     /// Median end-to-end processing+network latency per hop (meter →
     /// poller → pub/sub → subscriber), in milliseconds.
     pub hop_latency_median_ms: f64,
@@ -45,18 +52,16 @@ impl PipelineConfig {
             stuck_probability: 0.002,
             stuck_duration: SimDuration::from_secs(5),
             drop_probability: 0.001,
-            pollers: 2,
-            pubsub_instances: 2,
-            switch_groups: 2,
             hop_latency_median_ms: 60.0,
             hop_latency_sigma: 0.5,
             windowing_delay: SimDuration::from_millis(250),
         }
     }
 
-    /// A noiseless, fault-free variant for deterministic controller
+    /// A noiseless, fault-free variant for deterministic pipeline
     /// tests.
-    pub fn ideal() -> Self {
+    #[cfg(test)]
+    pub(crate) fn ideal() -> Self {
         PipelineConfig {
             meter_noise_rel: 0.0,
             stuck_probability: 0.0,
@@ -84,8 +89,6 @@ mod tests {
         let c = PipelineConfig::production();
         assert_eq!(c.ups_poll_interval, SimDuration::from_millis(1500));
         assert_eq!(c.rack_poll_interval, SimDuration::from_secs(2));
-        assert_eq!(c.pollers, 2);
-        assert_eq!(c.pubsub_instances, 2);
         assert_eq!(c.stuck_duration, SimDuration::from_secs(5));
     }
 

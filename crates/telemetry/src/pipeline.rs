@@ -9,6 +9,7 @@ use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 
+use crate::config::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 use crate::{MeterBank, MeterFaults, PipelineConfig};
 
 /// Data carried by one published message.
@@ -59,7 +60,7 @@ impl Delivery {
 /// Component availability is governed by the attached [`FaultPlan`] with
 /// component names `"poller/{i}"`, `"switch/{g}"`, `"pubsub/{k}"`, and
 /// `"meter/ups{u}/{kind:?}"`. Logical meter `k` of a UPS routes through
-/// switch group `k % switch_groups`, reproducing the paper's network
+/// switch group `k % 2` (two switch groups), reproducing the paper's network
 /// diversity (one switch loss removes at most one meter per UPS, which
 /// consensus masks).
 #[derive(Debug, Clone)]
@@ -129,10 +130,9 @@ impl Pipeline {
 
     /// Attaches a fault plan (replacing any previous one).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let c = &self.config;
-        self.poller_faults = plan.resolve((0..c.pollers).map(names::poller));
-        self.switch_faults = plan.resolve((0..c.switch_groups.max(1)).map(names::switch));
-        self.pubsub_faults = plan.resolve((0..c.pubsub_instances).map(names::pubsub));
+        self.poller_faults = plan.resolve((0..POLLERS).map(names::poller));
+        self.switch_faults = plan.resolve((0..SWITCH_GROUPS).map(names::switch));
+        self.pubsub_faults = plan.resolve((0..PUBSUB_INSTANCES).map(names::pubsub));
         self.ups_meter_faults = (0..self.meters.ups_count())
             .map(|u| {
                 plan.resolve(MeterKind::ALL.map(|kind| names::ups_meter(u, &format!("{kind:?}"))))
@@ -186,7 +186,7 @@ impl Pipeline {
         self.ups_polls.inc();
         let ups_count = self.meters.ups_count();
         let mut deliveries = Vec::new();
-        for poller in 0..self.config.pollers {
+        for poller in 0..POLLERS {
             if !self.poller_up(poller, now) {
                 continue;
             }
@@ -197,7 +197,7 @@ impl Pipeline {
                 let mut normalized = [0.0; MeterKind::ALL.len()];
                 let mut read = 0;
                 for (k, kind) in MeterKind::ALL.into_iter().enumerate() {
-                    let switch = k % self.config.switch_groups.max(1);
+                    let switch = k % SWITCH_GROUPS;
                     if !self.switch_up(switch, now) {
                         continue;
                     }
@@ -234,13 +234,13 @@ impl Pipeline {
     pub fn poll_racks(&mut self, now: SimTime, rack_truth: &[Watts]) -> Vec<Delivery> {
         self.rack_polls.inc();
         let mut deliveries = Vec::new();
-        for poller in 0..self.config.pollers {
+        for poller in 0..POLLERS {
             if !self.poller_up(poller, now) {
                 continue;
             }
             // Rack meters route through the switch group matching the
             // poller (each poller has an independent network path).
-            let switch = poller % self.config.switch_groups.max(1);
+            let switch = poller % SWITCH_GROUPS;
             if !self.switch_up(switch, now) {
                 continue;
             }
@@ -276,7 +276,7 @@ impl Pipeline {
         deliveries: &mut Vec<Delivery>,
     ) {
         let start = deliveries.len();
-        for pubsub in 0..self.config.pubsub_instances {
+        for pubsub in 0..PUBSUB_INSTANCES {
             if !self.pubsub_up(pubsub, now) {
                 continue;
             }

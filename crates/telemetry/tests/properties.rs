@@ -5,7 +5,7 @@ use flex_power::meter::GroundTruth;
 use flex_power::{FeedState, LoadModel, Topology, Watts};
 use flex_sim::fault::FaultPlan;
 use flex_sim::rng::RngPool;
-use flex_sim::SimTime;
+use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::{Pipeline, PipelineConfig, TelemetryPayload};
 use proptest::prelude::*;
 
@@ -16,6 +16,19 @@ fn ground_truth(kw_per_pair: f64) -> GroundTruth {
         load.set_pair_load(p.id(), Watts::from_kw(kw_per_pair));
     }
     GroundTruth::capture(&load, &FeedState::all_online(&topo))
+}
+
+/// A noiseless, fault-free pipeline configuration.
+fn ideal() -> PipelineConfig {
+    PipelineConfig {
+        meter_noise_rel: 0.0,
+        stuck_probability: 0.0,
+        drop_probability: 0.0,
+        hop_latency_median_ms: 10.0,
+        hop_latency_sigma: 0.01,
+        windowing_delay: SimDuration::ZERO,
+        ..PipelineConfig::production()
+    }
 }
 
 proptest! {
@@ -37,7 +50,7 @@ proptest! {
             _ => format!("meter/ups{instance}/ItAggregate"),
         };
         let truth = ground_truth(kw);
-        let mut p = Pipeline::new(PipelineConfig::ideal(), 4, 8, &RngPool::new(seed));
+        let mut p = Pipeline::new(ideal(), 4, 8, &RngPool::new(seed));
         let mut plan = FaultPlan::new();
         plan.add_outage(&component, SimTime::ZERO, SimTime::from_secs_f64(1e9));
         p.set_fault_plan(plan);
@@ -65,7 +78,7 @@ proptest! {
         let truth = ground_truth(kw);
         let config = PipelineConfig {
             meter_noise_rel: 0.01,
-            ..PipelineConfig::ideal()
+            ..ideal()
         };
         let mut p = Pipeline::new(config, 4, 0, &RngPool::new(seed));
         for i in 0..20 {
@@ -90,7 +103,7 @@ proptest! {
         kill_pubsub in proptest::bool::ANY,
     ) {
         let truth = ground_truth(500.0);
-        let mut p = Pipeline::new(PipelineConfig::ideal(), 4, 0, &RngPool::new(7));
+        let mut p = Pipeline::new(ideal(), 4, 0, &RngPool::new(7));
         let mut plan = FaultPlan::new();
         let mut pollers = 2;
         let mut pubsubs = 2;

@@ -10,7 +10,9 @@
 #      survives (the hardening is load-bearing);
 #   3. a failing scenario replays from its JSON text alone,
 #      reproduces the verdict, and its recorder dump re-derives the
-#      recorded controller commands through fresh controllers.
+#      recorded controller commands through fresh controllers, both as
+#      recorded and hardened (`--harden`, whose recording holds the
+#      watchdog ticks the unhardened one lacks).
 #
 # Usage: scripts/chaos_smoke.sh
 
@@ -75,6 +77,13 @@ if command -v jq >/dev/null; then
     }
     grep -q '^decision replay: identical' "$TMP/r1.out" || {
         echo "chaos smoke: FAIL — decisions replayed from the dump diverged" >&2
+        exit 1
+    }
+    # Hardened, the verdict may pass or fail (exit status ignored); the
+    # decisions must still replay identically.
+    "$BIN" replay --file "$TMP/repro.json" --harden | tee "$TMP/h.out" || true
+    grep -q '^decision replay: identical' "$TMP/h.out" || {
+        echo "chaos smoke: FAIL — hardened decisions replayed from the dump diverged" >&2
         exit 1
     }
 else
