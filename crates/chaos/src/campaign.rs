@@ -257,10 +257,10 @@ pub fn minimize(scenario: &Scenario, violations: &[Violation]) -> Scenario {
     current
 }
 
-/// The A/B probe behind the acceptance criterion: run the campaign with
-/// all four hardening features **off** (watchdog, retries, epoch
-/// fencing, crash recovery), then re-judge every failure with them all
-/// **on**. Returns `(report, survived)` where `survived` counts failing
+/// The A/B probe behind the hardening acceptance test: run the
+/// campaign with all four hardening features **off** (watchdog,
+/// retries, epoch fencing, crash recovery), then re-judge every failure
+/// with them all **on**. Returns `(report, survived)` where `survived` counts failing
 /// scenarios whose hardened re-run is violation-free.
 pub fn ab_probe(mut config: CampaignConfig) -> (CampaignReport, u64) {
     config.watchdog = false;

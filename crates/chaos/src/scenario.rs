@@ -50,12 +50,15 @@ impl FaultWindow {
         ])
     }
 
+    /// Decodes a window; one that does not end after it starts is
+    /// rejected, as [`FaultPlan::add_outage`] needs a positive duration.
     fn from_value(v: &Value) -> Option<Self> {
-        Some(FaultWindow {
+        let window = FaultWindow {
             component: v.get("component")?.as_str()?.to_string(),
             from_ms: v.get("from_ms")?.as_u64()?,
             until_ms: v.get("until_ms")?.as_u64()?,
-        })
+        };
+        (window.until_ms > window.from_ms).then_some(window)
     }
 }
 
@@ -585,9 +588,7 @@ pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome 
         let ups = UpsId(s.ups);
         let from = SimTime::ZERO + SimDuration::from_millis(s.from_ms);
         let until = SimTime::ZERO + SimDuration::from_millis(s.until_ms);
-        sim.schedule_world(from, move |w| {
-            w.pipeline_mut().meters_mut().force_stuck(ups, kind, until);
-        });
+        sim.stick_meter_at(from, ups, kind, until);
     }
     sim.fail_ups_at(
         SimTime::ZERO + SimDuration::from_millis(scenario.fail_at_ms),
@@ -953,6 +954,22 @@ mod tests {
             let back = Scenario::from_value(&json::parse(&text).expect("parses"))
                 .expect("decodes");
             assert_eq!(back, s, "scenario {i}");
+        }
+    }
+
+    #[test]
+    fn empty_fault_windows_do_not_parse() {
+        // A replayed file with a window that ends at or before its start
+        // must be refused, not reach `FaultPlan::add_outage` and panic.
+        for until_ms in [999, 1_000] {
+            let mut s = Scenario::baseline(1);
+            s.pipeline_faults.push(FaultWindow {
+                component: "poller/0".to_string(),
+                from_ms: 1_000,
+                until_ms,
+            });
+            let v = json::parse(&s.to_value().to_json()).expect("parses");
+            assert_eq!(Scenario::from_value(&v), None, "until_ms {until_ms}");
         }
     }
 

@@ -1096,11 +1096,12 @@ fn solve_warm(
 /// returning structural-variable values and the objective in the model's
 /// own sense. Always a cold two-phase solve over the eliminating
 /// [`LpProblem::from_model`] layout: the reference the warm path
-/// ([`WarmContext::solve_relaxation`]) is tested against.
+/// ([`WarmContext::solve_relaxation_in`]) is tested against.
 ///
 /// # Errors
 ///
 /// Maps non-optimal statuses onto [`MilpError`].
+// flex-lint: allow(A1): the cold, eliminating-layout reference that the simplex unit tests and tests/properties.rs check the warm path against
 pub fn solve_relaxation(
     model: &Model,
     bounds: &[(f64, f64)],
@@ -1204,28 +1205,11 @@ impl WarmContext {
 
     /// Solves the relaxation under `bounds`, warm-starting from `basis`
     /// when given (falling back to a cold solve on numerical failure —
-    /// correctness never depends on the warm path).
-    ///
-    /// # Errors
-    ///
-    /// Maps non-optimal LP statuses onto [`MilpError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.len()` differs from the model's variable count.
-    pub fn solve_relaxation(
-        &self,
-        bounds: &[(f64, f64)],
-        basis: Option<&BasisSnapshot>,
-    ) -> Result<RelaxSolve, MilpError> {
-        self.solve_relaxation_in(bounds, basis, &mut LpBuffers::default())
-    }
-
-    /// [`WarmContext::solve_relaxation`] in `bufs`, which a caller keeps
-    /// across its solves of this context's problem: the tableau and its
-    /// scratch are allocated once, and a node's sibling copies the
-    /// node's factorization (see [`LpBuffers`]). The buffers never
-    /// change a result's bits.
+    /// correctness never depends on the warm path). `bufs` is what a
+    /// caller keeps across its solves of this context's problem: the
+    /// tableau and its scratch are allocated once, and a node's sibling
+    /// copies the node's factorization (see [`LpBuffers`]). The buffers
+    /// never change a result's bits.
     ///
     /// # Errors
     ///
@@ -1998,8 +1982,9 @@ mod tests {
     fn warm_solve_matches_cold_after_tightening() {
         let m = warm_test_model();
         let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
         let root = model_bounds(&m);
-        let parent = ctx.solve_relaxation(&root, None).unwrap();
+        let parent = ctx.solve_relaxation_in(&root, None, &mut bufs).unwrap();
         assert!(!parent.warmed);
 
         // Branch on every binary in both directions; warm objective must
@@ -2008,7 +1993,9 @@ mod tests {
             for fixed in [0.0, 1.0] {
                 let mut child = root.clone();
                 child[j] = (fixed, fixed);
-                let warm = ctx.solve_relaxation(&child, Some(&parent.basis)).unwrap();
+                let warm = ctx
+                    .solve_relaxation_in(&child, Some(&parent.basis), &mut bufs)
+                    .unwrap();
                 let (cold_obj, _) = solve_relaxation(&m, &child).unwrap();
                 assert!(
                     (warm.objective - cold_obj).abs() < 1e-6,
@@ -2028,11 +2015,12 @@ mod tests {
         m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], Relation::Eq, 1.0)
             .unwrap();
         let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
         let root = model_bounds(&m);
-        let parent = ctx.solve_relaxation(&root, None).unwrap();
+        let parent = ctx.solve_relaxation_in(&root, None, &mut bufs).unwrap();
         let child = vec![(0.0, 0.0), (0.0, 0.0)];
         assert_eq!(
-            ctx.solve_relaxation(&child, Some(&parent.basis))
+            ctx.solve_relaxation_in(&child, Some(&parent.basis), &mut bufs)
                 .map(|_| ()),
             Err(MilpError::Infeasible)
         );
@@ -2044,11 +2032,12 @@ mod tests {
         // parent — the realistic branch-and-bound dive pattern.
         let m = warm_test_model();
         let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
         let mut bounds = model_bounds(&m);
-        let mut relax = ctx.solve_relaxation(&bounds, None).unwrap();
+        let mut relax = ctx.solve_relaxation_in(&bounds, None, &mut bufs).unwrap();
         for (j, fixed) in [(2usize, 1.0), (1usize, 0.0), (0usize, 1.0)] {
             bounds[j] = (fixed, fixed);
-            relax = match ctx.solve_relaxation(&bounds, Some(&relax.basis)) {
+            relax = match ctx.solve_relaxation_in(&bounds, Some(&relax.basis), &mut bufs) {
                 Ok(r) => r,
                 Err(e) => panic!("chain step ({j}, {fixed}) failed: {e}"),
             };
@@ -2092,13 +2081,16 @@ mod tests {
             .unwrap();
         }
         let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
         let root: Vec<(f64, f64)> = m.vars.iter().map(|v| (v.lower, v.upper)).collect();
-        let parent = ctx.solve_relaxation(&root, None).unwrap();
+        let parent = ctx.solve_relaxation_in(&root, None, &mut bufs).unwrap();
 
         let mut child = root.clone();
         child[n / 2] = (1.0, 1.0);
-        let warm = ctx.solve_relaxation(&child, Some(&parent.basis)).unwrap();
-        let cold = ctx.solve_relaxation(&child, None).unwrap();
+        let warm = ctx
+            .solve_relaxation_in(&child, Some(&parent.basis), &mut bufs)
+            .unwrap();
+        let cold = ctx.solve_relaxation_in(&child, None, &mut bufs).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-6);
         assert!(warm.warmed);
         assert!(
@@ -2107,6 +2099,79 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
+    }
+
+    /// A placement-shaped model: `deps × pairs` assignment binaries, an
+    /// at-most-one row per deployment and a capacity row per PDU pair
+    /// that fits about 80% of the total power, the structure
+    /// flex-placement hands the solver.
+    fn placement_like(deps: usize, pairs: usize) -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let power: Vec<f64> = (0..deps)
+            .map(|d| ((d * 37 + 11) % 50 + 10) as f64)
+            .collect();
+        let x: Vec<Vec<_>> = (0..deps)
+            .map(|d| {
+                (0..pairs)
+                    .map(|p| m.add_binary(format!("x{d}_{p}"), power[d]))
+                    .collect()
+            })
+            .collect();
+        for (d, row) in x.iter().enumerate() {
+            m.add_constraint(
+                format!("assign{d}"),
+                row.iter().map(|&v| (v, 1.0)),
+                Relation::Le,
+                1.0,
+            )
+            .unwrap();
+        }
+        let cap = power.iter().sum::<f64>() * 0.8 / pairs as f64;
+        for p in 0..pairs {
+            let terms = x.iter().zip(&power).map(|(row, &w)| (row[p], w));
+            m.add_constraint(format!("cap{p}"), terms, Relation::Le, cap)
+                .unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn warm_dive_never_falls_back_cold() {
+        // Eight successive re-solves through one kept set of buffers, as
+        // a search thread dives: each fixes the most fractional binary
+        // of the solve before at its nearer integer and starts from that
+        // solve's basis. Every step must stay on the warm path and agree
+        // with the cold reference.
+        let m = placement_like(40, 5);
+        let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
+        let mut bounds = model_bounds(&m);
+        let mut at = ctx.solve_relaxation_in(&bounds, None, &mut bufs).unwrap();
+        let frac = |v: f64| (v - v.round()).abs();
+        for step in 0..8 {
+            let j = (0..at.values.len())
+                .max_by(|&a, &b| frac(at.values[a]).total_cmp(&frac(at.values[b])))
+                .unwrap();
+            assert!(
+                frac(at.values[j]) > 0.0,
+                "step {step}: the dive reached an integral solution"
+            );
+            let v = at.values[j].round();
+            bounds[j] = (v, v);
+            at = ctx
+                .solve_relaxation_in(&bounds, Some(&at.basis), &mut bufs)
+                .unwrap();
+            assert!(
+                at.warmed,
+                "step {step}: the re-solve fell back to a cold solve"
+            );
+            let (cold_obj, _) = solve_relaxation(&m, &bounds).unwrap();
+            assert!(
+                (at.objective - cold_obj).abs() < 1e-6,
+                "step {step}: warm {} vs cold {cold_obj}",
+                at.objective
+            );
+        }
     }
 
     type WarmOutcome = Option<(LpSolution, Option<BasisSnapshot>)>;

@@ -1100,7 +1100,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         m.add_binary("x", 1.0);
         let basis = WarmContext::new(&m)
-            .solve_relaxation(&[(0.0, 1.0)], None)
+            .solve_relaxation_in(&[(0.0, 1.0)], None, &mut LpBuffers::default())
             .unwrap()
             .basis;
         HeapNode(Node {

@@ -1,6 +1,6 @@
 //! Property tests: the MILP solver against brute force and its own LP bound.
 
-use flex_milp::simplex::solve_relaxation;
+use flex_milp::simplex::{solve_relaxation, LpBuffers};
 use flex_milp::{
     MilpError, MilpSolution, Model, Relation, Sense, SolveConfig, SolveStatus, VarKind, WarmContext,
 };
@@ -307,14 +307,15 @@ proptest! {
     fn warm_starts_match_cold_starts((m, int_upper) in arb_mip()) {
         prop_assume!(assignment_count(&int_upper) <= MAX_ASSIGNMENTS);
         let ctx = WarmContext::new(&m);
+        let mut bufs = LpBuffers::default();
         let root_bounds: Vec<(f64, f64)> = int_upper
             .iter()
             .map(|u| (0.0, u.map_or(f64::MAX, f64::from)))
             .collect();
-        let root = ctx.solve_relaxation(&root_bounds, None).unwrap();
+        let root = ctx.solve_relaxation_in(&root_bounds, None, &mut bufs).unwrap();
         for k in 0..assignment_count(&int_upper) {
             let bounds = assignment_bounds(&int_upper, k);
-            let warm = ctx.solve_relaxation(&bounds, Some(&root.basis));
+            let warm = ctx.solve_relaxation_in(&bounds, Some(&root.basis), &mut bufs);
             match (solve_relaxation(&m, &bounds), warm) {
                 (Ok((cold, _)), Ok(warm)) => prop_assert!(
                     (warm.objective - cold).abs() < 1e-6,

@@ -173,7 +173,7 @@ pub struct Actuator {
     pending: Vec<PendingCommand>,
     /// Precomputed `"rm/{rack}"` fault-plan names: reachability is
     /// checked on every submission and formatting the name there showed
-    /// up in the closed-loop hot path (see benches/fault_plan.rs).
+    /// up in the closed-loop hot path.
     rm_names: Vec<String>,
     /// Observability (noop unless attached).
     obs: Obs,

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use flex_obs::{Counter, FlightEvent, Gauge, Obs, Span};
 use flex_placement::{PlacedRack, PlacedRoom, RackId};
-use flex_power::meter::GroundTruth;
+use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::trip_curve::{OverloadAccumulator, TripCurve};
 use flex_power::{FeedState, LoadModel, Topology, UpsId, UpsLoads, Watts};
 use flex_sim::fault::{names as fault_names, FaultPlan, ResolvedPlan};
@@ -328,7 +328,7 @@ type RoomCtx = Ctx<RoomWorld, RoomEvent>;
 /// Everything that happens in a room, dispatched by one `match` in
 /// [`Event::fire`]. Events fire in `(time, scheduling order)`, and every
 /// handler schedules its follow-ups in a fixed order, so a run is
-/// reproducible event for event. Only [`RoomEvent::World`] holds a box.
+/// reproducible event for event. No variant holds a boxed closure.
 enum RoomEvent {
     /// Recurring UPS poll.
     UpsTick,
@@ -356,8 +356,13 @@ enum RoomEvent {
     RestoreUps(UpsId),
     /// The notice of a UPS restoration reaching the controllers.
     RestoreAlarm(UpsId),
-    /// An arbitrary world mutation (targeted fault injection).
-    World(Box<dyn FnOnce(&mut RoomWorld)>),
+    /// A UPS meter forced to repeat its last reading until `until`
+    /// (targeted fault injection).
+    StickMeter {
+        ups: UpsId,
+        kind: MeterKind,
+        until: SimTime,
+    },
 }
 
 /// One copy of a telemetry delivery in flight to the controllers.
@@ -397,7 +402,9 @@ impl Event<RoomWorld> for RoomEvent {
             RoomEvent::FailUps(ups) => fail_ups(w, ctx, ups),
             RoomEvent::RestoreUps(ups) => restore_ups(w, ctx, ups),
             RoomEvent::RestoreAlarm(ups) => restore_alarm(w, ctx.now(), ups),
-            RoomEvent::World(f) => f(w),
+            RoomEvent::StickMeter { ups, kind, until } => {
+                w.pipeline.meters_mut().force_stuck(ups, kind, until);
+            }
         }
     }
 }
@@ -1226,13 +1233,11 @@ impl RoomSim {
         self.sim.schedule_event_at(t, RoomEvent::RestoreUps(ups));
     }
 
-    /// Schedules an arbitrary world mutation at `t` (targeted fault
-    /// injection mid-run: forcing meters stuck, swapping fault plans…).
-    pub fn schedule_world<F>(&mut self, t: SimTime, f: F)
-    where
-        F: FnOnce(&mut RoomWorld) + 'static,
-    {
-        self.sim.schedule_event_at(t, RoomEvent::World(Box::new(f)));
+    /// Schedules UPS `ups`'s `kind` meter to freeze at `t`, repeating
+    /// its last reading until `until` (targeted fault injection).
+    pub fn stick_meter_at(&mut self, t: SimTime, ups: UpsId, kind: MeterKind, until: SimTime) {
+        self.sim
+            .schedule_event_at(t, RoomEvent::StickMeter { ups, kind, until });
     }
 
     /// Runs until the given virtual time.
@@ -1293,12 +1298,6 @@ impl RoomWorld {
     /// instance order.
     pub fn controllers(&self) -> impl Iterator<Item = &Controller> {
         self.instances.iter().map(|inst| &inst.controller)
-    }
-
-    /// Mutable access to the telemetry pipeline (targeted fault
-    /// injection: forcing meters stuck, etc.).
-    pub fn pipeline_mut(&mut self) -> &mut Pipeline {
-        &mut self.pipeline
     }
 
     /// True if an enforcement (apply or retry) is still in flight for

@@ -72,8 +72,8 @@ pub struct Pipeline {
     next_seq: u64,
     // The fault plan, resolved per component class when attached:
     // availability is checked per component per poll tick, so by
-    // position rather than by name (see benches/fault_plan.rs). UPS
-    // meters resolve per UPS, in `MeterKind::ALL` order.
+    // position rather than by name. UPS meters resolve per UPS, in
+    // `MeterKind::ALL` order.
     poller_faults: ResolvedPlan,
     switch_faults: ResolvedPlan,
     pubsub_faults: ResolvedPlan,

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The one-command gate: release build of every target (libs, bins,
-# tests, examples and the criterion benches), flex-lint (zero
-# error-severity findings allowed), the full test suite, the chaos smoke
-# campaign (scripts/chaos_smoke.sh), the observability forensics loop
+# tests and examples), flex-lint (zero error-severity findings
+# allowed), the full test suite, the chaos smoke campaign
+# (scripts/chaos_smoke.sh), the observability forensics loop
 # (scripts/obs_smoke.sh), then the recovery/fencing smoke
 # (scripts/recovery_smoke.sh). CI and pre-merge both run exactly this;
 # see DESIGN.md "The lint gate", "Chaos harness", "Observability", and
