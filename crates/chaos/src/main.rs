@@ -12,8 +12,9 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use flex_chaos::scenario::fresh_controllers;
+use flex_chaos::scenario::{fresh_controllers, FAMILIES};
 use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
+use flex_obs::cli::parse_flags;
 use flex_obs::json;
 use flex_online::replay::{recorded_commands, replay_decisions};
 
@@ -44,37 +45,6 @@ fn usage() -> ExitCode {
          fails unless they equal the recorded commands."
     );
     ExitCode::from(2)
-}
-
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    const BARE: [&str; 8] = [
-        "no-watchdog",
-        "no-retry",
-        "no-fencing",
-        "no-recovery",
-        "no-minimize",
-        "no-obs",
-        "ab",
-        "harden",
-    ];
-    let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{}'", args[i]))?;
-        if BARE.contains(&key) {
-            flags.insert(key.to_string(), "1".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
 }
 
 fn emit(flags: &BTreeMap<String, String>, json_text: &str) -> Result<(), String> {
@@ -110,7 +80,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     };
     let family = flags.get("family").map(String::as_str);
     let (report, survived) = if flags.contains_key("ab") {
-        let (report, survived) = ab_probe(config);
+        let (report, survived) = ab_probe(config, family);
         (report, Some(survived))
     } else {
         (campaign::run_filtered(config, family), None)
@@ -231,20 +201,34 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    let flags = match parse_flags(&args[1..]) {
+    let (valued, bare): (&[&str], &[&str]) = match command.as_str() {
+        "run" => (
+            &["seed", "scenarios", "family", "json"],
+            &[
+                "no-watchdog", "no-retry", "no-fencing", "no-recovery", "no-minimize", "no-obs",
+                "ab",
+            ],
+        ),
+        "replay" => (&["file", "json"], &["harden"]),
+        _ => return usage(),
+    };
+    let flags = match parse_flags(rest, valued, bare) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n");
             return usage();
         }
     };
+    if let Some(f) = flags.get("family").filter(|f| !FAMILIES.contains(&f.as_str())) {
+        eprintln!("error: unknown family '{f}' (one of: {})\n", FAMILIES.join(", "));
+        return usage();
+    }
     let result = match command.as_str() {
         "run" => cmd_run(&flags),
-        "replay" => cmd_replay(&flags),
-        _ => return usage(),
+        _ => cmd_replay(&flags),
     };
     match result {
         Ok(true) => ExitCode::SUCCESS,

@@ -86,13 +86,20 @@ impl StuckMeter {
         ])
     }
 
+    /// Decodes a stuck meter; one that could not freeze anything (a
+    /// UPS outside [`chaos_room`], a kind outside [`MeterKind::ALL`],
+    /// an empty window) is rejected.
     fn from_value(v: &Value) -> Option<Self> {
-        Some(StuckMeter {
+        let meter = StuckMeter {
             ups: v.get("ups")?.as_u64()? as usize,
             kind: v.get("kind")?.as_u64()? as usize,
             from_ms: v.get("from_ms")?.as_u64()?,
             until_ms: v.get("until_ms")?.as_u64()?,
-        })
+        };
+        (meter.ups < chaos_room().ups_count
+            && meter.kind < MeterKind::ALL.len()
+            && meter.until_ms > meter.from_ms)
+            .then_some(meter)
     }
 }
 
@@ -351,12 +358,14 @@ impl Scenario {
     }
 
     /// Deserializes from a JSON value produced by
-    /// [`to_value`](Self::to_value).
+    /// [`to_value`](Self::to_value). A scenario whose scripted failure
+    /// names a UPS outside [`chaos_room`] is rejected: the simulation
+    /// ignores a foreign id, so it would replay with no failover.
     pub fn from_value(v: &Value) -> Option<Self> {
         let windows = |key: &str| -> Option<Vec<FaultWindow>> {
             v.get(key)?.as_arr()?.iter().map(FaultWindow::from_value).collect()
         };
-        Some(Scenario {
+        let scenario = Scenario {
             id: v.get("id")?.as_u64()?,
             family: v.get("family")?.as_str()?.to_string(),
             seed: v.get("seed")?.as_str()?.parse().ok()?,
@@ -384,7 +393,8 @@ impl Scenario {
                 None | Some(Value::Null) => None,
                 Some(p) => Some(PartitionSpec::from_value(p)?),
             },
-        })
+        };
+        (scenario.fail_ups < chaos_room().ups_count).then_some(scenario)
     }
 }
 
@@ -958,18 +968,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_windows_do_not_parse() {
+    fn atoms_that_cannot_act_do_not_parse() {
         // A replayed file with a window that ends at or before its start
-        // must be refused, not reach `FaultPlan::add_outage` and panic.
-        for until_ms in [999, 1_000] {
+        // must be refused, not reach `FaultPlan::add_outage` and panic;
+        // a stuck meter or a failure the room ignores must be refused,
+        // not replay without its fault.
+        let window = |until_ms| FaultWindow {
+            component: "poller/0".to_string(),
+            from_ms: 1_000,
+            until_ms,
+        };
+        let meter = StuckMeter { ups: 1, kind: 0, from_ms: 1_000, until_ms: 2_000 };
+        let ups = chaos_room().ups_count;
+        let kind = MeterKind::ALL.len();
+        let edits: [&dyn Fn(&mut Scenario); 6] = [
+            &|s| s.pipeline_faults.push(window(999)),
+            &|s| s.pipeline_faults.push(window(1_000)),
+            &|s| s.stuck_meters.push(StuckMeter { ups, ..meter.clone() }),
+            &|s| s.stuck_meters.push(StuckMeter { kind, ..meter.clone() }),
+            &|s| s.stuck_meters.push(StuckMeter { until_ms: 1_000, ..meter.clone() }),
+            &|s| s.fail_ups = ups,
+        ];
+        for edit in edits {
             let mut s = Scenario::baseline(1);
-            s.pipeline_faults.push(FaultWindow {
-                component: "poller/0".to_string(),
-                from_ms: 1_000,
-                until_ms,
-            });
+            edit(&mut s);
             let v = json::parse(&s.to_value().to_json()).expect("parses");
-            assert_eq!(Scenario::from_value(&v), None, "until_ms {until_ms}");
+            assert_eq!(Scenario::from_value(&v), None, "{s:?}");
         }
     }
 

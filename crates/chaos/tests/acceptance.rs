@@ -128,7 +128,7 @@ fn hardening_is_load_bearing_at_campaign_scale() {
         minimize: false,
         ..CampaignConfig::default()
     };
-    let (report, survived) = ab_probe(config);
+    let (report, survived) = ab_probe(config, None);
     let trips = report
         .failures
         .iter()

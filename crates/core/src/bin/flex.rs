@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use flex_core::obs::cli::parse_flags;
 use flex_core::power::UpsId;
 use flex_core::workload::impact::scenarios;
 use flex_core::{FlexDatacenter, PolicyKind};
@@ -31,27 +32,6 @@ fn usage() -> ExitCode {
          experiment."
     );
     ExitCode::from(2)
-}
-
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{}'", args[i]))?;
-        if key == "fast" {
-            flags.insert(key.to_string(), "1".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
 }
 
 fn policy_of(flags: &BTreeMap<String, String>) -> Result<PolicyKind, String> {
@@ -230,7 +210,8 @@ fn main() -> ExitCode {
     let Some(command) = args.first() else {
         return usage();
     };
-    let flags = match parse_flags(&args[1..]) {
+    let valued = ["policy", "seed", "room", "ups", "util", "scenario"];
+    let flags = match parse_flags(&args[1..], &valued, &["fast"]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n");

@@ -29,6 +29,7 @@ macro_rules! say {
     };
 }
 
+use flex_obs::cli::parse_flags;
 use flex_obs::json::{self, Value};
 use flex_obs::{FlightEvent, HistogramSnapshot, ObsDump};
 use flex_sim::SimDuration;
@@ -51,22 +52,6 @@ fn usage() -> ExitCode {
          embedded recorder dump is located automatically."
     );
     ExitCode::from(2)
-}
-
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        let key = arg
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{arg}'"))?;
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
 }
 
 fn read_input(path: &str) -> Result<String, String> {
@@ -412,7 +397,13 @@ fn main() -> ExitCode {
     let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    let flags = match parse_flags(rest) {
+    let valued: &[&str] = match command.as_str() {
+        "summary" => &["file"],
+        "print" => &["file", "limit"],
+        "diff" => &["a", "b"],
+        _ => return usage(),
+    };
+    let flags = match parse_flags(rest, valued, &[]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -423,8 +414,7 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "summary" => cmd_summary(&flags, &mut out),
         "print" => cmd_print(&flags, &mut out),
-        "diff" => cmd_diff(&flags, &mut out),
-        _ => return usage(),
+        _ => cmd_diff(&flags, &mut out),
     };
     // One buffered write, with errors ignored: `flex-obs summary | head`
     // closes the pipe early and must not turn into a panic or a failure

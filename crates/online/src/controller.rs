@@ -14,7 +14,7 @@ use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
 
 use crate::actuation::RackPowerState;
-use crate::policy::{decide, ActionKind, DecisionInput, PolicyConfig, RecoveryShares};
+use crate::policy::{decide, ActionKind, DecisionInput, RecoveryShares, POLICY};
 use crate::recovery::{BufferedDelivery, RecoverySnapshot};
 use crate::{ImpactRegistry, OnlineError};
 
@@ -72,7 +72,7 @@ const RESTORE_HYSTERESIS: SimDuration = SimDuration::from_secs(30);
 
 /// The per-UPS load fraction the room must stay under for
 /// [`RESTORE_HYSTERESIS`] before a full restore: 6 points below the
-/// default policy's shed line at `1 − buffer_fraction` (0.98). A
+/// [`POLICY`] shed line at `1 − buffer_fraction` (0.98). A
 /// project choice; the paper gives no restore threshold.
 const RESTORE_THRESHOLD_FRACTION: f64 = 0.92;
 
@@ -100,8 +100,6 @@ pub(crate) const BLACKOUT_DEADLINE: SimDuration = SimDuration::from_secs(4);
 /// Controller tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
-    /// Decision policy parameters.
-    pub policy: PolicyConfig,
     /// Telemetry-blackout watchdog: when a failover is known (alarm or
     /// observed overdraw) and no fresh UPS snapshot has arrived for
     /// `BLACKOUT_DEADLINE` (4 s), shed preemptively against a worst-case
@@ -113,7 +111,6 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            policy: PolicyConfig::default(),
             blackout_watchdog: true,
         }
     }
@@ -601,7 +598,7 @@ impl Controller {
             Some(v) => v,
             None => c.topology.upses().iter().map(|u| u.capacity()).collect(),
         };
-        let online = crate::policy::infer_online(&c.topology, &view, &c.config.policy);
+        let online = crate::policy::infer_online(&c.topology, &view, &POLICY);
         for cmd in &inflight {
             if cmd.apply_at <= now {
                 continue;
@@ -674,7 +671,7 @@ impl Controller {
         }
         // Overdraw check against limit − buffer.
         let over = self.topology.upses().iter().any(|u| {
-            let limit = u.capacity() * (1.0 - self.config.policy.buffer_fraction);
+            let limit = u.capacity() * (1.0 - POLICY.buffer_fraction);
             ups_power
                 .get(u.id().0)
                 .is_some_and(|p| p.exceeds(limit))
@@ -697,7 +694,7 @@ impl Controller {
         let all_in_service = self.topology.upses().iter().all(|u| {
             ups_power
                 .get(u.id().0)
-                .is_some_and(|p| *p > u.capacity() * self.config.policy.failed_threshold_fraction)
+                .is_some_and(|p| *p > u.capacity() * POLICY.failed_threshold_fraction)
         });
         let all_below_restore = self.topology.upses().iter().all(|u| {
             ups_power
@@ -732,7 +729,7 @@ impl Controller {
         // load has dropped well below the limit, lift one action per
         // telemetry round — the one whose reversal provably keeps every
         // UPS under limit − buffer.
-        let online = crate::policy::infer_online(&self.topology, &ups_power, &self.config.policy);
+        let online = crate::policy::infer_online(&self.topology, &ups_power, &POLICY);
         let rack_power = self.rack_powers();
         let mut best = None;
         for (&rack, &kind) in &self.state.action_log {
@@ -754,7 +751,7 @@ impl Controller {
             // safe, so such a share vetoes the lift.
             let safe = shares.iter().all(|(u, w)| {
                 self.topology.ups(u).is_ok_and(|ups| {
-                    let limit = ups.capacity() * (1.0 - 2.0 * self.config.policy.buffer_fraction);
+                    let limit = ups.capacity() * (1.0 - 2.0 * POLICY.buffer_fraction);
                     ups_power.get(u.0).is_some_and(|p| !(*p + w).exceeds(limit))
                 })
             });
@@ -803,8 +800,8 @@ impl Controller {
             rack_power: &rack_power,
             ups_power,
         };
-        let outcome = decide(&input, &self.state.action_log, &self.registry, &self.config.policy)?;
-        let online = crate::policy::infer_online(&self.topology, ups_power, &self.config.policy);
+        let outcome = decide(&input, &self.state.action_log, &self.registry, &POLICY)?;
+        let online = crate::policy::infer_online(&self.topology, ups_power, &POLICY);
         let mut commands = Vec::with_capacity(outcome.actions.len());
         for action in outcome.actions {
             // Policy actions always name racks from `self.racks`; a

@@ -54,12 +54,18 @@ pub struct PolicyConfig {
     pub failed_threshold_fraction: f64,
 }
 
+/// The tuning every controller decides with: a 2% safety buffer below
+/// each UPS limit and a 2%-of-capacity reading as the out-of-service
+/// line. [`PolicyConfig::default`] returns it, so the controller and
+/// direct callers of [`decide`] cannot drift apart.
+pub(crate) const POLICY: PolicyConfig = PolicyConfig {
+    buffer_fraction: 0.02,
+    failed_threshold_fraction: 0.02,
+};
+
 impl Default for PolicyConfig {
     fn default() -> Self {
-        PolicyConfig {
-            buffer_fraction: 0.02,
-            failed_threshold_fraction: 0.02,
-        }
+        POLICY
     }
 }
 
