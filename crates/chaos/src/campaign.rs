@@ -5,6 +5,8 @@
 //! and the minimizer are all seeded and wall-clock-free, so two runs of
 //! the same campaign produce byte-identical JSON reports.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use flex_obs::json::{obj, Value};
 use flex_obs::Obs;
 
@@ -162,55 +164,33 @@ pub fn run(config: CampaignConfig) -> CampaignReport {
 /// generator family execute (the others still *generate* — scenario `i`
 /// stays seed-stable regardless of the filter — but are skipped, and do
 /// not count as clean or appear in the family table).
+///
+/// Scenarios run on every available core (see [`par_map`]); the report
+/// is byte-identical at any worker count.
 pub fn run_filtered(config: CampaignConfig, family: Option<&str>) -> CampaignReport {
+    run_on(config, family, workers())
+}
+
+/// [`run_filtered`] on `workers` threads.
+fn run_on(config: CampaignConfig, family: Option<&str>, workers: usize) -> CampaignReport {
+    let judged = par_map(config.scenarios as usize, workers, |i| {
+        judge_indexed(config, family, i as u64)
+    });
     let mut clean = 0u64;
     let mut failures = Vec::new();
     let mut family_counts: Vec<(String, u64, u64)> = scenario::FAMILIES
         .iter()
         .map(|f| (f.to_string(), 0, 0))
         .collect();
-    for i in 0..config.scenarios {
-        let mut s = scenario::generate(config.seed, i);
-        if family.is_some_and(|f| f != s.family) {
-            continue;
-        }
-        s.watchdog = config.watchdog;
-        s.retries = config.retries;
-        s.fencing = config.fencing;
-        s.recovery = config.recovery;
-        // One fresh recorder per scenario, so a failure's dump holds
-        // exactly its own run (minimizer re-runs stay uninstrumented).
-        let obs = if config.obs {
-            Obs::recording()
-        } else {
-            Obs::noop()
-        };
-        let violations = judge_obs(&s, &obs);
-        if let Some(slot) = family_counts
-            .iter_mut()
-            .find(|(name, _, _)| *name == s.family)
-        {
+    for (f, failure) in judged.into_iter().flatten() {
+        if let Some(slot) = family_counts.get_mut(f) {
             slot.1 += 1;
-            if !violations.is_empty() {
-                slot.2 += 1;
-            }
+            slot.2 += u64::from(failure.is_some());
         }
-        if violations.is_empty() {
-            clean += 1;
-            continue;
+        match failure {
+            Some(failure) => failures.push(*failure),
+            None => clean += 1,
         }
-        let minimized = if config.minimize {
-            Some(minimize(&s, &violations))
-        } else {
-            None
-        };
-        let recorder = config.obs.then(|| obs.dump().to_value());
-        failures.push(Failure {
-            scenario: s,
-            violations,
-            minimized,
-            recorder,
-        });
     }
     CampaignReport {
         config,
@@ -218,6 +198,87 @@ pub fn run_filtered(config: CampaignConfig, family: Option<&str>) -> CampaignRep
         failures,
         family_counts,
     }
+}
+
+/// What a worker hands back for one scenario index: `None` when the
+/// family filter skips it, else the scenario's index in
+/// [`scenario::FAMILIES`] and its failure, if any. The failure is boxed
+/// so a clean result costs three words while it waits for the fold.
+type Judged = Option<(usize, Option<Box<Failure>>)>;
+
+/// Generates, judges and, on failure, minimizes and dumps scenario `i`
+/// of the campaign: one worker's whole share of one index.
+fn judge_indexed(config: CampaignConfig, family: Option<&str>, i: u64) -> Judged {
+    let mut s = scenario::generate(config.seed, i);
+    if family.is_some_and(|f| f != s.family) {
+        return None;
+    }
+    let f = scenario::FAMILIES.iter().position(|&name| name == s.family)?;
+    s.watchdog = config.watchdog;
+    s.retries = config.retries;
+    s.fencing = config.fencing;
+    s.recovery = config.recovery;
+    // One fresh recorder per scenario, so a failure's dump holds
+    // exactly its own run (minimizer re-runs stay uninstrumented).
+    let obs = if config.obs {
+        Obs::recording()
+    } else {
+        Obs::noop()
+    };
+    let violations = judge_obs(&s, &obs);
+    if violations.is_empty() {
+        return Some((f, None));
+    }
+    let minimized = config.minimize.then(|| minimize(&s, &violations));
+    let recorder = config.obs.then(|| obs.dump().to_value());
+    Some((
+        f,
+        Some(Box::new(Failure {
+            scenario: s,
+            violations,
+            minimized,
+            recorder,
+        })),
+    ))
+}
+
+/// The worker count of a campaign: one per available core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// `(0..n).map(f)` on up to `workers` threads, in index order.
+///
+/// Workers claim indices from one shared counter, so a slow scenario
+/// holds up only its own worker; the calling thread is one of them, so
+/// one worker spawns no thread. Each result is placed by its index, so
+/// the output — and everything folded from it — is the same at any
+/// worker count.
+fn par_map<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.clamp(1, n.max(1)))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut done = work();
+        for h in helpers {
+            // A worker's panic is a panic of `f`: re-raise it here.
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Upper bound on re-runs the minimizer may spend per failure.
@@ -263,23 +324,30 @@ pub fn minimize(scenario: &Scenario, violations: &[Violation]) -> Scenario {
 /// with them all **on**; `family` filters as in [`run_filtered`].
 /// Returns `(report, survived)` where `survived` counts failing
 /// scenarios whose hardened re-run is violation-free.
-pub fn ab_probe(mut config: CampaignConfig, family: Option<&str>) -> (CampaignReport, u64) {
+pub fn ab_probe(config: CampaignConfig, family: Option<&str>) -> (CampaignReport, u64) {
+    ab_probe_on(config, family, workers())
+}
+
+/// [`ab_probe`] on `workers` threads.
+fn ab_probe_on(
+    mut config: CampaignConfig,
+    family: Option<&str>,
+    workers: usize,
+) -> (CampaignReport, u64) {
     config.watchdog = false;
     config.retries = false;
     config.fencing = false;
     config.recovery = false;
-    let report = run_filtered(config, family);
-    let mut survived = 0u64;
-    for failure in &report.failures {
-        let mut hardened = failure.scenario.clone();
+    let report = run_on(config, family, workers);
+    let survivors = par_map(report.failures.len(), workers, |k| {
+        let mut hardened = report.failures[k].scenario.clone();
         hardened.watchdog = true;
         hardened.retries = true;
         hardened.fencing = true;
         hardened.recovery = true;
-        if judge(&hardened).is_empty() {
-            survived += 1;
-        }
-    }
+        judge(&hardened).is_empty()
+    });
+    let survived = survivors.into_iter().filter(|&ok| ok).count() as u64;
     (report, survived)
 }
 
@@ -314,5 +382,74 @@ mod tests {
         );
         assert!(min.rm_faults.is_empty(), "irrelevant RM fault survived");
         assert!(min.chaos.is_off(), "irrelevant chaos survived");
+    }
+
+    /// Worker counts every invariance test compares.
+    const WORKERS: [usize; 3] = [1, 2, 4];
+
+    /// Asserts `run_on(config, family, w).to_json()` byte-identical for
+    /// every `w` in [`WORKERS`]; returns the one-worker report.
+    fn same_report_at_every_worker_count(
+        config: CampaignConfig,
+        family: Option<&str>,
+    ) -> CampaignReport {
+        let one = run_on(config, family, 1);
+        for &w in &WORKERS[1..] {
+            assert_eq!(
+                run_on(config, family, w).to_json(),
+                one.to_json(),
+                "report at {w} workers differs from one worker's"
+            );
+        }
+        one
+    }
+
+    #[test]
+    fn hardened_campaign_is_identical_at_every_worker_count() {
+        let config = CampaignConfig {
+            scenarios: 60,
+            ..CampaignConfig::default()
+        };
+        let report = same_report_at_every_worker_count(config, None);
+        assert_eq!(report.clean, 60, "the hardened loop survives all 60");
+    }
+
+    #[test]
+    fn failing_campaign_is_identical_at_every_worker_count() {
+        // Hardening off: failures, their minimized reproducers and their
+        // embedded recorder dumps all come out of the workers.
+        let config = CampaignConfig {
+            scenarios: 24,
+            watchdog: false,
+            retries: false,
+            fencing: false,
+            recovery: false,
+            ..CampaignConfig::default()
+        };
+        let report = same_report_at_every_worker_count(config, None);
+        assert!(report.failures.len() >= 2, "too few failures to order");
+        for f in &report.failures {
+            assert!(f.minimized.is_some(), "scenario {} not minimized", f.scenario.id);
+            assert!(f.recorder.is_some(), "scenario {} has no dump", f.scenario.id);
+        }
+        let survived: Vec<u64> = WORKERS
+            .iter()
+            .map(|&w| ab_probe_on(config, None, w).1)
+            .collect();
+        assert!(survived.iter().all(|&s| s == survived[0]), "survived {survived:?}");
+    }
+
+    #[test]
+    fn family_filter_is_identical_at_every_worker_count() {
+        let config = CampaignConfig {
+            scenarios: 24,
+            minimize: false,
+            ..CampaignConfig::default()
+        };
+        let report = same_report_at_every_worker_count(config, Some("restart_storm"));
+        for (name, run, _) in &report.family_counts {
+            let expected = if name == "restart_storm" { 3 } else { 0 };
+            assert_eq!(*run, expected, "family {name}");
+        }
     }
 }

@@ -14,10 +14,11 @@
 //!   described by plain JSON-able data;
 //! - [`oracle`] — the post-run safety contract: no unexcused UPS trip,
 //!   no orphaned rack, bounded over-shed, no stale-epoch actuation;
-//! - [`campaign`] — the driver: run N seeded scenarios, judge each,
-//!   greedily delta-minimize failures into 1-minimal reproducers, and
-//!   emit a byte-deterministic JSON report with each failure's
-//!   `flex-obs` flight-recorder dump embedded for forensics.
+//! - [`campaign`] — the driver: run N seeded scenarios on every core,
+//!   judge each, greedily delta-minimize failures into 1-minimal
+//!   reproducers, and emit a byte-deterministic JSON report (the same
+//!   at any worker count) with each failure's `flex-obs`
+//!   flight-recorder dump embedded for forensics.
 //!
 //! Reports and replay files are `flex_obs::json` trees, so a failure
 //! report embeds its flight-recorder dump as a plain subtree.

@@ -14,8 +14,8 @@ use std::process::ExitCode;
 
 use flex_chaos::scenario::{fresh_controllers, FAMILIES};
 use flex_chaos::{ab_probe, campaign, CampaignConfig, Scenario};
-use flex_obs::cli::parse_flags;
-use flex_obs::json;
+use flex_obs::cli::{parse_flags, print};
+use flex_obs::{json, say};
 use flex_online::replay::{recorded_commands, replay_decisions};
 
 fn usage() -> ExitCode {
@@ -47,11 +47,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn emit(flags: &BTreeMap<String, String>, json_text: &str) -> Result<(), String> {
+fn emit(
+    flags: &BTreeMap<String, String>,
+    json_text: &str,
+    out: &mut String,
+) -> Result<(), String> {
     match flags.get("json").map(String::as_str) {
         None => Ok(()),
         Some("-") => {
-            println!("{json_text}");
+            say!(out, "{json_text}");
             Ok(())
         }
         Some(path) => std::fs::write(path, json_text)
@@ -59,7 +63,7 @@ fn emit(flags: &BTreeMap<String, String>, json_text: &str) -> Result<(), String>
     }
 }
 
-fn cmd_run(flags: &BTreeMap<String, String>) -> Result<bool, String> {
+fn cmd_run(flags: &BTreeMap<String, String>, out: &mut String) -> Result<bool, String> {
     let config = CampaignConfig {
         seed: flags
             .get("seed")
@@ -85,7 +89,8 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     } else {
         (campaign::run_filtered(config, family), None)
     };
-    println!(
+    say!(
+        out,
         "campaign: seed {} | {} scenarios | watchdog {} | retries {} | fencing {} | recovery {}",
         report.config.seed,
         report.config.scenarios,
@@ -95,20 +100,22 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         if report.config.recovery { "on" } else { "off" },
     );
     for (family, run, failed) in &report.family_counts {
-        println!("  {family:<28} {run:>4} run  {failed:>3} failed");
+        say!(out, "  {family:<28} {run:>4} run  {failed:>3} failed");
     }
-    println!(
+    say!(
+        out,
         "  {} clean, {} failing scenarios",
         report.clean,
         report.failures.len()
     );
     for f in &report.failures {
-        println!("  scenario {} ({}):", f.scenario.id, f.scenario.family);
+        say!(out, "  scenario {} ({}):", f.scenario.id, f.scenario.family);
         for v in &f.violations {
-            println!("    [{}] {}", v.kind, v.detail);
+            say!(out, "    [{}] {}", v.kind, v.detail);
         }
         if let Some(min) = &f.minimized {
-            println!(
+            say!(
+                out,
                 "    minimized: {} fault atoms (from {})",
                 min.atom_count(),
                 f.scenario.atom_count()
@@ -116,17 +123,18 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         }
     }
     if let Some(survived) = survived {
-        println!(
+        say!(
+            out,
             "  A/B: {} of {} unhardened failures pass with watchdog+retry+fencing+recovery enabled",
             survived,
             report.failures.len()
         );
     }
-    emit(flags, &report.to_json())?;
+    emit(flags, &report.to_json(), out)?;
     Ok(report.failures.is_empty() || flags.contains_key("ab"))
 }
 
-fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
+fn cmd_replay(flags: &BTreeMap<String, String>, out: &mut String) -> Result<bool, String> {
     let path = flags.get("file").ok_or("replay needs --file PATH")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let value = json::parse(&text).map_err(|e| e.to_string())?;
@@ -146,7 +154,8 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         scenario.fencing = true;
         scenario.recovery = true;
     }
-    println!(
+    say!(
+        out,
         "replaying scenario {} ({}, seed {}, util {:.3}, watchdog {}, retries {}, fencing {}, recovery {})",
         scenario.id,
         scenario.family,
@@ -160,15 +169,16 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     let obs = flex_obs::Obs::recording();
     let violations = campaign::judge_obs(&scenario, &obs);
     if violations.is_empty() {
-        println!("verdict: CLEAN (no safety violations)");
+        say!(out, "verdict: CLEAN (no safety violations)");
     } else {
-        println!("verdict: {} violation(s)", violations.len());
+        say!(out, "verdict: {} violation(s)", violations.len());
         for v in &violations {
-            println!("  [{}] {}", v.kind, v.detail);
+            say!(out, "  [{}] {}", v.kind, v.detail);
         }
     }
     let dump = obs.dump();
-    println!(
+    say!(
+        out,
         "recorder: {} flight events captured ({} dropped)",
         dump.events.len(),
         dump.dropped
@@ -177,7 +187,8 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     let replayed = replay_decisions(&mut fresh_controllers(&scenario), &dump.events);
     // A dump missing its oldest events cannot re-derive the run.
     let replay_matches = dump.dropped == 0 && replayed == recorded;
-    println!(
+    say!(
+        out,
         "decision replay: {} ({} commands replayed from the dump, {} recorded)",
         if replay_matches {
             "identical"
@@ -195,7 +206,7 @@ fn cmd_replay(flags: &BTreeMap<String, String>) -> Result<bool, String> {
         ),
         ("recorder", dump.to_value()),
     ]);
-    emit(flags, &report.to_json())?;
+    emit(flags, &report.to_json(), out)?;
     Ok(violations.is_empty() && replay_matches)
 }
 
@@ -226,10 +237,16 @@ fn main() -> ExitCode {
         eprintln!("error: unknown family '{f}' (one of: {})\n", FAMILIES.join(", "));
         return usage();
     }
+    let mut out = String::new();
     let result = match command.as_str() {
-        "run" => cmd_run(&flags),
-        _ => cmd_replay(&flags),
+        "run" => cmd_run(&flags, &mut out),
+        _ => cmd_replay(&flags, &mut out),
     };
+    // `flex-chaos run | head` closes the pipe early; that is no failure
+    // (see `print`).
+    let result = print(&out)
+        .map_err(|e| format!("writing output: {e}"))
+        .and(result);
     match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,

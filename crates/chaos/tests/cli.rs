@@ -1,6 +1,8 @@
 //! The `flex-chaos` binary end to end, on the fixed-seed campaigns that
 //! gate the chaos harness, the flight recorder and crash recovery, each
-//! within a wall-clock budget; misspelt flags and families are refused.
+//! within a wall-clock budget; misspelt flags and families are refused,
+//! and a reader that closes stdout early ends the output without a
+//! panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -211,4 +213,20 @@ fn unknown_flags_and_families_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "flex-chaos {args}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE:"), "flex-chaos {args}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    // The read end is gone before `flex-chaos` starts, so its first
+    // write meets a broken pipe, as under `flex-chaos run | true`.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_flex-chaos"))
+        .args(["run", "--scenarios", "16"])
+        .stdout(writer)
+        .output()
+        .expect("flex-chaos starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "flex-chaos run: {stderr}");
+    assert!(!stderr.contains("panicked"), "flex-chaos run: {stderr}");
 }

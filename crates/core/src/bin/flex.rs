@@ -10,7 +10,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use flex_core::obs::cli::parse_flags;
+use flex_core::obs::cli::{parse_flags, print};
+use flex_core::obs::say;
 use flex_core::power::UpsId;
 use flex_core::workload::impact::scenarios;
 use flex_core::{FlexDatacenter, PolicyKind};
@@ -22,7 +23,7 @@ fn usage() -> ExitCode {
          USAGE:\n\
            flex place [--policy random|firstfit|brr|short|long|oracle] [--seed N] [--room placement|emulation]\n\
            flex drill [--ups N] [--util F] [--scenario extreme-1|extreme-2|realistic-1|realistic-2]\n\
-                      [--policy …] [--seed N]\n\
+                      [--policy …] [--seed N] [--room …]\n\
            flex feasibility\n\
            flex emulate [--fast]\n\
          \n\
@@ -73,37 +74,42 @@ fn build(flags: &BTreeMap<String, String>) -> Result<FlexDatacenter, String> {
         .map_err(|e| e.to_string())
 }
 
-fn cmd_place(flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_place(flags: &BTreeMap<String, String>, out: &mut String) -> Result<(), String> {
     let dc = build(flags)?;
     let room = dc.room();
-    println!(
+    say!(
+        out,
         "room: {} provisioned | {} conventional budget | {} reserve",
         room.provisioned_power(),
         room.failover_budget(),
         room.provisioned_power() - room.failover_budget()
     );
-    println!(
+    say!(
+        out,
         "placed {} deployments / {} racks ({} rejected to other rooms)",
         dc.placement().assignments.len(),
         dc.placed().rack_count(),
         dc.placement().rejected.len()
     );
-    println!(
+    say!(
+        out,
         "stranded power:      {:.2}% of provisioned",
         dc.stranded_fraction() * 100.0
     );
-    println!(
+    say!(
+        out,
         "throttling imbalance: {:.3}",
         dc.throttling_imbalance()
     );
-    println!(
+    say!(
+        out,
         "extra servers vs conventional room: +{:.1}%",
         dc.extra_capacity_fraction() * 100.0
     );
     Ok(())
 }
 
-fn cmd_drill(flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_drill(flags: &BTreeMap<String, String>, out: &mut String) -> Result<(), String> {
     let dc = build(flags)?;
     let ups: usize = flags
         .get("ups")
@@ -118,18 +124,21 @@ fn cmd_drill(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let drill = dc
         .decide_failover(UpsId(ups), util)
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
+        out,
         "failover drill: UPS{ups} out at {:.0}% room utilization",
         util * 100.0
     );
-    println!("  safe: {}", drill.outcome.safe);
-    println!(
+    say!(out, "  safe: {}", drill.outcome.safe);
+    say!(
+        out,
         "  actions: {} ({:.1}% of racks), shedding {}",
         drill.outcome.actions.len(),
         drill.summary.impacted_fraction * 100.0,
         drill.shed_power
     );
-    println!(
+    say!(
+        out,
         "  shut down: {:.1}% of software-redundant racks | throttled: {:.1}% of cap-able racks",
         drill.summary.shutdown_fraction * 100.0,
         drill.summary.throttled_fraction * 100.0
@@ -141,29 +150,31 @@ fn cmd_drill(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .iter()
         .zip(drill.outcome.projected_ups_power.iter())
     {
-        println!("  projected {u}: {w}");
+        say!(out, "  projected {u}: {w}");
     }
     Ok(())
 }
 
-fn cmd_feasibility() -> Result<(), String> {
+fn cmd_feasibility(out: &mut String) -> Result<(), String> {
     use flex_core::analysis::feasibility::FeasibilityModel;
     let m = FeasibilityModel::paper();
     let avail = m.no_action_availability();
-    println!("Section III feasibility (paper inputs):");
-    println!(
+    say!(out, "Section III feasibility (paper inputs):");
+    say!(
+        out,
         "  operation without corrective actions: {:.5}% ({:.1} nines)",
         avail * 100.0,
         FeasibilityModel::nines(avail)
     );
-    println!(
+    say!(
+        out,
         "  P(software-redundant shutdown): {:.4}%",
         m.shutdown_probability() * 100.0
     );
     Ok(())
 }
 
-fn cmd_emulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_emulate(flags: &BTreeMap<String, String>, out: &mut String) -> Result<(), String> {
     use flex_core::emulation::{run, EmulationConfig};
     use flex_core::sim::SimDuration;
     let fast = flags.contains_key("fast");
@@ -181,24 +192,27 @@ fn cmd_emulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
         }
     };
     let report = run(config);
-    println!("end-to-end emulation (Figure 13):");
-    println!(
+    say!(out, "end-to-end emulation (Figure 13):");
+    say!(
+        out,
         "  SR shut down: {:.1}% | cap-able throttled: {:.1}%",
         report.sr_shutdown_fraction * 100.0,
         report.capable_throttled_fraction * 100.0
     );
     if let Some(d) = report.detection_latency {
-        println!("  detection: {d}");
+        say!(out, "  detection: {d}");
     }
     if let Some(d) = report.enforcement_duration {
-        println!("  enforcement burst: {d}");
+        say!(out, "  enforcement burst: {d}");
     }
-    println!(
+    say!(
+        out,
         "  p95 inflation: +{:.1}% mean / +{:.1}% worst",
         report.mean_p95_inflation * 100.0,
         report.worst_p95_inflation * 100.0
     );
-    println!(
+    say!(
+        out,
         "  cascaded: {} | fully recovered: {}",
         report.cascaded, report.fully_recovered
     );
@@ -207,26 +221,35 @@ fn cmd_emulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return usage();
     };
-    let valued = ["policy", "seed", "room", "ups", "util", "scenario"];
-    let flags = match parse_flags(&args[1..], &valued, &["fast"]) {
+    let (valued, bare): (&[&str], &[&str]) = match command.as_str() {
+        "place" => (&["policy", "seed", "room"], &[]),
+        "drill" => (&["ups", "util", "scenario", "policy", "seed", "room"], &[]),
+        "feasibility" => (&[], &[]),
+        "emulate" => (&[], &["fast"]),
+        _ => return usage(),
+    };
+    let flags = match parse_flags(rest, valued, bare) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n");
             return usage();
         }
     };
+    let mut out = String::new();
     let result = match command.as_str() {
-        "place" => cmd_place(&flags),
-        "drill" => cmd_drill(&flags),
-        "feasibility" => cmd_feasibility(),
-        "emulate" => cmd_emulate(&flags),
-        _ => {
-            return usage();
-        }
+        "place" => cmd_place(&flags, &mut out),
+        "drill" => cmd_drill(&flags, &mut out),
+        "feasibility" => cmd_feasibility(&mut out),
+        _ => cmd_emulate(&flags, &mut out),
     };
+    // `flex feasibility | head` closes the pipe early; that is no
+    // failure (see `print`).
+    let result = print(&out)
+        .map_err(|e| format!("writing output: {e}"))
+        .and(result);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

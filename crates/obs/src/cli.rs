@@ -1,8 +1,32 @@
-//! Flag parsing shared by the workspace's command-line tools (`flex`,
-//! `flex-chaos`, `flex-obs`), so each refuses a flag it does not take
-//! instead of running its defaults.
+//! What the workspace's command-line tools (`flex`, `flex-chaos`,
+//! `flex-obs`) share: flag parsing, so each refuses a flag it does not
+//! take instead of running its defaults, and one buffered stdout that a
+//! reader may close early (`| head`) without a panic.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write as _};
+
+/// `writeln!` into a command's output buffer, a `String`, which cannot
+/// fail to take it; [`print`] writes the buffer out.
+#[macro_export]
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+
+/// Writes a command's whole output to stdout at once. A reader that
+/// closed the pipe early (`| head`, `| true`) has taken all it wants, so
+/// a broken pipe ends the output quietly instead of panicking the way
+/// `println!` does; any other write error is returned.
+pub fn print(out: &str) -> std::io::Result<()> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(out.as_bytes()).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
 
 /// Parses `--flag value` pairs and bare `--switch`es (stored as `"1"`).
 /// A flag in neither `valued` nor `bare` is an error.

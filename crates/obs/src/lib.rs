@@ -37,7 +37,7 @@ use std::sync::Arc;
 use flex_sim::SimTime;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Span};
-pub use recorder::{FlightEvent, ObsDump, RecoveredState, DEFAULT_RING_CAPACITY};
+pub use recorder::{FlightEvent, ObsDump, Readings, RecoveredState, DEFAULT_RING_CAPACITY};
 
 /// The observability handle threaded through the control path.
 ///

@@ -18,18 +18,10 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::io::Write as _;
 use std::process::ExitCode;
 
-/// `writeln!` into the output buffer; writing to a `String` cannot fail.
-macro_rules! say {
-    ($out:expr, $($arg:tt)*) => {
-        let _ = writeln!($out, $($arg)*);
-    };
-}
-
-use flex_obs::cli::parse_flags;
+use flex_obs::cli::{parse_flags, print};
+use flex_obs::say;
 use flex_obs::json::{self, Value};
 use flex_obs::{FlightEvent, HistogramSnapshot, ObsDump};
 use flex_sim::SimDuration;
@@ -416,10 +408,12 @@ fn main() -> ExitCode {
         "print" => cmd_print(&flags, &mut out),
         _ => cmd_diff(&flags, &mut out),
     };
-    // One buffered write, with errors ignored: `flex-obs summary | head`
-    // closes the pipe early and must not turn into a panic or a failure
-    // exit code — the command's verdict is what the caller scripts on.
-    let _ = std::io::stdout().write_all(out.as_bytes());
+    // `flex-obs summary | head` closes the pipe early; that is no
+    // failure (see `print`): the command's verdict is what callers
+    // script on.
+    let result = print(&out)
+        .map_err(|e| format!("writing output: {e}"))
+        .and(result);
     match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,

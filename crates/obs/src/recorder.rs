@@ -12,7 +12,7 @@
 //! what a crash-forensics recorder is for.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::json::{obj, Value};
 use crate::metrics::{lock, MetricsSnapshot};
@@ -20,6 +20,11 @@ use crate::metrics::{lock, MetricsSnapshot};
 /// Default ring capacity: comfortably holds a full chaos-scenario run
 /// of the 4-UPS room (a few thousand events) with room to spare.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+
+/// One telemetry snapshot's readings as `(id, watts)` pairs: a UPS id
+/// or a rack index with its power. Built once per published snapshot;
+/// the delivery events of all its pub/sub copies share it.
+pub type Readings = Arc<[(u32, f64)]>;
 
 /// One structured control-path event. Action and power-state codes:
 /// `action` 0 = shutdown, 1 = throttle, 2 = restore; `state` 0 =
@@ -38,7 +43,7 @@ pub enum FlightEvent {
         /// When the snapshot was measured, sim nanoseconds.
         measured_at_ns: u64,
         /// Per-UPS readings as `(ups id, watts)`.
-        readings: Vec<(u32, f64)>,
+        readings: Readings,
     },
     /// A rack-power snapshot arrived at a set of controllers (same
     /// bitmask convention as [`FlightEvent::UpsDelivery`]).
@@ -48,7 +53,7 @@ pub enum FlightEvent {
         /// When the snapshot was measured, sim nanoseconds.
         measured_at_ns: u64,
         /// Per-rack readings as `(rack id, watts)`.
-        readings: Vec<(u32, f64)>,
+        readings: Readings,
     },
     /// A delivery carried at least one strictly-newer reading. The
     /// room simulation counts acceptance (`online/readings_accepted`)
@@ -397,7 +402,7 @@ impl FlightEvent {
                     let w = items.get(1)?.as_num()?;
                     Some((id, w))
                 })
-                .collect::<Option<Vec<_>>>()
+                .collect::<Option<Readings>>()
         };
         Some(match v.get("k")?.as_str()? {
             "ups_delivery" => FlightEvent::UpsDelivery {
@@ -623,7 +628,7 @@ mod tests {
             FlightEvent::UpsDelivery {
                 controllers: 0b101,
                 measured_at_ns: 1_500_000_000,
-                readings: vec![(0, 120_000.25), (1, 119_999.75)],
+                readings: vec![(0, 120_000.25), (1, 119_999.75)].into(),
             },
             FlightEvent::ReadingAccepted { controller: 0 },
             FlightEvent::FailoverAlarm { controller: 1, ups: 2 },
@@ -641,7 +646,7 @@ mod tests {
             FlightEvent::RackDelivery {
                 controllers: 0b100,
                 measured_at_ns: 3,
-                readings: vec![(12, 4_321.0)],
+                readings: vec![(12, 4_321.0)].into(),
             },
             FlightEvent::ReadingStale { controller: 2 },
             FlightEvent::AlarmCleared { controller: 1, ups: 2 },
@@ -665,8 +670,8 @@ mod tests {
     fn ring_slots_stay_small() {
         // Every recording handle reserves ring slots of this size up
         // front; a new variant that grows it should box its payload.
-        assert_eq!(std::mem::size_of::<FlightEvent>(), 40);
-        assert_eq!(std::mem::size_of::<(u64, FlightEvent)>(), 48);
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 32);
+        assert_eq!(std::mem::size_of::<(u64, FlightEvent)>(), 40);
     }
 
     #[test]

@@ -332,7 +332,7 @@ impl Controller {
                 // letting it trigger an extra evaluation would make the
                 // command stream depend on duplication patterns.
                 let mut accepted = false;
-                for &(ups, w) in snapshot {
+                for &(ups, w) in snapshot.iter() {
                     if let Some(slot) = self.state.ups_power.get_mut(ups.0) {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
@@ -366,7 +366,7 @@ impl Controller {
                 accepted
             }
             TelemetryPayload::RackSnapshot(snapshot) => {
-                for &(rack, w) in snapshot {
+                for &(rack, w) in snapshot.iter() {
                     if let Some(slot) = self.state.rack_power.get_mut(rack) {
                         if slot.map_or(true, |(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
@@ -893,17 +893,16 @@ mod tests {
 
     fn snapshots(f: &Fixture, feed: &FeedState) -> (TelemetryPayload, TelemetryPayload) {
         let loads = f.placed.ups_loads(&f.draws, feed);
-        let ups = TelemetryPayload::UpsSnapshot(
+        let ups = TelemetryPayload::ups(
             f.placed
                 .room()
                 .topology()
                 .ups_ids()
                 .into_iter()
-                .map(|u| (u, loads.load(u)))
-                .collect(),
+                .map(|u| (u, loads.load(u))),
         );
-        let racks = TelemetryPayload::RackSnapshot(
-            f.draws.iter().enumerate().map(|(i, &w)| (i, w)).collect(),
+        let racks = TelemetryPayload::racks(
+            f.draws.iter().enumerate().map(|(i, &w)| (i, w)),
         );
         (ups, racks)
     }
@@ -986,7 +985,7 @@ mod tests {
         // Much later, a snapshot covering only UPS 0 arrives; the other
         // three UPSes' readings are stale and assumed at capacity, so
         // the controller acts.
-        let partial = TelemetryPayload::UpsSnapshot(vec![(UpsId(0), Watts::from_kw(900.0))]);
+        let partial = TelemetryPayload::ups(vec![(UpsId(0), Watts::from_kw(900.0))]);
         let t2 = SimTime::from_secs_f64(120.0);
         let commands = f.controller.on_delivery(t2, t2, &partial).unwrap();
         assert!(
@@ -1220,14 +1219,14 @@ mod tests {
                 let (measured_at, payload) = match kind {
                     0..=3 => (
                         measured_at,
-                        TelemetryPayload::UpsSnapshot(
-                            (first..first + count).map(|i| (UpsId(i % 4), w)).collect(),
+                        TelemetryPayload::ups(
+                            (first..first + count).map(|i| (UpsId(i % 4), w)),
                         ),
                     ),
                     4..=7 => (
                         measured_at,
-                        TelemetryPayload::RackSnapshot(
-                            (first..first + count).map(|i| (i % 8, w)).collect(),
+                        TelemetryPayload::racks(
+                            (first..first + count).map(|i| (i % 8, w)),
                         ),
                     ),
                     8 => match &last {

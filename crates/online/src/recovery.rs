@@ -222,7 +222,7 @@ mod tests {
             seq,
             arrive_at: SimTime::from_nanos(at_secs * 1_000_000_000),
             measured_at: SimTime::from_nanos(at_secs * 1_000_000_000),
-            payload: TelemetryPayload::UpsSnapshot(Vec::new()),
+            payload: TelemetryPayload::ups([]),
         }
     }
 

@@ -89,18 +89,16 @@ pub fn replay_decisions(
                 readings,
             } => {
                 let payload = if matches!(event, FlightEvent::UpsDelivery { .. }) {
-                    TelemetryPayload::UpsSnapshot(
+                    TelemetryPayload::ups(
                         readings
                             .iter()
-                            .map(|&(u, w)| (UpsId(u as usize), Watts::new(w)))
-                            .collect(),
+                            .map(|&(u, w)| (UpsId(u as usize), Watts::new(w))),
                     )
                 } else {
-                    TelemetryPayload::RackSnapshot(
+                    TelemetryPayload::racks(
                         readings
                             .iter()
-                            .map(|&(r, w)| (r as usize, Watts::new(w)))
-                            .collect(),
+                            .map(|&(r, w)| (r as usize, Watts::new(w))),
                     )
                 };
                 // Pushed before the feed, matching the room's dispatch

@@ -931,15 +931,15 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
     // from these events, and a delivery nobody saw live can still
     // resurface through a later recovery.
     w.sim_obs.obs.record_with(arrive, || match &a.payload {
-        TelemetryPayload::UpsSnapshot(snap) => FlightEvent::UpsDelivery {
+        TelemetryPayload::UpsSnapshot(_) => FlightEvent::UpsDelivery {
             controllers: up_mask,
             measured_at_ns: a.measured_at.as_nanos(),
-            readings: snap.iter().map(|&(u, p)| (u.0 as u32, p.as_w())).collect(),
+            readings: a.payload.recorded(),
         },
-        TelemetryPayload::RackSnapshot(snap) => FlightEvent::RackDelivery {
+        TelemetryPayload::RackSnapshot(_) => FlightEvent::RackDelivery {
             controllers: up_mask,
             measured_at_ns: a.measured_at.as_nanos(),
-            readings: snap.iter().map(|&(r, p)| (r as u32, p.as_w())).collect(),
+            readings: a.payload.recorded(),
         },
     });
     for i in 0..w.instances.len() {
@@ -951,7 +951,7 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
         };
         inst.last_delivery_at = arrive;
         if let TelemetryPayload::UpsSnapshot(snap) = &a.payload {
-            for &(u, _) in snap {
+            for &(u, _) in snap.iter() {
                 if let Some(slot) = inst.acks.get_mut(u.0) {
                     *slot = (*slot).max(a.seq);
                 }

@@ -34,17 +34,16 @@ fn scenario() -> (PlacedRoom, Vec<Watts>) {
 
 fn snapshots(placed: &PlacedRoom, draws: &[Watts], feed: &FeedState) -> (TelemetryPayload, TelemetryPayload) {
     let loads = placed.ups_loads(draws, feed);
-    let ups = TelemetryPayload::UpsSnapshot(
+    let ups = TelemetryPayload::ups(
         placed
             .room()
             .topology()
             .ups_ids()
             .into_iter()
-            .map(|u| (u, loads.load(u)))
-            .collect(),
+            .map(|u| (u, loads.load(u))),
     );
     let racks =
-        TelemetryPayload::RackSnapshot(draws.iter().enumerate().map(|(i, &w)| (i, w)).collect());
+        TelemetryPayload::racks(draws.iter().enumerate().map(|(i, &w)| (i, w)));
     (ups, racks)
 }
 

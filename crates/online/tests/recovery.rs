@@ -90,14 +90,14 @@ impl MiniWorld {
             feed.fail(u).unwrap();
         }
         let loads = lm.ups_loads(&feed);
-        TelemetryPayload::UpsSnapshot(
-            topo.upses().iter().map(|u| (u.id(), loads.load(u.id()))).collect(),
+        TelemetryPayload::ups(
+            topo.upses().iter().map(|u| (u.id(), loads.load(u.id()))),
         )
     }
 
     fn rack_payload(&self) -> TelemetryPayload {
-        TelemetryPayload::RackSnapshot(
-            self.demand.iter().enumerate().map(|(i, &w)| (i, w)).collect(),
+        TelemetryPayload::racks(
+            self.demand.iter().enumerate().map(|(i, &w)| (i, w)),
         )
     }
 }

@@ -34,4 +34,4 @@ mod pipeline;
 
 pub use config::PipelineConfig;
 pub use meter::{MeterBank, MeterFaults};
-pub use pipeline::{Delivery, Pipeline, TelemetryPayload};
+pub use pipeline::{Delivery, Pipeline, Snapshot, TelemetryPayload};

@@ -1,6 +1,9 @@
 //! The poller / switch / pub-sub fabric and the 3-meter consensus.
 
-use flex_obs::{Counter, Obs, Span};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+use flex_obs::{Counter, Obs, Readings, Span};
 use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::{UpsId, Watts};
 use flex_sim::dist::{LogNormal, Sample};
@@ -12,14 +15,81 @@ use rand::rngs::SmallRng;
 use crate::config::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 use crate::{MeterBank, MeterFaults, PipelineConfig};
 
+/// One poller's readings, built once per poll and shared by every
+/// pub/sub copy of it: cloning a [`TelemetryPayload`] clones an `Arc`,
+/// not the readings. Dereferences to the `(id, power)` slice.
+#[derive(Debug)]
+pub struct Snapshot<K> {
+    readings: Vec<(K, Watts)>,
+    /// The readings as the flight recorder stores them, built by the
+    /// first recorded copy and shared by the rest.
+    recorded: OnceLock<Readings>,
+}
+
+impl<K: Copy> Snapshot<K> {
+    fn recorded_with(&self, id: impl Fn(K) -> u32) -> Readings {
+        self.recorded
+            .get_or_init(|| {
+                self.readings
+                    .iter()
+                    .map(|&(k, w)| (id(k), w.as_w()))
+                    .collect()
+            })
+            .clone()
+    }
+}
+
+impl<K> Deref for Snapshot<K> {
+    type Target = [(K, Watts)];
+
+    fn deref(&self) -> &[(K, Watts)] {
+        &self.readings
+    }
+}
+
+impl<K: PartialEq> PartialEq for Snapshot<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.readings == other.readings
+    }
+}
+
 /// Data carried by one published message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryPayload {
     /// Consensus IT power per UPS (absent entries had no reachable
     /// meter).
-    UpsSnapshot(Vec<(UpsId, Watts)>),
+    UpsSnapshot(Arc<Snapshot<UpsId>>),
     /// Raw rack power per rack index (absent entries were dropped).
-    RackSnapshot(Vec<(usize, Watts)>),
+    RackSnapshot(Arc<Snapshot<usize>>),
+}
+
+impl TelemetryPayload {
+    /// A UPS snapshot of `(UPS, consensus power)` readings.
+    pub fn ups(readings: impl IntoIterator<Item = (UpsId, Watts)>) -> Self {
+        TelemetryPayload::UpsSnapshot(snapshot(readings))
+    }
+
+    /// A rack snapshot of `(rack index, power)` readings.
+    pub fn racks(readings: impl IntoIterator<Item = (usize, Watts)>) -> Self {
+        TelemetryPayload::RackSnapshot(snapshot(readings))
+    }
+
+    /// The readings as `(UPS id or rack index, watts)`, the form of a
+    /// delivery's flight event: converted on the first call for a
+    /// snapshot, then shared by every copy of it.
+    pub fn recorded(&self) -> Readings {
+        match self {
+            TelemetryPayload::UpsSnapshot(s) => s.recorded_with(|u| u.0 as u32),
+            TelemetryPayload::RackSnapshot(s) => s.recorded_with(|r| r as u32),
+        }
+    }
+}
+
+fn snapshot<K>(readings: impl IntoIterator<Item = (K, Watts)>) -> Arc<Snapshot<K>> {
+    Arc::new(Snapshot {
+        readings: readings.into_iter().collect(),
+        recorded: OnceLock::new(),
+    })
 }
 
 /// One message en route to subscribers.
@@ -218,13 +288,7 @@ impl Pipeline {
             if snapshot.is_empty() {
                 continue;
             }
-            self.publish(
-                now,
-                poller,
-                snapshot,
-                TelemetryPayload::UpsSnapshot,
-                &mut deliveries,
-            );
+            self.publish(now, poller, TelemetryPayload::ups(snapshot), &mut deliveries);
         }
         deliveries
     }
@@ -253,29 +317,20 @@ impl Pipeline {
             if snapshot.is_empty() {
                 continue;
             }
-            self.publish(
-                now,
-                poller,
-                snapshot,
-                TelemetryPayload::RackSnapshot,
-                &mut deliveries,
-            );
+            self.publish(now, poller, TelemetryPayload::racks(snapshot), &mut deliveries);
         }
         deliveries
     }
 
     /// Publishes one poller's snapshot on every live pub/sub instance,
-    /// in instance order. The last delivery takes the snapshot; only the
-    /// ones before it get a copy.
-    fn publish<T: Clone>(
+    /// in instance order; the copies share it.
+    fn publish(
         &mut self,
         now: SimTime,
         poller: usize,
-        snapshot: Vec<T>,
-        wrap: fn(Vec<T>) -> TelemetryPayload,
+        payload: TelemetryPayload,
         deliveries: &mut Vec<Delivery>,
     ) {
-        let start = deliveries.len();
         for pubsub in 0..PUBSUB_INSTANCES {
             if !self.pubsub_up(pubsub, now) {
                 continue;
@@ -291,15 +346,8 @@ impl Pipeline {
                 pubsub,
                 measured_at: now,
                 arrive_at,
-                // Filled in below, once the last live instance is known.
-                payload: wrap(Vec::new()),
+                payload: payload.clone(),
             });
-        }
-        if let Some((last, rest)) = deliveries.get_mut(start..).and_then(|d| d.split_last_mut()) {
-            for d in rest {
-                d.payload = wrap(snapshot.clone());
-            }
-            last.payload = wrap(snapshot);
         }
     }
 }
@@ -348,7 +396,7 @@ mod tests {
                 panic!("expected UPS snapshot");
             };
             assert_eq!(snap.len(), 4);
-            for &(ups, w) in snap {
+            for &(ups, w) in snap.iter() {
                 assert!(w.approx_eq(truth.it_power(ups), 1e-6), "{ups}: {w}");
             }
             assert!(d.arrive_at > d.measured_at);

@@ -61,7 +61,7 @@ proptest! {
                 panic!("expected UPS snapshot");
             };
             prop_assert_eq!(snap.len(), 4, "lost coverage after {}", component);
-            for &(ups, w) in snap {
+            for &(ups, w) in snap.iter() {
                 prop_assert!(
                     w.approx_eq(truth.it_power(ups), truth.it_power(ups).as_w() * 1e-6 + 1.0),
                     "{}: consensus {} vs truth {}", ups, w, truth.it_power(ups)
@@ -87,7 +87,7 @@ proptest! {
                 let TelemetryPayload::UpsSnapshot(snap) = d.payload else {
                     panic!("expected UPS snapshot");
                 };
-                for (ups, w) in snap {
+                for &(ups, w) in snap.iter() {
                     let t = truth.it_power(ups);
                     let rel = (w.as_w() - t.as_w()).abs() / t.as_w().max(1.0);
                     prop_assert!(rel < 0.05, "{ups}: consensus off by {rel}");
