@@ -5,10 +5,9 @@
 //! and the minimizer are all seeded and wall-clock-free, so two runs of
 //! the same campaign produce byte-identical JSON reports.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use flex_obs::json::{obj, Value};
 use flex_obs::Obs;
+use flex_sim::par::{par_map, workers};
 
 use crate::oracle::{self, Violation};
 use crate::scenario::{self, Scenario};
@@ -240,45 +239,6 @@ fn judge_indexed(config: CampaignConfig, family: Option<&str>, i: u64) -> Judged
             recorder,
         })),
     ))
-}
-
-/// The worker count of a campaign: one per available core.
-fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// `(0..n).map(f)` on up to `workers` threads, in index order.
-///
-/// Workers claim indices from one shared counter, so a slow scenario
-/// holds up only its own worker; the calling thread is one of them, so
-/// one worker spawns no thread. Each result is placed by its index, so
-/// the output — and everything folded from it — is the same at any
-/// worker count.
-fn par_map<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, f(i)));
-        }
-    };
-    let mut done = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers.clamp(1, n.max(1)))
-            .map(|_| s.spawn(work))
-            .collect();
-        let mut done = work();
-        for h in helpers {
-            // A worker's panic is a panic of `f`: re-raise it here.
-            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Upper bound on re-runs the minimizer may spend per failure.

@@ -360,7 +360,10 @@ impl Scenario {
     /// Deserializes from a JSON value produced by
     /// [`to_value`](Self::to_value). A scenario whose scripted failure
     /// names a UPS outside [`chaos_room`] is rejected: the simulation
-    /// ignores a foreign id, so it would replay with no failover.
+    /// ignores a foreign id, so it would replay with no failover. So is a
+    /// `util` outside `[DEMAND_BAND, 1.0]`: rack demand is drawn within
+    /// `DEMAND_BAND` of it, and must be a non-negative fraction of the
+    /// provisioned power.
     pub fn from_value(v: &Value) -> Option<Self> {
         let windows = |key: &str| -> Option<Vec<FaultWindow>> {
             v.get(key)?.as_arr()?.iter().map(FaultWindow::from_value).collect()
@@ -394,7 +397,8 @@ impl Scenario {
                 Some(p) => Some(PartitionSpec::from_value(p)?),
             },
         };
-        (scenario.fail_ups < chaos_room().ups_count).then_some(scenario)
+        (scenario.fail_ups < chaos_room().ups_count && (DEMAND_BAND..=1.0).contains(&scenario.util))
+            .then_some(scenario)
     }
 }
 
@@ -548,6 +552,10 @@ pub fn fresh_controllers(scenario: &Scenario) -> Vec<Controller> {
         .collect()
 }
 
+/// Half-width of the band around [`Scenario::util`] that each rack's
+/// demand is drawn from, as a fraction of its provisioned power.
+const DEMAND_BAND: f64 = 0.02;
+
 /// Runs a scenario to its horizon and returns the world for the oracle.
 pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     run_scenario_obs(scenario, &flex_obs::Obs::noop())
@@ -562,7 +570,7 @@ pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome 
     let (registry, controller) = control_setup(scenario, &placed);
     let util = scenario.util;
     let demand: DemandFn = Box::new(move |rack, _, rng: &mut SmallRng| {
-        rack.provisioned * rng.gen_range((util - 0.02)..(util + 0.02))
+        rack.provisioned * rng.gen_range((util - DEMAND_BAND)..(util + DEMAND_BAND))
     });
     let config = RoomSimConfig {
         controllers: CONTROLLERS,
@@ -972,7 +980,9 @@ mod tests {
         // A replayed file with a window that ends at or before its start
         // must be refused, not reach `FaultPlan::add_outage` and panic;
         // a stuck meter or a failure the room ignores must be refused,
-        // not replay without its fault.
+        // not replay without its fault; a utilization outside
+        // `[DEMAND_BAND, 1]` must be refused, not panic in the demand
+        // draw or run on negative demand.
         let window = |until_ms| FaultWindow {
             component: "poller/0".to_string(),
             from_ms: 1_000,
@@ -981,13 +991,16 @@ mod tests {
         let meter = StuckMeter { ups: 1, kind: 0, from_ms: 1_000, until_ms: 2_000 };
         let ups = chaos_room().ups_count;
         let kind = MeterKind::ALL.len();
-        let edits: [&dyn Fn(&mut Scenario); 6] = [
+        let edits: [&dyn Fn(&mut Scenario); 9] = [
             &|s| s.pipeline_faults.push(window(999)),
             &|s| s.pipeline_faults.push(window(1_000)),
             &|s| s.stuck_meters.push(StuckMeter { ups, ..meter.clone() }),
             &|s| s.stuck_meters.push(StuckMeter { kind, ..meter.clone() }),
             &|s| s.stuck_meters.push(StuckMeter { until_ms: 1_000, ..meter.clone() }),
             &|s| s.fail_ups = ups,
+            &|s| s.util = 1e30,
+            &|s| s.util = -0.5,
+            &|s| s.util = 0.0,
         ];
         for edit in edits {
             let mut s = Scenario::baseline(1);

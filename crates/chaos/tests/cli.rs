@@ -1,8 +1,8 @@
 //! The `flex-chaos` binary end to end, on the fixed-seed campaigns that
 //! gate the chaos harness, the flight recorder and crash recovery, each
-//! within a wall-clock budget; misspelt flags and families are refused,
-//! and a reader that closes stdout early ends the output without a
-//! panic.
+//! within a wall-clock budget; misspelt flags and families, and a
+//! replayed scenario whose utilization is out of range, are refused; a
+//! reader that closes stdout early ends the output without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -212,6 +212,23 @@ fn unknown_flags_and_families_are_usage_errors() {
         let out = chaos(dir, args);
         assert_eq!(out.status.code(), Some(2), "flex-chaos {args}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE:"), "flex-chaos {args}");
+    }
+}
+
+#[test]
+fn replay_refuses_a_utilization_outside_its_range() {
+    // Refused before the run: 1e30 leaves the demand draw an empty
+    // range, and -0.5 and 0.0 draw negative rack demand.
+    let dir = scratch("util");
+    for util in [1e30, -0.5, 0.0] {
+        let mut scenario = flex_chaos::scenario::generate(1, 0);
+        scenario.util = util;
+        std::fs::write(dir.join("bad.json"), scenario.to_value().to_json()).expect("file written");
+        let out = chaos(&dir, "replay --file bad.json");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "util {util}: {stderr}");
+        assert!(stderr.contains("file does not describe a scenario"), "util {util}: {stderr}");
+        assert!(!stderr.contains("panicked"), "util {util}: {stderr}");
     }
 }
 

@@ -26,6 +26,8 @@ pub enum FlexError {
     Power(PowerError),
     /// The requested UPS does not exist.
     UnknownUps(UpsId),
+    /// A drill's room utilization is outside `[0, 1]` (or NaN).
+    UtilizationOutOfRange(f64),
     /// The online decision policy failed.
     Online(OnlineError),
 }
@@ -35,6 +37,9 @@ impl fmt::Display for FlexError {
         match self {
             FlexError::Power(e) => write!(f, "power model error: {e}"),
             FlexError::UnknownUps(u) => write!(f, "{u} is not part of this room"),
+            FlexError::UtilizationOutOfRange(v) => {
+                write!(f, "room utilization {v} is outside [0, 1]")
+            }
             FlexError::Online(e) => write!(f, "online policy error: {e}"),
         }
     }
@@ -44,7 +49,7 @@ impl Error for FlexError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FlexError::Power(e) => Some(e),
-            FlexError::UnknownUps(_) => None,
+            FlexError::UnknownUps(_) | FlexError::UtilizationOutOfRange(_) => None,
             FlexError::Online(e) => Some(e),
         }
     }
@@ -244,19 +249,22 @@ impl FlexDatacenter {
     ///
     /// # Errors
     ///
-    /// Returns [`FlexError::UnknownUps`] for a foreign UPS id and
-    /// [`FlexError::Online`] if the decision policy rejects the room
-    /// state.
+    /// Returns [`FlexError::UnknownUps`] for a foreign UPS id,
+    /// [`FlexError::UtilizationOutOfRange`] for a utilization outside
+    /// `[0, 1]` or NaN, and [`FlexError::Online`] if the decision policy
+    /// rejects the room state.
     pub fn decide_failover(&self, failed: UpsId, utilization: f64) -> Result<FailoverDrill, FlexError> {
         let topo = self.room.topology();
         if failed.0 >= topo.ups_count() {
             return Err(FlexError::UnknownUps(failed));
         }
+        let utilization = Fraction::new(utilization)
+            .map_err(|_| FlexError::UtilizationOutOfRange(utilization))?;
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xD121);
         let provisioned: Vec<Watts> = self.placed.racks().iter().map(|r| r.provisioned).collect();
         let draws = RackPowerModel::default_microsoft().sample_room_at_utilization(
             &provisioned,
-            Fraction::clamped(utilization),
+            utilization,
             &mut rng,
         );
         let feed = FeedState::with_failed(topo, [failed]);
@@ -343,6 +351,23 @@ mod tests {
             dc.decide_failover(UpsId(99), 0.8),
             Err(FlexError::UnknownUps(_))
         ));
+    }
+
+    #[test]
+    fn utilization_outside_the_unit_range_is_rejected() {
+        let dc = FlexDatacenter::builder().seed(5).build().unwrap();
+        for util in [f64::NAN, -3.0, f64::INFINITY, 1.5] {
+            assert!(
+                matches!(
+                    dc.decide_failover(UpsId(0), util),
+                    Err(FlexError::UtilizationOutOfRange(v)) if v.to_bits() == util.to_bits()
+                ),
+                "util {util}"
+            );
+        }
+        for util in [0.0, 1.0] {
+            assert!(dc.decide_failover(UpsId(0), util).is_ok(), "util {util}");
+        }
     }
 
     #[test]

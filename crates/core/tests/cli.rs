@@ -1,6 +1,6 @@
 //! The `flex` binary end to end: each subcommand refuses the flags of
-//! the others, and a reader that closes stdout early ends the output
-//! without a panic.
+//! the others, a drill refuses a utilization outside `[0, 1]`, and a
+//! reader that closes stdout early ends the output without a panic.
 
 use std::process::{Command, Output, Stdio};
 
@@ -29,6 +29,22 @@ fn a_subcommand_refuses_the_flags_of_the_others() {
     let out = flex(&["feasibility"], Stdio::piped());
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("Section III feasibility"));
+}
+
+#[test]
+fn a_drill_refuses_a_utilization_outside_the_unit_range() {
+    // Refused, not clamped: a clamped drill runs at 0% or 100% while
+    // its report prints the value as given.
+    for util in ["NaN", "-3", "inf", "1.5"] {
+        let out = flex(&["drill", "--util", util], Stdio::piped());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--util {util}: {stderr}");
+        assert!(
+            stderr.contains("is outside [0, 1]"),
+            "--util {util}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--util {util}: {stderr}");
+    }
 }
 
 #[test]

@@ -37,12 +37,12 @@ pub struct SolveConfig {
     pub relative_gap: f64,
     /// Hard cap on explored branch-and-bound nodes.
     pub max_nodes: u64,
-    /// Threads for the branch-and-bound search. `0` means use
-    /// [`std::thread::available_parallelism`]. One thread commits nodes
-    /// in exactly the best-first heap order; the others only solve node
-    /// relaxations ahead of it. Every count explores the same tree and
-    /// returns the same solution, counters included, so the wall-clock
-    /// `time_limit` is the only input that can make two solves differ.
+    /// Threads for the branch-and-bound search (default `1`; `0` counts
+    /// as `1`). One thread commits nodes in exactly the best-first heap
+    /// order; the others only solve node relaxations ahead of it. Every
+    /// count explores the same tree and returns the same solution,
+    /// counters included, so the wall-clock `time_limit` is the only
+    /// input that can make two solves differ.
     pub threads: usize,
 }
 
@@ -52,20 +52,7 @@ impl Default for SolveConfig {
             time_limit: Duration::from_secs(30),
             relative_gap: 1e-6,
             max_nodes: 200_000,
-            threads: 0,
-        }
-    }
-}
-
-impl SolveConfig {
-    /// The worker count this configuration resolves to on this machine.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
+            threads: 1,
         }
     }
 }
@@ -283,7 +270,7 @@ impl Model {
         config: &SolveConfig,
         warm_start: Option<&[f64]>,
     ) -> Result<MilpSolution, MilpError> {
-        let helpers = config.resolved_threads().max(1) - 1;
+        let helpers = config.threads.max(1) - 1;
         let start = Instant::now();
         let root_bounds: Vec<(f64, f64)> = self.vars.iter().map(|v| (v.lower, v.upper)).collect();
         let shared = Shared {

@@ -323,14 +323,13 @@ fn solve_combined(
     // must not be pre-packed at full weight.
     let real = &batch[..real_count];
     let greedy = greedy_assignment(state, real);
-    // Multi-start LNS: independent replicas on seeded streams, spread
-    // over the available cores. The outcome is identical at any thread
-    // count (see `lns::refine_parallel`), so solver results stay
-    // machine-independent.
+    // Multi-start LNS: independent replicas on seeded streams, one
+    // `flex_sim::par` worker per core; branch-and-bound below uses the
+    // same count. Both outcomes are identical at any thread count (see
+    // `lns::refine_parallel` and `SolveConfig::threads`), so solver
+    // results stay machine-independent.
+    let threads = flex_sim::par::workers();
     let lns_seed = 0x5EED_F1E_Cu64 ^ (batch.len() as u64) << 7;
-    let lns_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let warm = crate::lns::refine_parallel(
         state,
         real,
@@ -338,7 +337,7 @@ fn solve_combined(
         &crate::lns::LnsConfig::default(),
         lns_seed,
         4,
-        lns_threads,
+        threads,
     );
     // If local search already placed the entire (pure, no-lookahead)
     // batch, the power objective is at its ceiling and the LNS already
@@ -388,6 +387,7 @@ fn solve_combined(
     let solve_config = SolveConfig {
         time_limit: config.time_limit,
         relative_gap: RELATIVE_GAP,
+        threads,
         ..SolveConfig::default()
     };
     let solution = model.solve_with_warm_start(&solve_config, Some(&warm_values))?;

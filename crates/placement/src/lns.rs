@@ -169,8 +169,9 @@ fn score_assignment(
 }
 
 /// Multi-start [`refine`]: runs `replicas` independent LNS searches, each
-/// on its own seeded RNG stream, across up to `threads` worker threads,
-/// and returns the best assignment by the shared objective tuple.
+/// on its own seeded RNG stream, on up to `threads` workers of
+/// [`flex_sim::par::par_map`] (the calling thread is one of them), and
+/// returns the best assignment by the shared objective tuple.
 ///
 /// The result is **bit-identical for any `threads` value**: every replica
 /// draws from a stream derived only from `(seed, replica index)`, and the
@@ -187,35 +188,14 @@ pub fn refine_parallel(
 ) -> Vec<(usize, PduPairId)> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    let replicas = replicas.max(1);
-    let next = AtomicUsize::new(0);
-    let mut outs: Vec<(usize, Vec<(usize, PduPairId)>)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads.clamp(1, replicas))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= replicas {
-                            return done;
-                        }
-                        let mut rng = SmallRng::seed_from_u64(mix_seed(seed, r as u64));
-                        done.push((r, refine(base, batch, initial, config, &mut rng)));
-                    }
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("LNS replica worker panicked"))
-            .collect()
+    let outs = flex_sim::par::par_map(replicas.max(1), threads, |r| {
+        let mut rng = SmallRng::seed_from_u64(mix_seed(seed, r as u64));
+        refine(base, batch, initial, config, &mut rng)
     });
-    outs.sort_unstable_by_key(|&(r, _)| r);
 
     let mut best: Option<((f64, f64, f64), Vec<(usize, PduPairId)>)> = None;
-    for (_, out) in outs {
+    for out in outs {
         let obj = score_assignment(base, batch, &out);
         match &best {
             Some((b, _)) if *b >= obj => {}

@@ -18,7 +18,11 @@
 //!   top of `rand` to keep the dependency footprint small;
 //! - [`stats`] — online mean/variance, exact percentiles, and step-valued
 //!   time series used by every experiment harness;
-//! - [`fault`] — component up/down schedules for failure injection.
+//! - [`fault`] — component up/down schedules for failure injection;
+//! - [`par`] — the one parallel map ([`par::par_map`], index-ordered
+//!   output at any worker count) and the one worker count
+//!   ([`par::workers`], one per available core) that the chaos campaign,
+//!   the LNS warm start and branch-and-bound share.
 //!
 //! # Example
 //!
@@ -42,6 +46,7 @@
 pub mod dist;
 mod engine;
 pub mod fault;
+pub mod par;
 pub mod rng;
 pub mod stats;
 mod time;

@@ -3,20 +3,23 @@
 #
 # Extracts <base-rev> with `git archive` into a temporary directory (no
 # worktree, nothing written inside the repository) and builds the
-# figure binaries and flex-chaos there and in the current tree. Each
-# side then runs the deterministic figure binaries with
-# FLEX_BENCH_FAST=1 (the seeded simulations plus the closed-form
-# fig01, pricing_model and cost_savings tables), and a 200-scenario
-# chaos campaign with and without --ab (the JSON report embeds each
-# failure's recorder dump). Every stdout, JSON report and chaos exit
-# status is compared with `cmp`.
+# figure binaries, flex-chaos and the `flex` CLI there and in the
+# current tree. Each side then runs the deterministic figure binaries
+# with FLEX_BENCH_FAST=1 (the seeded simulations plus the closed-form
+# fig01, pricing_model and cost_savings tables), `flex place`, `flex
+# drill` and `flex feasibility` at their defaults (BRR placement, no
+# solver deadline), and a 200-scenario chaos campaign with and without
+# --ab (the JSON report embeds each failure's recorder dump). Every
+# stdout, JSON report and chaos exit status is compared with `cmp`:
+# 20 outputs, the 11 figure stdouts, flex_{place,drill,feasibility}.out
+# and chaos{,_ab}.{json,out,status}.
 #
 # fig09, fig10, the two sweeps, baseline_comparison and
 # ablation_forecast are left out: their placement solves stop at a
 # wall-clock deadline, so their output varies from run to run.
 #
 # Prints one line per output and exits non-zero if any output differs
-# or a figure binary fails.
+# or a figure binary or `flex` command fails.
 #
 # Usage: scripts/identity_ab.sh <base-rev>
 
@@ -33,6 +36,7 @@ figures=(fig01_oversubscription_vs_flex fig03_workload_mix fig06_trip_curves
     fig11_impact_scenarios fig12_online_decisions fig13_end_to_end
     sec3_feasibility sec6_production_latency ablation_redundancy_designs
     pricing_model cost_savings)
+flex_commands=(place drill feasibility)
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -42,7 +46,7 @@ git archive "$base_rev" | tar -x -C "$tmp/src"
 build() {
     echo "== building in $1 =="
     (cd "$1" && env -u CARGO_TARGET_DIR cargo build --release --offline --quiet \
-        -p flex-bench --bins -p flex-chaos)
+        -p flex-bench --bins -p flex-chaos -p flex-core --bin flex)
 }
 
 # run_chaos <bin-dir> <out-stem> [flags...]: one campaign's report,
@@ -62,6 +66,12 @@ run_side() {
     for name in "${figures[@]}"; do
         FLEX_BENCH_FAST=1 "$bin/$name" >"$out/$name.out" || {
             echo "$name failed in $1" >&2
+            exit 1
+        }
+    done
+    for name in "${flex_commands[@]}"; do
+        "$bin/flex" "$name" >"$out/flex_$name.out" || {
+            echo "flex $name failed in $1" >&2
             exit 1
         }
     done
