@@ -251,7 +251,7 @@ impl Scenario {
             util: 0.85,
             fail_ups: 0,
             fail_at_ms: 20_000,
-            horizon_ms: 75_000,
+            horizon_ms: GENERATED_HORIZON_MS,
             watchdog: true,
             retries: true,
             pipeline_faults: Vec::new(),
@@ -360,10 +360,14 @@ impl Scenario {
     /// Deserializes from a JSON value produced by
     /// [`to_value`](Self::to_value). A scenario whose scripted failure
     /// names a UPS outside [`chaos_room`] is rejected: the simulation
-    /// ignores a foreign id, so it would replay with no failover. So is a
-    /// `util` outside `[DEMAND_BAND, 1.0]`: rack demand is drawn within
-    /// `DEMAND_BAND` of it, and must be a non-negative fraction of the
-    /// provisioned power.
+    /// ignores a foreign id, so it would replay with no failover. So is
+    /// one whose failure comes at or after its horizon (a `horizon_ms`
+    /// of 0 included), which would replay as clean without ever failing,
+    /// and one whose horizon exceeds `MAX_HORIZON_MS`, which would keep
+    /// the replay busy for simulated years. So is a `util` outside
+    /// `[DEMAND_BAND, 1.0]`: rack demand is drawn within `DEMAND_BAND`
+    /// of it, and must be a non-negative fraction of the provisioned
+    /// power.
     pub fn from_value(v: &Value) -> Option<Self> {
         let windows = |key: &str| -> Option<Vec<FaultWindow>> {
             v.get(key)?.as_arr()?.iter().map(FaultWindow::from_value).collect()
@@ -397,8 +401,11 @@ impl Scenario {
                 Some(p) => Some(PartitionSpec::from_value(p)?),
             },
         };
-        (scenario.fail_ups < chaos_room().ups_count && (DEMAND_BAND..=1.0).contains(&scenario.util))
-            .then_some(scenario)
+        let valid = scenario.fail_ups < chaos_room().ups_count
+            && (1..=MAX_HORIZON_MS).contains(&scenario.horizon_ms)
+            && scenario.fail_at_ms < scenario.horizon_ms
+            && (DEMAND_BAND..=1.0).contains(&scenario.util);
+        valid.then_some(scenario)
     }
 }
 
@@ -552,6 +559,13 @@ pub fn fresh_controllers(scenario: &Scenario) -> Vec<Controller> {
         .collect()
 }
 
+/// The run horizon every generator gives a scenario (75 s).
+const GENERATED_HORIZON_MS: u64 = 75_000;
+
+/// The longest horizon a replayed scenario may ask for: four times the
+/// generators' [`GENERATED_HORIZON_MS`].
+const MAX_HORIZON_MS: u64 = 4 * GENERATED_HORIZON_MS;
+
 /// Half-width of the band around [`Scenario::util`] that each rack's
 /// demand is drawn from, as a fraction of its provisioned power.
 const DEMAND_BAND: f64 = 0.02;
@@ -647,7 +661,7 @@ pub fn generate(campaign_seed: u64, index: u64) -> Scenario {
         util: 0.85,
         fail_ups: rng.gen_range(0..chaos_room().ups_count),
         fail_at_ms: 20_000,
-        horizon_ms: 75_000,
+        horizon_ms: GENERATED_HORIZON_MS,
         watchdog: true,
         retries: true,
         pipeline_faults: Vec::new(),
@@ -973,6 +987,13 @@ mod tests {
                 .expect("decodes");
             assert_eq!(back, s, "scenario {i}");
         }
+        // The bounds are inclusive where a run can still fail: the
+        // longest horizon, with the failure in its last millisecond.
+        let mut s = Scenario::baseline(1);
+        s.horizon_ms = MAX_HORIZON_MS;
+        s.fail_at_ms = MAX_HORIZON_MS - 1;
+        let back = Scenario::from_value(&json::parse(&s.to_value().to_json()).expect("parses"));
+        assert_eq!(back, Some(s));
     }
 
     #[test]
@@ -982,7 +1003,9 @@ mod tests {
         // a stuck meter or a failure the room ignores must be refused,
         // not replay without its fault; a utilization outside
         // `[DEMAND_BAND, 1]` must be refused, not panic in the demand
-        // draw or run on negative demand.
+        // draw or run on negative demand; a failure at or past the
+        // horizon, or a horizon of 0 or past `MAX_HORIZON_MS`, must be
+        // refused, not replay clean or run for simulated years.
         let window = |until_ms| FaultWindow {
             component: "poller/0".to_string(),
             from_ms: 1_000,
@@ -991,7 +1014,7 @@ mod tests {
         let meter = StuckMeter { ups: 1, kind: 0, from_ms: 1_000, until_ms: 2_000 };
         let ups = chaos_room().ups_count;
         let kind = MeterKind::ALL.len();
-        let edits: [&dyn Fn(&mut Scenario); 9] = [
+        let edits: [&dyn Fn(&mut Scenario); 13] = [
             &|s| s.pipeline_faults.push(window(999)),
             &|s| s.pipeline_faults.push(window(1_000)),
             &|s| s.stuck_meters.push(StuckMeter { ups, ..meter.clone() }),
@@ -1001,6 +1024,10 @@ mod tests {
             &|s| s.util = 1e30,
             &|s| s.util = -0.5,
             &|s| s.util = 0.0,
+            &|s| s.fail_at_ms = s.horizon_ms,
+            &|s| s.fail_at_ms = 10_000_000_000_000,
+            &|s| s.horizon_ms = 0,
+            &|s| s.horizon_ms = MAX_HORIZON_MS + 1,
         ];
         for edit in edits {
             let mut s = Scenario::baseline(1);

@@ -1,8 +1,9 @@
 //! The `flex-chaos` binary end to end, on the fixed-seed campaigns that
 //! gate the chaos harness, the flight recorder and crash recovery, each
 //! within a wall-clock budget; misspelt flags and families, and a
-//! replayed scenario whose utilization is out of range, are refused; a
-//! reader that closes stdout early ends the output without a panic.
+//! replayed scenario whose utilization, failure time or horizon is out
+//! of range, are refused; a reader that closes stdout early ends the
+//! output without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -229,6 +230,57 @@ fn replay_refuses_a_utilization_outside_its_range() {
         assert_eq!(out.status.code(), Some(1), "util {util}: {stderr}");
         assert!(stderr.contains("file does not describe a scenario"), "util {util}: {stderr}");
         assert!(!stderr.contains("panicked"), "util {util}: {stderr}");
+    }
+}
+
+#[test]
+fn replay_refuses_a_failure_outside_its_horizon() {
+    // A failure at or past the horizon (or a zero horizon) would replay
+    // as CLEAN without ever failing; a horizon of 10^13 ms, about 317
+    // simulated years, kept an unchecked replay running past 10 s. Each
+    // is refused while the file is parsed, before any run starts.
+    let dir = scratch("horizon");
+    type Edit = (&'static str, fn(&mut flex_chaos::scenario::Scenario));
+    let edits: [Edit; 4] = [
+        ("fail_at_ms = horizon_ms", |s| s.fail_at_ms = s.horizon_ms),
+        ("fail_at_ms = 10^13", |s| s.fail_at_ms = 10_000_000_000_000),
+        ("horizon_ms = 0", |s| s.horizon_ms = 0),
+        ("horizon_ms = 10^13", |s| s.horizon_ms = 10_000_000_000_000),
+    ];
+    for (label, edit) in edits {
+        let mut scenario = flex_chaos::scenario::generate(1, 0);
+        edit(&mut scenario);
+        std::fs::write(dir.join("bad.json"), scenario.to_value().to_json()).expect("file written");
+        // A replay that runs instead of being refused is killed at the
+        // deadline, so a regression fails here rather than hangs.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_flex-chaos"))
+            .current_dir(&dir)
+            .args(["replay", "--file", "bad.json"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("flex-chaos starts");
+        let start = Instant::now();
+        while child.try_wait().expect("flex-chaos waits").is_none() {
+            if start.elapsed() > Duration::from_secs(2) {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{label}: not refused within 2 s");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let out = child.wait_with_output().expect("flex-chaos output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{label}: {stderr}");
+        assert!(
+            stderr.contains("file does not describe a scenario"),
+            "{label}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{label} ran: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 }
 

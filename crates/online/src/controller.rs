@@ -14,7 +14,9 @@ use flex_sim::{SimDuration, SimTime};
 use flex_telemetry::TelemetryPayload;
 
 use crate::actuation::RackPowerState;
-use crate::policy::{decide, ActionKind, DecisionInput, RecoveryShares, POLICY};
+use crate::policy::{
+    decide, infer_online, recovery_shares, ActionKind, DecisionInput, RecoveryShares, POLICY,
+};
 use crate::recovery::{BufferedDelivery, RecoverySnapshot};
 use crate::{ImpactRegistry, OnlineError};
 
@@ -178,6 +180,104 @@ impl ControllerState {
     }
 }
 
+/// What a [`Controller`] derives from its [`ControllerState`]. Kept out
+/// of the state: it is a cache, not decision state. Twins with equal
+/// states may hold different caches (a prune scan tightens `oldest`),
+/// and the caches change no decision, only how much work one takes.
+#[derive(Debug, Clone)]
+struct StateCache {
+    /// A lower bound on the measured-at time of every held UPS and rack
+    /// slot (`None` when none is held): [`Controller::prune_stale`]
+    /// scans the slots only once this bound is past the staleness limit.
+    oldest: Option<SimTime>,
+    /// Which UPS slots hold the newest data: ingest skips a UPS
+    /// snapshot that provably writes no slot without reading it.
+    ups_held: Held,
+    /// The same for the rack slots.
+    rack_held: Held,
+    /// Per rack (by id), how many entries of [`ControllerState::recent`]
+    /// name it: non-zero while an action on the rack is in the reflect
+    /// window.
+    reflecting: Vec<u32>,
+}
+
+impl StateCache {
+    /// The cache of [`ControllerState::blank`] over `ups_count` UPSes
+    /// and `rack_count` racks.
+    fn blank(ups_count: usize, rack_count: usize) -> Self {
+        StateCache {
+            oldest: None,
+            ups_held: Held::blank(ups_count),
+            rack_held: Held::blank(rack_count),
+            reflecting: vec![0; rack_count],
+        }
+    }
+}
+
+/// How up to date the slots of one telemetry kind are, in O(1) space.
+///
+/// A snapshot measured at `m` writes no slot exactly when every slot of
+/// its kind already holds data measured at or after `m`. An empty slot
+/// (never written, or emptied by [`Controller::prune_stale`]) accepts a
+/// reading of any age, so it counts as −∞. `Held` tracks the newest
+/// measured-at time written and how many slots are behind it, which
+/// decides that condition in O(1) whenever no slot is behind: then every
+/// slot holds the newest time, and a snapshot measured no later writes
+/// nothing. That is the common redelivery: a pub/sub copy or the other
+/// poller's copy of the newest poll. A snapshot older than the newest
+/// while some slot is behind is not skipped; the slot loop decides it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Held {
+    /// The newest measured-at time ever written to a slot of the kind.
+    newest: Option<SimTime>,
+    /// Slots that are empty or hold data older than `newest`.
+    behind: usize,
+}
+
+impl Held {
+    /// `slots` empty slots.
+    fn blank(slots: usize) -> Self {
+        Held {
+            newest: None,
+            behind: slots,
+        }
+    }
+
+    /// Whether every slot holds data measured at or after
+    /// `measured_at`, as far as O(1) can tell: a snapshot measured then
+    /// writes no slot.
+    fn covers(&self, measured_at: SimTime) -> bool {
+        self.behind == 0 && self.newest.is_some_and(|t| measured_at <= t)
+    }
+
+    /// Accounts for `written` slots of `slots` that a snapshot measured
+    /// at `measured_at` wrote.
+    fn wrote(&mut self, slots: usize, measured_at: SimTime, written: usize) {
+        if written == 0 {
+            return;
+        }
+        match self.newest {
+            // Older data fills slots that stay behind the newest.
+            Some(t) if measured_at < t => {}
+            // Every slot written had been behind.
+            Some(t) if measured_at == t => self.behind = self.behind.saturating_sub(written),
+            // A newer snapshot writes every slot it names (each held
+            // older data); the others now lag it.
+            _ => {
+                self.newest = Some(measured_at);
+                self.behind = slots.saturating_sub(written);
+            }
+        }
+    }
+
+    /// Accounts for a slot measured at `t` that pruning emptied.
+    fn emptied(&mut self, t: SimTime) {
+        if self.newest.is_some_and(|newest| t >= newest) {
+            self.behind += 1;
+        }
+    }
+}
+
 /// One multi-primary controller instance.
 #[derive(Debug, Clone)]
 pub struct Controller {
@@ -188,13 +288,16 @@ pub struct Controller {
     config: ControllerConfig,
     /// Everything the instance's decisions depend on.
     state: ControllerState,
-    /// A lower bound on the measured-at time of every held UPS and rack
-    /// slot (`None` when none is held): [`prune_stale`](Self::prune_stale)
-    /// scans the slots only once this bound is past the staleness limit.
-    /// Kept out of [`ControllerState`]: it is a cache, not decision
-    /// state — twins with equal slots may hold different bounds (a scan
-    /// tightens it), and no decision reads it.
-    oldest: Option<SimTime>,
+    /// What the instance derives from `state` to keep a delivery's cost
+    /// proportional to what is new in it.
+    cache: StateCache,
+    /// Buffers each decision round refills: the per-UPS view, the
+    /// inferred feed state and the per-rack view. Their contents mean
+    /// nothing between calls; they exist so that a delivery allocates
+    /// nothing.
+    ups_view: Vec<Watts>,
+    online: Vec<bool>,
+    rack_view: Vec<Watts>,
     /// Observability (noop unless attached): the recorder receives the
     /// ingest/watchdog state transitions that `flex_online::replay`
     /// feeds back to reconstruct this instance's decisions.
@@ -216,12 +319,15 @@ impl Controller {
         let state = ControllerState::blank(topology.ups_count(), racks.len(), 0);
         Controller {
             id,
+            cache: StateCache::blank(topology.ups_count(), racks.len()),
+            ups_view: Vec::with_capacity(topology.ups_count()),
+            online: Vec::with_capacity(topology.ups_count()),
+            rack_view: Vec::with_capacity(racks.len()),
             topology,
             racks,
             registry,
             config,
             state,
-            oldest: None,
             obs: Obs::noop(),
             readings_accepted: Counter::noop(),
             readings_stale: Counter::noop(),
@@ -264,7 +370,7 @@ impl Controller {
         // controller needs no edit here.
         Controller {
             state,
-            oldest: None,
+            cache: StateCache::blank(self.topology.ups_count(), self.racks.len()),
             ..self.clone()
         }
     }
@@ -322,6 +428,10 @@ impl Controller {
         measured_at: SimTime,
         payload: &TelemetryPayload,
     ) -> bool {
+        // A snapshot that every slot of its kind already covers writes
+        // nothing (a pub/sub copy, or the other poller's copy), so it is
+        // skipped without reading it: the slot loop would reach the same
+        // outcome.
         let evaluate = match payload {
             TelemetryPayload::UpsSnapshot(snapshot) => {
                 // Accept only strictly newer readings: an equal
@@ -331,22 +441,24 @@ impl Controller {
                 // telemetry (so it must not re-arm the watchdog), and
                 // letting it trigger an extra evaluation would make the
                 // command stream depend on duplication patterns.
-                let mut accepted = false;
-                for &(ups, w) in snapshot.iter() {
-                    if let Some(slot) = self.state.ups_power.get_mut(ups.0) {
-                        if slot.map_or(true, |(t, _)| t < measured_at) {
-                            *slot = Some((measured_at, w));
-                            accepted = true;
-                            self.lower_oldest(measured_at);
-                        }
-                    }
-                }
+                let written = if self.cache.ups_held.covers(measured_at) {
+                    0
+                } else {
+                    write_newer(
+                        &mut self.state.ups_power,
+                        &mut self.cache.ups_held,
+                        snapshot.iter().map(|&(ups, w)| (ups.0, w)),
+                        measured_at,
+                    )
+                };
+                let accepted = written > 0;
                 // Staleness, like acceptance, is counted but not
                 // ring-recorded: both are re-derivable from the
                 // delivery stream itself (a replayed controller makes
                 // the same accept/ignore call), and duplicate-heavy
                 // chaos would otherwise flood the ring.
                 if accepted {
+                    self.lower_oldest(measured_at);
                     // Acceptance is the normal case: count it, but keep
                     // the flight ring for anomalies (stale deliveries
                     // get an event; accepted ones are implied by their
@@ -366,13 +478,15 @@ impl Controller {
                 accepted
             }
             TelemetryPayload::RackSnapshot(snapshot) => {
-                for &(rack, w) in snapshot.iter() {
-                    if let Some(slot) = self.state.rack_power.get_mut(rack) {
-                        if slot.map_or(true, |(t, _)| t < measured_at) {
-                            *slot = Some((measured_at, w));
-                            self.lower_oldest(measured_at);
-                        }
-                    }
+                if !self.cache.rack_held.covers(measured_at)
+                    && write_newer(
+                        &mut self.state.rack_power,
+                        &mut self.cache.rack_held,
+                        snapshot.iter().copied(),
+                        measured_at,
+                    ) > 0
+                {
+                    self.lower_oldest(measured_at);
                 }
                 false
             }
@@ -388,9 +502,11 @@ impl Controller {
         evaluate
     }
 
-    /// Keeps [`oldest`](Self::oldest) a lower bound after a slot write.
+    /// Keeps the cache's `oldest` a lower bound after slot writes
+    /// measured at `measured_at`.
     fn lower_oldest(&mut self, measured_at: SimTime) {
-        self.oldest = Some(self.oldest.map_or(measured_at, |t| t.min(measured_at)));
+        let oldest = &mut self.cache.oldest;
+        *oldest = Some(oldest.map_or(measured_at, |t| t.min(measured_at)));
     }
 
     /// Drops telemetry older than the staleness limit relative to `now`.
@@ -398,16 +514,27 @@ impl Controller {
     /// expired; a scan also tightens the bound to the exact minimum.
     pub(crate) fn prune_stale(&mut self, now: SimTime) {
         let limit = STALENESS_LIMIT;
-        if self.oldest.is_some_and(|t| now.saturating_since(t) > limit) {
+        let cache = &mut self.cache;
+        if cache
+            .oldest
+            .is_some_and(|t| now.saturating_since(t) > limit)
+        {
             let mut oldest: Option<SimTime> = None;
-            for slot in self.state.ups_power.iter_mut().chain(self.state.rack_power.iter_mut()) {
-                match *slot {
-                    Some((t, _)) if now.saturating_since(t) > limit => *slot = None,
-                    Some((t, _)) => oldest = Some(oldest.map_or(t, |o| o.min(t))),
-                    None => {}
+            let mut prune = |slots: &mut [Option<(SimTime, Watts)>], held: &mut Held| {
+                for slot in slots {
+                    match *slot {
+                        Some((t, _)) if now.saturating_since(t) > limit => {
+                            *slot = None;
+                            held.emptied(t);
+                        }
+                        Some((t, _)) => oldest = Some(oldest.map_or(t, |o| o.min(t))),
+                        None => {}
+                    }
                 }
-            }
-            self.oldest = oldest;
+            };
+            prune(&mut self.state.ups_power, &mut cache.ups_held);
+            prune(&mut self.state.rack_power, &mut cache.rack_held);
+            cache.oldest = oldest;
         }
         if self.state.last_ups_data.is_some_and(|t| now.saturating_since(t) > limit) {
             self.state.last_ups_data = None;
@@ -502,6 +629,18 @@ impl Controller {
     pub fn on_enforcement_failed(&mut self, rack: RackId) {
         self.state.action_log.remove(&rack);
         self.state.recent.retain(|(_, r, _)| *r != rack);
+        if let Some(n) = self.cache.reflecting.get_mut(rack.0) {
+            *n = 0;
+        }
+    }
+
+    /// Puts an issued action (or a lifted one, with negated shares) in
+    /// the reflect window. Every caller names a rack of `self.racks`.
+    fn push_recent(&mut self, at: SimTime, rack: RackId, shares: RecoveryShares) {
+        self.state.recent.push((at, rack, shares));
+        if let Some(n) = self.cache.reflecting.get_mut(rack.0) {
+            *n += 1;
+        }
     }
 
     /// Rebuilds a restarted instance from a [`RecoverySnapshot`] plus a
@@ -594,11 +733,12 @@ impl Controller {
 
         // 5. Reflect pending corrective recoveries so the first
         // evaluation after restart does not double-shed mid-shed.
-        let view = match c.fresh_ups_powers(now) {
-            Some(v) => v,
-            None => c.topology.upses().iter().map(|u| u.capacity()).collect(),
-        };
-        let online = crate::policy::infer_online(&c.topology, &view, &POLICY);
+        if !c.fill_ups_view(now) {
+            c.ups_view.clear();
+            c.ups_view
+                .extend(c.topology.upses().iter().map(|u| u.capacity()));
+        }
+        infer_online(&c.topology, &c.ups_view, &POLICY, &mut c.online);
         for cmd in &inflight {
             if cmd.apply_at <= now {
                 continue;
@@ -616,59 +756,67 @@ impl Controller {
             if estimate.as_w() <= 0.0 {
                 continue;
             }
-            let shares =
-                crate::policy::recovery_shares(&c.topology, r.pdu_pair, &online, estimate)?;
-            c.state.recent.push((now, cmd.rack, shares));
+            let shares = recovery_shares(&c.topology, r.pdu_pair, &c.online, estimate)?;
+            c.push_recent(now, cmd.rack, shares);
         }
         Ok(c)
     }
 
-    fn fresh_ups_powers(&self, now: SimTime) -> Option<Vec<Watts>> {
+    /// Fills `ups_view` with the held UPS readings; returns whether any
+    /// is fresh (if none is, no decision can be made).
+    fn fill_ups_view(&mut self, now: SimTime) -> bool {
         // A UPS with no fresh reading is assumed at its limit — the
         // conservative treatment the paper requires when data is missing.
         // Zipping the topology with the slots sidesteps any id lookup
         // (`ups_power` is sized from `topology.ups_count()` at build).
-        let mut out = Vec::with_capacity(self.state.ups_power.len());
+        self.ups_view.clear();
         let mut any_fresh = false;
         for (ups, slot) in self.topology.upses().iter().zip(&self.state.ups_power) {
             match slot {
                 Some((t, w)) if now.saturating_since(*t) <= STALENESS_LIMIT => {
                     any_fresh = true;
-                    out.push(*w);
+                    self.ups_view.push(*w);
                 }
-                _ => out.push(ups.capacity()),
+                _ => self.ups_view.push(ups.capacity()),
             }
         }
-        any_fresh.then_some(out)
+        any_fresh
     }
 
-    fn rack_powers(&self) -> Vec<Watts> {
-        // Missing rack data estimates the rack at its provisioned power
-        // (conservative for recovery estimation).
-        self.racks
-            .iter()
-            .map(|r| match self.state.rack_power.get(r.id.0).copied().flatten() {
-                Some((_, w)) => w,
-                None => r.provisioned,
-            })
-            .collect()
+    /// The held reading of rack `r`. Missing rack data estimates the
+    /// rack at its provisioned power (conservative for recovery
+    /// estimation).
+    fn rack_reading(&self, r: &PlacedRack) -> Watts {
+        match self.state.rack_power.get(r.id.0).copied().flatten() {
+            Some((_, w)) => w,
+            None => r.provisioned,
+        }
     }
 
     fn evaluate(&mut self, now: SimTime) -> Result<Vec<Command>, OnlineError> {
-        let Some(mut ups_power) = self.fresh_ups_powers(now) else {
+        if !self.fill_ups_view(now) {
             return Ok(Vec::new());
-        };
+        }
         // Project the recoveries of recently issued (not yet reflected)
         // actions onto the readings.
-        self.state.recent
-            .retain(|(t, _, _)| now.saturating_since(*t) < REFLECT_WINDOW);
+        let reflecting = &mut self.cache.reflecting;
+        self.state.recent.retain(|&(t, rack, _)| {
+            let keep = now.saturating_since(t) < REFLECT_WINDOW;
+            if !keep {
+                if let Some(n) = reflecting.get_mut(rack.0) {
+                    *n = n.saturating_sub(1);
+                }
+            }
+            keep
+        });
         for (_, _, shares) in &self.state.recent {
             for (u, w) in shares.iter() {
-                if let Some(slot) = ups_power.get_mut(u.0) {
+                if let Some(slot) = self.ups_view.get_mut(u.0) {
                     *slot = (*slot - w).clamp_non_negative();
                 }
             }
         }
+        let ups_power = &self.ups_view;
         // Overdraw check against limit − buffer.
         let over = self.topology.upses().iter().any(|u| {
             let limit = u.capacity() * (1.0 - POLICY.buffer_fraction);
@@ -681,7 +829,10 @@ impl Controller {
             // An observed overdraw means a failover is in progress even
             // without an out-of-band alarm.
             self.state.failover_known.get_or_insert(now);
-            return self.shed_against(now, &ups_power);
+            let ups_power = std::mem::take(&mut self.ups_view);
+            let commands = self.shed_against(now, &ups_power);
+            self.ups_view = ups_power;
+            return commands;
         }
 
         // Healthy: consider restoration if we are engaged.
@@ -729,24 +880,23 @@ impl Controller {
         // load has dropped well below the limit, lift one action per
         // telemetry round — the one whose reversal provably keeps every
         // UPS under limit − buffer.
-        let online = crate::policy::infer_online(&self.topology, &ups_power, &POLICY);
-        let rack_power = self.rack_powers();
+        infer_online(&self.topology, &self.ups_view, &POLICY, &mut self.online);
+        let ups_power = &self.ups_view;
         let mut best = None;
         for (&rack, &kind) in &self.state.action_log {
             // Never lift an action that may still be in flight —
             // telemetry has not yet confirmed its effect.
-            if self.state.recent.iter().any(|(_, r, _)| *r == rack) {
+            if self.cache.reflecting.get(rack.0).is_some_and(|&n| n > 0) {
                 continue;
             }
             let Some(r) = self.racks.get(rack.0) else {
                 continue;
             };
-            let returned = action_power(r, kind, rack_power.get(rack.0).copied());
+            let returned = action_power(r, kind, Some(self.rack_reading(r)));
             if returned.as_w() <= 0.0 {
                 continue;
             }
-            let shares =
-                crate::policy::recovery_shares(&self.topology, r.pdu_pair, &online, returned)?;
+            let shares = recovery_shares(&self.topology, r.pdu_pair, &self.online, returned)?;
             // A UPS missing from the topology can never be proven
             // safe, so such a share vetoes the lift.
             let safe = shares.iter().all(|(u, w)| {
@@ -774,9 +924,8 @@ impl Controller {
             self.state.action_log.remove(&rack);
             // Account for the returning load in the reflect window
             // (negative recovery = added power).
-            let shares =
-                crate::policy::recovery_shares(&self.topology, pair, &online, returned)?.negated();
-            self.state.recent.push((now, rack, shares));
+            let shares = recovery_shares(&self.topology, pair, &self.online, returned)?.negated();
+            self.push_recent(now, rack, shares);
             if self.state.action_log.is_empty() {
                 self.state.engaged = false;
             }
@@ -793,15 +942,19 @@ impl Controller {
         now: SimTime,
         ups_power: &[Watts],
     ) -> Result<Vec<Command>, OnlineError> {
-        let rack_power = self.rack_powers();
+        let mut rack_view = std::mem::take(&mut self.rack_view);
+        rack_view.clear();
+        rack_view.extend(self.racks.iter().map(|r| self.rack_reading(r)));
         let input = DecisionInput {
             topology: &self.topology,
             racks: &self.racks,
-            rack_power: &rack_power,
+            rack_power: &rack_view,
             ups_power,
         };
-        let outcome = decide(&input, &self.state.action_log, &self.registry, &POLICY)?;
-        let online = crate::policy::infer_online(&self.topology, ups_power, &POLICY);
+        let outcome = decide(&input, &self.state.action_log, &self.registry, &POLICY);
+        self.rack_view = rack_view;
+        let outcome = outcome?;
+        infer_online(&self.topology, ups_power, &POLICY, &mut self.online);
         let mut commands = Vec::with_capacity(outcome.actions.len());
         for action in outcome.actions {
             // Policy actions always name racks from `self.racks`; a
@@ -810,13 +963,13 @@ impl Controller {
                 continue;
             };
             self.state.action_log.insert(action.rack, action.kind);
-            let shares = crate::policy::recovery_shares(
+            let shares = recovery_shares(
                 &self.topology,
                 pair,
-                &online,
+                &self.online,
                 action.estimated_recovery,
             )?;
-            self.state.recent.push((now, action.rack, shares));
+            self.push_recent(now, action.rack, shares);
             commands.push(Command::Act {
                 rack: action.rack,
                 kind: action.kind,
@@ -827,6 +980,29 @@ impl Controller {
         }
         Ok(commands)
     }
+}
+
+/// Writes each `(slot, reading)` measured at `measured_at` into a slot
+/// that is empty or holds older data, and accounts the writes in
+/// `held`; a slot outside `slots` is ignored. Returns how many slots
+/// were written.
+fn write_newer(
+    slots: &mut [Option<(SimTime, Watts)>],
+    held: &mut Held,
+    readings: impl Iterator<Item = (usize, Watts)>,
+    measured_at: SimTime,
+) -> usize {
+    let mut written = 0;
+    for (i, w) in readings {
+        if let Some(slot) = slots.get_mut(i) {
+            if slot.is_none_or(|(t, _)| t < measured_at) {
+                *slot = Some((measured_at, w));
+                written += 1;
+            }
+        }
+    }
+    held.wrote(slots.len(), measured_at, written);
+    written
 }
 
 /// The power an action on rack `r` takes out of the room, which is
@@ -1116,7 +1292,7 @@ mod tests {
         let mut restarted = f.controller.restarted(7);
         assert_eq!(restarted.state(), &ControllerState::blank(ups, racks, 7));
         assert_eq!(restarted.id(), fresh.id());
-        assert_eq!(restarted.oldest, None);
+        assert_eq!(restarted.cache.oldest, None);
         // Apart from the epoch it behaves as a new instance: the same
         // inputs give the same commands and the same state.
         let topo = f.placed.room().topology().clone();
@@ -1246,11 +1422,180 @@ mod tests {
                 prop_assert_eq!(c.state(), reference.state(), "at {}", now);
                 for (t, _) in c.state.ups_power.iter().chain(&c.state.rack_power).flatten() {
                     prop_assert!(
-                        c.oldest.is_some_and(|o| o <= *t),
-                        "bound {:?} above held reading at {}", c.oldest, t
+                        c.cache.oldest.is_some_and(|o| o <= *t),
+                        "bound {:?} above held reading at {}", c.cache.oldest, t
                     );
                 }
             }
         }
+
+        #[test]
+        fn skipping_ingest_matches_the_per_reading_loop(ops in arb_deliveries()) {
+            let fast_obs = Obs::recording();
+            let slow_obs = Obs::recording();
+            let mut fast = small_controller();
+            fast.set_obs(&fast_obs);
+            let mut slow = small_controller();
+            slow.set_obs(&slow_obs);
+            let mut now = SimTime::ZERO;
+            let mut sent: Vec<(SimTime, TelemetryPayload)> = Vec::new();
+            for (step, (kind, step_ms, age, mask, level)) in ops.into_iter().enumerate() {
+                let step_ms = SimDuration::from_millis(step_ms);
+                now += if step_ms >= SimDuration::from_secs(8) { step_ms + STALENESS_LIMIT } else { step_ms };
+                let fresh = SimTime::from_nanos(now.as_nanos().saturating_sub(age * 1_000_000));
+                let kw = |i: usize| Watts::from_kw(((level as usize + 37 * i) % 200) as f64);
+                let in_mask = move |i: usize| mask & (1 << i) != 0;
+                let delivery = match kind {
+                    0..=2 => Some((
+                        fresh,
+                        TelemetryPayload::ups((0..4).filter(|&i| in_mask(i)).map(|i| (UpsId(i), kw(i)))),
+                    )),
+                    3..=5 => Some((
+                        fresh,
+                        TelemetryPayload::racks(
+                            (0..8).filter(|&i| in_mask(i)).map(|i| (i, kw(i) * 0.1)),
+                        ),
+                    )),
+                    6 => sent.last().cloned(),
+                    7 => sent.get(level as usize % sent.len().max(1)).cloned(),
+                    _ => None,
+                };
+                let (got, want) = match (kind, delivery) {
+                    (0..=7, Some((measured_at, payload))) => {
+                        let got = fast.on_delivery(now, measured_at, &payload);
+                        let want = on_delivery_reference(&mut slow, now, measured_at, &payload);
+                        sent.push((measured_at, payload));
+                        (got, want)
+                    }
+                    (8, _) => {
+                        fast = fast.restarted(fast.epoch() + 1);
+                        slow = slow.restarted(slow.epoch() + 1);
+                        (Ok(Vec::new()), Ok(Vec::new()))
+                    }
+                    (9, _) => (fast.on_tick(now), slow.on_tick(now)),
+                    (10, _) => {
+                        for c in [&mut fast, &mut slow] {
+                            c.on_failover_alarm(now, UpsId(level as usize % 4));
+                        }
+                        (Ok(Vec::new()), Ok(Vec::new()))
+                    }
+                    (11, _) => {
+                        for c in [&mut fast, &mut slow] {
+                            c.on_enforcement_failed(RackId(level as usize % 8));
+                        }
+                        (Ok(Vec::new()), Ok(Vec::new()))
+                    }
+                    _ => continue,
+                };
+                prop_assert_eq!(got, want, "commands at step {}", step);
+                prop_assert_eq!(fast.state(), slow.state(), "state at step {}", step);
+                prop_assert_eq!(
+                    fast_obs.snapshot().counters,
+                    slow_obs.snapshot().counters,
+                    "counters at step {}", step
+                );
+                // The caches are exact: `behind` counts the slots that
+                // are empty or older than the newest write, and the
+                // reflect markers count the window's entries.
+                let c = &fast;
+                for (held, slots) in [
+                    (c.cache.ups_held, &c.state.ups_power),
+                    (c.cache.rack_held, &c.state.rack_power),
+                ] {
+                    let behind = slots
+                        .iter()
+                        .filter(|s| s.is_none_or(|(t, _)| held.newest.is_none_or(|n| t < n)))
+                        .count();
+                    prop_assert_eq!(held.behind, behind, "behind {:?}", held.newest);
+                    let newest = slots.iter().flatten().map(|&(t, _)| t).max();
+                    prop_assert!(newest <= held.newest, "newest {:?} above {:?}", newest, held.newest);
+                }
+                for (i, n) in c.cache.reflecting.iter().enumerate() {
+                    let entries = c.state.recent.iter().filter(|(_, r, _)| r.0 == i).count();
+                    prop_assert_eq!(*n as usize, entries, "reflect marker of rack {}", i);
+                }
+            }
+        }
+    }
+
+    /// The per-reading ingest loop that the floor skip replaces: every
+    /// snapshot compares all its readings, and each accepted reading
+    /// lowers `oldest`.
+    fn ingest_reference(
+        c: &mut Controller,
+        now: SimTime,
+        measured_at: SimTime,
+        payload: &TelemetryPayload,
+    ) -> bool {
+        let evaluate = match payload {
+            TelemetryPayload::UpsSnapshot(snapshot) => {
+                let mut accepted = false;
+                for &(ups, w) in snapshot.iter() {
+                    if let Some(slot) = c.state.ups_power.get_mut(ups.0) {
+                        if slot.is_none_or(|(t, _)| t < measured_at) {
+                            *slot = Some((measured_at, w));
+                            accepted = true;
+                            c.lower_oldest(measured_at);
+                        }
+                    }
+                }
+                if accepted {
+                    c.readings_accepted.inc();
+                    if now.saturating_since(measured_at) <= STALENESS_LIMIT {
+                        c.state.last_ups_data = Some(match c.state.last_ups_data {
+                            Some(t) => t.max(measured_at),
+                            None => measured_at,
+                        });
+                        c.state.watchdog_fired = false;
+                    }
+                } else {
+                    c.readings_stale.inc();
+                }
+                accepted
+            }
+            TelemetryPayload::RackSnapshot(snapshot) => {
+                for &(rack, w) in snapshot.iter() {
+                    if let Some(slot) = c.state.rack_power.get_mut(rack) {
+                        if slot.is_none_or(|(t, _)| t < measured_at) {
+                            *slot = Some((measured_at, w));
+                            c.lower_oldest(measured_at);
+                        }
+                    }
+                }
+                false
+            }
+        };
+        c.prune_stale(now);
+        evaluate
+    }
+
+    /// [`Controller::on_delivery`] over [`ingest_reference`].
+    fn on_delivery_reference(
+        c: &mut Controller,
+        now: SimTime,
+        measured_at: SimTime,
+        payload: &TelemetryPayload,
+    ) -> Result<Vec<Command>, OnlineError> {
+        if ingest_reference(c, now, measured_at, payload) {
+            c.evaluate(now)
+        } else {
+            Ok(Vec::new())
+        }
+    }
+
+    /// One generated step of the ingest comparison: (kind, arrival step
+    /// ms, age at arrival ms, reading mask, reading level). Kinds 0-2
+    /// are UPS snapshots and 3-5 rack snapshots carrying the readings
+    /// the mask selects (partial snapshots model dropped readings), 6
+    /// redelivers the last message, 7 an earlier one (reordering), 8
+    /// restarts both instances, 9 ticks the watchdog, 10 raises a
+    /// failover alarm and 11 reports an enforcement failure. Readings
+    /// span 0-199 kW per 150 kW UPS, so overdraws shed and relieve. A
+    /// step ≥ 8 s is stretched past the staleness limit.
+    fn arb_deliveries() -> impl Strategy<Value = Vec<(u8, u64, u64, u16, u64)>> {
+        proptest::collection::vec(
+            (0u8..12, 0u64..10_000, 0u64..18_000, 0u16..256, 0u64..1_000),
+            1..80,
+        )
     }
 }

@@ -8,7 +8,11 @@
 //!
 //! - [`policy`] — **Algorithm 1**: the greedy impact-function-driven
 //!   selection of racks to shut down (software-redundant) or throttle
-//!   (cap-able), with failover-state inference from UPS power readings;
+//!   (cap-able), with failover-state inference from UPS power readings.
+//!   [`policy::decide`] runs it incrementally: the overloaded set only
+//!   shrinks within a call, so each workload's candidates are sorted
+//!   once and walked by a forward cursor, for O(racks · log racks) plus
+//!   O(workloads + UPSes) per selected action;
 //! - [`ImpactRegistry`] — per-deployment impact functions with the
 //!   paper's default ordering (act on software-redundant workloads only
 //!   after cap-able ones) when none are registered;
@@ -16,7 +20,13 @@
 //!   consumes telemetry deliveries, triggers decisions, tracks its action
 //!   log, and lifts actions once the failover clears (with hysteresis).
 //!   Everything its decisions depend on is one [`ControllerState`];
-//!   [`Controller::restarted`] is the blank restart into a new epoch;
+//!   [`Controller::restarted`] is the blank restart into a new epoch.
+//!   A delivery costs what is new in it: a snapshot writes no slot when
+//!   every slot of its kind holds data measured at or after it (an
+//!   empty or pruned slot counts as −∞), and once every slot holds the
+//!   newest poll, ingest skips its redeliveries in O(1). Decision rounds
+//!   refill buffers the controller owns, so a delivery that does not
+//!   shed allocates nothing;
 //! - [`Actuator`] — the out-of-band rack-manager/BMC path: latency,
 //!   unreachability, idempotent command application, epoch fencing;
 //! - [`recovery`] — deterministic crash recovery: the

@@ -140,25 +140,23 @@ impl ActionSummary {
 
 /// Infers which UPSes are in service from their power readings: an
 /// out-of-service UPS reads ~0 W. If everything reads ~0 (cold start),
-/// all are treated as online.
+/// all are treated as online. Writes one flag per topology UPS into
+/// `online`, reusing its buffer.
 pub(crate) fn infer_online(
     topology: &Topology,
     ups_power: &[Watts],
     config: &PolicyConfig,
-) -> Vec<bool> {
-    let mut online: Vec<bool> = topology
-        .upses()
-        .iter()
-        .map(|u| {
-            ups_power
-                .get(u.id().0)
-                .is_some_and(|p| *p > u.capacity() * config.failed_threshold_fraction)
-        })
-        .collect();
+    online: &mut Vec<bool>,
+) {
+    online.clear();
+    online.extend(topology.upses().iter().map(|u| {
+        ups_power
+            .get(u.id().0)
+            .is_some_and(|p| *p > u.capacity() * config.failed_threshold_fraction)
+    }));
     if online.iter().all(|&b| !b) {
         online.iter_mut().for_each(|b| *b = true);
     }
-    online
 }
 
 /// How one rack's recovery lands on the UPSes: one share per live
@@ -245,6 +243,22 @@ pub(crate) fn recovery_shares(
 /// are excluded from candidacy and counted toward each workload's
 /// affected fraction (`Impact(w, Actions ∪ …)` on line 10).
 ///
+/// Each round offers one candidate per workload, its highest-recovery
+/// eligible rack (the first in slice order among equals), and commits
+/// the one with the lowest impact; impact-1.0 candidates are used only
+/// when every candidate is critical. The rounds run incrementally.
+/// Within one call the projected UPS powers only fall (every recovery
+/// share is at least 0.5 W), so the overloaded set only shrinks: a rack
+/// that is acted on, or that relieves no overloaded UPS, never becomes
+/// a candidate again. Each workload's eligible racks are therefore
+/// sorted once, by recovery descending and then slice position, and a
+/// cursor walks that list forward; a workload's impact is re-evaluated
+/// only when its cursor or its affected count moves. A call costs
+/// O(racks · log racks) to set up plus O(workloads + UPSes) per
+/// selected action, where a full rescan per action would cost
+/// O(actions · racks). Racks are indexed by id, as [`DecisionInput`]
+/// requires.
+///
 /// # Errors
 ///
 /// Returns [`OnlineError::SnapshotLength`] if the snapshot lengths
@@ -273,117 +287,156 @@ pub fn decide(
         });
     }
     let topo = input.topology;
-    let online = infer_online(topo, input.ups_power, config);
-
-    // Per-deployment rack totals and already-affected counts.
-    let mut totals: BTreeMap<DeploymentId, usize> = BTreeMap::new();
-    let mut affected: BTreeMap<DeploymentId, usize> = BTreeMap::new();
-    for rack in input.racks {
-        *totals.entry(rack.deployment).or_insert(0) += 1;
-        if prior_actions.contains_key(&rack.id) {
-            *affected.entry(rack.deployment).or_insert(0) += 1;
-        }
+    let mut online = Vec::with_capacity(topo.ups_count());
+    infer_online(topo, input.ups_power, config, &mut online);
+    let mut projected: Vec<Watts> = input.ups_power.to_vec();
+    let mut actions: Vec<Action> = Vec::new();
+    let mut overloaded = vec![false; projected.len()];
+    if !mark_overloaded(topo, &online, &projected, config, &mut overloaded) {
+        return Ok(DecisionOutcome {
+            actions,
+            safe: true,
+            projected_ups_power: projected,
+        });
     }
 
-    let mut projected: Vec<Watts> = input.ups_power.to_vec();
-    let mut acted: BTreeMap<RackId, ActionKind> = prior_actions.clone();
-    let mut actions: Vec<Action> = Vec::new();
-
-    let is_online = |u: UpsId| online.get(u.0).copied().unwrap_or(false);
-    let over_limit = |p: &[Watts]| -> Vec<UpsId> {
-        topo.upses()
-            .iter()
-            .filter(|u| is_online(u.id()))
-            .filter(|u| {
-                let limit = u.capacity() * (1.0 - config.buffer_fraction);
-                p.get(u.id().0).is_some_and(|w| w.exceeds(limit))
-            })
-            .map(|u| u.id())
-            .collect()
-    };
+    // Workloads, in id order, with their rack totals and affected
+    // counts.
+    let mut deployments: Vec<DeploymentId> = input.racks.iter().map(|r| r.deployment).collect();
+    deployments.sort_unstable();
+    deployments.dedup();
+    let mut workloads: Vec<Workload> = deployments
+        .iter()
+        .map(|&deployment| Workload {
+            deployment,
+            total: 0,
+            affected: 0,
+            next: 0,
+            end: 0,
+            impact: None,
+        })
+        .collect();
+    // The racks that may act now, in slice order, and an index over
+    // them: (workload, recovery, index into `eligible`).
+    let mut eligible: Vec<Eligible> = Vec::with_capacity(input.racks.len());
+    let mut order: Vec<(usize, Watts, usize)> = Vec::with_capacity(input.racks.len());
+    for (position, rack) in input.racks.iter().enumerate() {
+        let Ok(w) = deployments.binary_search(&rack.deployment) else {
+            continue;
+        };
+        let Some(workload) = workloads.get_mut(w) else {
+            continue;
+        };
+        workload.total += 1;
+        if prior_actions.contains_key(&rack.id) {
+            workload.affected += 1;
+            continue;
+        }
+        if !rack.category.is_actionable() {
+            continue;
+        }
+        let Some(draw) = input.rack_power.get(rack.id.0).copied() else {
+            continue;
+        };
+        let recovery = match rack.category {
+            WorkloadCategory::SoftwareRedundant => draw,
+            WorkloadCategory::CapAble => (draw - rack.flex_power).clamp_non_negative(),
+            // is_actionable() filtered this out; skip defensively
+            // rather than panic on the decision path.
+            WorkloadCategory::NonCapAble => continue,
+        };
+        if recovery.as_w() < 1.0 {
+            continue; // nothing to recover from this rack
+        }
+        // Must relieve at least one overloaded UPS.
+        let shares = recovery_shares(topo, rack.pdu_pair, &online, recovery)?;
+        if relieves(&shares, &overloaded) {
+            order.push((w, recovery, eligible.len()));
+            eligible.push(Eligible {
+                position,
+                recovery,
+                shares,
+            });
+        }
+    }
+    // Per workload: recovery descending, then slice position (`eligible`
+    // is in slice order), which puts first the rack a sequential scan
+    // keeping the first strict maximum picks.
+    order.sort_unstable_by(|(wa, ra, ia), (wb, rb, ib)| {
+        wa.cmp(wb)
+            .then(rb.as_w().total_cmp(&ra.as_w()))
+            .then(ia.cmp(ib))
+    });
+    let mut start = 0;
+    for (w, workload) in workloads.iter_mut().enumerate() {
+        workload.next = start;
+        start += order.get(start..).map_or(0, |rest| {
+            rest.iter().take_while(|(ow, _, _)| *ow == w).count()
+        });
+        workload.end = start;
+    }
+    let eligible_at = |i: usize| order.get(i).and_then(|&(_, _, e)| eligible.get(e));
 
     loop {
-        let overloaded = over_limit(&projected);
-        if overloaded.is_empty() {
-            return Ok(DecisionOutcome {
-                actions,
-                safe: true,
-                projected_ups_power: projected,
-            });
-        }
-
-        // One candidate per workload: its highest-recovery eligible rack.
-        struct Candidate {
-            rack: RackId,
-            deployment: DeploymentId,
-            kind: ActionKind,
-            recovery: Watts,
-            shares: RecoveryShares,
-            impact: f64,
-        }
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut best_per_workload: BTreeMap<DeploymentId, (RackId, Watts)> = BTreeMap::new();
-        for rack in input.racks {
-            if !rack.category.is_actionable() || acted.contains_key(&rack.id) {
-                continue;
-            }
-            let Some(draw) = input.rack_power.get(rack.id.0).copied() else {
-                continue;
-            };
-            let recovery = match rack.category {
-                WorkloadCategory::SoftwareRedundant => draw,
-                WorkloadCategory::CapAble => (draw - rack.flex_power).clamp_non_negative(),
-                // is_actionable() filtered this out; skip defensively
-                // rather than panic on the decision path.
-                WorkloadCategory::NonCapAble => continue,
-            };
-            if recovery.as_w() < 1.0 {
-                continue; // nothing to recover from this rack
-            }
-            // Must relieve at least one overloaded UPS.
-            let shares = recovery_shares(topo, rack.pdu_pair, &online, recovery)?;
-            if !shares
-                .iter()
-                .any(|(u, w)| overloaded.contains(&u) && w.as_w() > 0.0)
-            {
-                continue;
-            }
-            match best_per_workload.get(&rack.deployment) {
-                Some((_, best)) if *best >= recovery => {}
-                _ => {
-                    best_per_workload.insert(rack.deployment, (rack.id, recovery));
+        // Each workload's candidate: advance its cursor past racks that
+        // no longer relieve an overloaded UPS, then price it.
+        // `(workload, impact, recovery, rack id)` of the best
+        // non-critical candidate and of the best candidate overall.
+        type Best = Option<(usize, f64, Watts, RackId)>;
+        let mut best_usable: Best = None;
+        let mut best_any: Best = None;
+        for (w, workload) in workloads.iter_mut().enumerate() {
+            let current = loop {
+                match eligible_at(workload.next).filter(|_| workload.next < workload.end) {
+                    Some(e) if !relieves(&e.shares, &overloaded) => {
+                        workload.next += 1;
+                        workload.impact = None;
+                    }
+                    current => break current,
                 }
-            }
-        }
-        for (&deployment, &(rack_id, recovery)) in &best_per_workload {
-            let Some(rack) = input.racks.get(rack_id.0) else {
+            };
+            let Some(e) = current else {
                 continue;
             };
-            let kind = if rack.category == WorkloadCategory::SoftwareRedundant {
-                ActionKind::Shutdown
-            } else {
-                ActionKind::Throttle
+            let Some(rack) = input.racks.get(e.position) else {
+                continue;
             };
-            let total = totals.get(&deployment).copied().unwrap_or(1);
-            let done = affected.get(&deployment).copied().unwrap_or(0);
-            let impact = registry.impact(deployment, rack.category, done + 1, total);
-            candidates.push(Candidate {
-                rack: rack_id,
-                deployment,
-                kind,
-                recovery,
-                shares: recovery_shares(topo, rack.pdu_pair, &online, recovery)?,
-                impact,
+            let impact = *workload.impact.get_or_insert_with(|| {
+                registry.impact(
+                    workload.deployment,
+                    rack.category,
+                    workload.affected + 1,
+                    workload.total,
+                )
             });
+            let candidate = (w, impact, e.recovery, rack.id);
+            // argmin impact; ties by max recovery, then lowest rack id.
+            let better = |best: &Best| {
+                best.is_none_or(|(_, bi, br, bid)| {
+                    impact
+                        .total_cmp(&bi)
+                        .then(br.as_w().total_cmp(&e.recovery.as_w()))
+                        .then(rack.id.cmp(&bid))
+                        .is_lt()
+                })
+            };
+            if better(&best_any) {
+                best_any = Some(candidate);
+            }
+            if impact < 1.0 - 1e-9 && better(&best_usable) {
+                best_usable = Some(candidate);
+            }
         }
-        if candidates.is_empty() {
+        // Impact-1.0 racks are last resorts: use them only if every
+        // candidate is critical.
+        let Some((w, _, recovery, rack_id)) = best_usable.or(best_any) else {
             // Out of candidates. The buffer is only a soft target: the
             // hard safety line (what placement guarantees, Equation 4)
             // is rated capacity itself.
             let hard_safe = topo
                 .upses()
                 .iter()
-                .filter(|u| is_online(u.id()))
+                .filter(|u| online.get(u.id().0).copied().unwrap_or(false))
                 .all(|u| {
                     projected
                         .get(u.id().0)
@@ -394,48 +447,98 @@ pub fn decide(
                 safe: hard_safe,
                 projected_ups_power: projected,
             });
-        }
-
-        // Impact-1.0 racks are last resorts: use them only if every
-        // candidate is critical.
-        let usable: Vec<&Candidate> = {
-            let non_critical: Vec<&Candidate> =
-                candidates.iter().filter(|c| c.impact < 1.0 - 1e-9).collect();
-            if non_critical.is_empty() {
-                candidates.iter().collect()
-            } else {
-                non_critical
-            }
         };
-        // argmin impact; ties by max recovery, then lowest rack id.
-        // `usable` is non-empty here (candidates was checked above and
-        // the fallback keeps all of them), but take the panic-free path.
-        let Some(chosen) = usable.into_iter().min_by(|a, b| {
-            a.impact
-                .total_cmp(&b.impact)
-                .then(b.recovery.as_w().total_cmp(&a.recovery.as_w()))
-                .then(a.rack.cmp(&b.rack))
-        }) else {
+        let Some(workload) = workloads.get_mut(w) else {
+            break;
+        };
+        let Some(chosen) = eligible_at(workload.next) else {
+            break;
+        };
+        for (u, share) in chosen.shares.iter() {
+            if let Some(slot) = projected.get_mut(u.0) {
+                *slot = (*slot - share).clamp_non_negative();
+            }
+        }
+        let kind = match input.racks.get(chosen.position).map(|r| r.category) {
+            Some(WorkloadCategory::SoftwareRedundant) => ActionKind::Shutdown,
+            _ => ActionKind::Throttle,
+        };
+        workload.affected += 1;
+        workload.next += 1;
+        workload.impact = None;
+        actions.push(Action {
+            rack: rack_id,
+            kind,
+            estimated_recovery: recovery,
+        });
+        if !mark_overloaded(topo, &online, &projected, config, &mut overloaded) {
             return Ok(DecisionOutcome {
                 actions,
-                safe: false,
+                safe: true,
                 projected_ups_power: projected,
             });
-        };
-
-        for (u, w) in chosen.shares.iter() {
-            if let Some(slot) = projected.get_mut(u.0) {
-                *slot = (*slot - w).clamp_non_negative();
-            }
         }
-        *affected.entry(chosen.deployment).or_insert(0) += 1;
-        acted.insert(chosen.rack, chosen.kind);
-        actions.push(Action {
-            rack: chosen.rack,
-            kind: chosen.kind,
-            estimated_recovery: chosen.recovery,
-        });
     }
+    // Unreachable: the chosen workload and its cursor were read above.
+    Ok(DecisionOutcome {
+        actions,
+        safe: false,
+        projected_ups_power: projected,
+    })
+}
+
+/// One workload's state during [`decide`]: its rack counts and a
+/// cursor into its run of the sorted eligible racks.
+struct Workload {
+    deployment: DeploymentId,
+    /// Racks of the workload in the room.
+    total: usize,
+    /// Racks already acted on: the prior log plus this call's actions.
+    affected: usize,
+    /// The workload's candidate, unless `next == end`; the racks before
+    /// it have been acted on or relieve no overloaded UPS.
+    next: usize,
+    end: usize,
+    /// The candidate's impact, cleared when `next` or `affected` moves.
+    impact: Option<f64>,
+}
+
+/// A rack that relieved an overloaded UPS when [`decide`] began.
+struct Eligible {
+    /// Index into [`DecisionInput::racks`].
+    position: usize,
+    recovery: Watts,
+    shares: RecoveryShares,
+}
+
+/// Whether a share lands on an overloaded UPS.
+fn relieves(shares: &RecoveryShares, overloaded: &[bool]) -> bool {
+    shares
+        .iter()
+        .any(|(u, w)| overloaded.get(u.0).copied().unwrap_or(false) && w.as_w() > 0.0)
+}
+
+/// Flags each in-service UPS above its limit minus the buffer; returns
+/// whether any is.
+fn mark_overloaded(
+    topo: &Topology,
+    online: &[bool],
+    projected: &[Watts],
+    config: &PolicyConfig,
+    overloaded: &mut [bool],
+) -> bool {
+    let mut any = false;
+    for u in topo.upses() {
+        let id = u.id().0;
+        let limit = u.capacity() * (1.0 - config.buffer_fraction);
+        let over = online.get(id).copied().unwrap_or(false)
+            && projected.get(id).is_some_and(|w| w.exceeds(limit));
+        if let Some(flag) = overloaded.get_mut(id) {
+            *flag = over;
+        }
+        any |= over;
+    }
+    any
 }
 
 #[cfg(test)]
@@ -481,6 +584,193 @@ mod tests {
             .map(|u| ups.load(u))
             .collect();
         (placed, draws, ups_power)
+    }
+
+    /// The sequential Algorithm 1 that [`decide`] replaces: every
+    /// round rescans all racks for each workload's best candidate.
+    fn decide_reference(
+        input: &DecisionInput<'_>,
+        prior_actions: &BTreeMap<RackId, ActionKind>,
+        registry: &ImpactRegistry,
+        config: &PolicyConfig,
+    ) -> Result<DecisionOutcome, OnlineError> {
+        if input.racks.len() != input.rack_power.len() {
+            return Err(OnlineError::SnapshotLength {
+                what: "rack",
+                expected: input.racks.len(),
+                got: input.rack_power.len(),
+            });
+        }
+        if input.topology.ups_count() != input.ups_power.len() {
+            return Err(OnlineError::SnapshotLength {
+                what: "UPS",
+                expected: input.topology.ups_count(),
+                got: input.ups_power.len(),
+            });
+        }
+        let topo = input.topology;
+        let mut online = Vec::new();
+        infer_online(topo, input.ups_power, config, &mut online);
+
+        // Per-deployment rack totals and already-affected counts.
+        let mut totals: BTreeMap<DeploymentId, usize> = BTreeMap::new();
+        let mut affected: BTreeMap<DeploymentId, usize> = BTreeMap::new();
+        for rack in input.racks {
+            *totals.entry(rack.deployment).or_insert(0) += 1;
+            if prior_actions.contains_key(&rack.id) {
+                *affected.entry(rack.deployment).or_insert(0) += 1;
+            }
+        }
+
+        let mut projected: Vec<Watts> = input.ups_power.to_vec();
+        let mut acted: BTreeMap<RackId, ActionKind> = prior_actions.clone();
+        let mut actions: Vec<Action> = Vec::new();
+
+        let is_online = |u: UpsId| online.get(u.0).copied().unwrap_or(false);
+        let over_limit = |p: &[Watts]| -> Vec<UpsId> {
+            topo.upses()
+                .iter()
+                .filter(|u| is_online(u.id()))
+                .filter(|u| {
+                    let limit = u.capacity() * (1.0 - config.buffer_fraction);
+                    p.get(u.id().0).is_some_and(|w| w.exceeds(limit))
+                })
+                .map(|u| u.id())
+                .collect()
+        };
+
+        loop {
+            let overloaded = over_limit(&projected);
+            if overloaded.is_empty() {
+                return Ok(DecisionOutcome {
+                    actions,
+                    safe: true,
+                    projected_ups_power: projected,
+                });
+            }
+
+            // One candidate per workload: its highest-recovery eligible rack.
+            struct Candidate {
+                rack: RackId,
+                deployment: DeploymentId,
+                kind: ActionKind,
+                recovery: Watts,
+                shares: RecoveryShares,
+                impact: f64,
+            }
+            let mut candidates: Vec<Candidate> = Vec::new();
+            let mut best_per_workload: BTreeMap<DeploymentId, (RackId, Watts)> = BTreeMap::new();
+            for rack in input.racks {
+                if !rack.category.is_actionable() || acted.contains_key(&rack.id) {
+                    continue;
+                }
+                let Some(draw) = input.rack_power.get(rack.id.0).copied() else {
+                    continue;
+                };
+                let recovery = match rack.category {
+                    WorkloadCategory::SoftwareRedundant => draw,
+                    WorkloadCategory::CapAble => (draw - rack.flex_power).clamp_non_negative(),
+                    // is_actionable() filtered this out; skip defensively
+                    // rather than panic on the decision path.
+                    WorkloadCategory::NonCapAble => continue,
+                };
+                if recovery.as_w() < 1.0 {
+                    continue; // nothing to recover from this rack
+                }
+                // Must relieve at least one overloaded UPS.
+                let shares = recovery_shares(topo, rack.pdu_pair, &online, recovery)?;
+                if !shares
+                    .iter()
+                    .any(|(u, w)| overloaded.contains(&u) && w.as_w() > 0.0)
+                {
+                    continue;
+                }
+                match best_per_workload.get(&rack.deployment) {
+                    Some((_, best)) if *best >= recovery => {}
+                    _ => {
+                        best_per_workload.insert(rack.deployment, (rack.id, recovery));
+                    }
+                }
+            }
+            for (&deployment, &(rack_id, recovery)) in &best_per_workload {
+                let Some(rack) = input.racks.get(rack_id.0) else {
+                    continue;
+                };
+                let kind = if rack.category == WorkloadCategory::SoftwareRedundant {
+                    ActionKind::Shutdown
+                } else {
+                    ActionKind::Throttle
+                };
+                let total = totals.get(&deployment).copied().unwrap_or(1);
+                let done = affected.get(&deployment).copied().unwrap_or(0);
+                let impact = registry.impact(deployment, rack.category, done + 1, total);
+                candidates.push(Candidate {
+                    rack: rack_id,
+                    deployment,
+                    kind,
+                    recovery,
+                    shares: recovery_shares(topo, rack.pdu_pair, &online, recovery)?,
+                    impact,
+                });
+            }
+            if candidates.is_empty() {
+                // Out of candidates. The buffer is only a soft target: the
+                // hard safety line (what placement guarantees, Equation 4)
+                // is rated capacity itself.
+                let hard_safe = topo.upses().iter().filter(|u| is_online(u.id())).all(|u| {
+                    projected
+                        .get(u.id().0)
+                        .is_some_and(|p| !p.exceeds(u.capacity()))
+                });
+                return Ok(DecisionOutcome {
+                    actions,
+                    safe: hard_safe,
+                    projected_ups_power: projected,
+                });
+            }
+
+            // Impact-1.0 racks are last resorts: use them only if every
+            // candidate is critical.
+            let usable: Vec<&Candidate> = {
+                let non_critical: Vec<&Candidate> = candidates
+                    .iter()
+                    .filter(|c| c.impact < 1.0 - 1e-9)
+                    .collect();
+                if non_critical.is_empty() {
+                    candidates.iter().collect()
+                } else {
+                    non_critical
+                }
+            };
+            // argmin impact; ties by max recovery, then lowest rack id.
+            // `usable` is non-empty here (candidates was checked above and
+            // the fallback keeps all of them), but take the panic-free path.
+            let Some(chosen) = usable.into_iter().min_by(|a, b| {
+                a.impact
+                    .total_cmp(&b.impact)
+                    .then(b.recovery.as_w().total_cmp(&a.recovery.as_w()))
+                    .then(a.rack.cmp(&b.rack))
+            }) else {
+                return Ok(DecisionOutcome {
+                    actions,
+                    safe: false,
+                    projected_ups_power: projected,
+                });
+            };
+
+            for (u, w) in chosen.shares.iter() {
+                if let Some(slot) = projected.get_mut(u.0) {
+                    *slot = (*slot - w).clamp_non_negative();
+                }
+            }
+            *affected.entry(chosen.deployment).or_insert(0) += 1;
+            acted.insert(chosen.rack, chosen.kind);
+            actions.push(Action {
+                rack: chosen.rack,
+                kind: chosen.kind,
+                estimated_recovery: chosen.recovery,
+            });
+        }
     }
 
     fn registry_for(placed: &PlacedRoom, scenario_name: &str) -> ImpactRegistry {
@@ -690,5 +980,145 @@ mod tests {
             impacted[0] <= impacted[1] && impacted[1] <= impacted[2],
             "impact should grow with utilization: {impacted:?}"
         );
+    }
+
+    /// Topology, racks, rack draws, UPS readings, prior actions and
+    /// impact functions of one decision.
+    type RandomDecision = (
+        Topology,
+        Vec<PlacedRack>,
+        Vec<Watts>,
+        Vec<Watts>,
+        BTreeMap<RackId, ActionKind>,
+        ImpactRegistry,
+    );
+
+    /// A random room for the incremental-vs-reference comparison:
+    /// 3-5 UPSes of 100 kW with 1-2 PDU-pairs per UPS combination,
+    /// 4-48 racks (id = slice position) spread over up to 6 workloads
+    /// with sparse ids and mixed categories, draws from a small set so
+    /// recoveries tie, random prior actions, zero, one or two failed
+    /// UPSes, and impact functions that range from free to critical
+    /// (sometimes critical for every workload). One rack in 400 names a
+    /// PDU-pair outside the topology.
+    fn random_decision(seed: u64) -> RandomDecision {
+        use flex_workload::impact::ImpactFunction;
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ups_count = rng.gen_range(3..=5);
+        let capacity = Watts::from_kw(100.0);
+        let topology =
+            Topology::distributed_redundant_with_pairs(ups_count, capacity, rng.gen_range(1..=2))
+                .unwrap();
+        let pairs = topology.pdu_pairs().len();
+        let workloads = rng.gen_range(1..=6);
+        let kw = [0.0005, 2.0, 5.0, 5.0, 8.0, 10.0, 10.0, 12.5];
+        let racks: Vec<PlacedRack> = (0..rng.gen_range(4..=48))
+            .map(|i| {
+                let category = match rng.gen_range(0..10) {
+                    0..=3 => WorkloadCategory::SoftwareRedundant,
+                    4..=8 => WorkloadCategory::CapAble,
+                    _ => WorkloadCategory::NonCapAble,
+                };
+                let provisioned = Watts::from_kw(kw[rng.gen_range(3..kw.len())]);
+                PlacedRack {
+                    id: RackId(i),
+                    deployment: DeploymentId(3 * rng.gen_range(0..workloads) + 1),
+                    category,
+                    pdu_pair: flex_power::PduPairId(if rng.gen_range(0..400) == 0 {
+                        pairs
+                    } else {
+                        rng.gen_range(0..pairs)
+                    }),
+                    provisioned,
+                    flex_power: match category {
+                        WorkloadCategory::SoftwareRedundant => Watts::ZERO,
+                        WorkloadCategory::CapAble => Watts::from_kw(kw[rng.gen_range(0..4)]),
+                        WorkloadCategory::NonCapAble => provisioned,
+                    },
+                }
+            })
+            .collect();
+        let draws: Vec<Watts> = racks
+            .iter()
+            .map(|_| Watts::from_kw(kw[rng.gen_range(0..kw.len())]))
+            .collect();
+        let mut failed = [usize::MAX; 2];
+        for slot in failed.iter_mut().take(rng.gen_range(0..=2)) {
+            *slot = rng.gen_range(0..ups_count);
+        }
+        let ups_power: Vec<Watts> = (0..ups_count)
+            .map(|u| {
+                if failed.contains(&u) {
+                    Watts::new(rng.gen_range(0.0..1_000.0))
+                } else {
+                    capacity * rng.gen_range(0.5..1.4)
+                }
+            })
+            .collect();
+        let mut prior = BTreeMap::new();
+        for r in &racks {
+            if rng.gen_range(0..6) == 0 {
+                let kind = [ActionKind::Shutdown, ActionKind::Throttle][rng.gen_range(0..2)];
+                prior.insert(r.id, kind);
+            }
+        }
+        let all_critical = rng.gen_range(0..4) == 0;
+        let mut registry = ImpactRegistry::new();
+        for d in 0..workloads {
+            let f = match if all_critical { 0 } else { rng.gen_range(0..5) } {
+                0 => ImpactFunction::from_points(vec![(0.0, 1.0), (1.0, 1.0)]),
+                1 => Ok(ImpactFunction::zero()),
+                2 => ImpactFunction::from_points(vec![
+                    (0.0, 0.25),
+                    (0.5, 0.25),
+                    (0.5001, 1.0),
+                    (1.0, 1.0),
+                ]),
+                3 => ImpactFunction::from_points(vec![(0.0, 0.0), (1.0, rng.gen_range(0.1..1.0))]),
+                _ => continue, // the registry's default for the category
+            };
+            registry.insert(DeploymentId(3 * d + 1), f.unwrap());
+        }
+        (topology, racks, draws, ups_power, prior, registry)
+    }
+
+    /// Actions, `safe` and projected UPS powers, watts as bit patterns.
+    type OutcomeBits = (Vec<(RackId, ActionKind, u64)>, bool, Vec<u64>);
+
+    /// An outcome with every watt as its bit pattern.
+    fn bits(out: Result<DecisionOutcome, OnlineError>) -> Result<OutcomeBits, OnlineError> {
+        out.map(|o| {
+            (
+                o.actions
+                    .iter()
+                    .map(|a| (a.rack, a.kind, a.estimated_recovery.as_w().to_bits()))
+                    .collect(),
+                o.safe,
+                o.projected_ups_power
+                    .iter()
+                    .map(|w| w.as_w().to_bits())
+                    .collect(),
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn incremental_decide_matches_the_rescan(seed in 0u64..u64::MAX) {
+            let (topology, racks, draws, ups_power, prior, registry) = random_decision(seed);
+            let input = DecisionInput {
+                topology: &topology,
+                racks: &racks,
+                rack_power: &draws,
+                ups_power: &ups_power,
+            };
+            let config = PolicyConfig::default();
+            let fast = decide(&input, &prior, &registry, &config);
+            let slow = decide_reference(&input, &prior, &registry, &config);
+            proptest::prop_assert_eq!(bits(fast), bits(slow), "seed {}", seed);
+        }
     }
 }

@@ -14,7 +14,7 @@
 # least 9 of 10 rounds with a median gap larger than that IQR. With an
 # output path, also writes the per-run rows and the per-metric medians,
 # wins and base IQR there as JSON. Exits non-zero if any run fails or
-# reports "correct": false.
+# reports "correct": false. flexbench/Cargo.lock is restored on exit.
 #
 # Usage: scripts/bench_ab.sh <base-rev> <workload> [rounds] [out.json]
 #        (rounds: 5)
@@ -36,7 +36,13 @@ metrics=(run_s ops_per_s peak_rss_mb)
 declare -A better=([run_s]=lower [ops_per_s]=higher [peak_rss_mb]=lower)
 
 base_dir=$(mktemp -d)
-trap 'rm -rf "$base_dir"' EXIT
+# Every flexbench build rewrites flexbench/Cargo.lock while the lock
+# lags the workspace's dependency graph: keep a copy and put it back on
+# exit, so the run leaves the tree as it found it.
+lock_copy=$(mktemp)
+cp flexbench/Cargo.lock "$lock_copy"
+trap 'cmp -s "$lock_copy" flexbench/Cargo.lock || cp "$lock_copy" flexbench/Cargo.lock
+    rm -rf "$base_dir" "$lock_copy"' EXIT
 git archive "$base_rev" | tar -x -C "$base_dir"
 
 build() {

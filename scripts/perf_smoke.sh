@@ -88,6 +88,12 @@ gate "restart storm" "instrumented restart-storm campaign"
 # flexbench/reference.txt: a drift in a simulated statistic or a
 # placement node count fails here, not only in the benchmark runs.
 echo "== perf smoke: flexbench self-test =="
+# Building flexbench rewrites flexbench/Cargo.lock while the lock lags
+# the workspace's dependency graph: put the committed file back after.
+lock_copy=$(mktemp)
+cp flexbench/Cargo.lock "$lock_copy"
+trap 'cmp -s "$lock_copy" flexbench/Cargo.lock || cp "$lock_copy" flexbench/Cargo.lock
+    rm -f "$lock_copy"' EXIT
 cargo test --release --offline --manifest-path flexbench/Cargo.toml
 
 echo "perf smoke: OK"
