@@ -67,8 +67,7 @@ fn main() {
                 );
                 let feed = FeedState::with_failed(&topo, [failed]);
                 let loads = placed.ups_loads(&draws, &feed);
-                let ups_power: Vec<Watts> =
-                    topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+                let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
                 let input = DecisionInput {
                     topology: &topo,
                     racks: placed.racks(),

@@ -503,9 +503,9 @@ fn worst_failover(seed: u64) -> (usize, f64) {
     }
     let topo = room.topology();
     let mut worst = (0usize, 0.0_f64);
-    for &f in topo.ups_ids().iter() {
+    for f in topo.ups_ids() {
         let mut peak = 0.0_f64;
-        for &u in topo.ups_ids().iter() {
+        for u in topo.ups_ids() {
             if u == f {
                 continue;
             }

@@ -9,9 +9,12 @@
 //! The mean over the recording chaos scenarios `generate(0xC4A05,
 //! 0..40)` was 1,686.425 allocations (67,457 in all) when every
 //! delivery still built its own UPS view, online mask, rack view and
-//! decision maps. With the controller's reused buffers and the
-//! incremental Algorithm 1 it is 1,268.775 (50,751 in all), in debug and
-//! release builds alike; the gate allows 1,300.
+//! decision maps, and 1,268.775 (50,751) with the controller's reused
+//! buffers and the incremental Algorithm 1. Each poll's readings are
+//! now read into a buffer the pipeline keeps and copied once into the
+//! layout the flight recorder stores, and `Topology::ups_ids` is an
+//! iterator rather than a fresh `Vec`: the mean is 893.15 (35,726 in
+//! all), in debug and release builds alike, and the gate allows 900.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,7 +137,7 @@ fn a_healthy_ups_delivery_allocates_nothing() {
 }
 
 #[test]
-fn a_recording_chaos_scenario_allocates_at_most_1300_times_on_average() {
+fn a_recording_chaos_scenario_allocates_at_most_900_times_on_average() {
     const SCENARIOS: u64 = 40;
     let mut total = 0;
     for i in 0..SCENARIOS {
@@ -146,7 +149,7 @@ fn a_recording_chaos_scenario_allocates_at_most_1300_times_on_average() {
     let mean = total as f64 / SCENARIOS as f64;
     println!("allocations per scenario: {mean} ({total} over {SCENARIOS} scenarios)");
     assert!(
-        mean <= 1_300.0,
+        mean <= 900.0,
         "{mean} allocations per recording chaos scenario"
     );
 }

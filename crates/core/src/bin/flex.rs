@@ -147,7 +147,6 @@ fn cmd_drill(flags: &BTreeMap<String, String>, out: &mut String) -> Result<(), S
         .room()
         .topology()
         .ups_ids()
-        .iter()
         .zip(drill.outcome.projected_ups_power.iter())
     {
         say!(out, "  projected {u}: {w}");

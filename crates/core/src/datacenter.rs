@@ -269,7 +269,7 @@ impl FlexDatacenter {
         );
         let feed = FeedState::with_failed(topo, [failed]);
         let loads = self.placed.ups_loads(&draws, &feed);
-        let ups_power: Vec<Watts> = topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+        let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
         let registry = ImpactRegistry::from_scenario(
             self.placed
                 .racks()

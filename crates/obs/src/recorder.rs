@@ -22,8 +22,9 @@ use crate::metrics::{lock, MetricsSnapshot};
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// One telemetry snapshot's readings as `(id, watts)` pairs: a UPS id
-/// or a rack index with its power. Built once per published snapshot;
-/// the delivery events of all its pub/sub copies share it.
+/// or a rack index with its power. It is also the telemetry payload's
+/// own layout: built once per poll, then shared by every copy of the
+/// delivery and by the delivery events that record them.
 pub type Readings = Arc<[(u32, f64)]>;
 
 /// One structured control-path event. Action and power-state codes:
@@ -386,33 +387,36 @@ impl FlightEvent {
         obj(fields)
     }
 
-    /// Parses an object produced by [`FlightEvent::to_value`].
+    /// Parses an object produced by [`FlightEvent::to_value`]. Every
+    /// integer decodes checked: an id past `u32::MAX` or an action or
+    /// state code outside 0–2 makes the event malformed (`None`) rather
+    /// than wrapping onto another id or code.
     pub fn from_value(v: &Value) -> Option<Self> {
-        let c = || v.get("c")?.as_u64().map(|x| x as u32);
-        let u = || v.get("u")?.as_u64().map(|x| x as u32);
-        let rk = || v.get("rk")?.as_u64().map(|x| x as u32);
-        let ns = |key: &str| v.get(key)?.as_str()?.parse::<u64>().ok();
+        let u32_of = |x: &Value| u32::try_from(x.as_u64()?).ok();
+        let code_of = |x: &Value| u8::try_from(x.as_u64()?).ok().filter(|&c| c <= 2);
+        let ns = |x: &Value| x.as_str()?.parse::<u64>().ok();
+        let arr = |key: &str| v.get(key)?.as_arr();
+        let c = || u32_of(v.get("c")?);
+        let u = || u32_of(v.get("u")?);
+        let rk = || u32_of(v.get("rk")?);
         let readings = || {
-            v.get("r")?
-                .as_arr()?
+            arr("r")?
                 .iter()
                 .map(|pair| {
                     let items = pair.as_arr()?;
-                    let id = items.first()?.as_u64()? as u32;
-                    let w = items.get(1)?.as_num()?;
-                    Some((id, w))
+                    Some((u32_of(items.first()?)?, items.get(1)?.as_num()?))
                 })
                 .collect::<Option<Readings>>()
         };
         Some(match v.get("k")?.as_str()? {
             "ups_delivery" => FlightEvent::UpsDelivery {
-                controllers: v.get("cs")?.as_u64()? as u32,
-                measured_at_ns: ns("m")?,
+                controllers: u32_of(v.get("cs")?)?,
+                measured_at_ns: ns(v.get("m")?)?,
                 readings: readings()?,
             },
             "rack_delivery" => FlightEvent::RackDelivery {
-                controllers: v.get("cs")?.as_u64()? as u32,
-                measured_at_ns: ns("m")?,
+                controllers: u32_of(v.get("cs")?)?,
+                measured_at_ns: ns(v.get("m")?)?,
                 readings: readings()?,
             },
             "reading_accepted" => FlightEvent::ReadingAccepted { controller: c()? },
@@ -430,20 +434,20 @@ impl FlightEvent {
             "command_issued" => FlightEvent::CommandIssued {
                 controller: c()?,
                 rack: rk()?,
-                action: v.get("a")?.as_u64()? as u8,
+                action: code_of(v.get("a")?)?,
             },
             "command_submitted" => FlightEvent::CommandSubmitted {
                 rack: rk()?,
-                state: v.get("s")?.as_u64()? as u8,
-                apply_at_ns: ns("at")?,
+                state: code_of(v.get("s")?)?,
+                apply_at_ns: ns(v.get("at")?)?,
             },
             "command_retried" => FlightEvent::CommandRetried {
                 rack: rk()?,
-                attempt: v.get("n")?.as_u64()? as u32,
+                attempt: u32_of(v.get("n")?)?,
             },
             "command_applied" => FlightEvent::CommandApplied {
                 rack: rk()?,
-                state: v.get("s")?.as_u64()? as u8,
+                state: code_of(v.get("s")?)?,
             },
             "enforcement_dropped" => FlightEvent::EnforcementDropped {
                 controller: c()?,
@@ -474,40 +478,28 @@ impl FlightEvent {
                 controller: c()?,
                 epoch: v.get("e")?.as_u64()?,
                 recovered: Box::new(RecoveredState {
-                    rack_states: v
-                        .get("rs")?
-                        .as_arr()?
-                        .iter()
-                        .map(|s| Some(s.as_u64()? as u8))
-                        .collect::<Option<Vec<_>>>()?,
-                    inflight: v
-                        .get("inf")?
-                        .as_arr()?
+                    rack_states: arr("rs")?.iter().map(code_of).collect::<Option<Vec<_>>>()?,
+                    inflight: arr("inf")?
                         .iter()
                         .map(|row| {
                             let items = row.as_arr()?;
-                            let rack = items.first()?.as_u64()? as u32;
-                            let state = items.get(1)?.as_u64()? as u8;
-                            let at = items.get(2)?.as_str()?.parse::<u64>().ok()?;
-                            Some((rack, state, at))
+                            Some((
+                                u32_of(items.first()?)?,
+                                code_of(items.get(1)?)?,
+                                ns(items.get(2)?)?,
+                            ))
                         })
                         .collect::<Option<Vec<_>>>()?,
-                    alarmed: v
-                        .get("al")?
-                        .as_arr()?
+                    alarmed: arr("al")?
                         .iter()
                         .map(|row| {
                             let items = row.as_arr()?;
-                            let ups = items.first()?.as_u64()? as u32;
-                            let since = items.get(1)?.as_str()?.parse::<u64>().ok()?;
-                            Some((ups, since))
+                            Some((u32_of(items.first()?)?, ns(items.get(1)?)?))
                         })
                         .collect::<Option<Vec<_>>>()?,
-                    last_seq: v
-                        .get("ls")?
-                        .as_arr()?
+                    last_seq: arr("ls")?
                         .iter()
-                        .map(|s| s.as_u64())
+                        .map(Value::as_u64)
                         .collect::<Option<Vec<_>>>()?,
                 }),
             },
@@ -681,6 +673,53 @@ mod tests {
             let back = FlightEvent::from_value(&crate::json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, e, "event {i}: {text}");
         }
+    }
+
+    #[test]
+    fn integers_past_their_field_are_malformed() {
+        let parse = |text: &str| FlightEvent::from_value(&crate::json::parse(text).unwrap());
+        let rack = |id: &str| format!(r#"{{"k":"rack_delivery","cs":1,"m":"0","r":[[{id},1.5]]}}"#);
+        assert_eq!(
+            parse(&rack("4294967295")),
+            Some(FlightEvent::RackDelivery {
+                controllers: 1,
+                measured_at_ns: 0,
+                readings: vec![(u32::MAX, 1.5)].into(),
+            })
+        );
+        assert_eq!(parse(&rack("4294967296")), None);
+        assert_eq!(
+            parse(r#"{"k":"ups_failed","u":4294967295}"#),
+            Some(FlightEvent::UpsFailed { ups: u32::MAX })
+        );
+        assert_eq!(parse(r#"{"k":"ups_failed","u":4294967296}"#), None);
+        // `as` would read these as controller 1 and action 2.
+        assert_eq!(
+            parse(r#"{"k":"command_issued","c":1,"rk":7,"a":2}"#),
+            Some(FlightEvent::CommandIssued {
+                controller: 1,
+                rack: 7,
+                action: 2
+            })
+        );
+        assert_eq!(
+            parse(r#"{"k":"command_issued","c":4294967297,"rk":7,"a":2}"#),
+            None
+        );
+        assert_eq!(
+            parse(r#"{"k":"command_issued","c":1,"rk":7,"a":258}"#),
+            None
+        );
+        assert_eq!(parse(r#"{"k":"command_applied","rk":7,"s":3}"#), None);
+        let recovered = |rs: &str, inf: &str| {
+            parse(&format!(
+                r#"{{"k":"recovery_completed","c":0,"e":1,"rs":[{rs}],"inf":[{inf}],"al":[],"ls":[]}}"#
+            ))
+        };
+        assert!(recovered("2", r#"[4294967295,2,"5"]"#).is_some());
+        assert_eq!(recovered("3", ""), None);
+        assert_eq!(recovered("", r#"[4294967296,2,"5"]"#), None);
+        assert_eq!(recovered("", r#"[0,3,"5"]"#), None);
     }
 
     #[test]

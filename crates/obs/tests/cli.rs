@@ -74,6 +74,40 @@ fn every_shape_summarizes_prints_and_diffs() {
 }
 
 #[test]
+fn integers_out_of_range_make_a_malformed_dump() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("obs-cli-range");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let obs = Obs::recording();
+    obs.record(
+        SimTime::ZERO,
+        FlightEvent::CommandIssued {
+            controller: 1,
+            rack: 7,
+            action: 2,
+        },
+    );
+    let good = obs.dump().to_json();
+    // Narrowed with `as`, controller 2^32 + 1 and action 258 would
+    // read as controller 1 and action 2: the same event.
+    let wrapped = good.replace(r#""a":2,"c":1,"#, r#""a":258,"c":4294967297,"#);
+    assert_ne!(wrapped, good, "the event's fields moved: {good}");
+    std::fs::write(dir.join("good.json"), &good).expect("dump written");
+    std::fs::write(dir.join("wrapped.json"), &wrapped).expect("dump written");
+    for args in [
+        "diff --a good.json --b wrapped.json",
+        "print --file wrapped.json",
+    ] {
+        let (code, out) = flex_obs(&dir, args);
+        assert_eq!(code, Some(1), "flex-obs {args}: {out}");
+        assert!(
+            out.contains("wrapped.json: malformed dump"),
+            "flex-obs {args}: {out}"
+        );
+        assert!(!out.contains("identical"), "flex-obs {args}: {out}");
+    }
+}
+
+#[test]
 fn unknown_flags_are_usage_errors() {
     for args in [
         "summary --file dump.json --bogus 1",

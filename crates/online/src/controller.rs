@@ -11,13 +11,13 @@ use flex_obs::{Counter, FlightEvent, Obs};
 use flex_placement::{PlacedRack, RackId};
 use flex_power::{Topology, Watts};
 use flex_sim::{SimDuration, SimTime};
-use flex_telemetry::TelemetryPayload;
+use flex_telemetry::{Delivery, TelemetryPayload};
 
 use crate::actuation::RackPowerState;
 use crate::policy::{
     decide, infer_online, recovery_shares, ActionKind, DecisionInput, RecoveryShares, POLICY,
 };
-use crate::recovery::{BufferedDelivery, RecoverySnapshot};
+use crate::recovery::RecoverySnapshot;
 use crate::{ImpactRegistry, OnlineError};
 
 /// A command a controller wants enforced.
@@ -433,7 +433,7 @@ impl Controller {
         // skipped without reading it: the slot loop would reach the same
         // outcome.
         let evaluate = match payload {
-            TelemetryPayload::UpsSnapshot(snapshot) => {
+            TelemetryPayload::UpsSnapshot(_) => {
                 // Accept only strictly newer readings: an equal
                 // timestamp is a pub/sub redelivery of data this
                 // instance already holds, and a redelivery must be a
@@ -447,7 +447,7 @@ impl Controller {
                     write_newer(
                         &mut self.state.ups_power,
                         &mut self.cache.ups_held,
-                        snapshot.iter().map(|&(ups, w)| (ups.0, w)),
+                        payload.readings(),
                         measured_at,
                     )
                 };
@@ -477,12 +477,12 @@ impl Controller {
                 }
                 accepted
             }
-            TelemetryPayload::RackSnapshot(snapshot) => {
+            TelemetryPayload::RackSnapshot(_) => {
                 if !self.cache.rack_held.covers(measured_at)
                     && write_newer(
                         &mut self.state.rack_power,
                         &mut self.cache.rack_held,
-                        snapshot.iter().copied(),
+                        payload.readings(),
                         measured_at,
                     ) > 0
                 {
@@ -673,7 +673,7 @@ impl Controller {
     pub fn recover(
         base: &Controller,
         snapshot: &RecoverySnapshot,
-        catch_up: &[BufferedDelivery],
+        catch_up: &[Delivery],
         now: SimTime,
     ) -> Result<Controller, OnlineError> {
         if snapshot.rack_states.len() != base.racks.len() {
@@ -1074,7 +1074,6 @@ mod tests {
                 .room()
                 .topology()
                 .ups_ids()
-                .into_iter()
                 .map(|u| (u, loads.load(u))),
         );
         let racks = TelemetryPayload::racks(
@@ -1528,10 +1527,10 @@ mod tests {
         payload: &TelemetryPayload,
     ) -> bool {
         let evaluate = match payload {
-            TelemetryPayload::UpsSnapshot(snapshot) => {
+            TelemetryPayload::UpsSnapshot(_) => {
                 let mut accepted = false;
-                for &(ups, w) in snapshot.iter() {
-                    if let Some(slot) = c.state.ups_power.get_mut(ups.0) {
+                for (ups, w) in payload.readings() {
+                    if let Some(slot) = c.state.ups_power.get_mut(ups) {
                         if slot.is_none_or(|(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));
                             accepted = true;
@@ -1553,8 +1552,8 @@ mod tests {
                 }
                 accepted
             }
-            TelemetryPayload::RackSnapshot(snapshot) => {
-                for &(rack, w) in snapshot.iter() {
+            TelemetryPayload::RackSnapshot(_) => {
+                for (rack, w) in payload.readings() {
                     if let Some(slot) = c.state.rack_power.get_mut(rack) {
                         if slot.is_none_or(|(t, _)| t < measured_at) {
                             *slot = Some((measured_at, w));

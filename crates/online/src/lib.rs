@@ -57,7 +57,7 @@ pub mod sim;
 
 pub use actuation::{Actuator, ActuatorConfig, PendingCommand, RackPowerState, Submission};
 pub use controller::{Command, Controller, ControllerConfig, ControllerState};
-pub use recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
+pub use recovery::{CatchUpBuffer, RecoverySnapshot};
 pub use error::OnlineError;
 pub use impact_registry::ImpactRegistry;
 pub use policy::{Action, ActionKind, ActionSummary, DecisionInput, DecisionOutcome, PolicyConfig};

@@ -577,12 +577,7 @@ mod tests {
             feed.fail(f).unwrap();
         }
         let ups = placed.ups_loads(&draws, &feed);
-        let ups_power: Vec<Watts> = room
-            .topology()
-            .ups_ids()
-            .into_iter()
-            .map(|u| ups.load(u))
-            .collect();
+        let ups_power: Vec<Watts> = room.topology().ups_ids().map(|u| ups.load(u)).collect();
         (placed, draws, ups_power)
     }
 
@@ -906,12 +901,7 @@ mod tests {
         let mut feed = FeedState::all_online(room.topology());
         feed.fail(UpsId(0)).unwrap();
         let loads = placed.ups_loads(&draws, &feed);
-        let ups_power: Vec<Watts> = room
-            .topology()
-            .ups_ids()
-            .into_iter()
-            .map(|u| loads.load(u))
-            .collect();
+        let ups_power: Vec<Watts> = room.topology().ups_ids().map(|u| loads.load(u)).collect();
         // Placement kept it inside the failover budget, so force
         // overdraw by inflating readings.
         let inflated: Vec<Watts> = ups_power.iter().map(|&p| p * 2.0).collect();

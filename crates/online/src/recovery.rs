@@ -9,9 +9,10 @@
 //!    layer (rack power states and the in-flight command set), the
 //!    alarm registry, and the last-accepted telemetry sequence per UPS;
 //! 2. a bounded telemetry catch-up replay from a [`CatchUpBuffer`] —
-//!    the recent delivery window, re-ingested (without evaluating) so
-//!    the instance's telemetry view matches what it would hold had it
-//!    never crashed.
+//!    the recent window of pipeline [`Delivery`]s, each stamped with
+//!    the instant it actually arrived, re-ingested (without evaluating)
+//!    so the instance's telemetry view matches what it would hold had
+//!    it never crashed.
 //!
 //! Because a [`crate::Controller`]'s [`crate::ControllerState`] is a
 //! pure function of its inputs, and the buffer horizon
@@ -34,7 +35,7 @@ use flex_obs::{FlightEvent, RecoveredState};
 use flex_placement::RackId;
 use flex_power::UpsId;
 use flex_sim::{SimDuration, SimTime};
-use flex_telemetry::TelemetryPayload;
+use flex_telemetry::Delivery;
 
 use crate::actuation::{PendingCommand, RackPowerState};
 
@@ -148,26 +149,15 @@ impl RecoverySnapshot {
     }
 }
 
-/// One retained delivery, replayable through the ingest path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferedDelivery {
-    /// Pipeline publication sequence number.
-    pub seq: u64,
-    /// When subscribers received it.
-    pub arrive_at: SimTime,
-    /// When the underlying meters were read.
-    pub measured_at: SimTime,
-    /// The readings.
-    pub payload: TelemetryPayload,
-}
-
 /// A bounded window of recent deliveries, pruned by
-/// [`CATCH_UP_HORIZON`] and capped at [`CATCH_UP_CAPACITY`]. Pushes
-/// must arrive in nondecreasing `arrive_at` order (the simulation's
-/// event loop guarantees it).
+/// [`CATCH_UP_HORIZON`] and capped at [`CATCH_UP_CAPACITY`]. Each
+/// delivery's `arrive_at` is when it reached the controllers, and
+/// catch-up re-ingests it at that instant. Pushes must arrive in
+/// nondecreasing `arrive_at` order (the simulation's event loop
+/// guarantees it).
 #[derive(Debug, Clone, Default)]
 pub struct CatchUpBuffer {
-    items: VecDeque<BufferedDelivery>,
+    items: VecDeque<Delivery>,
 }
 
 impl CatchUpBuffer {
@@ -180,7 +170,7 @@ impl CatchUpBuffer {
 
     /// Appends a delivery, evicting anything beyond the horizon or the
     /// capacity (oldest first).
-    pub fn push(&mut self, item: BufferedDelivery) {
+    pub fn push(&mut self, item: Delivery) {
         let newest = item.arrive_at;
         self.items.push_back(item);
         while self.items.len() > CATCH_UP_CAPACITY {
@@ -198,7 +188,7 @@ impl CatchUpBuffer {
     /// The retained window, oldest first, borrowed in place: the ring
     /// may be rearranged to make it contiguous, but no delivery is
     /// cloned.
-    pub fn items(&mut self) -> &[BufferedDelivery] {
+    pub fn items(&mut self) -> &[Delivery] {
         self.items.make_contiguous()
     }
 
@@ -217,9 +207,12 @@ impl CatchUpBuffer {
 mod tests {
     use super::*;
 
-    fn item(seq: u64, at_secs: u64) -> BufferedDelivery {
-        BufferedDelivery {
+    use flex_telemetry::TelemetryPayload;
+
+    fn item(seq: u64, at_secs: u64) -> Delivery {
+        Delivery {
             seq,
+            pubsub: 0,
             arrive_at: SimTime::from_nanos(at_secs * 1_000_000_000),
             measured_at: SimTime::from_nanos(at_secs * 1_000_000_000),
             payload: TelemetryPayload::ups([]),

@@ -18,11 +18,11 @@
 
 use flex_obs::FlightEvent;
 use flex_placement::RackId;
-use flex_power::{UpsId, Watts};
+use flex_power::UpsId;
 use flex_sim::SimTime;
-use flex_telemetry::TelemetryPayload;
+use flex_telemetry::{Delivery, TelemetryPayload};
 
-use crate::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
+use crate::recovery::{CatchUpBuffer, RecoverySnapshot};
 use crate::{Command, Controller};
 
 /// One replayed (or recorded) command: when, by which instance, what.
@@ -32,14 +32,7 @@ pub type TimedCommand = (SimTime, usize, Command);
 /// index order — the same order the room simulation iterates its
 /// controllers, so the replayed command sequence lines up with the
 /// recording.
-fn deliver(
-    controllers: &mut [Controller],
-    mask: u32,
-    now: SimTime,
-    measured_at_ns: u64,
-    payload: &TelemetryPayload,
-    out: &mut Vec<TimedCommand>,
-) {
+fn deliver(controllers: &mut [Controller], mask: u32, d: &Delivery, out: &mut Vec<TimedCommand>) {
     for idx in 0..32usize {
         if mask & (1 << idx) == 0 {
             continue;
@@ -50,9 +43,9 @@ fn deliver(
         // The simulation treats an erroring instance as contributing
         // no commands; replay must mirror that.
         let commands = c
-            .on_delivery(now, SimTime::from_nanos(measured_at_ns), payload)
+            .on_delivery(d.arrive_at, d.measured_at, &d.payload)
             .unwrap_or_default();
-        out.extend(commands.into_iter().map(|cmd| (now, idx, cmd)));
+        out.extend(commands.into_iter().map(|cmd| (d.arrive_at, idx, cmd)));
     }
 }
 
@@ -72,8 +65,9 @@ pub fn replay_decisions(
     let mut out = Vec::new();
     // Mirror of the room's catch-up buffer, rebuilt from the recorded
     // delivery stream (which includes mask-0 arrivals for exactly this
-    // purpose). The pipeline sequence is not recorded; it is advisory
-    // in recovery, so a zero placeholder changes nothing.
+    // purpose). The pipeline sequence and pub/sub instance are not
+    // recorded; recovery reads neither, so zero placeholders change
+    // nothing.
     let mut buffer = CatchUpBuffer::new();
     for (t_ns, event) in events {
         let now = SimTime::from_nanos(*t_ns);
@@ -88,29 +82,23 @@ pub fn replay_decisions(
                 measured_at_ns,
                 readings,
             } => {
+                // The recorded readings are the payload's own buffer.
                 let payload = if matches!(event, FlightEvent::UpsDelivery { .. }) {
-                    TelemetryPayload::ups(
-                        readings
-                            .iter()
-                            .map(|&(u, w)| (UpsId(u as usize), Watts::new(w))),
-                    )
+                    TelemetryPayload::UpsSnapshot(readings.clone())
                 } else {
-                    TelemetryPayload::racks(
-                        readings
-                            .iter()
-                            .map(|&(r, w)| (r as usize, Watts::new(w))),
-                    )
+                    TelemetryPayload::RackSnapshot(readings.clone())
                 };
-                // Pushed before the feed, matching the room's dispatch
-                // order: a recovery at this same instant (an *earlier*
-                // event in the stream) must not see this delivery.
-                buffer.push(BufferedDelivery {
+                let d = Delivery {
                     seq: 0,
-                    arrive_at: now,
+                    pubsub: 0,
                     measured_at: SimTime::from_nanos(*measured_at_ns),
-                    payload: payload.clone(),
-                });
-                deliver(controllers, *mask, now, *measured_at_ns, &payload, &mut out);
+                    arrive_at: now,
+                    payload,
+                };
+                deliver(controllers, *mask, &d, &mut out);
+                // Buffered after the feed, as in the room: the feed
+                // never reads the buffer.
+                buffer.push(d);
             }
             FlightEvent::FailoverAlarm { controller, ups } => {
                 if let Some(c) = controllers.get_mut(*controller as usize) {

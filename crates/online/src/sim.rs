@@ -24,7 +24,7 @@ use flex_telemetry::{Delivery, Pipeline, PipelineConfig, TelemetryPayload};
 use rand::rngs::SmallRng;
 
 use crate::actuation::PendingCommand;
-use crate::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
+use crate::recovery::{CatchUpBuffer, RecoverySnapshot};
 use crate::{
     Actuator, ActuatorConfig, Command, Controller, ControllerConfig, ImpactRegistry,
     RackPowerState, Submission,
@@ -342,8 +342,9 @@ enum RoomEvent {
     StatsTick,
     /// Recurring controller watchdog.
     WatchdogTick,
-    /// A telemetry delivery reaching the controller instances.
-    Arrival(Arrival),
+    /// A telemetry delivery reaching the controller instances, its
+    /// `arrive_at` the instant this copy arrives.
+    Arrival(Delivery),
     /// A rack manager enforcing an accepted command.
     Apply(PendingCommand),
     /// The next attempt of a rejected submission.
@@ -363,15 +364,6 @@ enum RoomEvent {
         kind: MeterKind,
         until: SimTime,
     },
-}
-
-/// One copy of a telemetry delivery in flight to the controllers.
-struct Arrival {
-    /// The pipeline's publication sequence number.
-    seq: u64,
-    measured_at: SimTime,
-    pubsub: usize,
-    payload: TelemetryPayload,
 }
 
 /// A rejected submission waiting out its backoff.
@@ -395,7 +387,7 @@ impl Event<RoomWorld> for RoomEvent {
             RoomEvent::OverloadTick => overload_tick(w, ctx),
             RoomEvent::StatsTick => stats_tick(w, ctx),
             RoomEvent::WatchdogTick => watchdog_tick(w, ctx),
-            RoomEvent::Arrival(a) => deliver(w, ctx, a),
+            RoomEvent::Arrival(d) => deliver(w, ctx, d),
             RoomEvent::Apply(p) => w.apply(p),
             RoomEvent::Retry(r) => retry(w, ctx, r),
             RoomEvent::FailoverAlarm(ups) => failover_alarm(w, ctx.now(), ups),
@@ -868,44 +860,31 @@ fn failover_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
 
 /// Schedules one telemetry delivery toward all live controller
 /// instances, applying the configured duplication/reordering chaos.
-/// Each copy in flight owns its payload; only a duplicate clones it.
-fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut RoomCtx, d: Delivery) {
+/// Each copy in flight is the pipeline's delivery with `arrive_at` set
+/// to when that copy arrives; only a duplicate clones it.
+fn dispatch_delivery(w: &mut RoomWorld, ctx: &mut RoomCtx, mut d: Delivery) {
     w.delivery_seq += 1;
     let seq = w.delivery_seq;
     let chaos = w.config.delivery_chaos;
-    let Delivery {
-        seq: pipeline_seq,
-        pubsub,
-        measured_at,
-        arrive_at,
-        payload,
-        ..
-    } = d;
-    let mut first = arrive_at;
+    // The duplicate keeps the nominal arrival as its base, so a
+    // delayed original can arrive *after* its own duplicate.
+    let duplicate = (chaos.duplicate_period > 0 && seq.is_multiple_of(chaos.duplicate_period))
+        .then(|| Delivery {
+            arrive_at: d.arrive_at + chaos.duplicate_delay,
+            ..d.clone()
+        });
     if chaos.delay_period > 0 && seq.is_multiple_of(chaos.delay_period) {
-        first += chaos.delay_by;
+        d.arrive_at += chaos.delay_by;
     }
-    let arrival = |payload| {
-        RoomEvent::Arrival(Arrival {
-            seq: pipeline_seq,
-            measured_at,
-            pubsub,
-            payload,
-        })
-    };
-    if chaos.duplicate_period > 0 && seq.is_multiple_of(chaos.duplicate_period) {
-        ctx.schedule_event_at(first, arrival(payload.clone()));
-        // The duplicate keeps the nominal arrival as its base, so a
-        // delayed original can arrive *after* its own duplicate.
-        ctx.schedule_event_at(arrive_at + chaos.duplicate_delay, arrival(payload));
-    } else {
-        ctx.schedule_event_at(first, arrival(payload));
+    ctx.schedule_event_at(d.arrive_at, RoomEvent::Arrival(d));
+    if let Some(dup) = duplicate {
+        ctx.schedule_event_at(dup.arrive_at, RoomEvent::Arrival(dup));
     }
 }
 
 /// A telemetry delivery reaches every instance that can see it.
-fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
-    let arrive = ctx.now();
+fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, d: Delivery) {
+    let arrive = d.arrive_at;
     // Any restarted/declared instance rebuilds *before* this delivery
     // exists anywhere: the live feed follows, and the catch-up buffer
     // gains it last — so the recovered state plus the subsequent feed
@@ -919,28 +898,32 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
         .filter(|&i| {
             w.partition
                 .as_ref()
-                .is_none_or(|p| p.visible(i, a.pubsub, arrive))
+                .is_none_or(|p| p.visible(i, d.pubsub, arrive))
         })
         .fold(0u32, |m, i| m | receiver_bit(i));
     // The recorded delivery carries the controllers' full input
     // (receiver mask + readings + measurement time), so a dump can be
     // replayed through `flex_online::replay` to reproduce the decision
     // sequence without re-running the room. One event covers all
-    // receivers: they see the same payload at the same instant. Mask-0
-    // arrivals are recorded too — replay mirrors the catch-up buffer
-    // from these events, and a delivery nobody saw live can still
-    // resurface through a later recovery.
-    w.sim_obs.obs.record_with(arrive, || match &a.payload {
-        TelemetryPayload::UpsSnapshot(_) => FlightEvent::UpsDelivery {
-            controllers: up_mask,
-            measured_at_ns: a.measured_at.as_nanos(),
-            readings: a.payload.recorded(),
-        },
-        TelemetryPayload::RackSnapshot(_) => FlightEvent::RackDelivery {
-            controllers: up_mask,
-            measured_at_ns: a.measured_at.as_nanos(),
-            readings: a.payload.recorded(),
-        },
+    // receivers: they see the same payload at the same instant, and it
+    // shares the payload's readings. Mask-0 arrivals are recorded too —
+    // replay mirrors the catch-up buffer from these events, and a
+    // delivery nobody saw live can still resurface through a later
+    // recovery.
+    w.sim_obs.obs.record_with(arrive, || {
+        let measured_at_ns = d.measured_at.as_nanos();
+        match &d.payload {
+            TelemetryPayload::UpsSnapshot(readings) => FlightEvent::UpsDelivery {
+                controllers: up_mask,
+                measured_at_ns,
+                readings: readings.clone(),
+            },
+            TelemetryPayload::RackSnapshot(readings) => FlightEvent::RackDelivery {
+                controllers: up_mask,
+                measured_at_ns,
+                readings: readings.clone(),
+            },
+        }
     });
     for i in 0..w.instances.len() {
         if up_mask & receiver_bit(i) == 0 {
@@ -950,27 +933,22 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, a: Arrival) {
             continue;
         };
         inst.last_delivery_at = arrive;
-        if let TelemetryPayload::UpsSnapshot(snap) = &a.payload {
-            for &(u, _) in snap.iter() {
-                if let Some(slot) = inst.acks.get_mut(u.0) {
-                    *slot = (*slot).max(a.seq);
+        if matches!(d.payload, TelemetryPayload::UpsSnapshot(_)) {
+            for (u, _) in d.payload.readings() {
+                if let Some(slot) = inst.acks.get_mut(u) {
+                    *slot = (*slot).max(d.seq);
                 }
             }
         }
         let commands = inst
             .controller
-            .on_delivery(arrive, a.measured_at, &a.payload)
+            .on_delivery(arrive, d.measured_at, &d.payload)
             .unwrap_or_default();
         w.handle_commands(arrive, i, commands, ctx);
     }
-    // Nothing above reads the buffer, so the payload moves in only now,
-    // after the controllers have read it.
-    w.catch_up.push(BufferedDelivery {
-        seq: a.seq,
-        arrive_at: arrive,
-        measured_at: a.measured_at,
-        payload: a.payload,
-    });
+    // Nothing above reads the buffer, so the delivery moves in only
+    // now, after the controllers have read it.
+    w.catch_up.push(d);
 }
 
 /// Recurring UPS poll: meters the true UPS loads into the pipeline.

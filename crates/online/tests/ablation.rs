@@ -41,7 +41,7 @@ fn buffer_size_monotonically_increases_actions() {
     );
     let feed = FeedState::with_failed(&topo, [UpsId(0)]);
     let loads = placed.ups_loads(&draws, &feed);
-    let ups_power: Vec<Watts> = topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+    let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
     let registry = ImpactRegistry::from_scenario(
         placed.racks().iter().map(|r| (r.deployment, r.category)),
         &scenarios::realistic_1(),

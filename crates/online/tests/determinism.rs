@@ -39,7 +39,6 @@ fn snapshots(placed: &PlacedRoom, draws: &[Watts], feed: &FeedState) -> (Telemet
             .room()
             .topology()
             .ups_ids()
-            .into_iter()
             .map(|u| (u, loads.load(u))),
     );
     let racks =

@@ -16,7 +16,7 @@
 mod common;
 
 use common::{registry_for, small_room};
-use flex_online::recovery::{BufferedDelivery, CatchUpBuffer, RecoverySnapshot};
+use flex_online::recovery::{CatchUpBuffer, RecoverySnapshot};
 use flex_online::sim::{DemandFn, RoomSim, RoomSimConfig, SimEvent};
 use flex_online::{
     Command, Controller, ControllerConfig, ControllerState, ImpactRegistry, RackPowerState,
@@ -24,7 +24,7 @@ use flex_online::{
 use flex_placement::PlacedRoom;
 use flex_power::{FeedState, LoadModel, UpsId, Watts};
 use flex_sim::{SimDuration, SimTime};
-use flex_telemetry::TelemetryPayload;
+use flex_telemetry::{Delivery, TelemetryPayload};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -130,8 +130,9 @@ fn feed_round(
     let mut out = vec![Vec::new(); controllers.len()];
     for payload in [world.ups_payload(), world.rack_payload()] {
         *seq += 1;
-        buffer.push(BufferedDelivery {
+        buffer.push(Delivery {
             seq: *seq,
+            pubsub: 0,
             arrive_at: now,
             measured_at: measured,
             payload: payload.clone(),
@@ -261,8 +262,9 @@ fn divergent_instances_converge_to_identical_state_after_catch_up() {
         let measured = at_ms(t_ms - 150);
         for payload in [world.ups_payload(), world.rack_payload()] {
             seq += 1;
-            buffer.push(BufferedDelivery {
+            buffer.push(Delivery {
                 seq,
+                pubsub: 0,
                 arrive_at: now,
                 measured_at: measured,
                 payload: payload.clone(),

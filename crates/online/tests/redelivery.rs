@@ -44,7 +44,7 @@ fn base_sequence(placed: &PlacedRoom, util: f64, seed: u64) -> Vec<(f64, f64, Te
     let push = |t: f64, feed: &FeedState, out: &mut Vec<(f64, f64, TelemetryPayload)>| {
         let loads = placed.ups_loads(&draws, feed);
         let ups = TelemetryPayload::ups(
-            topo.ups_ids().into_iter().map(|u| (u, loads.load(u))),
+            topo.ups_ids().map(|u| (u, loads.load(u))),
         );
         let racks = TelemetryPayload::racks(
             draws.iter().enumerate().map(|(i, &w)| (i, w)),

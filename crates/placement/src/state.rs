@@ -421,12 +421,7 @@ mod tests {
             .failover_cap_load(a, b)
             .approx_eq(Watts::from_kw(240.0), 1e-6));
         // Failover of an unrelated UPS: a still carries its half CapPow.
-        let other = r
-            .topology()
-            .ups_ids()
-            .into_iter()
-            .find(|&u| u != a && u != b)
-            .unwrap();
+        let other = r.topology().ups_ids().find(|&u| u != a && u != b).unwrap();
         assert!(s
             .failover_cap_load(a, other)
             .approx_eq(Watts::from_kw(120.0), 1e-6));

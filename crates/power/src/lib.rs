@@ -37,7 +37,8 @@
 //!     load.set_pair_load(pair.id(), Watts::from_kw(700.0));
 //! }
 //! let normal = load.ups_loads(&FeedState::all_online(&topo));
-//! let failed = load.ups_loads(&FeedState::with_failed(&topo, [topo.ups_ids()[0]]));
+//! let first = topo.ups_ids().next().unwrap();
+//! let failed = load.ups_loads(&FeedState::with_failed(&topo, [first]));
 //! // Survivors pick up the failed UPS's share.
 //! assert!(failed[1] > normal[1]);
 //! # Ok::<(), flex_power::PowerError>(())

@@ -67,7 +67,7 @@ impl MeterKind {
 ///     load.set_pair_load(p.id(), Watts::from_kw(900.0));
 /// }
 /// let truth = GroundTruth::capture(&load, &FeedState::all_online(&topo));
-/// let ups0 = topo.ups_ids()[0];
+/// let ups0 = topo.ups_ids().next().unwrap();
 /// let raw = MeterKind::UpsOutput.denormalize(truth.it_power(ups0));
 /// // Normalizing recovers the IT power the other meters agree on.
 /// assert!(MeterKind::UpsOutput.normalize(raw).approx_eq(truth.it_power(ups0), 1e-6));

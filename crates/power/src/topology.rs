@@ -217,8 +217,8 @@ impl Topology {
     }
 
     /// All UPS ids, in ascending order.
-    pub fn ups_ids(&self) -> Vec<UpsId> {
-        self.upses.iter().map(|u| u.id).collect()
+    pub fn ups_ids(&self) -> impl Iterator<Item = UpsId> + '_ {
+        self.upses.iter().map(|u| u.id)
     }
 
     /// All PDU-pairs.

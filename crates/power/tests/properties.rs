@@ -66,7 +66,7 @@ proptest! {
         let normal = load.ups_loads(&FeedState::all_online(&topo));
         let failed = load.ups_loads(&FeedState::with_failed(&topo, [UpsId(0)]));
         let factor = x as f64 / (x as f64 - 1.0);
-        for id in topo.ups_ids().into_iter().skip(1) {
+        for id in topo.ups_ids().skip(1) {
             let ratio = failed.load(id) / normal.load(id);
             prop_assert!((ratio - factor).abs() < 1e-9, "ratio {ratio}");
         }

@@ -18,12 +18,19 @@
 //!   reads every reachable meter, applies the 3-way consensus for UPS
 //!   devices, and returns the [`Delivery`] batches that will arrive at
 //!   subscribers (with sampled network/processing latencies);
+//! - [`TelemetryPayload`] — one poll's readings, built once in the
+//!   flight recorder's `flex_obs::Readings` layout and shared by every
+//!   copy of the delivery, the controllers' catch-up buffer and the
+//!   recorded event; consumers read them typed through
+//!   [`TelemetryPayload::readings`];
 //! - availability is controlled by a [`flex_sim::fault::FaultPlan`] over
 //!   component names (`"poller/0"`, `"switch/1"`, `"pubsub/0"`,
 //!   `"meter/ups2/UpsOutput"`), so experiments can knock out any subset.
 //!
 //! The embedding simulation (see `flex-online`) schedules the poll ticks
-//! on its event loop and forwards each delivery at its `arrive_at` time.
+//! on its event loop and forwards each delivery at its `arrive_at` time;
+//! the same [`Delivery`] record then feeds the controllers, the flight
+//! recorder and crash-recovery catch-up.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,4 +41,4 @@ mod pipeline;
 
 pub use config::PipelineConfig;
 pub use meter::{MeterBank, MeterFaults};
-pub use pipeline::{Delivery, Pipeline, Snapshot, TelemetryPayload};
+pub use pipeline::{Delivery, Pipeline, TelemetryPayload};

@@ -1,8 +1,5 @@
 //! The poller / switch / pub-sub fabric and the 3-meter consensus.
 
-use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
-
 use flex_obs::{Counter, Obs, Readings, Span};
 use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::{UpsId, Watts};
@@ -15,81 +12,48 @@ use rand::rngs::SmallRng;
 use crate::config::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 use crate::{MeterBank, MeterFaults, PipelineConfig};
 
-/// One poller's readings, built once per poll and shared by every
-/// pub/sub copy of it: cloning a [`TelemetryPayload`] clones an `Arc`,
-/// not the readings. Dereferences to the `(id, power)` slice.
-#[derive(Debug)]
-pub struct Snapshot<K> {
-    readings: Vec<(K, Watts)>,
-    /// The readings as the flight recorder stores them, built by the
-    /// first recorded copy and shared by the rest.
-    recorded: OnceLock<Readings>,
-}
-
-impl<K: Copy> Snapshot<K> {
-    fn recorded_with(&self, id: impl Fn(K) -> u32) -> Readings {
-        self.recorded
-            .get_or_init(|| {
-                self.readings
-                    .iter()
-                    .map(|&(k, w)| (id(k), w.as_w()))
-                    .collect()
-            })
-            .clone()
-    }
-}
-
-impl<K> Deref for Snapshot<K> {
-    type Target = [(K, Watts)];
-
-    fn deref(&self) -> &[(K, Watts)] {
-        &self.readings
-    }
-}
-
-impl<K: PartialEq> PartialEq for Snapshot<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.readings == other.readings
-    }
-}
-
-/// Data carried by one published message.
+/// Data carried by one published message: one poller's readings, built
+/// once per poll in the flight recorder's [`Readings`] layout. Every
+/// pub/sub copy, chaos duplicate, catch-up buffer entry and recorded
+/// delivery event shares that one buffer: cloning a payload clones an
+/// `Arc`, not the readings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryPayload {
     /// Consensus IT power per UPS (absent entries had no reachable
     /// meter).
-    UpsSnapshot(Arc<Snapshot<UpsId>>),
+    UpsSnapshot(Readings),
     /// Raw rack power per rack index (absent entries were dropped).
-    RackSnapshot(Arc<Snapshot<usize>>),
+    RackSnapshot(Readings),
 }
 
 impl TelemetryPayload {
     /// A UPS snapshot of `(UPS, consensus power)` readings.
     pub fn ups(readings: impl IntoIterator<Item = (UpsId, Watts)>) -> Self {
-        TelemetryPayload::UpsSnapshot(snapshot(readings))
+        TelemetryPayload::UpsSnapshot(shared(readings.into_iter().map(|(u, w)| (u.0, w))))
     }
 
     /// A rack snapshot of `(rack index, power)` readings.
     pub fn racks(readings: impl IntoIterator<Item = (usize, Watts)>) -> Self {
-        TelemetryPayload::RackSnapshot(snapshot(readings))
+        TelemetryPayload::RackSnapshot(shared(readings))
     }
 
-    /// The readings as `(UPS id or rack index, watts)`, the form of a
-    /// delivery's flight event: converted on the first call for a
-    /// snapshot, then shared by every copy of it.
-    pub fn recorded(&self) -> Readings {
-        match self {
-            TelemetryPayload::UpsSnapshot(s) => s.recorded_with(|u| u.0 as u32),
-            TelemetryPayload::RackSnapshot(s) => s.recorded_with(|r| r as u32),
-        }
+    /// The readings as `(UPS id or rack index, power)`, in the order
+    /// they were built; each power goes through `Watts::new` and its
+    /// NaN check.
+    pub fn readings(&self) -> impl Iterator<Item = (usize, Watts)> + '_ {
+        let (TelemetryPayload::UpsSnapshot(r) | TelemetryPayload::RackSnapshot(r)) = self;
+        r.iter().map(|&(id, w)| (id as usize, Watts::new(w)))
     }
 }
 
-fn snapshot<K>(readings: impl IntoIterator<Item = (K, Watts)>) -> Arc<Snapshot<K>> {
-    Arc::new(Snapshot {
-        readings: readings.into_iter().collect(),
-        recorded: OnceLock::new(),
-    })
+/// The readings in the recorder's layout: one allocation when the
+/// iterator knows its exact length, as the pollers' draining one does.
+/// Ids are UPS ids and rack indices of one room, far inside `u32`.
+fn shared(readings: impl IntoIterator<Item = (usize, Watts)>) -> Readings {
+    readings
+        .into_iter()
+        .map(|(id, w)| (id as u32, w.as_w()))
+        .collect()
 }
 
 /// One message en route to subscribers.
@@ -100,8 +64,6 @@ pub struct Delivery {
     /// an advisory cursor (see `flex_online::recovery`); duplicates
     /// injected downstream share the original's number.
     pub seq: u64,
-    /// Which poller produced it.
-    pub poller: usize,
     /// Which pub/sub instance carries it.
     pub pubsub: usize,
     /// When the underlying meters were read.
@@ -110,13 +72,6 @@ pub struct Delivery {
     pub arrive_at: SimTime,
     /// The readings.
     pub payload: TelemetryPayload,
-}
-
-impl Delivery {
-    /// End-to-end data latency of this delivery.
-    pub fn latency(&self) -> SimDuration {
-        self.arrive_at - self.measured_at
-    }
 }
 
 /// The telemetry pipeline: meters + redundant pollers, switches, and
@@ -148,6 +103,9 @@ pub struct Pipeline {
     switch_faults: ResolvedPlan,
     pubsub_faults: ResolvedPlan,
     ups_meter_faults: Vec<ResolvedPlan>,
+    // The poll being read, drained into each payload: it keeps its
+    // capacity, so a poller's snapshot allocates only the shared buffer.
+    readings: Vec<(usize, Watts)>,
     // Observability (all noop unless attached via `set_obs`).
     ups_polls: Counter,
     rack_polls: Counter,
@@ -176,6 +134,7 @@ impl Pipeline {
             switch_faults: ResolvedPlan::default(),
             pubsub_faults: ResolvedPlan::default(),
             ups_meter_faults: Vec::new(),
+            readings: Vec::with_capacity(ups_count.max(rack_count)),
             ups_polls: Counter::noop(),
             rack_polls: Counter::noop(),
             deliveries: Counter::noop(),
@@ -254,15 +213,13 @@ impl Pipeline {
     /// deliveries produced by every live (poller × pub/sub) combination.
     pub fn poll_upses(&mut self, now: SimTime, truth: &GroundTruth) -> Vec<Delivery> {
         self.ups_polls.inc();
-        let ups_count = self.meters.ups_count();
         let mut deliveries = Vec::new();
         for poller in 0..POLLERS {
             if !self.poller_up(poller, now) {
                 continue;
             }
             // Consensus per UPS over the reachable logical meters.
-            let mut snapshot: Vec<(UpsId, Watts)> = Vec::with_capacity(ups_count);
-            for u in 0..ups_count {
+            for u in 0..self.meters.ups_count() {
                 let ups = UpsId(u);
                 let mut normalized = [0.0; MeterKind::ALL.len()];
                 let mut read = 0;
@@ -282,13 +239,14 @@ impl Pipeline {
                     }
                 }
                 if let Some(consensus) = normalized.get_mut(..read).and_then(median) {
-                    snapshot.push((ups, Watts::new(consensus)));
+                    self.readings.push((u, Watts::new(consensus)));
                 }
             }
-            if snapshot.is_empty() {
+            if self.readings.is_empty() {
                 continue;
             }
-            self.publish(now, poller, TelemetryPayload::ups(snapshot), &mut deliveries);
+            let payload = TelemetryPayload::ups(self.readings.drain(..).map(|(u, w)| (UpsId(u), w)));
+            self.publish(now, payload, &mut deliveries);
         }
         deliveries
     }
@@ -308,29 +266,23 @@ impl Pipeline {
             if !self.switch_up(switch, now) {
                 continue;
             }
-            let mut snapshot: Vec<(usize, Watts)> = Vec::with_capacity(rack_truth.len());
             for (rack, &truth) in rack_truth.iter().enumerate() {
                 if let Some(w) = self.meters.read_rack(rack, now, truth) {
-                    snapshot.push((rack, w));
+                    self.readings.push((rack, w));
                 }
             }
-            if snapshot.is_empty() {
+            if self.readings.is_empty() {
                 continue;
             }
-            self.publish(now, poller, TelemetryPayload::racks(snapshot), &mut deliveries);
+            let payload = TelemetryPayload::racks(self.readings.drain(..));
+            self.publish(now, payload, &mut deliveries);
         }
         deliveries
     }
 
     /// Publishes one poller's snapshot on every live pub/sub instance,
     /// in instance order; the copies share it.
-    fn publish(
-        &mut self,
-        now: SimTime,
-        poller: usize,
-        payload: TelemetryPayload,
-        deliveries: &mut Vec<Delivery>,
-    ) {
+    fn publish(&mut self, now: SimTime, payload: TelemetryPayload, deliveries: &mut Vec<Delivery>) {
         for pubsub in 0..PUBSUB_INSTANCES {
             if !self.pubsub_up(pubsub, now) {
                 continue;
@@ -342,7 +294,6 @@ impl Pipeline {
             self.next_seq += 1;
             deliveries.push(Delivery {
                 seq,
-                poller,
                 pubsub,
                 measured_at: now,
                 arrive_at,
@@ -384,6 +335,15 @@ mod tests {
         Pipeline::new(config, 4, 10, &RngPool::new(5))
     }
 
+    /// The readings of a UPS snapshot.
+    fn ups_readings(d: &Delivery) -> Vec<(usize, Watts)> {
+        assert!(
+            matches!(d.payload, TelemetryPayload::UpsSnapshot(_)),
+            "expected UPS snapshot"
+        );
+        d.payload.readings().collect()
+    }
+
     #[test]
     fn ideal_pipeline_reports_exact_consensus() {
         let (_, truth) = truth_at(600.0);
@@ -392,12 +352,13 @@ mod tests {
         // 2 pollers × 2 pub/sub = 4 deliveries.
         assert_eq!(deliveries.len(), 4);
         for d in &deliveries {
-            let TelemetryPayload::UpsSnapshot(snap) = &d.payload else {
-                panic!("expected UPS snapshot");
-            };
-            assert_eq!(snap.len(), 4);
-            for &(ups, w) in snap.iter() {
-                assert!(w.approx_eq(truth.it_power(ups), 1e-6), "{ups}: {w}");
+            let readings = ups_readings(d);
+            assert_eq!(readings.len(), 4);
+            for (ups, w) in readings {
+                assert!(
+                    w.approx_eq(truth.it_power(UpsId(ups)), 1e-6),
+                    "UPS {ups}: {w}"
+                );
             }
             assert!(d.arrive_at > d.measured_at);
         }
@@ -418,11 +379,8 @@ mod tests {
             SimTime::from_secs_f64(100.0),
         );
         let deliveries = p.poll_upses(SimTime::from_secs_f64(1.5), &truth);
-        for d in deliveries {
-            let TelemetryPayload::UpsSnapshot(snap) = d.payload else {
-                panic!("expected UPS snapshot");
-            };
-            let (_, w) = snap.iter().find(|(u, _)| *u == UpsId(0)).unwrap();
+        for d in &deliveries {
+            let (_, w) = ups_readings(d).into_iter().find(|&(u, _)| u == 0).unwrap();
             // Median of {bogus, correct, correct} = correct.
             assert!(
                 w.approx_eq(truth.it_power(UpsId(0)), 1e-6),
@@ -446,10 +404,11 @@ mod tests {
             );
             // Every delivered snapshot still covers all four UPSes.
             for d in &ups {
-                let TelemetryPayload::UpsSnapshot(snap) = &d.payload else {
-                    panic!("expected UPS snapshot");
-                };
-                assert_eq!(snap.len(), 4, "lost UPS coverage after {component}");
+                assert_eq!(
+                    ups_readings(d).len(),
+                    4,
+                    "lost UPS coverage after {component}"
+                );
             }
             let racks = p.poll_racks(SimTime::from_secs_f64(1.0), &[Watts::from_kw(10.0); 10]);
             assert!(
@@ -479,12 +438,11 @@ mod tests {
         let rack_truth: Vec<Watts> = (0..10).map(|i| Watts::from_kw(10.0 + i as f64)).collect();
         let deliveries = p.poll_racks(SimTime::ZERO, &rack_truth);
         assert_eq!(deliveries.len(), 4);
-        for d in deliveries {
-            let TelemetryPayload::RackSnapshot(snap) = d.payload else {
-                panic!("expected rack snapshot");
-            };
-            assert_eq!(snap.len(), 10);
-            assert_eq!(snap[3].1, Watts::from_kw(13.0));
+        for d in &deliveries {
+            assert!(matches!(d.payload, TelemetryPayload::RackSnapshot(_)));
+            let readings: Vec<_> = d.payload.readings().collect();
+            assert_eq!(readings.len(), 10);
+            assert_eq!(readings[3], (3, Watts::from_kw(13.0)));
         }
     }
 

@@ -2,7 +2,7 @@
 //! fault combinations.
 
 use flex_power::meter::GroundTruth;
-use flex_power::{FeedState, LoadModel, Topology, Watts};
+use flex_power::{FeedState, LoadModel, Topology, UpsId, Watts};
 use flex_sim::fault::FaultPlan;
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
@@ -57,11 +57,10 @@ proptest! {
         let deliveries = p.poll_upses(SimTime::from_secs_f64(1.5), &truth);
         prop_assert!(!deliveries.is_empty(), "{component} silenced the pipeline");
         for d in &deliveries {
-            let TelemetryPayload::UpsSnapshot(snap) = &d.payload else {
-                panic!("expected UPS snapshot");
-            };
-            prop_assert_eq!(snap.len(), 4, "lost coverage after {}", component);
-            for &(ups, w) in snap.iter() {
+            prop_assert!(matches!(d.payload, TelemetryPayload::UpsSnapshot(_)));
+            prop_assert_eq!(d.payload.readings().count(), 4, "lost coverage after {}", component);
+            for (ups, w) in d.payload.readings() {
+                let ups = UpsId(ups);
                 prop_assert!(
                     w.approx_eq(truth.it_power(ups), truth.it_power(ups).as_w() * 1e-6 + 1.0),
                     "{}: consensus {} vs truth {}", ups, w, truth.it_power(ups)
@@ -84,11 +83,9 @@ proptest! {
         for i in 0..20 {
             let now = SimTime::from_secs_f64(1.5 * (i + 1) as f64);
             for d in p.poll_upses(now, &truth) {
-                let TelemetryPayload::UpsSnapshot(snap) = d.payload else {
-                    panic!("expected UPS snapshot");
-                };
-                for &(ups, w) in snap.iter() {
-                    let t = truth.it_power(ups);
+                prop_assert!(matches!(d.payload, TelemetryPayload::UpsSnapshot(_)));
+                for (ups, w) in d.payload.readings() {
+                    let t = truth.it_power(UpsId(ups));
                     let rel = (w.as_w() - t.as_w()).abs() / t.as_w().max(1.0);
                     prop_assert!(rel < 0.05, "{ups}: consensus off by {rel}");
                 }

@@ -53,10 +53,10 @@ proptest! {
             Fraction::clamped(util),
             &mut rng,
         );
-        let failed = topo.ups_ids()[failed_idx];
+        let failed = topo.ups_ids().nth(failed_idx).unwrap();
         let feed = FeedState::with_failed(&topo, [failed]);
         let loads = placed.ups_loads(&draws, &feed);
-        let ups_power: Vec<Watts> = topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+        let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
         let scenario = &scenarios::all()[scenario_idx];
         let registry = ImpactRegistry::from_scenario(
             placed.racks().iter().map(|r| (r.deployment, r.category)),

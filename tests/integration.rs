@@ -59,8 +59,7 @@ fn any_placement_any_failover_is_recoverable() {
             for failed in topo.ups_ids() {
                 let feed = FeedState::with_failed(&topo, [failed]);
                 let loads = placed.ups_loads(&draws, &feed);
-                let ups_power: Vec<Watts> =
-                    topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+                let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
                 let input = DecisionInput {
                     topology: &topo,
                     racks: placed.racks(),
@@ -137,10 +136,10 @@ fn action_counts_scale_with_utilization() {
             Fraction::clamped(util),
             &mut rng,
         );
-        let failed = topo.ups_ids()[0];
+        let failed = topo.ups_ids().next().unwrap();
         let feed = FeedState::with_failed(&topo, [failed]);
         let loads = placed.ups_loads(&draws, &feed);
-        let ups_power: Vec<Watts> = topo.ups_ids().into_iter().map(|u| loads.load(u)).collect();
+        let ups_power: Vec<Watts> = topo.ups_ids().map(|u| loads.load(u)).collect();
         let input = DecisionInput {
             topology: &topo,
             racks: placed.racks(),
