@@ -14,6 +14,7 @@ use flex_core::power::{FeedState, LoadModel, UpsId, Watts};
 use flex_core::sim::rng::RngPool;
 use flex_core::sim::stats::Percentiles;
 use flex_core::sim::{SimDuration, SimTime};
+use flex_core::telemetry::fault::{Component, FaultPlan};
 use flex_core::telemetry::{Pipeline, PipelineConfig};
 use flex_core::workload::impact::scenarios;
 use flex_core::workload::trace::{TraceConfig, TraceGenerator};
@@ -68,10 +69,10 @@ fn end_to_end_study(label: &str, episodes: usize, fault_pollers: bool) {
         };
         let mut sim = RoomSim::new(&placed, registry, demand, sim_config);
         if fault_pollers {
-            let mut plan = flex_core::sim::fault::FaultPlan::new();
-            plan.add_outage("poller/0", SimTime::ZERO, SimTime::from_secs_f64(1e7));
-            plan.add_outage("pubsub/1", SimTime::ZERO, SimTime::from_secs_f64(1e7));
-            sim.world_mut().set_pipeline_fault_plan(plan);
+            let mut plan = FaultPlan::new();
+            plan.add_outage(Component::Poller(0), SimTime::ZERO, SimTime::from_secs_f64(1e7));
+            plan.add_outage(Component::PubSub(1), SimTime::ZERO, SimTime::from_secs_f64(1e7));
+            sim.world_mut().set_fault_plan(plan);
         }
         let ups = UpsId((ep % 4) as usize);
         sim.fail_ups_at(SimTime::from_secs_f64(20.0), ups);

@@ -322,7 +322,7 @@ mod tests {
         s.watchdog = false;
         // Pad with irrelevant atoms the minimizer should strip.
         s.rm_faults.push(crate::scenario::FaultWindow {
-            component: "rm/0".to_string(),
+            component: flex_telemetry::fault::Component::RackManager(0),
             from_ms: 1_000,
             until_ms: 1_500,
         });

@@ -33,8 +33,10 @@ use flex_obs::json::{obj, Value};
 use flex_online::sim::{SimEvent, ALARM_LATENCY};
 use flex_online::RackPowerState;
 use flex_sim::{SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
+use flex_telemetry::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 
-use crate::scenario::{fault_plan_of, RunOutcome, CONTROLLERS};
+use crate::scenario::{RunOutcome, CONTROLLERS};
 
 /// Minimum seconds any implementation needs between *knowing* about an
 /// overload and racks actually shedding: alarm/data propagation, one
@@ -74,8 +76,9 @@ impl Violation {
 /// Runs every oracle check against a finished run.
 pub fn check(out: &RunOutcome) -> Vec<Violation> {
     let mut violations = Vec::new();
-    check_trips(out, &mut violations);
-    check_orphans(out, &mut violations);
+    let faults = out.scenario.fault_plan();
+    check_trips(out, &faults, &mut violations);
+    check_orphans(out, &faults, &mut violations);
     check_overshed(out, &mut violations);
     check_fencing(out, &mut violations);
     violations
@@ -109,12 +112,8 @@ fn sample_times(from: f64, until: f64) -> impl Iterator<Item = SimTime> {
     })
 }
 
-fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
+fn check_trips(out: &RunOutcome, faults: &FaultPlan, violations: &mut Vec<Violation>) {
     let world = out.sim.world();
-    let scenario = &out.scenario;
-    let controller_plan = fault_plan_of(&scenario.controller_faults);
-    let rm_plan = fault_plan_of(&scenario.rm_faults);
-    let pipeline_plan = fault_plan_of(&scenario.pipeline_faults);
     let rack_count = world.racks().len();
     let alarm_latency_secs = ALARM_LATENCY.as_secs_f64();
 
@@ -148,7 +147,7 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
             samples += 1;
             if !controller_alive {
                 for c in 0..CONTROLLERS {
-                    if controller_plan.is_up(&flex_sim::fault::names::controller(c), t) {
+                    if faults.is_up(Component::Controller(c), t) {
                         controller_alive = true;
                         break;
                     }
@@ -156,13 +155,13 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
             }
             if !rm_reachable {
                 for r in 0..rack_count {
-                    if rm_plan.is_up(&flex_sim::fault::names::rack_manager(r), t) {
+                    if faults.is_up(Component::RackManager(r), t) {
                         rm_reachable = true;
                         break;
                     }
                 }
             }
-            if telemetry_dark(&pipeline_plan, t) {
+            if telemetry_dark(faults, t) {
                 dark_samples += 1;
             }
         }
@@ -183,24 +182,22 @@ fn check_trips(out: &RunOutcome, violations: &mut Vec<Violation>) {
 }
 
 /// True if no UPS snapshot can be produced at `t`: every poller, every
-/// pub/sub instance, or every switch group is down. (Production config:
-/// two of each.)
-fn telemetry_dark(pipeline_plan: &flex_sim::fault::FaultPlan, t: SimTime) -> bool {
-    let all_down = |name: fn(usize) -> String| {
-        (0..2).all(|i| !pipeline_plan.is_up(&name(i), t))
+/// pub/sub instance, or every switch group is down.
+fn telemetry_dark(faults: &FaultPlan, t: SimTime) -> bool {
+    let all_down = |count: usize, component: fn(usize) -> Component| {
+        (0..count).all(|i| !faults.is_up(component(i), t))
     };
-    all_down(flex_sim::fault::names::poller)
-        || all_down(flex_sim::fault::names::pubsub)
-        || all_down(flex_sim::fault::names::switch)
+    all_down(POLLERS, Component::Poller)
+        || all_down(PUBSUB_INSTANCES, Component::PubSub)
+        || all_down(SWITCH_GROUPS, Component::Switch)
 }
 
-fn check_orphans(out: &RunOutcome, violations: &mut Vec<Violation>) {
+fn check_orphans(out: &RunOutcome, faults: &FaultPlan, violations: &mut Vec<Violation>) {
     let world = out.sim.world();
     let scenario = &out.scenario;
     let horizon = SimTime::ZERO + SimDuration::from_millis(scenario.horizon_ms);
-    let controller_plan = fault_plan_of(&scenario.controller_faults);
     let live: Vec<bool> = (0..CONTROLLERS)
-        .map(|c| controller_plan.is_up(&flex_sim::fault::names::controller(c), horizon))
+        .map(|c| faults.is_up(Component::Controller(c), horizon))
         .collect();
     for (i, state) in world.rack_states().iter().enumerate() {
         if *state != RackPowerState::Off {

@@ -17,9 +17,10 @@ use flex_placement::policies::{BalancedRoundRobin, PlacementPolicy};
 use flex_placement::{PlacedRoom, Placement, Room, RoomConfig, RoomState};
 use flex_power::meter::MeterKind;
 use flex_power::{UpsId, Watts};
-use flex_sim::fault::FaultPlan;
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
+use flex_telemetry::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 use flex_workload::impact::scenarios as impact_scenarios;
 use flex_workload::trace::{DemandTrace, TraceConfig, TraceGenerator};
 use flex_workload::WorkloadCategory;
@@ -33,8 +34,8 @@ pub const CONTROLLERS: usize = 3;
 /// survive a JSON round trip without float drift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultWindow {
-    /// Fault-plan component name (`"poller/0"`, `"rm/12"`, …).
-    pub component: String,
+    /// The component that is down (`"poller/0"`, `"rm/12"`, … in JSON).
+    pub component: Component,
     /// Window start (ms of virtual time).
     pub from_ms: u64,
     /// Window end (ms of virtual time, exclusive).
@@ -44,17 +45,18 @@ pub struct FaultWindow {
 impl FaultWindow {
     fn to_value(&self) -> Value {
         obj(vec![
-            ("component", Value::Str(self.component.clone())),
+            ("component", Value::Str(self.component.to_string())),
             ("from_ms", Value::Num(self.from_ms as f64)),
             ("until_ms", Value::Num(self.until_ms as f64)),
         ])
     }
 
-    /// Decodes a window; one that does not end after it starts is
-    /// rejected, as [`FaultPlan::add_outage`] needs a positive duration.
+    /// Decodes a window; one whose component does not parse is
+    /// rejected, and so is one that does not end after it starts, as
+    /// [`FaultPlan::add_outage`] needs a positive duration.
     fn from_value(v: &Value) -> Option<Self> {
         let window = FaultWindow {
-            component: v.get("component")?.as_str()?.to_string(),
+            component: Component::parse(v.get("component")?.as_str()?)?,
             from_ms: v.get("from_ms")?.as_u64()?,
             until_ms: v.get("until_ms")?.as_u64()?,
         };
@@ -184,8 +186,11 @@ impl PartitionSpec {
         ])
     }
 
+    /// Decodes a partition; one that could not act as written (a
+    /// window that does not end after it starts, a side naming an
+    /// instance past [`CONTROLLERS`]) is rejected.
     fn from_value(v: &Value) -> Option<Self> {
-        Some(PartitionSpec {
+        let partition = PartitionSpec {
             from_ms: v.get("from_ms")?.as_u64()?,
             until_ms: v.get("until_ms")?.as_u64()?,
             side_a: v
@@ -194,7 +199,10 @@ impl PartitionSpec {
                 .iter()
                 .map(|x| x.as_u64().map(|n| n as usize))
                 .collect::<Option<Vec<_>>>()?,
-        })
+        };
+        (partition.until_ms > partition.from_ms
+            && partition.side_a.iter().all(|&i| i < CONTROLLERS))
+        .then_some(partition)
     }
 }
 
@@ -367,10 +375,16 @@ impl Scenario {
     /// the replay busy for simulated years. So is a `util` outside
     /// `[DEMAND_BAND, 1.0]`: rack demand is drawn within `DEMAND_BAND`
     /// of it, and must be a non-negative fraction of the provisioned
-    /// power.
+    /// power. So is an outage window on a component the room lacks, or
+    /// filed in a list other than [`fault_list`]'s, which would replay
+    /// with that component always up.
     pub fn from_value(v: &Value) -> Option<Self> {
         let windows = |key: &str| -> Option<Vec<FaultWindow>> {
-            v.get(key)?.as_arr()?.iter().map(FaultWindow::from_value).collect()
+            v.get(key)?
+                .as_arr()?
+                .iter()
+                .map(|w| FaultWindow::from_value(w).filter(|w| fault_list(w.component) == Some(key)))
+                .collect()
         };
         let scenario = Scenario {
             id: v.get("id")?.as_u64()?,
@@ -407,19 +421,35 @@ impl Scenario {
             && (DEMAND_BAND..=1.0).contains(&scenario.util);
         valid.then_some(scenario)
     }
+
+    /// The room's one fault plan: every window of the three lists.
+    pub fn fault_plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        for w in self.pipeline_faults.iter().chain(&self.rm_faults).chain(&self.controller_faults) {
+            plan.add_outage(
+                w.component,
+                SimTime::ZERO + SimDuration::from_millis(w.from_ms),
+                SimTime::ZERO + SimDuration::from_millis(w.until_ms),
+            );
+        }
+        plan
+    }
 }
 
-/// Builds a [`FaultPlan`] from windows.
-pub fn fault_plan_of(windows: &[FaultWindow]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for w in windows {
-        plan.add_outage(
-            &w.component,
-            SimTime::ZERO + SimDuration::from_millis(w.from_ms),
-            SimTime::ZERO + SimDuration::from_millis(w.until_ms),
-        );
+/// The JSON key of the scenario list that carries `c`'s outage windows,
+/// or `None` for a component the chaos room, its telemetry pipeline and
+/// its [`CONTROLLERS`] lack.
+fn fault_list(c: Component) -> Option<&'static str> {
+    let room = chaos_room();
+    match c {
+        Component::Poller(i) if i < POLLERS => Some("pipeline_faults"),
+        Component::Switch(g) if g < SWITCH_GROUPS => Some("pipeline_faults"),
+        Component::PubSub(k) if k < PUBSUB_INSTANCES => Some("pipeline_faults"),
+        Component::UpsMeter { ups, .. } if ups < room.ups_count => Some("pipeline_faults"),
+        Component::RackManager(r) if r < room.rows * room.racks_per_row => Some("rm_faults"),
+        Component::Controller(i) if i < CONTROLLERS => Some("controller_faults"),
+        _ => None,
     }
-    plan
 }
 
 /// The small, fast room every chaos scenario runs in: 4 × 150 kW UPSes
@@ -607,12 +637,7 @@ pub fn run_scenario_obs(scenario: &Scenario, obs: &flex_obs::Obs) -> RunOutcome 
     if let Some(p) = &scenario.partition {
         sim.world_mut().set_partition(Some(p.to_sim()));
     }
-    sim.world_mut()
-        .set_pipeline_fault_plan(fault_plan_of(&scenario.pipeline_faults));
-    sim.world_mut()
-        .set_actuator_fault_plan(fault_plan_of(&scenario.rm_faults));
-    sim.world_mut()
-        .set_controller_fault_plan(fault_plan_of(&scenario.controller_faults));
+    sim.world_mut().set_fault_plan(scenario.fault_plan());
     for s in &scenario.stuck_meters {
         let Some(&kind) = MeterKind::ALL.get(s.kind) else {
             continue;
@@ -696,19 +721,17 @@ fn random_soup(s: &mut Scenario, rng: &mut SmallRng) {
     let horizon = s.horizon_ms;
     // Telemetry components: MTBF ~40 s, MTTR ~3 s.
     let room = chaos_room();
-    let mut telemetry_targets: Vec<String> = Vec::new();
-    for p in 0..2 {
-        telemetry_targets.push(flex_sim::fault::names::poller(p));
-        telemetry_targets.push(flex_sim::fault::names::pubsub(p));
-        telemetry_targets.push(flex_sim::fault::names::switch(p));
+    // The fabric interleaves by instance: poller, pub/sub, switch.
+    let mut telemetry_targets: Vec<Component> = Vec::new();
+    for i in 0..POLLERS.max(PUBSUB_INSTANCES).max(SWITCH_GROUPS) {
+        let fabric = [Component::Poller(i), Component::PubSub(i), Component::Switch(i)];
+        telemetry_targets.extend(fabric.into_iter().filter(|&c| fault_list(c).is_some()));
     }
-    for u in 0..room.ups_count {
-        for kind in ["UpsOutput", "ItAggregate", "TotalMinusMech"] {
-            telemetry_targets.push(flex_sim::fault::names::ups_meter(u, kind));
-        }
+    for ups in 0..room.ups_count {
+        telemetry_targets.extend(MeterKind::ALL.map(|kind| Component::UpsMeter { ups, kind }));
     }
     for component in telemetry_targets {
-        sample_outages(&mut s.pipeline_faults, &component, horizon, 40_000.0, 3_000.0, rng);
+        sample_outages(&mut s.pipeline_faults, component, horizon, 40_000.0, 3_000.0, rng);
     }
     // Rack managers: at most 15% of racks fault at all, MTTR ~2.5 s.
     let rack_count = room.rows * room.racks_per_row;
@@ -717,7 +740,7 @@ fn random_soup(s: &mut Scenario, rng: &mut SmallRng) {
         let r = rng.gen_range(0..rack_count);
         sample_outages(
             &mut s.rm_faults,
-            &flex_sim::fault::names::rack_manager(r),
+            Component::RackManager(r),
             horizon,
             50_000.0,
             2_500.0,
@@ -728,7 +751,7 @@ fn random_soup(s: &mut Scenario, rng: &mut SmallRng) {
     let c = rng.gen_range(0..CONTROLLERS);
     sample_outages(
         &mut s.controller_faults,
-        &flex_sim::fault::names::controller(c),
+        Component::Controller(c),
         horizon,
         60_000.0,
         5_000.0,
@@ -748,7 +771,7 @@ fn random_soup(s: &mut Scenario, rng: &mut SmallRng) {
 /// Exponential(MTBF)/Exponential(MTTR) outage sampling over a horizon.
 fn sample_outages(
     out: &mut Vec<FaultWindow>,
-    component: &str,
+    component: Component,
     horizon_ms: u64,
     mtbf_ms: f64,
     mttr_ms: f64,
@@ -767,7 +790,7 @@ fn sample_outages(
         let until = ((t + dur) as u64).min(horizon_ms);
         if until > from {
             out.push(FaultWindow {
-                component: component.to_string(),
+                component,
                 from_ms: from,
                 until_ms: until,
             });
@@ -797,9 +820,9 @@ fn blackout_at_failover(s: &mut Scenario, rng: &mut SmallRng) {
     s.util = (target / worst_frac.max(1.0)).clamp(0.70, 0.97);
     let from = s.fail_at_ms.saturating_sub(rng.gen_range(0..300));
     let until = s.fail_at_ms + rng.gen_range(28_000..45_000);
-    for p in 0..2 {
+    for p in 0..POLLERS {
         s.pipeline_faults.push(FaultWindow {
-            component: flex_sim::fault::names::poller(p),
+            component: Component::Poller(p),
             from_ms: from,
             until_ms: until,
         });
@@ -821,7 +844,7 @@ fn rm_blackout_shutdown_class(s: &mut Scenario, rng: &mut SmallRng) {
     for r in placed.racks() {
         if r.category == WorkloadCategory::SoftwareRedundant {
             s.rm_faults.push(FaultWindow {
-                component: flex_sim::fault::names::rack_manager(r.id.0),
+                component: Component::RackManager(r.id.0),
                 from_ms: from,
                 until_ms: until,
             });
@@ -840,7 +863,7 @@ fn controller_crash_mid_shed(s: &mut Scenario, rng: &mut SmallRng) {
             let from = s.fail_at_ms + rng.gen_range(0..2_500);
             let until = from + rng.gen_range(4_000..20_000);
             s.controller_faults.push(FaultWindow {
-                component: flex_sim::fault::names::controller(c),
+                component: Component::Controller(c),
                 from_ms: from,
                 until_ms: until.min(s.horizon_ms),
             });
@@ -858,8 +881,9 @@ fn meter_stuck_low(s: &mut Scenario, rng: &mut SmallRng) {
     // Stick a meter on a *surviving* UPS (the failed one reads zero).
     let room = chaos_room();
     let victim = (s.fail_ups + 1 + rng.gen_range(0..room.ups_count - 1)) % room.ups_count;
-    let kind = rng.gen_range(0..3);
-    let dead_kind = (kind + 1 + rng.gen_range(0..2)) % 3;
+    let kinds = MeterKind::ALL.len();
+    let kind = rng.gen_range(0..kinds);
+    let dead_kind = (kind + 1 + rng.gen_range(0..kinds - 1)) % kinds;
     let thaw = s.fail_at_ms + rng.gen_range(4_000..7_000);
     s.stuck_meters.push(StuckMeter {
         ups: victim,
@@ -867,9 +891,8 @@ fn meter_stuck_low(s: &mut Scenario, rng: &mut SmallRng) {
         from_ms: s.fail_at_ms.saturating_sub(100),
         until_ms: thaw,
     });
-    let kind_names = ["UpsOutput", "ItAggregate", "TotalMinusMech"];
     s.pipeline_faults.push(FaultWindow {
-        component: flex_sim::fault::names::ups_meter(victim, kind_names[dead_kind]),
+        component: Component::UpsMeter { ups: victim, kind: MeterKind::ALL[dead_kind] },
         from_ms: s.fail_at_ms.saturating_sub(100),
         until_ms: thaw,
     });
@@ -911,7 +934,7 @@ fn restart_storm(s: &mut Scenario, rng: &mut SmallRng) {
     for r in placed.racks() {
         if r.category == WorkloadCategory::SoftwareRedundant {
             s.rm_faults.push(FaultWindow {
-                component: flex_sim::fault::names::rack_manager(r.id.0),
+                component: Component::RackManager(r.id.0),
                 from_ms: rm_from,
                 until_ms: rm_until.min(s.horizon_ms),
             });
@@ -926,7 +949,7 @@ fn restart_storm(s: &mut Scenario, rng: &mut SmallRng) {
         let from = s.fail_at_ms + 1_200 + c as u64 * 1_000 + rng.gen_range(0..600);
         let until = from + rng.gen_range(2_000..3_000);
         s.controller_faults.push(FaultWindow {
-            component: flex_sim::fault::names::controller(c),
+            component: Component::Controller(c),
             from_ms: from,
             until_ms: until.min(s.horizon_ms),
         });
@@ -951,7 +974,7 @@ fn split_brain(s: &mut Scenario, rng: &mut SmallRng) {
         side_a: vec![0],
     });
     s.pipeline_faults.push(FaultWindow {
-        component: flex_sim::fault::names::pubsub(1),
+        component: Component::PubSub(1),
         from_ms: from,
         until_ms: until,
     });
@@ -960,7 +983,7 @@ fn split_brain(s: &mut Scenario, rng: &mut SmallRng) {
     let crash_from = s.fail_at_ms + rng.gen_range(4_000..7_000);
     let crash_until = crash_from + rng.gen_range(2_000..4_000);
     s.controller_faults.push(FaultWindow {
-        component: flex_sim::fault::names::controller(0),
+        component: Component::Controller(0),
         from_ms: crash_from,
         until_ms: crash_until.min(s.horizon_ms),
     });
@@ -980,12 +1003,16 @@ mod tests {
 
     #[test]
     fn scenario_json_roundtrip_is_lossless() {
-        for i in 0..12 {
-            let s = generate(0xC4A05, i);
-            let text = s.to_value().to_json();
-            let back = Scenario::from_value(&json::parse(&text).expect("parses"))
-                .expect("decodes");
-            assert_eq!(back, s, "scenario {i}");
+        // Every family, at several campaign seeds: each window's
+        // component parses back and sits in the list it came from.
+        for seed in [0xC4A05, 0xC4005, 1, 7] {
+            for i in 0..2 * FAMILIES.len() as u64 {
+                let s = generate(seed, i);
+                let text = s.to_value().to_json();
+                let back = Scenario::from_value(&json::parse(&text).expect("parses"))
+                    .expect("decodes");
+                assert_eq!(back, s, "seed {seed} scenario {i}");
+            }
         }
         // The bounds are inclusive where a run can still fail: the
         // longest horizon, with the failure in its last millisecond.
@@ -1005,18 +1032,36 @@ mod tests {
         // `[DEMAND_BAND, 1]` must be refused, not panic in the demand
         // draw or run on negative demand; a failure at or past the
         // horizon, or a horizon of 0 or past `MAX_HORIZON_MS`, must be
-        // refused, not replay clean or run for simulated years.
-        let window = |until_ms| FaultWindow {
-            component: "poller/0".to_string(),
-            from_ms: 1_000,
-            until_ms,
-        };
+        // refused, not replay clean or run for simulated years. So must
+        // an outage of a component the room lacks, or one filed in the
+        // wrong list, and a partition that ends before it starts or
+        // pins an instance the room lacks: each would replay as if
+        // that fault were absent.
+        let at = |component, until_ms| FaultWindow { component, from_ms: 1_000, until_ms };
+        let window = |until_ms| at(Component::Poller(0), until_ms);
+        let outage = |component| at(component, 2_000);
         let meter = StuckMeter { ups: 1, kind: 0, from_ms: 1_000, until_ms: 2_000 };
-        let ups = chaos_room().ups_count;
+        let room = chaos_room();
+        let (ups, racks) = (room.ups_count, room.rows * room.racks_per_row);
         let kind = MeterKind::ALL.len();
-        let edits: [&dyn Fn(&mut Scenario); 13] = [
+        let partition = PartitionSpec { from_ms: 1_000, until_ms: 2_000, side_a: vec![0] };
+        let edits: [&dyn Fn(&mut Scenario); 24] = [
             &|s| s.pipeline_faults.push(window(999)),
             &|s| s.pipeline_faults.push(window(1_000)),
+            &|s| s.pipeline_faults.push(outage(Component::Poller(POLLERS))),
+            &|s| s.pipeline_faults.push(outage(Component::Switch(SWITCH_GROUPS))),
+            &|s| s.pipeline_faults.push(outage(Component::PubSub(PUBSUB_INSTANCES))),
+            &|s| {
+                let kind = MeterKind::UpsOutput;
+                s.pipeline_faults.push(outage(Component::UpsMeter { ups, kind }))
+            },
+            &|s| s.rm_faults.push(outage(Component::RackManager(racks))),
+            &|s| s.controller_faults.push(outage(Component::Controller(CONTROLLERS))),
+            &|s| s.rm_faults.push(outage(Component::Poller(1))),
+            &|s| s.pipeline_faults.push(outage(Component::RackManager(0))),
+            &|s| s.pipeline_faults.push(outage(Component::Controller(0))),
+            &|s| s.partition = Some(PartitionSpec { until_ms: 1_000, ..partition.clone() }),
+            &|s| s.partition = Some(PartitionSpec { side_a: vec![0, 9], ..partition.clone() }),
             &|s| s.stuck_meters.push(StuckMeter { ups, ..meter.clone() }),
             &|s| s.stuck_meters.push(StuckMeter { kind, ..meter.clone() }),
             &|s| s.stuck_meters.push(StuckMeter { until_ms: 1_000, ..meter.clone() }),
@@ -1034,6 +1079,16 @@ mod tests {
             edit(&mut s);
             let v = json::parse(&s.to_value().to_json()).expect("parses");
             assert_eq!(Scenario::from_value(&v), None, "{s:?}");
+        }
+        // A component that does not parse is refused with its window.
+        let mut s = Scenario::baseline(1);
+        s.pipeline_faults.push(outage(Component::Poller(1)));
+        let text = s.to_value().to_json();
+        assert!(Scenario::from_value(&json::parse(&text).expect("parses")).is_some());
+        for misspelt in ["poler/1", "poller/01", "Poller/1", "poller/1 "] {
+            let text = text.replace("poller/1", misspelt);
+            let v = json::parse(&text).expect("parses");
+            assert_eq!(Scenario::from_value(&v), None, "{misspelt:?}");
         }
     }
 

@@ -2,7 +2,8 @@
 //! gate the chaos harness, the flight recorder and crash recovery, each
 //! within a wall-clock budget; misspelt flags and families, and a
 //! replayed scenario whose utilization, failure time or horizon is out
-//! of range, are refused; a reader that closes stdout early ends the
+//! of range, or whose faults name components the room lacks, are
+//! refused; a reader that closes stdout early ends the
 //! output without a panic.
 
 use std::path::{Path, PathBuf};
@@ -281,6 +282,40 @@ fn replay_refuses_a_failure_outside_its_horizon() {
             "{label} ran: {}",
             String::from_utf8_lossy(&out.stdout)
         );
+    }
+}
+
+#[test]
+fn replay_refuses_a_fault_on_a_component_the_room_lacks() {
+    // Each edit once replayed as if its fault were absent: a misspelt
+    // or out-of-range component, or one filed in the wrong list, was
+    // always up, and a partition pinning a foreign instance pinned none.
+    // Each is refused while the file is parsed, before any run starts.
+    let dir = scratch("components");
+    let swap_lists = |text: &str| {
+        text.replace("\"pipeline_faults\"", "\"swap\"")
+            .replace("\"rm_faults\"", "\"pipeline_faults\"")
+            .replace("\"swap\"", "\"rm_faults\"")
+    };
+    // Scenario 1 is blackout_at_failover (both pollers dark, nothing
+    // else), scenario 7 split_brain (`side_a: [0]`).
+    let blackout = flex_chaos::scenario::generate(1, 1).to_value().to_json();
+    let split = flex_chaos::scenario::generate(1, 7).to_value().to_json();
+    assert!(blackout.contains("\"poller/1\"") && split.contains("\"side_a\":[0]"));
+    let edits = [
+        ("misspelt", blackout.replace("\"poller/1\"", "\"poler/1\"")),
+        ("out of range", blackout.replace("\"poller/1\"", "\"poller/7\"")),
+        ("misfiled", swap_lists(&blackout)),
+        ("foreign partition side", split.replace("\"side_a\":[0]", "\"side_a\":[9]")),
+    ];
+    for (label, text) in edits {
+        std::fs::write(dir.join("bad.json"), text).expect("file written");
+        let out = chaos(&dir, "replay --file bad.json");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{label}: {stderr}");
+        assert!(stderr.contains("file does not describe a scenario"), "{label}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.is_empty(), "{label} ran: {stdout}");
     }
 }
 

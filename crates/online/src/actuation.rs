@@ -18,9 +18,9 @@ use std::collections::BTreeMap;
 use flex_obs::{Counter, FlightEvent, Obs, Span};
 use flex_placement::RackId;
 use flex_sim::dist::{LogNormal, Sample};
-use flex_sim::fault::{names as fault_names, FaultPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
 use rand::rngs::SmallRng;
 
 use crate::policy::ActionKind;
@@ -151,8 +151,8 @@ pub enum Submission {
 
 /// The rack-manager actuation path: latency, reachability, idempotency.
 ///
-/// Reachability is governed by a [`FaultPlan`] with component names
-/// `"rm/{rack}"`. Commands to unreachable RMs are rejected (the
+/// Reachability is governed by the [`Component::RackManager`] windows
+/// of a [`FaultPlan`]. Commands to unreachable RMs are rejected (the
 /// controller retries on its next decision round).
 #[derive(Debug, Clone)]
 pub struct Actuator {
@@ -171,10 +171,6 @@ pub struct Actuator {
     /// Accepted commands not yet applied, in acceptance order — the
     /// in-flight set a `RecoverySnapshot` hands to a restarted instance.
     pending: Vec<PendingCommand>,
-    /// Precomputed `"rm/{rack}"` fault-plan names: reachability is
-    /// checked on every submission and formatting the name there showed
-    /// up in the closed-loop hot path.
-    rm_names: Vec<String>,
     /// Observability (noop unless attached).
     obs: Obs,
     submissions: Counter,
@@ -194,7 +190,6 @@ impl Actuator {
             last_apply: vec![SimTime::ZERO; rack_count],
             fence: BTreeMap::new(),
             pending: Vec::new(),
-            rm_names: (0..rack_count).map(fault_names::rack_manager).collect(),
             obs: Obs::noop(),
             submissions: Counter::noop(),
             rejections: Counter::noop(),
@@ -224,7 +219,7 @@ impl Actuator {
         &self.config
     }
 
-    /// Attaches a fault plan (`"rm/{rack}"` outages).
+    /// Attaches a fault plan; only its rack-manager windows apply here.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -301,8 +296,8 @@ impl Actuator {
         new_state: RackPowerState,
         extra_delay: SimDuration,
     ) -> Submission {
-        // Foreign rack ids have no precomputed RM name and are rejected.
-        if rack.0 >= self.rm_names.len() {
+        // Foreign rack ids are rejected.
+        if rack.0 >= self.states.len() {
             return Submission::Unreachable;
         }
         // The fence sits at the actuation entry, ahead of reachability:
@@ -323,11 +318,7 @@ impl Actuator {
         }
         let stale = epoch < latest;
         self.observe_epoch(issuer, epoch);
-        let reachable = self
-            .rm_names
-            .get(rack.0)
-            .is_some_and(|rm| self.faults.is_up(rm, now));
-        if !reachable {
+        if !self.faults.is_up(Component::RackManager(rack.0), now) {
             self.rejections.inc();
             return Submission::Unreachable;
         }
@@ -429,7 +420,7 @@ mod tests {
     fn unreachable_rm_rejects_commands() {
         let mut a = actuator(2);
         let mut plan = FaultPlan::new();
-        plan.add_outage("rm/1", SimTime::ZERO, SimTime::from_secs_f64(100.0));
+        plan.add_outage(Component::RackManager(1), SimTime::ZERO, SimTime::from_secs_f64(100.0));
         a.set_fault_plan(plan);
         assert_eq!(
             a.submit_action(SimTime::from_secs_f64(5.0), 0, 0, RackId(1), ActionKind::Throttle),

@@ -7,8 +7,8 @@
 //! broken path.
 
 use flex_placement::RackId;
-use flex_sim::fault::FaultPlan;
 use flex_sim::SimTime;
+use flex_telemetry::fault::{Component, FaultPlan};
 
 /// Result of one probe sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,7 @@ impl Prober {
     }
 
     /// Runs one probe sweep: reachability (per the fault plan's
-    /// `"rm/{rack}"` components), firmware currency, and a fake action
+    /// [`Component::RackManager`] windows), firmware currency, and a fake action
     /// (which fails when the RM is unreachable or outdated).
     // flex-lint: allow(A1): the Section VI prober waits for the silent-enforcement chaos family (ROADMAP item 9) to call it
     pub fn sweep(&self, now: SimTime, faults: &FaultPlan) -> ProbeReport {
@@ -85,7 +85,7 @@ impl Prober {
         let mut failed_fake = Vec::new();
         for (i, &fw) in self.firmware.iter().enumerate() {
             let rack = RackId(i);
-            let reachable = faults.is_up(&format!("rm/{i}"), now);
+            let reachable = faults.is_up(Component::RackManager(i), now);
             if !reachable {
                 unreachable.push(rack);
             }
@@ -121,7 +121,7 @@ mod tests {
         let mut p = Prober::new(5, 3);
         p.set_firmware(RackId(2), 1);
         let mut faults = FaultPlan::new();
-        faults.add_outage("rm/4", SimTime::ZERO, SimTime::from_secs_f64(10.0));
+        faults.add_outage(Component::RackManager(4), SimTime::ZERO, SimTime::from_secs_f64(10.0));
         let report = p.sweep(SimTime::from_secs_f64(5.0), &faults);
         assert_eq!(report.unreachable, vec![RackId(4)]);
         assert_eq!(report.outdated_firmware, vec![RackId(2)]);

@@ -16,10 +16,10 @@ use flex_placement::{PlacedRack, PlacedRoom, RackId};
 use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::trip_curve::{OverloadAccumulator, TripCurve};
 use flex_power::{FeedState, LoadModel, Topology, UpsId, UpsLoads, Watts};
-use flex_sim::fault::{names as fault_names, FaultPlan, ResolvedPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::stats::TimeSeries;
 use flex_sim::{Ctx, Event, Sim, SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
 use flex_telemetry::{Delivery, Pipeline, PipelineConfig, TelemetryPayload};
 use rand::rngs::SmallRng;
 
@@ -467,9 +467,10 @@ pub struct RoomWorld {
     rng: SmallRng,
     /// Time of the most recent scripted failure with no command yet.
     pending_detection: Option<SimTime>,
-    /// Controller-instance availability (crash injection): the plan
-    /// resolved over the `"controller/{i}"` names, by instance.
-    controller_faults: ResolvedPlan,
+    /// The room's fault plan; the world reads its controller-instance
+    /// windows (crash injection), the pipeline and the actuator their
+    /// own copies.
+    faults: FaultPlan,
     /// Monotone delivery counter driving the chaos periods.
     delivery_seq: u64,
     /// Per-(controller, rack) submission generation: a retry chain
@@ -577,7 +578,7 @@ impl RoomWorld {
     /// restore notification, watchdog tick), so a dead incarnation's
     /// state is never consulted after its epoch was superseded.
     fn refresh_instance(&mut self, i: usize, now: SimTime) {
-        let up = self.controller_faults.is_up(i, now);
+        let up = self.faults.is_up(Component::Controller(i), now);
         let Some(inst) = self.instances.get_mut(i) else {
             return;
         };
@@ -644,12 +645,12 @@ impl RoomWorld {
         if heard(inst) {
             return false;
         }
-        let faults = &self.controller_faults;
+        let faults = &self.faults;
         let peer_heard = self
             .instances
             .iter()
             .enumerate()
-            .any(|(j, peer)| j != i && faults.is_up(j, now) && heard(peer));
+            .any(|(j, peer)| j != i && faults.is_up(Component::Controller(j), now) && heard(peer));
         if !peer_heard {
             return false;
         }
@@ -852,7 +853,7 @@ fn failover_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
     w.refresh_all(now);
     w.alarm_since.entry(ups).or_insert(now);
     for (i, inst) in w.instances.iter_mut().enumerate() {
-        if w.controller_faults.is_up(i, now) {
+        if w.faults.is_up(Component::Controller(i), now) {
             inst.controller.on_failover_alarm(now, ups);
         }
     }
@@ -894,7 +895,7 @@ fn deliver(w: &mut RoomWorld, ctx: &mut RoomCtx, d: Delivery) {
     // no commands. The other primaries cover. A partition hides the
     // delivery from the far side's mask.
     let up_mask = (0..w.instances.len())
-        .filter(|&i| w.controller_faults.is_up(i, arrive))
+        .filter(|&i| w.faults.is_up(Component::Controller(i), arrive))
         .filter(|&i| {
             w.partition
                 .as_ref()
@@ -1047,7 +1048,7 @@ fn watchdog_tick(w: &mut RoomWorld, ctx: &mut RoomCtx) {
         // A just-declared instance is fed nothing until its rebuild at
         // the next refresh: its superseded state must produce no further
         // output.
-        if !w.controller_faults.is_up(i, now) || w.maybe_declare_isolated(i, now) {
+        if !w.faults.is_up(Component::Controller(i), now) || w.maybe_declare_isolated(i, now) {
             continue;
         }
         let Some(inst) = w.instances.get_mut(i) else {
@@ -1093,7 +1094,7 @@ fn restore_alarm(w: &mut RoomWorld, now: SimTime, ups: UpsId) {
     w.refresh_all(now);
     w.alarm_since.remove(&ups);
     for (i, inst) in w.instances.iter_mut().enumerate() {
-        if w.controller_faults.is_up(i, now) {
+        if w.faults.is_up(Component::Controller(i), now) {
             inst.controller.on_ups_restored(now, ups);
         }
     }
@@ -1171,7 +1172,7 @@ impl RoomSim {
             accumulators,
             rng,
             pending_detection: None,
-            controller_faults: ResolvedPlan::default(),
+            faults: FaultPlan::new(),
             delivery_seq: 0,
             retry_gen: BTreeMap::new(),
             inflight: BTreeMap::new(),
@@ -1240,21 +1241,14 @@ impl RoomSim {
 }
 
 impl RoomWorld {
-    /// Attaches a fault plan to the telemetry pipeline.
-    pub fn set_pipeline_fault_plan(&mut self, plan: FaultPlan) {
-        self.pipeline.set_fault_plan(plan);
-    }
-
-    /// Attaches a fault plan to the actuation path.
-    pub fn set_actuator_fault_plan(&mut self, plan: FaultPlan) {
-        self.actuator.set_fault_plan(plan);
-    }
-
-    /// Attaches a fault plan to the controller instances (crash
-    /// injection via `"controller/{i}"` component names).
-    pub fn set_controller_fault_plan(&mut self, plan: FaultPlan) {
-        self.controller_faults =
-            plan.resolve((0..self.instances.len()).map(fault_names::controller));
+    /// Attaches the room's fault plan (replacing any previous one): the
+    /// telemetry pipeline reads its poller, switch, pub/sub and meter
+    /// windows, the actuation path its rack-manager windows, and the
+    /// controller instances crash in their own windows.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.pipeline.set_fault_plan(plan.clone());
+        self.actuator.set_fault_plan(plan.clone());
+        self.faults = plan;
     }
 
     /// The per-UPS overload accumulators (index = UPS id).
@@ -1576,12 +1570,12 @@ mod tests {
             let mut plan = FaultPlan::new();
             for r in 0..sim.world().racks().len() {
                 plan.add_outage(
-                    &fault_names::rack_manager(r),
+                    Component::RackManager(r),
                     fail_at,
                     fail_at + SimDuration::from_secs(3),
                 );
             }
-            sim.world_mut().set_actuator_fault_plan(plan);
+            sim.world_mut().set_fault_plan(plan);
             let ups = UpsId(seed as usize % 4);
             sim.fail_ups_at(fail_at, ups);
             sim.restore_ups_at(SimTime::from_secs_f64(60.0), ups);

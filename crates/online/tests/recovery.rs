@@ -24,6 +24,7 @@ use flex_online::{
 use flex_placement::PlacedRoom;
 use flex_power::{FeedState, LoadModel, UpsId, Watts};
 use flex_sim::{SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
 use flex_telemetry::{Delivery, TelemetryPayload};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -351,9 +352,9 @@ fn run_room(crash: Option<(SimTime, SimTime)>, recovery: bool) -> RoomSim {
     };
     let mut sim = RoomSim::new(&placed, registry, demand, config);
     if let Some((from, until)) = crash {
-        let mut plan = flex_sim::fault::FaultPlan::new();
-        plan.add_outage(&flex_sim::fault::names::controller(0), from, until);
-        sim.world_mut().set_controller_fault_plan(plan);
+        let mut plan = FaultPlan::new();
+        plan.add_outage(Component::Controller(0), from, until);
+        sim.world_mut().set_fault_plan(plan);
     }
     sim.fail_ups_at(SimTime::from_secs_f64(20.0), UpsId(1));
     sim.restore_ups_at(SimTime::from_secs_f64(45.0), UpsId(1));

@@ -19,8 +19,8 @@ use common::{registry_for, small_room};
 use flex_online::sim::{DemandFn, RoomSim, RoomSimConfig, SimEvent};
 use flex_power::trip_curve::TripCurve;
 use flex_power::UpsId;
-use flex_sim::fault::{names, FaultPlan};
 use flex_sim::SimTime;
+use flex_telemetry::fault::{Component, FaultPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,12 +57,12 @@ fn no_trip_inside_the_tolerance_window() {
         let mut plan = FaultPlan::new();
         for p in 0..2 {
             plan.add_outage(
-                &names::poller(p),
+                Component::Poller(p),
                 SimTime::from_secs_f64(fail_at - 0.1),
                 SimTime::from_secs_f64(fail_at + darkness),
             );
         }
-        sim.world_mut().set_pipeline_fault_plan(plan);
+        sim.world_mut().set_fault_plan(plan);
         sim.fail_ups_at(SimTime::from_secs_f64(fail_at), UpsId(fail_ups));
         sim.run_until(SimTime::from_secs_f64(fail_at + 45.0));
 

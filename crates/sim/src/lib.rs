@@ -18,7 +18,6 @@
 //!   top of `rand` to keep the dependency footprint small;
 //! - [`stats`] — online mean/variance, exact percentiles, and step-valued
 //!   time series used by every experiment harness;
-//! - [`fault`] — component up/down schedules for failure injection;
 //! - [`par`] — the one parallel map ([`par::par_map`], index-ordered
 //!   output at any worker count) and the one worker count
 //!   ([`par::workers`], one per available core) that the chaos campaign,
@@ -45,7 +44,6 @@
 
 pub mod dist;
 mod engine;
-pub mod fault;
 pub mod par;
 pub mod rng;
 pub mod stats;

@@ -4,16 +4,16 @@ use flex_sim::SimDuration;
 
 /// Independent pollers, each reading every meter: two in the paper's
 /// design (Section IV-D), so one poller loss loses no data.
-pub(crate) const POLLERS: usize = 2;
+pub const POLLERS: usize = 2;
 
 /// Independent pub/sub systems each poller publishes on: two in the
 /// paper's design (Section IV-D).
-pub(crate) const PUBSUB_INSTANCES: usize = 2;
+pub const PUBSUB_INSTANCES: usize = 2;
 
 /// Management switch groups the meters are spread across: two, so one
 /// switch loss removes at most one of a UPS's three logical meters,
 /// which consensus masks (Section IV-D).
-pub(crate) const SWITCH_GROUPS: usize = 2;
+pub const SWITCH_GROUPS: usize = 2;
 
 /// Parameters of the telemetry pipeline.
 #[derive(Debug, Clone, PartialEq)]

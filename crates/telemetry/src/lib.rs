@@ -23,9 +23,13 @@
 //!   copy of the delivery, the controllers' catch-up buffer and the
 //!   recorded event; consumers read them typed through
 //!   [`TelemetryPayload::readings`];
-//! - availability is controlled by a [`flex_sim::fault::FaultPlan`] over
-//!   component names (`"poller/0"`, `"switch/1"`, `"pubsub/0"`,
-//!   `"meter/ups2/UpsOutput"`), so experiments can knock out any subset.
+//! - [`fault`] — up/down schedules ([`fault::FaultPlan`]) for the
+//!   room's typed control-plane parts ([`fault::Component`]): the
+//!   pipeline's pollers, switch groups, pub/sub instances and logical
+//!   meters, which this crate counts ([`POLLERS`], [`SWITCH_GROUPS`],
+//!   [`PUBSUB_INSTANCES`]), plus the rack managers and controller
+//!   instances that `flex-online` takes down from the same plan, so
+//!   experiments can knock out any subset.
 //!
 //! The embedding simulation (see `flex-online`) schedules the poll ticks
 //! on its event loop and forwards each delivery at its `arrive_at` time;
@@ -36,9 +40,10 @@
 #![warn(missing_docs)]
 
 mod config;
+pub mod fault;
 mod meter;
 mod pipeline;
 
-pub use config::PipelineConfig;
+pub use config::{PipelineConfig, POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
 pub use meter::{MeterBank, MeterFaults};
 pub use pipeline::{Delivery, Pipeline, TelemetryPayload};

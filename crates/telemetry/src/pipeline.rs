@@ -4,12 +4,12 @@ use flex_obs::{Counter, Obs, Readings, Span};
 use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::{UpsId, Watts};
 use flex_sim::dist::{LogNormal, Sample};
-use flex_sim::fault::{names, FaultPlan, ResolvedPlan};
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 
 use crate::config::{POLLERS, PUBSUB_INSTANCES, SWITCH_GROUPS};
+use crate::fault::{Component, FaultPlan};
 use crate::{MeterBank, MeterFaults, PipelineConfig};
 
 /// Data carried by one published message: one poller's readings, built
@@ -82,9 +82,11 @@ pub struct Delivery {
 /// every [`PipelineConfig::rack_poll_interval`]; deliver each returned
 /// [`Delivery`] to all subscribers at its `arrive_at` time.
 ///
-/// Component availability is governed by the attached [`FaultPlan`] with
-/// component names `"poller/{i}"`, `"switch/{g}"`, `"pubsub/{k}"`, and
-/// `"meter/ups{u}/{kind:?}"`. Logical meter `k` of a UPS routes through
+/// Component availability is governed by the attached [`FaultPlan`]:
+/// its [`Component::Poller`], [`Component::Switch`], [`Component::PubSub`]
+/// and [`Component::UpsMeter`] windows, asked once per component per
+/// poll tick; the plan's other components are not the pipeline's and
+/// never read here. Logical meter `k` of a UPS routes through
 /// switch group `k % 2` (two switch groups), reproducing the paper's network
 /// diversity (one switch loss removes at most one meter per UPS, which
 /// consensus masks).
@@ -95,14 +97,7 @@ pub struct Pipeline {
     latency_rng: SmallRng,
     latency_dist: LogNormal,
     next_seq: u64,
-    // The fault plan, resolved per component class when attached:
-    // availability is checked per component per poll tick, so by
-    // position rather than by name. UPS meters resolve per UPS, in
-    // `MeterKind::ALL` order.
-    poller_faults: ResolvedPlan,
-    switch_faults: ResolvedPlan,
-    pubsub_faults: ResolvedPlan,
-    ups_meter_faults: Vec<ResolvedPlan>,
+    faults: FaultPlan,
     // The poll being read, drained into each payload: it keeps its
     // capacity, so a poller's snapshot allocates only the shared buffer.
     readings: Vec<(usize, Watts)>,
@@ -130,10 +125,7 @@ impl Pipeline {
                 config.hop_latency_sigma.max(1e-6),
             ),
             next_seq: 0,
-            poller_faults: ResolvedPlan::default(),
-            switch_faults: ResolvedPlan::default(),
-            pubsub_faults: ResolvedPlan::default(),
-            ups_meter_faults: Vec::new(),
+            faults: FaultPlan::new(),
             readings: Vec::with_capacity(ups_count.max(rack_count)),
             ups_polls: Counter::noop(),
             rack_polls: Counter::noop(),
@@ -159,14 +151,7 @@ impl Pipeline {
 
     /// Attaches a fault plan (replacing any previous one).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.poller_faults = plan.resolve((0..POLLERS).map(names::poller));
-        self.switch_faults = plan.resolve((0..SWITCH_GROUPS).map(names::switch));
-        self.pubsub_faults = plan.resolve((0..PUBSUB_INSTANCES).map(names::pubsub));
-        self.ups_meter_faults = (0..self.meters.ups_count())
-            .map(|u| {
-                plan.resolve(MeterKind::ALL.map(|kind| names::ups_meter(u, &format!("{kind:?}"))))
-            })
-            .collect();
+        self.faults = plan;
     }
 
     /// The configuration.
@@ -177,26 +162,6 @@ impl Pipeline {
     /// Mutable access to the meter bank (targeted fault injection).
     pub fn meters_mut(&mut self) -> &mut MeterBank {
         &mut self.meters
-    }
-
-    // Availability checks against the resolved plan; unknown indices
-    // (never produced by the poll loops) degrade to "up".
-    fn poller_up(&self, i: usize, now: SimTime) -> bool {
-        self.poller_faults.is_up(i, now)
-    }
-
-    fn switch_up(&self, g: usize, now: SimTime) -> bool {
-        self.switch_faults.is_up(g, now)
-    }
-
-    fn pubsub_up(&self, k: usize, now: SimTime) -> bool {
-        self.pubsub_faults.is_up(k, now)
-    }
-
-    fn ups_meter_up(&self, u: usize, k: usize, now: SimTime) -> bool {
-        self.ups_meter_faults
-            .get(u)
-            .is_none_or(|row| row.is_up(k, now))
     }
 
     fn sample_delivery_time(&mut self, now: SimTime) -> SimTime {
@@ -215,7 +180,7 @@ impl Pipeline {
         self.ups_polls.inc();
         let mut deliveries = Vec::new();
         for poller in 0..POLLERS {
-            if !self.poller_up(poller, now) {
+            if !self.faults.is_up(Component::Poller(poller), now) {
                 continue;
             }
             // Consensus per UPS over the reachable logical meters.
@@ -224,11 +189,10 @@ impl Pipeline {
                 let mut normalized = [0.0; MeterKind::ALL.len()];
                 let mut read = 0;
                 for (k, kind) in MeterKind::ALL.into_iter().enumerate() {
-                    let switch = k % SWITCH_GROUPS;
-                    if !self.switch_up(switch, now) {
-                        continue;
-                    }
-                    if !self.ups_meter_up(u, k, now) {
+                    let meter = Component::UpsMeter { ups: u, kind };
+                    if !self.faults.is_up(Component::Switch(k % SWITCH_GROUPS), now)
+                        || !self.faults.is_up(meter, now)
+                    {
                         continue;
                     }
                     if let Some(raw) = self.meters.read_ups(ups, kind, now, truth.it_power(ups)) {
@@ -257,13 +221,12 @@ impl Pipeline {
         self.rack_polls.inc();
         let mut deliveries = Vec::new();
         for poller in 0..POLLERS {
-            if !self.poller_up(poller, now) {
+            if !self.faults.is_up(Component::Poller(poller), now) {
                 continue;
             }
             // Rack meters route through the switch group matching the
             // poller (each poller has an independent network path).
-            let switch = poller % SWITCH_GROUPS;
-            if !self.switch_up(switch, now) {
+            if !self.faults.is_up(Component::Switch(poller % SWITCH_GROUPS), now) {
                 continue;
             }
             for (rack, &truth) in rack_truth.iter().enumerate() {
@@ -284,7 +247,7 @@ impl Pipeline {
     /// in instance order; the copies share it.
     fn publish(&mut self, now: SimTime, payload: TelemetryPayload, deliveries: &mut Vec<Delivery>) {
         for pubsub in 0..PUBSUB_INSTANCES {
-            if !self.pubsub_up(pubsub, now) {
+            if !self.faults.is_up(Component::PubSub(pubsub), now) {
                 continue;
             }
             let arrive_at = self.sample_delivery_time(now);
@@ -392,7 +355,12 @@ mod tests {
     #[test]
     fn no_single_point_of_failure() {
         let (_, truth) = truth_at(600.0);
-        for component in ["poller/0", "switch/0", "pubsub/1", "meter/ups0/ItAggregate"] {
+        for component in [
+            Component::Poller(0),
+            Component::Switch(0),
+            Component::PubSub(1),
+            Component::UpsMeter { ups: 0, kind: MeterKind::ItAggregate },
+        ] {
             let mut p = pipeline(PipelineConfig::ideal());
             let mut plan = FaultPlan::new();
             plan.add_outage(component, SimTime::ZERO, SimTime::from_secs_f64(1e6));
@@ -423,8 +391,8 @@ mod tests {
         let (_, truth) = truth_at(600.0);
         let mut p = pipeline(PipelineConfig::ideal());
         let mut plan = FaultPlan::new();
-        plan.add_outage("poller/0", SimTime::ZERO, SimTime::from_secs_f64(1e6));
-        plan.add_outage("poller/1", SimTime::ZERO, SimTime::from_secs_f64(1e6));
+        plan.add_outage(Component::Poller(0), SimTime::ZERO, SimTime::from_secs_f64(1e6));
+        plan.add_outage(Component::Poller(1), SimTime::ZERO, SimTime::from_secs_f64(1e6));
         p.set_fault_plan(plan);
         assert!(p.poll_upses(SimTime::from_secs_f64(1.0), &truth).is_empty());
         assert!(p

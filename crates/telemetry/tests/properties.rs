@@ -1,11 +1,11 @@
 //! Property tests: the pipeline's redundancy claims hold under random
 //! fault combinations.
 
-use flex_power::meter::GroundTruth;
+use flex_power::meter::{GroundTruth, MeterKind};
 use flex_power::{FeedState, LoadModel, Topology, UpsId, Watts};
-use flex_sim::fault::FaultPlan;
 use flex_sim::rng::RngPool;
 use flex_sim::{SimDuration, SimTime};
+use flex_telemetry::fault::{Component, FaultPlan};
 use flex_telemetry::{Pipeline, PipelineConfig, TelemetryPayload};
 use proptest::prelude::*;
 
@@ -44,15 +44,15 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let component = match component_class {
-            0 => format!("poller/{instance}"),
-            1 => format!("pubsub/{instance}"),
-            2 => format!("switch/{instance}"),
-            _ => format!("meter/ups{instance}/ItAggregate"),
+            0 => Component::Poller(instance),
+            1 => Component::PubSub(instance),
+            2 => Component::Switch(instance),
+            _ => Component::UpsMeter { ups: instance, kind: MeterKind::ItAggregate },
         };
         let truth = ground_truth(kw);
         let mut p = Pipeline::new(ideal(), 4, 8, &RngPool::new(seed));
         let mut plan = FaultPlan::new();
-        plan.add_outage(&component, SimTime::ZERO, SimTime::from_secs_f64(1e9));
+        plan.add_outage(component, SimTime::ZERO, SimTime::from_secs_f64(1e9));
         p.set_fault_plan(plan);
         let deliveries = p.poll_upses(SimTime::from_secs_f64(1.5), &truth);
         prop_assert!(!deliveries.is_empty(), "{component} silenced the pipeline");
@@ -105,11 +105,11 @@ proptest! {
         let mut pollers = 2;
         let mut pubsubs = 2;
         if kill_poller {
-            plan.add_outage("poller/0", SimTime::ZERO, SimTime::from_secs_f64(1e9));
+            plan.add_outage(Component::Poller(0), SimTime::ZERO, SimTime::from_secs_f64(1e9));
             pollers -= 1;
         }
         if kill_pubsub {
-            plan.add_outage("pubsub/0", SimTime::ZERO, SimTime::from_secs_f64(1e9));
+            plan.add_outage(Component::PubSub(0), SimTime::ZERO, SimTime::from_secs_f64(1e9));
             pubsubs -= 1;
         }
         p.set_fault_plan(plan);

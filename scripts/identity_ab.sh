@@ -9,10 +9,14 @@
 # fig01, pricing_model and cost_savings tables), `flex place`, `flex
 # drill` and `flex feasibility` at their defaults (BRR placement, no
 # solver deadline), and a 200-scenario chaos campaign with and without
-# --ab (the JSON report embeds each failure's recorder dump). Every
-# stdout, JSON report and chaos exit status is compared with `cmp`:
-# 20 outputs, the 11 figure stdouts, flex_{place,drill,feasibility}.out
-# and chaos{,_ab}.{json,out,status}.
+# --ab (the JSON report embeds each failure's recorder dump), and
+# `flex-chaos replay` on every failure's `minimized` scenario from its
+# own --ab report, so the scenario parser sits inside the check too.
+# Every stdout, JSON report and chaos exit status is compared with
+# `cmp`: 20 outputs plus two per --ab failure, the 11 figure stdouts,
+# flex_{place,drill,feasibility}.out, chaos{,_ab}.{json,out,status} and
+# replay_<i>.{out,status} (59 failures at the default seed, 138
+# outputs in all). Needs `jq`.
 #
 # fig09, fig10, the two sweeps, baseline_comparison and
 # ablation_forecast are left out: their placement solves stop at a
@@ -50,8 +54,8 @@ build() {
 }
 
 # run_chaos <bin-dir> <out-stem> [flags...]: one campaign's report,
-# stdout and exit status (an --ab campaign finds violations and exits
-# non-zero by design).
+# stdout and exit status (1 when a plain campaign finds a violation;
+# --ab reports its violations and exits 0).
 run_chaos() {
     local bin=$1 stem=$2 status=0
     shift 2
@@ -77,6 +81,20 @@ run_side() {
     done
     run_chaos "$bin" "$out/chaos"
     run_chaos "$bin" "$out/chaos_ab" --ab
+    replay_failures "$bin" "$out"
+}
+
+# replay_failures <bin-dir> <out-dir>: replays each failure's minimized
+# scenario from the side's own --ab report; stdout and exit status.
+replay_failures() {
+    local bin=$1 out=$2 i=0 scenario status
+    while IFS= read -r scenario; do
+        echo "$scenario" >"$tmp/replay.json"
+        status=0
+        "$bin/flex-chaos" replay --file "$tmp/replay.json" >"$out/replay_$i.out" || status=$?
+        echo "$status" >"$out/replay_$i.status"
+        i=$((i + 1))
+    done < <(jq -c '.failures[].minimized' "$out/chaos_ab.json")
 }
 
 build "$tmp/src"
@@ -91,6 +109,13 @@ for f in "$tmp"/base/*; do
         echo "identical  $name"
     else
         echo "DIFFERS    $name"
+        differ=1
+    fi
+done
+for f in "$tmp"/new/*; do
+    name=$(basename "$f")
+    if [ ! -e "$tmp/base/$name" ]; then
+        echo "ONLY NEW   $name"
         differ=1
     fi
 done

@@ -7,9 +7,10 @@ use flex_core::online::sim::{DemandFn, RoomSim, RoomSimConfig, SimEvent};
 use flex_core::online::ImpactRegistry;
 use flex_core::placement::policies::{BalancedRoundRobin, PlacementPolicy};
 use flex_core::placement::{PlacedRoom, RoomConfig};
+use flex_core::power::meter::MeterKind;
 use flex_core::power::UpsId;
-use flex_core::sim::fault::FaultPlan;
 use flex_core::sim::{SimDuration, SimTime};
+use flex_core::telemetry::fault::{Component, FaultPlan};
 use flex_core::workload::impact::scenarios;
 use flex_core::workload::trace::{TraceConfig, TraceGenerator};
 use rand::rngs::SmallRng;
@@ -59,10 +60,11 @@ fn single_component_failures_do_not_break_detection() {
     let mut sim = build(2, 3);
     let mut plan = FaultPlan::new();
     let forever = SimTime::from_secs_f64(1e7);
-    plan.add_outage("poller/0", SimTime::ZERO, forever);
-    plan.add_outage("pubsub/1", SimTime::ZERO, forever);
-    plan.add_outage("meter/ups1/UpsOutput", SimTime::ZERO, forever);
-    sim.world_mut().set_pipeline_fault_plan(plan);
+    plan.add_outage(Component::Poller(0), SimTime::ZERO, forever);
+    plan.add_outage(Component::PubSub(1), SimTime::ZERO, forever);
+    let meter = Component::UpsMeter { ups: 1, kind: MeterKind::UpsOutput };
+    plan.add_outage(meter, SimTime::ZERO, forever);
+    sim.world_mut().set_fault_plan(plan);
     sim.fail_ups_at(SimTime::from_secs_f64(20.0), UpsId(1));
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(150));
     let w = sim.world();
@@ -82,9 +84,9 @@ fn unreachable_rms_degrade_gracefully() {
     let mut plan = FaultPlan::new();
     let forever = SimTime::from_secs_f64(1e7);
     for rack in (0..360).step_by(3) {
-        plan.add_outage(&format!("rm/{rack}"), SimTime::ZERO, forever);
+        plan.add_outage(Component::RackManager(rack), SimTime::ZERO, forever);
     }
-    sim.world_mut().set_actuator_fault_plan(plan);
+    sim.world_mut().set_fault_plan(plan);
     sim.fail_ups_at(SimTime::from_secs_f64(20.0), UpsId(2));
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(180));
     let w = sim.world();
