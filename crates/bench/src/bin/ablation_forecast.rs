@@ -4,13 +4,13 @@
 //! Flex-Offline-Short and the full-visibility Oracle — without peeking
 //! at the actual future.
 
-use flex_bench::{median, paper_room_and_trace, study_ilp_config, trace_count};
+use flex_bench::{median, paper_room_and_trace, study, study_ilp_config, trace_count};
 use flex_core::placement::forecast::ForecastAware;
 use flex_core::placement::metrics::{stranded_fraction, throttling_imbalance};
-use flex_core::placement::policies::{replay, FlexOffline, PlacementPolicy};
+use flex_core::placement::policies::{FlexOffline, PlacementPolicy};
+use flex_core::placement::RoomState;
 use flex_core::workload::trace::TraceConfig;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let (room, base) = paper_room_and_trace(2026);
@@ -23,53 +23,22 @@ fn main() {
         "{:<24} {:>18} {:>22}",
         "policy", "median stranded", "median imbalance"
     );
-    let run = |name: &str,
-                   place: &dyn Fn(
-        &flex_core::workload::trace::DemandTrace,
-        &mut SmallRng,
-    ) -> flex_core::placement::Placement| {
-        let mut stranded = Vec::new();
-        let mut imbalance = Vec::new();
-        for s in 0..n {
-            let mut rng = SmallRng::seed_from_u64(0xF0C + s as u64);
-            let trace = base.shuffled(&mut rng);
-            let placement = place(&trace, &mut rng);
-            let state = replay(&room, &trace, &placement);
-            stranded.push(stranded_fraction(&state));
-            imbalance.push(throttling_imbalance(&state));
-        }
+    let report = |name: &str, states: Vec<RoomState>| {
+        let stranded: Vec<f64> = states.iter().map(stranded_fraction).collect();
+        let imbalance: Vec<f64> = states.iter().map(throttling_imbalance).collect();
         println!(
             "{name:<24} {:>17.2}% {:>22.3}",
             median(&stranded) * 100.0,
             median(&imbalance)
         );
     };
-
-    let room_ref = &room;
-    let short = {
-        let ilp = ilp.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            FlexOffline::short().with_config(ilp.clone()).place(room_ref, t, rng)
-        }
-    };
-    run("Flex-Offline-Short", &short);
-    let forecast = {
-        let ilp = ilp.clone();
-        let model = forecast_model.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            ForecastAware::short(model.clone())
-                .with_config(ilp.clone())
-                .place(room_ref, t, rng)
-        }
-    };
-    run("Flex-Offline-Forecast", &forecast);
-    let oracle = {
-        let ilp = ilp.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            FlexOffline::oracle().with_config(ilp.clone()).place(room_ref, t, rng)
-        }
-    };
-    run("Flex-Offline-Oracle", &oracle);
+    let shuffle = |rng: &mut SmallRng| base.shuffled(rng);
+    let short = FlexOffline::short().with_config(ilp.clone());
+    report(short.name(), study(&room, &short, 0xF0C, n, shuffle));
+    let forecast = ForecastAware::short(forecast_model).with_config(ilp.clone());
+    report(forecast.name(), study(&room, &forecast, 0xF0C, n, shuffle));
+    let oracle = FlexOffline::oracle().with_config(ilp);
+    report(oracle.name(), study(&room, &oracle, 0xF0C, n, shuffle));
     println!(
         "\nthe forecast policy sees only the demand *distribution*, not the actual\n\
          future trace; any gap it closes toward the Oracle is honest lookahead value."

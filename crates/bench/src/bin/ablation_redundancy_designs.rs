@@ -6,19 +6,20 @@
 //! xN/(x−1) distributed designs keep the worst-case transfer at
 //! x/(x−1), inside the battery ride-through window.
 
-use flex_bench::study_ilp_config;
+use flex_bench::{study, study_ilp_config};
 use flex_core::placement::metrics::stranded_fraction;
-use flex_core::placement::policies::{replay, FlexOffline, PlacementPolicy};
+use flex_core::placement::policies::FlexOffline;
 use flex_core::placement::RoomConfig;
 use flex_core::power::trip_curve::TripCurve;
 use flex_core::power::Watts;
 use flex_core::workload::trace::{TraceConfig, TraceGenerator};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let curve = TripCurve::end_of_life();
-    println!("Redundancy-design ablation — 9.6 MW provisioned, Microsoft mix, Flex-Offline-Short\n");
+    let short = FlexOffline::short().with_config(study_ilp_config());
+    println!(
+        "Redundancy-design ablation — 9.6 MW provisioned, Microsoft mix, Flex-Offline-Short\n"
+    );
     println!(
         "{:<8} {:>16} {:>18} {:>20} {:>16}",
         "design", "reserve freed", "worst failover", "overload tolerance", "stranded (Flex)"
@@ -40,20 +41,15 @@ fn main() {
             .tolerance(worst)
             .map(|t| format!("{t:.1} s"))
             .unwrap_or_else(|| "∞".into());
-        let config = TraceConfig::microsoft(room.provisioned_power());
-        let mut rng = SmallRng::seed_from_u64(2026);
-        let trace = TraceGenerator::new(config).generate(&mut rng);
-        let placement = FlexOffline::short()
-            .with_config(study_ilp_config())
-            .place(&room, &trace, &mut rng);
-        let state = replay(&room, &trace, &placement);
+        let generator = TraceGenerator::new(TraceConfig::microsoft(room.provisioned_power()));
+        let states = study(&room, &short, 2026, 1, |rng| generator.generate(rng));
         println!(
             "{:<8} {:>15.0}% {:>17.0}% {:>20} {:>15.2}%",
             format!("{x}N/{}", x - 1),
             room.topology().reserved_power() / room.provisioned_power() * 100.0,
             worst * 100.0,
             tolerance,
-            stranded_fraction(&state) * 100.0,
+            stranded_fraction(&states[0]) * 100.0,
         );
     }
     println!(

@@ -6,20 +6,16 @@
 //! "limits the amount of reserved power that can be used"; Flex can use
 //! the entire reserve.
 
-use flex_bench::{study_ilp_config, trace_count};
-use flex_core::placement::policies::{replay, Baseline, FlexOffline, PlacementPolicy};
-use flex_core::placement::RoomConfig;
-use flex_core::workload::trace::{TraceConfig, TraceGenerator};
+use flex_bench::{paper_room_and_trace, study, study_ilp_config, trace_count};
+use flex_core::placement::policies::{Baseline, FlexOffline};
+use flex_core::placement::RoomState;
+use flex_core::power::Watts;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
-    let room = RoomConfig::paper_placement_room()
-        .build()
-        .expect("room builds");
-    let config = TraceConfig::microsoft(room.provisioned_power());
-    let base = TraceGenerator::new(config).generate(&mut SmallRng::seed_from_u64(2026));
+    let (room, base) = paper_room_and_trace(2026);
     let n = trace_count().min(5);
+    let ilp = study_ilp_config();
     let budget = room.failover_budget();
     let reserve = room.provisioned_power() - budget;
 
@@ -28,19 +24,10 @@ fn main() {
         "{:<32} {:>14} {:>18} {:>14}",
         "system", "allocated", "% of reserve used", "extra servers"
     );
-    let evaluate = |name: &str,
-                        place: &dyn Fn(
-        &flex_core::workload::trace::DemandTrace,
-        &mut SmallRng,
-    ) -> flex_core::placement::Placement| {
-        let mut allocated_sum = flex_core::power::Watts::ZERO;
-        for s in 0..n {
-            let mut rng = SmallRng::seed_from_u64(0xBA5E + s as u64);
-            let trace = base.shuffled(&mut rng);
-            let placement = place(&trace, &mut rng);
-            let state = replay(&room, &trace, &placement);
-            allocated_sum += state.total_allocated();
-        }
+    let report = |name: &str, states: Vec<RoomState>| {
+        let allocated_sum = states
+            .iter()
+            .fold(Watts::ZERO, |sum, s| sum + s.total_allocated());
         let allocated = allocated_sum * (1.0 / n as f64);
         let reserve_used = ((allocated - budget) / reserve).max(0.0);
         let extra = (allocated / budget - 1.0).max(0.0);
@@ -52,29 +39,22 @@ fn main() {
         );
     };
 
-    let ilp = study_ilp_config();
-    let room_ref = &room;
-    let conventional = {
-        let ilp = ilp.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            Baseline::conventional().with_config(ilp.clone()).place(room_ref, t, rng)
-        }
-    };
-    evaluate("Conventional (reserved power)", &conventional);
-    let capmaestro = {
-        let ilp = ilp.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            Baseline::cap_maestro_like().with_config(ilp.clone()).place(room_ref, t, rng)
-        }
-    };
-    evaluate("CapMaestro-like (no shutdowns)", &capmaestro);
-    let flex = {
-        let ilp = ilp.clone();
-        move |t: &flex_core::workload::trace::DemandTrace, rng: &mut SmallRng| {
-            FlexOffline::short().with_config(ilp.clone()).place(room_ref, t, rng)
-        }
-    };
-    evaluate("Flex-Offline-Short", &flex);
+    let shuffle = |rng: &mut SmallRng| base.shuffled(rng);
+    let conventional = Baseline::conventional().with_config(ilp.clone());
+    report(
+        "Conventional (reserved power)",
+        study(&room, &conventional, 0xBA5E, n, shuffle),
+    );
+    let capmaestro = Baseline::cap_maestro_like().with_config(ilp.clone());
+    report(
+        "CapMaestro-like (no shutdowns)",
+        study(&room, &capmaestro, 0xBA5E, n, shuffle),
+    );
+    let flex = FlexOffline::short().with_config(ilp);
+    report(
+        "Flex-Offline-Short",
+        study(&room, &flex, 0xBA5E, n, shuffle),
+    );
 
     println!(
         "\npaper: the conventional room cannot touch the {} reserve; CapMaestro-like\n\

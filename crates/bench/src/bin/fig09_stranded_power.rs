@@ -5,15 +5,18 @@
 //! Flex-Offline-Short −27% median vs BRR; -Long same median, narrower
 //! spread; -Oracle < 2%.
 
-use flex_bench::{median, paper_room_and_trace, print_box_row, run_placement_study, trace_count};
+use flex_bench::{
+    median, paper_room_and_trace, print_box_row, run_placement_study, study_ilp_config, trace_count,
+};
 
 fn main() {
     let (room, trace) = paper_room_and_trace(2026);
     let n = trace_count();
+    let ilp = study_ilp_config();
     println!(
         "Figure 9 — stranded power (% of provisioned) over {n} shuffled traces, 9.6 MW 4N/3 room\n"
     );
-    let study = run_placement_study(&room, &trace, n);
+    let study = run_placement_study(&room, &trace, n, &ilp);
     for s in &study {
         print_box_row(&s.name, &s.stranded, 100.0, "%");
     }

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 
 fn main() {
     let model = FeasibilityModel::paper();
+    let years = if flex_bench::fast_mode() { 50 } else { 1000 };
     println!("Section III — feasibility analysis\n");
     println!("inputs:");
     println!(
@@ -50,7 +51,6 @@ fn main() {
     );
     println!("  non-redundant workloads: never shut down — datacenter-design 5 nines, throttling only\n");
 
-    let years = if flex_bench::fast_mode() { 50 } else { 1000 };
     let mut rng = SmallRng::seed_from_u64(3);
     let mc = simulate_years(&model, years, &mut rng);
     println!("Monte-Carlo over {years} operation-years (0.1 h steps):");

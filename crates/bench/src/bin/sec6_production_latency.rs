@@ -187,10 +187,10 @@ fn consensus_ablation() {
 }
 
 fn main() {
+    let episodes = if flex_bench::fast_mode() { 4 } else { 24 };
     println!("Section VI — performance characteristics\n");
     data_latency_study();
     consensus_ablation();
-    let episodes = if flex_bench::fast_mode() { 4 } else { 24 };
     end_to_end_study("end-to-end, healthy pipeline", episodes, false);
     end_to_end_study(
         "end-to-end, one poller and one pub/sub down",

@@ -4,15 +4,14 @@
 //! Paper: capping at 10 racks roughly halves Flex-Offline-Short's median
 //! stranded power and throttling imbalance versus 20-rack deployments.
 
-use flex_bench::{median, paper_room_and_trace, study_ilp_config, trace_count};
+use flex_bench::{median, paper_room_and_trace, study, study_ilp_config, trace_count};
 use flex_core::placement::metrics::{stranded_fraction, throttling_imbalance};
-use flex_core::placement::policies::{replay, FlexOffline, PlacementPolicy};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use flex_core::placement::policies::FlexOffline;
 
 fn main() {
     let (room, base) = paper_room_and_trace(2026);
     let n = trace_count();
+    let short = FlexOffline::short().with_config(study_ilp_config());
     println!(
         "Deployment-size sweep — Flex-Offline-Short over {n} shuffled traces\n\
          (larger deployments are split into chunks of at most `max racks`)\n"
@@ -23,18 +22,9 @@ fn main() {
     );
     for max_racks in [20usize, 10, 5] {
         let capped = base.split_max_racks(max_racks);
-        let mut stranded = Vec::new();
-        let mut imbalance = Vec::new();
-        for s in 0..n {
-            let mut rng = SmallRng::seed_from_u64(0xDE9 + s as u64);
-            let trace = capped.shuffled(&mut rng);
-            let placement = FlexOffline::short()
-                .with_config(study_ilp_config())
-                .place(&room, &trace, &mut rng);
-            let state = replay(&room, &trace, &placement);
-            stranded.push(stranded_fraction(&state));
-            imbalance.push(throttling_imbalance(&state));
-        }
+        let states = study(&room, &short, 0xDE9, n, |rng| capped.shuffled(rng));
+        let stranded: Vec<f64> = states.iter().map(stranded_fraction).collect();
+        let imbalance: Vec<f64> = states.iter().map(throttling_imbalance).collect();
         println!(
             "{:<12} {:>21.2}% {:>24.3}",
             max_racks,

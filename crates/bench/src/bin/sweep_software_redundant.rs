@@ -4,19 +4,18 @@
 //! Paper (Flex-Offline-Long): 0% SR → 15% median stranded; 5% → 4%;
 //! 10% → 3%; larger shares within ±1% of that.
 
-use flex_bench::{median, study_ilp_config, trace_count};
+use flex_bench::{median, study, study_ilp_config, trace_count};
 use flex_core::placement::metrics::stranded_fraction;
-use flex_core::placement::policies::{replay, FlexOffline, PlacementPolicy};
+use flex_core::placement::policies::FlexOffline;
 use flex_core::placement::RoomConfig;
 use flex_core::workload::trace::{TraceConfig, TraceGenerator};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let room = RoomConfig::paper_placement_room()
         .build()
         .expect("paper room builds");
     let n = trace_count();
+    let long = FlexOffline::long().with_config(study_ilp_config());
     println!(
         "Software-redundant share sweep — Flex-Offline-Long over {n} traces\n\
          (non-cap-able fixed at 31%; cap-able takes the remainder)\n"
@@ -25,16 +24,9 @@ fn main() {
     for sr in [0.0, 0.05, 0.10, 0.15, 0.20] {
         let mix = [sr, 1.0 - 0.31 - sr, 0.31];
         let config = TraceConfig::microsoft(room.provisioned_power()).with_category_mix(mix);
-        let mut stranded = Vec::new();
-        for s in 0..n {
-            let mut rng = SmallRng::seed_from_u64(0x5123 + s as u64);
-            let trace = TraceGenerator::new(config.clone()).generate(&mut rng);
-            let placement = FlexOffline::long()
-                .with_config(study_ilp_config())
-                .place(&room, &trace, &mut rng);
-            let state = replay(&room, &trace, &placement);
-            stranded.push(stranded_fraction(&state));
-        }
+        let generator = TraceGenerator::new(config);
+        let states = study(&room, &long, 0x5123, n, |rng| generator.generate(rng));
+        let stranded: Vec<f64> = states.iter().map(stranded_fraction).collect();
         println!("{:<10.0}% {:>21.2}%", sr * 100.0, median(&stranded) * 100.0);
     }
     println!("\npaper: 0% → 15%, 5% → 4%, 10% → 3%, then flat within ±1%");

@@ -151,12 +151,6 @@ fn describe(event: &FlightEvent) -> String {
             readings.len(),
             sim_seconds(*measured_at_ns).trim()
         ),
-        FlightEvent::ReadingAccepted { controller } => {
-            format!("controller {controller} accepted fresh readings")
-        }
-        FlightEvent::ReadingStale { controller } => {
-            format!("controller {controller} ignored stale/duplicate delivery")
-        }
         FlightEvent::FailoverAlarm { controller, ups } => {
             format!("controller {controller} <- failover alarm for ups {ups}")
         }

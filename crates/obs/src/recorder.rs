@@ -56,23 +56,6 @@ pub enum FlightEvent {
         /// Per-rack readings as `(rack id, watts)`.
         readings: Readings,
     },
-    /// A delivery carried at least one strictly-newer reading. The
-    /// room simulation counts acceptance (`online/readings_accepted`)
-    /// but does not ring-record it — acceptance is the normal case and
-    /// is implied by the delivery itself; only the stale anomaly earns
-    /// a flight event.
-    ReadingAccepted {
-        /// Controller index.
-        controller: u32,
-    },
-    /// A delivery was entirely stale or duplicated; state unchanged.
-    /// Counted (`online/readings_stale`) but, like acceptance, not
-    /// ring-recorded by the room simulation: a replayed controller
-    /// makes the same accept/ignore call from the delivery stream.
-    ReadingStale {
-        /// Controller index.
-        controller: u32,
-    },
     /// The out-of-band failover alarm reached a controller.
     FailoverAlarm {
         /// Controller index.
@@ -221,8 +204,6 @@ impl FlightEvent {
         match self {
             FlightEvent::UpsDelivery { .. } => "ups_delivery",
             FlightEvent::RackDelivery { .. } => "rack_delivery",
-            FlightEvent::ReadingAccepted { .. } => "reading_accepted",
-            FlightEvent::ReadingStale { .. } => "reading_stale",
             FlightEvent::FailoverAlarm { .. } => "failover_alarm",
             FlightEvent::AlarmCleared { .. } => "alarm_cleared",
             FlightEvent::WatchdogTick { .. } => "watchdog_tick",
@@ -269,9 +250,7 @@ impl FlightEvent {
                 fields.push(("m", Value::Str(measured_at_ns.to_string())));
                 fields.push(("r", readings_value(readings)));
             }
-            FlightEvent::ReadingAccepted { controller }
-            | FlightEvent::ReadingStale { controller }
-            | FlightEvent::WatchdogTick { controller }
+            FlightEvent::WatchdogTick { controller }
             | FlightEvent::WatchdogFired { controller } => {
                 fields.push(("c", num(*controller as u64)));
             }
@@ -419,8 +398,6 @@ impl FlightEvent {
                 measured_at_ns: ns(v.get("m")?)?,
                 readings: readings()?,
             },
-            "reading_accepted" => FlightEvent::ReadingAccepted { controller: c()? },
-            "reading_stale" => FlightEvent::ReadingStale { controller: c()? },
             "failover_alarm" => FlightEvent::FailoverAlarm {
                 controller: c()?,
                 ups: u()?,
@@ -622,7 +599,6 @@ mod tests {
                 measured_at_ns: 1_500_000_000,
                 readings: vec![(0, 120_000.25), (1, 119_999.75)].into(),
             },
-            FlightEvent::ReadingAccepted { controller: 0 },
             FlightEvent::FailoverAlarm { controller: 1, ups: 2 },
             FlightEvent::WatchdogTick { controller: 1 },
             FlightEvent::WatchdogFired { controller: 1 },
@@ -640,7 +616,6 @@ mod tests {
                 measured_at_ns: 3,
                 readings: vec![(12, 4_321.0)].into(),
             },
-            FlightEvent::ReadingStale { controller: 2 },
             FlightEvent::AlarmCleared { controller: 1, ups: 2 },
             FlightEvent::EpochBump { controller: 0, epoch: 3 },
             FlightEvent::CommandFenced { controller: 0, rack: 11, epoch: 2, latest: 3 },

@@ -299,8 +299,8 @@ pub struct Controller {
     online: Vec<bool>,
     rack_view: Vec<Watts>,
     /// Observability (noop unless attached): the recorder receives the
-    /// ingest/watchdog state transitions that `flex_online::replay`
-    /// feeds back to reconstruct this instance's decisions.
+    /// alarm and watchdog transitions that `flex_online::replay` feeds
+    /// back to reconstruct this instance's decisions.
     obs: Obs,
     readings_accepted: Counter,
     readings_stale: Counter,
@@ -336,11 +336,13 @@ impl Controller {
     }
 
     /// Attaches observability. Counters: `online/readings_accepted`,
-    /// `online/readings_stale`, `online/watchdog_fires`. Recorder events
-    /// cover telemetry ingest outcomes, alarms, and watchdog ticks —
-    /// exactly the inputs `flex_online::replay` needs to re-drive the
-    /// decision sequence. Recording never branches the decision logic,
-    /// so attached and detached instances emit identical commands.
+    /// `online/readings_stale`, `online/watchdog_fires`; ingest outcomes
+    /// are counted only, never recorded. Recorder events cover alarms
+    /// and firing watchdog ticks which, with the deliveries the room
+    /// records, are exactly the inputs `flex_online::replay` needs to
+    /// re-drive the decision sequence. Recording never branches the
+    /// decision logic, so attached and detached instances emit
+    /// identical commands.
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         self.readings_accepted = obs.counter("online/readings_accepted");

@@ -21,6 +21,9 @@
 # fig09, fig10, the two sweeps, baseline_comparison and
 # ablation_forecast are left out: their placement solves stop at a
 # wall-clock deadline, so their output varies from run to run.
+# ablation_redundancy_designs places its traces through the same
+# `flex_bench::study` loop as those six, and its solves close before
+# the deadline, so its `cmp` is the byte-identity check of that loop.
 #
 # Prints one line per output and exits non-zero if any output differs
 # or a figure binary or `flex` command fails.
